@@ -123,6 +123,8 @@ def parse_multivector_expr(text: str, sig: Signature) -> Multivector:
         kind, value = tokens[i]
         if kind == "num":
             coef = sign * float(value)
+            if not np.isfinite(coef):
+                raise FileFormatError(f"number {value!r} out of range in {text!r}")
             i += 1
             if i < len(tokens) and tokens[i] == ("op", "*"):
                 i += 1
@@ -321,6 +323,10 @@ def read_grid_file(path: str | Path) -> GridFile:
             raise FileFormatError(
                 f"{path}: expected {count} numbers, got {flat.size}"
             )
+    if not np.isfinite(flat).all():
+        raise FileFormatError(f"{path}: payload holds NaN or infinite values")
+    if not np.isfinite(origin + spacing).all():
+        raise FileFormatError(f"{path}: origin and spacing must be finite")
     values = flat.reshape(int(np.prod(dims)), sig.dim)
     return GridFile(kind, sig, dims, origin, spacing, values)
 

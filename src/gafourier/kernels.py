@@ -33,7 +33,6 @@ __all__ = [
     "ValidationReport",
     "Violation",
     "PRESET_NAMES",
-    "eval_kernel",
     "preset",
     "parse_preset",
     "negate",
@@ -176,12 +175,6 @@ class GftSpec:
     @property
     def nu(self) -> int:
         return len(self.left) + len(self.right)
-
-
-def eval_kernel(
-    kernel: KernelMatrix, x: Sequence[float], u: Sequence[float]
-) -> Multivector:
-    return kernel.eval(x, u)
 
 
 def _diag(sig: Signature, m: int, value: Multivector) -> KernelMatrix:

@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import Multivector, gp_many
 from .commsplit import SplitIndex, shift_exponential_terms, split_multi
 from .exponential import exp_imag
-from .kernels import GftSpec, eval_kernel, negate, side_directions
+from .kernels import GftSpec, negate, side_directions
 from .transform import FreqGrid, SampledField, gft_at, row_magnitudes
 
 __all__ = [
@@ -317,8 +317,8 @@ def check_shift(
     max_left_terms = 0
     max_right_terms = 0
     for i, u in enumerate(unodes):
-        left_vals = [eval_kernel(k, x0, u) for k in spec.left]
-        right_vals = [eval_kernel(k, x0, u) for k in spec.right]
+        left_vals = [k.eval(x0, u) for k in spec.left]
+        right_vals = [k.eval(x0, u) for k in spec.right]
         left_terms = (
             shift_exponential_terms(left_vals, "lower", directions=left_dirs)
             if left_vals

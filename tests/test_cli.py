@@ -94,6 +94,21 @@ def test_transform_error_exit_codes(tmp_path, field_file, capsys):
     capsys.readouterr()
 
 
+def test_transform_refuses_non_finite_field(tmp_path, field_file, capsys):
+    path, _ = field_file
+    lines = path.read_text().splitlines()
+    data = lines.index("data")
+    lines[data + 5] = "0.25 0.25 nan 0.25"
+    nan_path = tmp_path / "nan.mvf"
+    nan_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "nan.out.mvf"
+    rc = main(["transform", "--field", str(nan_path), "--preset",
+               "quaternionic", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "NaN" in capsys.readouterr().err
+
+
 def test_transform_rejects_spectrum_input(tmp_path, field_file, capsys):
     path, field = field_file
     spec_path = tmp_path / "already.mvf"

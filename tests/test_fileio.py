@@ -139,6 +139,37 @@ def test_grid_file_rejects_corruption(tmp_path):
         read_grid_file(truncated)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_grid_file_rejects_non_finite_values(tmp_path, bad):
+    rng = np.random.default_rng(6)
+    field = rand_field(SIG, (2, 2), rng)
+    path = tmp_path / "field.mvf"
+    write_field(path, field)
+    lines = path.read_text().splitlines()
+    data = lines.index("data")
+    row = lines[data + 2].split()
+    row[1] = bad
+    lines[data + 2] = " ".join(row)
+    mangled = tmp_path / "payload.mvf"
+    mangled.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError):
+        read_grid_file(mangled)
+
+    header = path.read_text().replace("origin -1.0 -1.0", f"origin -1.0 {bad}")
+    assert header != path.read_text()
+    mangled.write_text(header)
+    with pytest.raises(FileFormatError):
+        read_grid_file(mangled)
+
+    binpath = tmp_path / "bin.mvf"
+    write_field(binpath, field, binary=True)
+    blob = bytearray(binpath.read_bytes())
+    blob[-8:] = np.array([float(bad)], dtype="<f8").tobytes()
+    binpath.write_bytes(bytes(blob))
+    with pytest.raises(FileFormatError):
+        read_grid_file(binpath)
+
+
 def test_freqs_file_round_trip(tmp_path):
     grid = FreqGrid((4, 2), (-0.5, 0.0), (0.25, 0.125))
     path = tmp_path / "grid.freqs"
@@ -190,6 +221,7 @@ def test_kernel_config_rejects_bad_content(tmp_path):
         base + "kernel left\nentry 1 1\n",               # missing expression
         "gft-kernels 2\nsignature 0 2\nm 2\n",           # bad version
         base + "kernel left\nentry 0 1 1*e1\n",          # 1-based positions
+        base + "kernel left\nentry 1 1 1e999*e1\n",      # overflows to inf
     ]
     for text in cases:
         path.write_text(text)

@@ -11,7 +11,6 @@ from gafourier.kernels import (
     KernelMatrix,
     NotSeparable,
     UnsupportedSignature,
-    eval_kernel,
     is_separable,
     negate,
     parse_preset,
@@ -37,7 +36,7 @@ def test_kernel_matrix_basics():
     assert np.allclose(_cell(k, 0, 1).coeffs, [0, 2.0, 1.0, 0])
     v = k.eval((1.0, 0.0), (0.0, 3.0))
     assert np.allclose(v.coeffs, [0, 6.0, 3.0, 0])
-    assert eval_kernel(k, (1.0, 0.0), (0.0, 3.0)) == v
+    assert Multivector(sig, k.values(np.array([[1.0, 0.0]]), (0.0, 3.0))[0]) == v
     half = k.scaled(0.5)
     assert np.allclose(half.tensor, 0.5 * k.tensor)
     with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
 """Grids, sampled fields, and the transform against a complex oracle."""
 
+import logging
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gafourier.algebra import Multivector, Signature
 from gafourier.exponential import NotImaginary
@@ -14,10 +19,12 @@ from gafourier.transform import (
     dft_complex_oracle,
     gft,
     gft_at,
+    gft_direct,
     grid_nodes,
+    plan,
 )
 
-from conftest import rand_field
+from conftest import SIGNATURES_SMALL, rand_field, root_family
 
 
 def test_grid_nodes_row_major_order():
@@ -64,6 +71,23 @@ def test_sampled_field_accessors():
         SampledField(sig, (2, 3), (0.0,), (1.0, 1.0), vals)
     with pytest.raises(ValueError):
         SampledField(sig, (2, 0), (0.0, 0.0), (1.0, 1.0), np.zeros((0, 4)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_rejected(bad):
+    sig = Signature(0, 2)
+    vals = np.zeros((4, 4))
+    vals[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SampledField(sig, (4,), (0.0,), (1.0,), vals)
+    with pytest.raises(ValueError, match="finite"):
+        SampledField(sig, (4,), (bad,), (1.0,), np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="finite"):
+        SampledField(sig, (4,), (0.0,), (bad,), np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="finite"):
+        FreqGrid((2, 2), (0.0, bad), (1.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        FreqGrid((2, 2), (0.0, 0.0), (bad, 1.0))
 
 
 def test_field_values_are_insulated_from_callers():
@@ -151,7 +175,7 @@ def test_gft_rejects_mismatched_inputs():
                                      [(0, 0, Multivector.scalar(Signature(0, 2), 1.0))])
     bad_spec = GftSpec(Signature(0, 2), 2, (bad_kernel,), ())
     good = rand_field(Signature(0, 2), (4, 4), rng)
-    with pytest.raises(NotImaginary):
+    with pytest.raises(NotImaginary, match="left kernel 1"):
         gft(bad_spec, good, default_freqs(good))
 
 
@@ -177,3 +201,108 @@ def test_freq_grid_validation():
         FreqGrid((4,), (0.0,), (0.0,))
     grid = FreqGrid((2, 2), (0.0, 0.0), (0.5, 0.5))
     assert grid.m == 2 and grid.node_count == 4
+
+
+def _assert_engines_agree(spec, field, unodes):
+    fast = gft_at(spec, field, unodes)
+    ref = gft_direct(spec, field, unodes)
+    err = np.linalg.norm(fast - ref, axis=1)
+    allowed = 1e-12 * np.maximum(1.0, np.linalg.norm(ref, axis=1))
+    assert (err <= allowed).all(), float((err / allowed).max())
+
+
+SEPARABLE_PRESETS = {
+    "clifford:2": (8, 8),
+    "clifford:3": (4, 4, 4),
+    "quaternionic": (8, 8),
+    "buelow:2": (8, 8),
+    "buelow:3": (4, 4, 4),
+    "spacetime": (3, 3, 3, 3),
+    "color_image": (8, 8),
+    "cylindrical:2": (8, 8),
+}
+
+
+@pytest.mark.parametrize("selector", sorted(SEPARABLE_PRESETS))
+def test_separable_engine_matches_direct_on_presets(selector):
+    spec = parse_preset(selector)
+    rng = np.random.default_rng(21)
+    field = rand_field(spec.sig, SEPARABLE_PRESETS[selector], rng)
+    dual = default_freqs(field).nodes()
+    off_lattice = rng.uniform(-1.7, 1.7, (40, spec.m))
+    assert plan(spec, field, dual).engine == "separable"
+    _assert_engines_agree(spec, field, dual)
+    _assert_engines_agree(spec, field, off_lattice)
+
+
+@st.composite
+def separable_specs(draw):
+    """A spec in Cl(p,q), n <= 4, whose kernels are real m x m matrices
+    times directions squaring to a negative real."""
+    sig = draw(st.sampled_from(SIGNATURES_SMALL))
+    m = draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+    def kernel():
+        labels = root_family(sig)
+        c = np.array(draw(st.lists(unit, min_size=len(labels), max_size=len(labels))))
+        if np.linalg.norm(c) < 1e-3:
+            c[0] = 1.0
+        d = sum((Multivector.blade(sig, label, w) for label, w in zip(labels, c)),
+                Multivector.zero(sig))
+        entry = st.floats(-7.0, 7.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6)
+        s = np.array(draw(st.lists(entry, min_size=m * m, max_size=m * m))).reshape(m, m)
+        return KernelMatrix(sig, tuple(tuple(d * float(s[r, k]) for k in range(m))
+                                       for r in range(m)))
+
+    left = tuple(kernel() for _ in range(draw(st.integers(1, 2))))
+    right = tuple(kernel() for _ in range(draw(st.integers(1, 2))))
+    return GftSpec(sig, m, left, right)
+
+
+@settings(max_examples=40, deadline=None)
+@given(separable_specs(), st.integers(0, 2**32 - 1))
+def test_separable_engine_matches_direct_on_random_specs(spec, seed):
+    rng = np.random.default_rng(seed)
+    dims = {1: (7,), 2: (4, 3), 3: (3, 2, 2)}[spec.m]
+    field = rand_field(spec.sig, dims, rng)
+    unodes = rng.uniform(-1.3, 1.3, (6, spec.m))
+    p = plan(spec, field, unodes)
+    if any(k.tensor.any() for k in spec.left + spec.right):
+        assert p.engine == "separable", p.reason
+    _assert_engines_agree(spec, field, unodes)
+
+
+def test_plan_reasons_for_direct_specs():
+    rng = np.random.default_rng(4)
+    cyl = parse_preset("cylindrical:3")
+    field = rand_field(cyl.sig, (3, 3, 3), rng)
+    p = plan(cyl, field, default_freqs(field).nodes())
+    assert (p.engine, p.reason) == ("direct", "left kernel 1 not separable")
+
+    sig = Signature(0, 2)
+    e1 = Multivector.blade(sig, "e1", 2 * math.pi)
+    nearly = e1 + Multivector.blade(sig, "e2", 1e-12)
+    inexact = KernelMatrix.sparse(sig, 2, [(0, 0, e1), (1, 1, nearly)])
+    assert inexact.direction() is not None  # loose enough to call it separable
+    spec = GftSpec(sig, 2, (), (KernelMatrix.sparse(sig, 2, [(0, 0, e1)]), inexact))
+    field = rand_field(sig, (4, 4), rng)
+    unodes = default_freqs(field).nodes()
+    p = plan(spec, field, unodes)
+    assert (p.engine, p.reason) == ("direct", "right kernel 2 not separable")
+    assert np.array_equal(gft_at(spec, field, unodes), gft_direct(spec, field, unodes))
+
+    scalar = KernelMatrix.sparse(sig, 2, [(0, 0, Multivector.scalar(sig, 1.0))])
+    p = plan(GftSpec(sig, 2, (scalar,), ()), field, unodes)
+    assert p.engine == "direct"
+    assert p.reason == "left kernel 1 direction does not square to a negative real"
+
+
+def test_plan_decision_is_logged(caplog):
+    spec = parse_preset("quaternionic")
+    field = rand_field(spec.sig, (4, 4), np.random.default_rng(9))
+    with caplog.at_level(logging.DEBUG, logger="gafourier"):
+        gft(spec, field, default_freqs(field))
+    assert [r.getMessage() for r in caplog.records] == [
+        "plan: separable engine (all kernels separable), 16 nodes x 16 frequencies"
+    ]
