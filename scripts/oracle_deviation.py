@@ -6,9 +6,17 @@ the n=2 pseudoscalar configuration must reproduce the classical DFT on
 them exactly (up to roundoff).  Prints the worst deviation per grid size
 for `gft` (on the engine `plan` chooses) and for the direct engine
 `gft_direct`, and the chosen engine.
+
+With --presets it instead compares `gft` with `gft_direct` on every
+built-in preset, on random fields and off-lattice frequencies, printing
+the planned engine and reason, the worst deviation relative to
+max(1, |F(u)|) and the seconds taken; it exits 1 above 1e-12.
+
+    PYTHONPATH=src python3 scripts/oracle_deviation.py --presets
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -21,9 +29,26 @@ from gafourier.transform import (
     default_freqs,
     dft_complex_oracle,
     gft,
+    gft_at,
     gft_direct,
     plan,
 )
+
+# field grid per built-in preset, small enough for the direct engine
+PRESET_GRIDS = {
+    "clifford:2": (8, 8),
+    "clifford:3": (4, 4, 4),
+    "buelow:2": (8, 8),
+    "buelow:3": (4, 4, 4),
+    "quaternionic": (8, 8),
+    "spacetime": (3, 3, 3, 3),
+    "color_image": (8, 8),
+    "cylindrical:2": (8, 8),
+    "cylindrical:3": (4, 4, 4),
+    "cylindrical:4": (3, 3, 3, 3),
+    "cylindrical:7": (2,) * 7,
+}
+ENGINE_TOL = 1e-12
 
 
 def _deviation(got: np.ndarray, want: np.ndarray) -> float:
@@ -55,14 +80,49 @@ def deviation(
     return worst, worst_direct, engine
 
 
+def engine_deviation(
+    selector: str, rng: np.random.Generator
+) -> tuple[str, str, float]:
+    """Planned engine, its reason, and the worst |gft - gft_direct| over
+    max(1, |gft_direct|) at 16 off-lattice frequencies."""
+    spec = parse_preset(selector)
+    dims = PRESET_GRIDS[selector]
+    vals = rng.uniform(-1, 1, (math.prod(dims), spec.sig.dim))
+    origin = tuple(-(d // 2) * 1.0 for d in dims)
+    field = SampledField(spec.sig, dims, origin, (1.0,) * len(dims), vals)
+    unodes = rng.uniform(-1.7, 1.7, (16, spec.m))
+    p = plan(spec, field, unodes)
+    ref = gft_direct(spec, field, unodes)
+    err = np.linalg.norm(gft_at(spec, field, unodes) - ref, axis=1)
+    worst = float((err / np.maximum(1.0, np.linalg.norm(ref, axis=1))).max())
+    return p.engine, p.reason, worst
+
+
+def presets_main(rng: np.random.Generator) -> int:
+    print(f"{'preset':<14} {'engine':>9} {'rel_dev':>10} {'seconds':>8}  reason")
+    worst = 0.0
+    for selector in PRESET_GRIDS:
+        t0 = time.perf_counter()
+        engine, reason, dev = engine_deviation(selector, rng)
+        dt = time.perf_counter() - t0
+        worst = max(worst, dev)
+        print(f"{selector:<14} {engine:>9} {dev:>10.3e} {dt:>8.2f}  {reason}")
+    print(f"worst over all presets: {worst:.3e} (limit {ENGINE_TOL:g})")
+    return 0 if worst <= ENGINE_TOL else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", type=int, nargs="*", default=[4, 8, 16])
     parser.add_argument("--trials", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--presets", action="store_true",
+                        help="compare gft with gft_direct on every built-in preset")
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
+    if args.presets:
+        return presets_main(rng)
     print(f"{'size':>6} {'nodes':>7} {'engine':>10} {'gft_dev':>11} "
           f"{'direct_dev':>11} {'seconds':>9}")
     worst = 0.0

@@ -25,10 +25,9 @@ __all__ = [
     "Signature",
     "Multivector",
     "blade_mul",
-    "gp",
+    "blade_signs",
     "gp_many",
     "reverse",
-    "inv",
     "magnitude",
     "is_root_of_minus_one",
     "pseudoscalar",
@@ -133,6 +132,20 @@ def blade_mul(a: int, b: int, sig: Signature) -> tuple[float, int]:
     return sign, a ^ b
 
 
+def blade_signs(sig: Signature, a, b) -> np.ndarray:
+    """Signs of the basis-blade products a * b, elementwise over
+    broadcast arrays of blade bitmasks; the same rule as `blade_mul`."""
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    swaps = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    t = a >> np.uint64(1)
+    while t.any():
+        swaps += np.bitwise_count(t & b)
+        t = t >> np.uint64(1)
+    negatives = np.bitwise_count((a & b) >> np.uint64(sig.p)).astype(np.int64)
+    return np.where((swaps + negatives) % 2 == 0, 1.0, -1.0)
+
+
 @dataclass(frozen=True)
 class _Tables:
     sign: np.ndarray | None       # (dim, dim) float64
@@ -153,16 +166,8 @@ def _tables(p: int, q: int) -> _Tables:
 
     sign = target = tensor = None
     if n <= _TABLE_MAX:
-        a = idx[:, None]
-        b = idx[None, :]
-        swaps = np.zeros((dim, dim), dtype=np.int64)
-        t = a >> np.uint64(1)
-        while t.any():
-            swaps += np.bitwise_count(t & b)
-            t = t >> np.uint64(1)
-        negatives = np.bitwise_count((a & b) >> np.uint64(p)).astype(np.int64)
-        sign = np.where((swaps + negatives) % 2 == 0, 1.0, -1.0)
-        target = (a ^ b).astype(np.intp)
+        sign = blade_signs(sig, idx[:, None], idx[None, :])
+        target = (idx[:, None] ^ idx[None, :]).astype(np.intp)
         square_sign = sign.diagonal().copy()
         if n <= _TENSOR_MAX:
             tensor = np.zeros((dim, dim, dim))
@@ -418,17 +423,8 @@ class Multivector:
 
 # functional aliases matching the operation names used elsewhere -----------
 
-def gp(a: Multivector, b: Multivector) -> Multivector:
-    """Geometric product."""
-    return a * b
-
-
 def reverse(a: Multivector) -> Multivector:
     return a.reverse()
-
-
-def inv(b: Multivector, tol: float = RELATIVE_TOL) -> Multivector:
-    return b.inverse(tol)
 
 
 def magnitude(a: Multivector) -> float:

@@ -5,7 +5,9 @@
 negative real number, the only case the transform engine needs; it
 evaluates e^{-f} directly because the kernels always appear with a
 negative exponent.  `exp_neg_many` is the same closed form vectorized
-over stacked samples, with optional validation of the square.
+over stacked samples, with optional validation of the square.  The
+transform engines share its pieces: `cos_sinc` for the closed form and
+`not_imaginary` for the validation test and tolerance.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ __all__ = [
     "exp_series",
     "exp_imag",
     "exp_neg_many",
+    "cos_sinc",
+    "not_imaginary",
 ]
 
 # Below this value of r = sqrt(-<f^2>_0) the closed form switches to the
@@ -44,6 +48,10 @@ class NoConvergence(ArithmeticError):
 
 class NotImaginary(ValueError):
     """Argument does not square to a negative real number."""
+
+    @classmethod
+    def at_sample(cls, label: str, sample: int) -> "NotImaginary":
+        return cls(f"{label}: sample {sample} does not square to a negative real")
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,34 @@ def exp_imag(f: Multivector, tol: float = STRUCTURAL_TOL) -> Multivector:
     return math.cos(r) - f * (math.sin(r) / r)
 
 
+def cos_sinc(square: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(r) and sin(r)/r for r = sqrt(-square), elementwise.
+
+    `square` is the scalar part of f^2, so e^{-f} = cos(r) - f sin(r)/r.
+    A nonnegative square gives r = 0; below r = _SMALL_ANGLE the ratio
+    is taken as 1, the first-order sum 1 - f.
+    """
+    r = np.sqrt(np.maximum(-square, 0.0))
+    small = r < _SMALL_ANGLE
+    return np.cos(r), np.where(small, 1.0, np.sin(r) / np.where(small, 1.0, r))
+
+
+def not_imaginary(
+    scalar: np.ndarray,
+    residue: np.ndarray,
+    norm2: np.ndarray,
+    tol: float = RELATIVE_TOL,
+) -> np.ndarray:
+    """Mask of samples f whose square is not a negative real.
+
+    `scalar` is the scalar part of f^2, `residue` the largest magnitude
+    of its other coefficients and `norm2` = |f|^2.  A sample fails when
+    either exceeds tol * max(1, |f|^2); NaN fails too.
+    """
+    bound = tol * np.maximum(1.0, norm2)
+    return ~((residue <= bound) & (scalar <= bound))
+
+
 def exp_neg_many(
     sig: Signature,
     values: np.ndarray,
@@ -120,17 +156,11 @@ def exp_neg_many(
     s = (values * values) @ squares
     if validate:
         full = gp_many(sig, values, values)
-        scale = np.maximum(1.0, (values * values).sum(axis=1))
-        residue = np.abs(full[:, 1:]).max(axis=1) if sig.dim > 1 else np.zeros(len(full))
-        bad = (residue > tol * scale) | (full[:, 0] > tol * scale)
+        residue = np.abs(full[:, 1:]).max(axis=1, initial=0.0)
+        bad = not_imaginary(full[:, 0], residue, (values * values).sum(axis=1), tol)
         if bad.any():
-            i = int(np.argmax(bad))
-            raise NotImaginary(
-                f"{label}: sample {i} does not square to a negative real"
-            )
-    r = np.sqrt(np.maximum(-s, 0.0))
-    small = r < _SMALL_ANGLE
-    coef = np.where(small, 1.0, np.sin(r) / np.where(small, 1.0, r))
-    out = -values * coef[:, None]
-    out[:, 0] += np.cos(r)
+            raise NotImaginary.at_sample(label, int(np.argmax(bad)))
+    cos, sinc = cos_sinc(s)
+    out = -values * sinc[:, None]
+    out[:, 0] += cos
     return out

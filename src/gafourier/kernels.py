@@ -78,6 +78,8 @@ class KernelMatrix:
             for e in row:
                 if e.sig != self.sig:
                     raise ValueError("entry signature mismatch")
+                if not np.isfinite(e.coeffs).all():
+                    raise ValueError("kernel entries must be finite")
 
     @property
     def m(self) -> int:

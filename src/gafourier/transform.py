@@ -9,24 +9,29 @@ order.  The frequency grid is arbitrary and independent of the spatial
 one.  `gft_at` (and `gft` on a frequency grid) runs one of two engines,
 chosen per call by `plan`:
 
+* expansion: every kernel gets a basis.  A kernel that is exactly a real
+  bilinear form times one constant direction j with j^2 = -1 (checked
+  once) has e^{-f} = cos(s) - j sin(s) of a real phase s; any other
+  kernel is sum_i s_i e_i over its nonzero blades, with
+  e^{-f} = cos(rho) - sum_i s_i sin(rho)/rho e_i, rho^2 = -<f^2>_0.  The
+  two-sided product then expands into prod(1 + r_k) real GEMMs over
+  those weight blocks (r_k basis elements of kernel k), followed by
+  constant maps: a dense product for a direction, a signed permutation
+  for a blade.  With validate=True the blade kernels are checked per
+  (node, frequency) with exp_neg_many's test and tolerance, and raise
+  the same NotImaginary as the direct engine.
 * direct (`gft_direct`): per frequency, exponentials of the kernel values
   at every node, two-sided products, and a sum over nodes.  It handles
   every spec and is the reference the other engine is tested against.
-* separable: used when every kernel is exactly a real bilinear form
-  times one constant direction whose square is a negative real.  Each
-  exponential is then cos - (d/rho) sin of a real phase, so the two-sided
-  product expands into 2^nu real GEMMs over cos/sin weight blocks,
-  followed by constant maps X -> G_L X G_R.
 
-Everything else (non-separable kernels such as cylindrical:n for n >= 3,
-kernel tensors that only factor approximately, directions that do not
-square to a negative real) goes to the direct engine, which with
-validate=True raises NotImaginary for the first offending sample.  The
-validate flag never changes which engine runs.
+Routing: the expansion engine runs while prod(1 + r_k) <= max(2^nu, 2^n),
+that is while its GEMM work per pair is at most that of 2^nu sign
+patterns or of one dense product; larger specs go to the direct engine.
+The validate flag never changes which engine runs.
 
 Determinism: the direct engine sums each frequency's rows with one fixed
 numpy reduction over row-major node order, so identical inputs give
-bit-identical spectra.  The separable engine is bit-identical for the
+bit-identical spectra.  The expansion engine is bit-identical for the
 same input and the same BLAS thread count, and agrees with the direct
 engine within 1e-12 * max(1, |F(u)|) per frequency.
 """
@@ -39,8 +44,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import RELATIVE_TOL, Multivector, Signature, gp_many
-from .exponential import exp_neg_many
+from .algebra import (
+    RELATIVE_TOL,
+    Multivector,
+    Signature,
+    blade_signs,
+    gp_many,
+    square_scalar_signs,
+)
+from .exponential import NotImaginary, cos_sinc, exp_neg_many, not_imaginary
 from .kernels import GftSpec
 
 __all__ = [
@@ -62,10 +74,9 @@ __all__ = [
 # than this many ulps of max|T| from T; a looser test would break the
 # 1e-12 agreement with the direct engine.
 _FACTOR_ULPS = 4
-# The separable engine's cos/sin weights for one frequency chunk, over
-# all 2^nu sign patterns, hold at most this many values (128 KiB), or one
-# frequency's worth on larger grids.  Larger blocks raise peak RSS and
-# gain no speed.
+# The expansion engine's weights for one frequency chunk, over all
+# terms, hold at most this many values (128 KiB), or one frequency's
+# worth on larger grids.  Larger blocks raise peak RSS and gain no speed.
 _BLOCK = 1 << 14
 
 
@@ -287,53 +298,146 @@ def gft_direct(
 
 
 @dataclass(frozen=True)
+class _Basis:
+    """One nonzero kernel written as f(x,u) = sum_i (x^T forms[i] u) e_i.
+
+    A rank-1 kernel has one basis element, a unit direction j with
+    j^2 = -1 (checked once), and `step`, the dense row-form map of
+    x -> (-j) x on the left or x (-j) on the right.  Any other kernel has
+    its nonzero blades e_i, checked per sample: the map of blade i is the
+    signed permutation out[:, k] = sign[i, k] * x[:, gather[i, k]], and
+    `pairs` = (a, b, q) gives the non-scalar part of f^2 as q @ (s_a s_b)
+    over the commuting blade pairs a < b.
+    """
+
+    side: str
+    label: str
+    forms: np.ndarray                   # (r, m, m)
+    step: np.ndarray | None = None      # (2^n, 2^n), rank 1 only
+    gather: np.ndarray | None = None    # (r, 2^n)
+    sign: np.ndarray | None = None      # (r, 2^n)
+    squares: np.ndarray | None = None   # (r,) blade squares e_i^2
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @property
+    def terms(self) -> int:
+        return 1 + len(self.forms)
+
+    def describe(self) -> str:
+        if self.step is not None:
+            return f"{self.label}: 1 direction, checked once"
+        r = len(self.forms)
+        return f"{self.label}: {r} blade{'s' if r > 1 else ''}, per-sample check"
+
+    def weights(
+        self, s: np.ndarray, validate: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Weight blocks (terms, M, N) of e^{-f} from the coordinates
+        s = (r, M, N), and the mask of invalid samples when checked."""
+        if self.step is not None:
+            return np.concatenate((np.cos(s), np.sin(s))), None
+        s2 = s * s
+        square = np.tensordot(self.squares, s2, axes=1)  # scalar part of f^2
+        cos, sinc = cos_sinc(square)
+        bad = None
+        if validate:
+            a, b, q = self.pairs
+            cross = s[a]
+            cross *= s[b]
+            residue = np.abs(np.tensordot(q, cross, axes=1)).max(axis=0, initial=0.0)
+            bad = not_imaginary(square, residue, s2.sum(axis=0))
+        return np.concatenate((cos[None], s * sinc)), bad
+
+    def fold(self, y: np.ndarray) -> np.ndarray:
+        """Sum y over this kernel's terms (the leading axis), each mapped."""
+        if self.step is not None:
+            return y[0] + y[1] @ self.step
+        moved = np.take_along_axis(y[1:], self.gather[:, None, None], axis=-1)
+        return y[0] + (moved * self.sign[:, None, None]).sum(axis=0)
+
+
+def _basis(sig: Signature, side: str, label: str, tensor: np.ndarray) -> _Basis | None:
+    """Basis of one kernel tensor (m, m, 2^n), or None for a zero kernel.
+
+    The rank-1 basis is taken when T is S (x) d up to _FACTOR_ULPS ulps of
+    max|T| with d^2 a negative real within RELATIVE_TOL |d|^2: then
+    f^2 = s^2 d^2, so that one check is at least as strict as checking
+    every sample.  Every other kernel gets its nonzero blades.
+    """
+    m = tensor.shape[0]
+    t = tensor.reshape(-1, sig.dim)
+    top = np.abs(t).max()
+    if top == 0.0:
+        return None
+    d = t[np.argmax((t * t).sum(axis=1))] / top
+    s = t @ d / (d @ d)
+    if np.abs(t - np.outer(s, d)).max() <= _FACTOR_ULPS * np.spacing(top):
+        sq = gp_many(sig, d, d)
+        bound = RELATIVE_TOL * (d @ d)
+        if sq[0] < -bound and np.abs(sq[1:]).max(initial=0.0) <= bound:
+            rho = math.sqrt(-sq[0])
+            j = -d / rho
+            eye = np.eye(sig.dim)
+            step = gp_many(sig, j, eye) if side == "left" else gp_many(sig, eye, j)
+            return _Basis(side, label, (s * rho).reshape(1, m, m), step=step)
+    blades = np.flatnonzero(np.abs(t).max(axis=0))
+    col = blades[:, None]
+    gather = np.arange(sig.dim) ^ col
+    sign = -(blade_signs(sig, col, gather) if side == "left"
+             else blade_signs(sig, gather, col))
+    a, b = np.triu_indices(len(blades), 1)
+    ab = blade_signs(sig, blades[a], blades[b])
+    commute = ab == blade_signs(sig, blades[b], blades[a])
+    a, b, ab = a[commute], b[commute], ab[commute]
+    # e_a e_b + e_b e_a = 2 sign(a, b) e_{a^b} for a commuting pair
+    targets, row = np.unique(blades[a] ^ blades[b], return_inverse=True)
+    q = np.zeros((len(targets), len(a)))
+    q[row, np.arange(len(a))] = 2.0 * ab
+    return _Basis(side, label, t[:, blades].T.reshape(-1, m, m), gather=gather,
+                  sign=sign, squares=square_scalar_signs(sig)[blades], pairs=(a, b, q))
+
+
+@dataclass(frozen=True)
 class Plan:
     """Engine chosen for one transform call and the reason for the choice.
 
-    For the separable engine `factors` holds, per nonzero kernel in
-    order, (side, R, j): the kernel is x^T R u times the unit direction j
-    (coefficients, j^2 = -1), so e^{-f} = cos(x^T R u) - j sin(x^T R u).
+    For the expansion engine `bases` holds the basis of every nonzero
+    kernel, left kernels then right kernels, each in order.
     """
 
-    engine: str  # "separable" or "direct"
+    engine: str  # "expansion" or "direct"
     reason: str
-    factors: tuple[tuple[str, np.ndarray, np.ndarray], ...] = ()
+    bases: tuple[_Basis, ...] = ()
 
 
 def plan(spec: GftSpec, field: SampledField, unodes: np.ndarray) -> Plan:
     """Choose the engine for transforming `field` at `unodes` under `spec`.
 
-    The separable engine is chosen when every kernel tensor T is exactly
-    S (x) d, up to _FACTOR_ULPS ulps of max|T|, with S real and d^2 a
-    negative real within RELATIVE_TOL |d|^2.  Then f^2 = s^2 d^2, so the
-    one check of d^2 is at least as strict as the per-sample validation
-    of the direct engine, which gets every other spec.
+    Every kernel gets a basis (`_basis`) of r terms; the expansion engine
+    runs while the product of (1 + r) over the kernels stays within
+    max(2^nu, 2^n), so its GEMM work per pair is at most that of 2^nu
+    sign patterns or of one dense product.  Larger specs go to the
+    direct engine.
     """
-    factors = []
+    sig = spec.sig
+    limit = max(1 << spec.nu, sig.dim)
+    bases, notes, terms = [], [], 1
     for side, kernels in (("left", spec.left), ("right", spec.right)):
         for pos, kern in enumerate(kernels, start=1):
-            t = kern.tensor.reshape(-1, spec.sig.dim)
-            top = np.abs(t).max()
-            if top == 0.0:
-                continue  # zero kernel: e^{-0} = 1
-            d = t[np.argmax((t * t).sum(axis=1))] / top
-            s = t @ d / (d @ d)
-            # written so that NaN or inf entries also fall to the direct engine
-            if not np.abs(t - np.outer(s, d)).max() <= _FACTOR_ULPS * np.spacing(top):
-                return _decided(Plan("direct", f"{side} kernel {pos} not separable"),
+            label = f"{side} kernel {pos}"
+            b = _basis(sig, side, label, kern.tensor)
+            if b is None:
+                notes.append(f"{label}: zero")
+                continue
+            terms *= b.terms
+            if terms > limit:
+                bound = f"2^n = {limit}" if limit == sig.dim else f"2^nu = {limit}"
+                return _decided(Plan("direct", f"{label}: {terms} terms exceed {bound}"),
                                 field, unodes)
-            sq = gp_many(spec.sig, d, d)
-            bound = RELATIVE_TOL * (d @ d)
-            if not (sq[0] < -bound and np.abs(sq[1:]).max(initial=0.0) <= bound):
-                return _decided(
-                    Plan("direct", f"{side} kernel {pos} direction does not square "
-                                   "to a negative real"),
-                    field, unodes,
-                )
-            rho = math.sqrt(-sq[0])
-            factors.append((side, s.reshape(spec.m, spec.m) * rho, d / rho))
-    return _decided(Plan("separable", "all kernels separable", tuple(factors)),
-                    field, unodes)
+            bases.append(b)
+            notes.append(b.describe())
+    notes.append(f"{terms} term{'s' if terms > 1 else ''}")
+    return _decided(Plan("expansion", "; ".join(notes), tuple(bases)), field, unodes)
 
 
 def _decided(p: Plan, field: SampledField, unodes: np.ndarray) -> Plan:
@@ -348,46 +452,55 @@ def _decided(p: Plan, field: SampledField, unodes: np.ndarray) -> Plan:
     return p
 
 
-def _gft_separable(p: Plan, field: SampledField, unodes: np.ndarray) -> np.ndarray:
-    """Trig-expanded transform of a separable spec.
+def _gft_expansion(
+    p: Plan, field: SampledField, unodes: np.ndarray, validate: bool
+) -> np.ndarray:
+    """Expanded transform over the kernel bases of `p`.
 
-    With c_k = cos(x^T R_k u), s_k = sin(x^T R_k u) the integrand expands
-    into 2^nu terms w_sigma(x, u) G_L B(x) G_R, where w_sigma multiplies
-    s_k for the kernels in sigma and c_k for the rest, and G_L, G_R are
-    the ordered products of the -j_k in sigma on each side.  Per chunk of
-    frequencies, the real GEMMs W_sigma^T B run as one batched product;
-    the constant maps X -> G_L X G_R are then applied one kernel at a
-    time, each step halving the number of terms.
+    Each e^{-f} is a sum of its basis terms with real weights (cos and
+    sin of the phase for a direction; cos(rho) and s_i sin(rho)/rho for
+    blades), so the integrand expands into prod(1 + r_k) terms
+    w(x, u) G_L B(x) G_R with constant G_L, G_R.  Per chunk of
+    frequencies, the real GEMMs W^T B run as one batched product; the
+    constant maps are then applied one kernel at a time, each step
+    summing over that kernel's terms.
     """
     sig = field.sig
     xs = field.nodes()
-    eye = np.eye(sig.dim)
     # Row-form maps x -> x @ step compose innermost first: left kernels
     # from the last to the first, then right kernels in order.
-    order = [f for f in reversed(p.factors) if f[0] == "left"] + [
-        f for f in p.factors if f[0] == "right"
+    order = [b for b in reversed(p.bases) if b.side == "left"] + [
+        b for b in p.bases if b.side == "right"
     ]
-    steps = [gp_many(sig, -j, eye) if side == "left" else gp_many(sig, eye, -j)
-             for side, _, j in order]
-    phases = [(xs @ r).T.copy() for _, r, _ in order]
+    phases = [(xs @ b.forms).transpose(0, 2, 1).copy() for b in order]
     n = len(xs)
-    chunk = max(1, (_BLOCK >> len(order)) // n)
+    chunk = max(1, _BLOCK // (math.prod(b.terms for b in order) * n))
     out = np.empty((len(unodes), sig.dim))
     for lo in range(0, len(unodes), chunk):
         u = unodes[lo:lo + chunk]
-        # w[sigma]: the first kernel's cos/sin choice is the leading bit
+        # w[terms]: the first kernel's term is the leading index
         w = np.ones((1, len(u), n))
-        for ph in phases:
-            theta = u @ ph
-            cs = np.stack((np.cos(theta), np.sin(theta)))
-            w = (w[:, None] * cs).reshape(-1, len(u), n)
+        bad = {}
+        for b, ph in zip(order, phases):
+            blocks, bad[b.label] = b.weights(u @ ph, validate)
+            w = (w[:, None] * blocks).reshape(-1, len(u), n)
+        _raise_first_violation(p, bad)
         y = w @ field.values
-        # sum over sigma of y[sigma] @ prod(steps selected), one kernel at a time
-        for step in steps:
-            half = len(y) // 2
-            y = y[:half] + y[half:] @ step
+        for b in order:
+            y = b.fold(y.reshape(b.terms, -1, len(u), sig.dim))
         out[lo:lo + chunk] = y[0]
     return out * field.cell_volume
+
+
+def _raise_first_violation(p: Plan, bad: dict[str, np.ndarray | None]) -> None:
+    """Raise what the direct engine raises first: at the first offending
+    frequency, the first offending kernel in order, its first node."""
+    hits = [(int(np.argmax(m.any(axis=1))), i, b.label, m)
+            for i, b in enumerate(p.bases)
+            if (m := bad[b.label]) is not None and m.any()]
+    if hits:
+        first, _, label, m = min(hits, key=lambda h: h[:2])
+        raise NotImaginary.at_sample(label, int(np.argmax(m[first])))
 
 
 def gft_at(
@@ -400,8 +513,8 @@ def gft_at(
     on the engine `plan` chooses."""
     unodes = _check_inputs(spec, field, unodes)
     p = plan(spec, field, unodes)
-    if p.engine == "separable":
-        return _gft_separable(p, field, unodes)
+    if p.engine == "expansion":
+        return _gft_expansion(p, field, unodes, validate)
     return gft_direct(spec, field, unodes, validate)
 
 

@@ -120,3 +120,14 @@ def test_batched_validation_names_offender():
     # same rows sail through unvalidated (callers that already checked)
     out = exp_neg_many(sig, rows, validate=False)
     assert out.shape == rows.shape
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_batched_validation_rejects_non_finite_rows(bad):
+    sig = Signature(0, 2)
+    rows = np.zeros((3, sig.dim))
+    rows[0, 1] = 1.0
+    rows[1, 2] = bad
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NotImaginary, match="right kernel 1: sample 1 "):
+        exp_neg_many(sig, rows, label="right kernel 1")

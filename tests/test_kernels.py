@@ -247,3 +247,13 @@ def test_gft_spec_rejects_mismatched_kernels():
     k_small = KernelMatrix.sparse(sig, 1, [])
     with pytest.raises(ValueError):
         GftSpec(sig, 2, (), (k_small,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernel_matrix_rejects_non_finite_entries(bad):
+    sig = Signature(0, 2)
+    entry = Multivector(sig, [0.0, 1.0, bad, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        KernelMatrix.sparse(sig, 2, [(0, 0, entry)])
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        KernelMatrix.sparse(sig, 2, [(1, 1, Multivector.blade(sig, "e1"))]).scaled(bad)

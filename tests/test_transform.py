@@ -230,7 +230,31 @@ def test_separable_engine_matches_direct_on_presets(selector):
     field = rand_field(spec.sig, SEPARABLE_PRESETS[selector], rng)
     dual = default_freqs(field).nodes()
     off_lattice = rng.uniform(-1.7, 1.7, (40, spec.m))
-    assert plan(spec, field, dual).engine == "separable"
+    p = plan(spec, field, dual)
+    # separable kernels keep one direction each, checked once
+    assert p.engine == "expansion" and "per-sample" not in p.reason, p.reason
+    _assert_engines_agree(spec, field, dual)
+    _assert_engines_agree(spec, field, off_lattice)
+
+
+CYLINDRICAL_GRIDS = {
+    2: (8, 8),
+    3: (4, 4, 4),
+    4: (3, 3, 3, 3),
+    5: (2,) * 5,
+    6: (2,) * 6,
+    7: (2, 2, 2, 2, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("n", sorted(CYLINDRICAL_GRIDS))
+def test_expansion_engine_matches_direct_on_cylindrical(n):
+    spec = parse_preset(f"cylindrical:{n}")
+    rng = np.random.default_rng(22)
+    field = rand_field(spec.sig, CYLINDRICAL_GRIDS[n], rng)
+    dual = default_freqs(field).nodes()
+    off_lattice = rng.uniform(-1.7, 1.7, (12, spec.m))
+    assert plan(spec, field, dual).engine == "expansion"
     _assert_engines_agree(spec, field, dual)
     _assert_engines_agree(spec, field, off_lattice)
 
@@ -269,16 +293,97 @@ def test_separable_engine_matches_direct_on_random_specs(spec, seed):
     unodes = rng.uniform(-1.3, 1.3, (6, spec.m))
     p = plan(spec, field, unodes)
     if any(k.tensor.any() for k in spec.left + spec.right):
-        assert p.engine == "separable", p.reason
+        assert p.engine == "expansion" and "per-sample" not in p.reason, p.reason
     _assert_engines_agree(spec, field, unodes)
 
 
-def test_plan_reasons_for_direct_specs():
+@st.composite
+def wedge_specs(draw):
+    """A kernel T[j, l] = -s (R e_j)(R e_l), j != l, in Cl(0,n), n <= 5:
+    the cylindrical kernel in a random orthonormal frame R, scale s."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    rot = q * np.sign(np.diag(r))
+    scale = draw(st.floats(0.1, 7.0))
+    sig = Signature(0, n)
+    axes = [sum((Multivector.basis_vector(sig, k + 1) * float(rot[k, j])
+                 for k in range(n)), Multivector.zero(sig)) for j in range(n)]
+    kernel = KernelMatrix.sparse(sig, n, [(j, l, axes[j] * axes[l] * -scale)
+                                         for j in range(n) for l in range(n) if j != l])
+    if draw(st.booleans()):
+        return GftSpec(sig, n, (kernel,), ())
+    return GftSpec(sig, n, (), (kernel,))
+
+
+@settings(max_examples=25, deadline=None)
+@given(wedge_specs(), st.integers(0, 2**32 - 1))
+def test_expansion_engine_matches_direct_on_rotated_wedge_kernels(spec, seed):
+    rng = np.random.default_rng(seed)
+    dims = {2: (4, 3), 3: (3, 2, 2), 4: (2, 2, 2, 2), 5: (2,) * 5}[spec.m]
+    field = rand_field(spec.sig, dims, rng)
+    unodes = rng.uniform(-1.3, 1.3, (6, spec.m))
+    assert plan(spec, field, unodes).engine == "expansion"
+    _assert_engines_agree(spec, field, unodes)
+
+
+def _two_blade_spec():
+    """e12 and e34 on different entries of one Cl(0,4) kernel: e12 and e34
+    commute, so f^2 has an e1234 part wherever both coordinates are nonzero."""
+    sig = Signature(0, 4)
+    kern = KernelMatrix.sparse(sig, 2, [(0, 0, Multivector.blade(sig, "e12", 2.0)),
+                                        (1, 1, Multivector.blade(sig, "e34", 1.5))])
+    field = rand_field(sig, (4, 4), np.random.default_rng(6))
+    field = SampledField(sig, (4, 4), (0.0, 0.0), (1.0, 1.0), field.values)
+    return sig, kern, field
+
+
+def _not_imaginary_message(engine, *args):
+    with pytest.raises(NotImaginary) as err:
+        engine(*args)
+    return str(err.value)
+
+
+def test_invalid_two_blade_kernel_raises_like_direct():
+    sig, kern, field = _two_blade_spec()
+    # no offender at the first frequency (u_1 = 0); at the second, node
+    # 5 = (1, 1) is the first with both coordinates nonzero
+    unodes = np.array([[0.0, 0.7], [0.3, -0.2], [0.5, 0.5]])
+    spec = GftSpec(sig, 2, (), (kern,))
+    assert plan(spec, field, unodes).reason == \
+        "right kernel 1: 2 blades, per-sample check; 3 terms"
+    msg = _not_imaginary_message(gft_at, spec, field, unodes)
+    assert msg == "right kernel 1: sample 5 does not square to a negative real"
+    assert msg == _not_imaginary_message(gft_direct, spec, field, unodes)
+    # left kernel e12 x_1 u_1 + e34 x_2 (u_1 - u_2) is valid where u_1 = u_2,
+    # so at u = (0.5, 0.5) only the right kernel offends: the first
+    # offending frequency decides before the kernel order
+    e12, e34 = Multivector.blade(sig, "e12"), Multivector.blade(sig, "e34")
+    left = KernelMatrix.sparse(sig, 2, [(0, 0, e12), (1, 0, e34), (1, 1, -e34)])
+    spec = GftSpec(sig, 2, (left,), (kern,))
+    unodes = np.array([[0.0, 0.0], [0.5, 0.5], [0.4, 0.0]])
+    msg = _not_imaginary_message(gft_at, spec, field, unodes)
+    assert msg == "right kernel 1: sample 5 does not square to a negative real"
+    assert msg == _not_imaginary_message(gft_direct, spec, field, unodes)
+
+
+def test_invalid_two_blade_kernel_unvalidated_matches_direct():
+    sig, kern, field = _two_blade_spec()
+    spec = GftSpec(sig, 2, (kern,), ())
+    unodes = np.random.default_rng(7).uniform(-1.3, 1.3, (9, 2))
+    fast = gft_at(spec, field, unodes, validate=False)
+    ref = gft_direct(spec, field, unodes, validate=False)
+    err = np.linalg.norm(fast - ref, axis=1)
+    assert (err <= 1e-12 * np.maximum(1.0, np.linalg.norm(ref, axis=1))).all()
+
+
+def test_plan_reasons():
     rng = np.random.default_rng(4)
     cyl = parse_preset("cylindrical:3")
     field = rand_field(cyl.sig, (3, 3, 3), rng)
     p = plan(cyl, field, default_freqs(field).nodes())
-    assert (p.engine, p.reason) == ("direct", "left kernel 1 not separable")
+    assert (p.engine, p.reason) == (
+        "expansion", "left kernel 1: 3 blades, per-sample check; 4 terms")
 
     sig = Signature(0, 2)
     e1 = Multivector.blade(sig, "e1", 2 * math.pi)
@@ -289,13 +394,33 @@ def test_plan_reasons_for_direct_specs():
     field = rand_field(sig, (4, 4), rng)
     unodes = default_freqs(field).nodes()
     p = plan(spec, field, unodes)
-    assert (p.engine, p.reason) == ("direct", "right kernel 2 not separable")
+    assert (p.engine, p.reason) == ("direct", "right kernel 2: 6 terms exceed 2^n = 4")
     assert np.array_equal(gft_at(spec, field, unodes), gft_direct(spec, field, unodes))
 
+    # a direction that does not square to a negative real is checked per
+    # sample, and fails like the direct engine
     scalar = KernelMatrix.sparse(sig, 2, [(0, 0, Multivector.scalar(sig, 1.0))])
-    p = plan(GftSpec(sig, 2, (scalar,), ()), field, unodes)
-    assert p.engine == "direct"
-    assert p.reason == "left kernel 1 direction does not square to a negative real"
+    spec = GftSpec(sig, 2, (scalar,), ())
+    p = plan(spec, field, unodes)
+    assert (p.engine, p.reason) == (
+        "expansion", "left kernel 1: 1 blade, per-sample check; 2 terms")
+    assert _not_imaginary_message(gft_at, spec, field, unodes) == \
+        _not_imaginary_message(gft_direct, spec, field, unodes)
+
+    # 16 blades on one kernel: 17 terms, more than one dense product
+    sig = Signature(0, 4)
+    full = KernelMatrix.sparse(sig, 2, [(0, 0, Multivector(sig, np.linspace(1, 2, 16))),
+                                        (1, 1, Multivector.blade(sig, "e1"))])
+    spec = GftSpec(sig, 2, (full,), (KernelMatrix.sparse(sig, 2, []),))
+    field = rand_field(sig, (3, 3), rng)
+    unodes = rng.uniform(-1, 1, (4, 2))
+    p = plan(spec, field, unodes)
+    assert (p.engine, p.reason) == ("direct", "left kernel 1: 17 terms exceed 2^n = 16")
+    assert np.array_equal(gft_at(spec, field, unodes, validate=False),
+                          gft_direct(spec, field, unodes, validate=False))
+    # zero kernels add no terms
+    p = plan(GftSpec(sig, 2, (), (KernelMatrix.sparse(sig, 2, []),)), field, unodes)
+    assert (p.engine, p.reason) == ("expansion", "right kernel 1: zero; 1 term")
 
 
 def test_plan_decision_is_logged(caplog):
@@ -304,5 +429,7 @@ def test_plan_decision_is_logged(caplog):
     with caplog.at_level(logging.DEBUG, logger="gafourier"):
         gft(spec, field, default_freqs(field))
     assert [r.getMessage() for r in caplog.records] == [
-        "plan: separable engine (all kernels separable), 16 nodes x 16 frequencies"
+        "plan: expansion engine (left kernel 1: 1 direction, checked once; "
+        "right kernel 1: 1 direction, checked once; 4 terms), "
+        "16 nodes x 16 frequencies"
     ]
