@@ -11,17 +11,7 @@ import argparse
 import sys
 
 from gafourier.cli import main as cli_main
-
-PRESETS = (
-    "clifford:2",
-    "clifford:3",
-    "buelow:2",
-    "quaternionic",
-    "spacetime",
-    "color_image",
-    "cylindrical:2",
-    "cylindrical:3",
-)
+from gafourier.kernels import VERIFY_PRESETS
 
 
 def main(argv=None) -> int:
@@ -30,7 +20,7 @@ def main(argv=None) -> int:
                         help="number of seeds per preset (default 3)")
     parser.add_argument("--size", type=int, default=8,
                         help="grid extent per axis (default 8)")
-    parser.add_argument("--presets", nargs="*", default=list(PRESETS),
+    parser.add_argument("--presets", nargs="*", default=list(VERIFY_PRESETS),
                         help="subset of presets to run")
     args = parser.parse_args(argv)
 

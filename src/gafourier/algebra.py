@@ -3,15 +3,23 @@
 Coefficients are indexed by blade bitmask: bit j of an index means the
 basis vector e_{j+1} is a factor of that blade, so index 0 is the scalar
 unit and index 2**n - 1 the pseudoscalar.  The first p basis vectors
-square to +1, the remaining q to -1.  Everything here is a pure function
-on immutable values; nothing mutates shared state after the per-signature
-multiplication tables are built, so the module is safe to use from
-multiple threads.
+square to +1, the remaining q to -1.
+
+Every geometric product reads one table per signature, built on first
+use: since e_i e_j = sign(i, j) e_{i^j},
+
+    (a b)[k] = sum_i sign[i, k] a_i b_{i^k},   sign[i, k] = sign(i, i^k),
+
+with xor[i, k] = i ^ k.  A constant factor turns into one (2**n, 2**n)
+matrix through that table (`left_matrix`, `right_matrix`), so a product
+is one matrix multiply; `gp_many` applies the same rule to stacks of
+rows.  Everything here is a pure function on immutable values; nothing
+mutates shared state after a table is built, so the module is safe to
+use from multiple threads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,18 +35,13 @@ __all__ = [
     "blade_mul",
     "blade_signs",
     "gp_many",
-    "reverse",
-    "magnitude",
-    "is_root_of_minus_one",
     "pseudoscalar",
+    "square_scalar_signs",
 ]
 
-# Hard cap on p+q: 2**12 dense coefficients is the most this layout handles.
+# Hard cap on p+q.  At n = 12 the product table takes 48 MiB and one
+# dense product a (2**n, 2**n) matrix of 128 MiB.
 MAX_DIMENSION = 12
-# Dense (sign, target) blade tables are built up to this n, the cubic
-# product tensor used by the batched product up to _TENSOR_MAX.
-_TABLE_MAX = 8
-_TENSOR_MAX = 6
 
 STRUCTURAL_TOL = 1e-12  # absolute tolerance for structural checks
 RELATIVE_TOL = 1e-9     # relative tolerance for numeric comparisons
@@ -114,27 +117,20 @@ class Signature:
 
 
 def blade_mul(a: int, b: int, sig: Signature) -> tuple[float, int]:
-    """Product of two basis blades given as bitmasks.
-
-    Returns (sign, a ^ b).  The sign counts the transpositions needed to
-    interleave the two ascending factor lists, plus one metric factor for
-    every basis vector the blades share.
-    """
+    """Product of two basis blades given as bitmasks: (sign, a ^ b)."""
     if not 0 <= a < sig.dim or not 0 <= b < sig.dim:
         raise ValueError("blade mask out of range for signature")
-    swaps = 0
-    t = a >> 1
-    while t:
-        swaps += (t & b).bit_count()
-        t >>= 1
-    negatives = ((a & b) >> sig.p).bit_count()
-    sign = -1.0 if (swaps + negatives) & 1 else 1.0
-    return sign, a ^ b
+    return float(blade_signs(sig, a, b)), a ^ b
 
 
 def blade_signs(sig: Signature, a, b) -> np.ndarray:
     """Signs of the basis-blade products a * b, elementwise over
-    broadcast arrays of blade bitmasks; the same rule as `blade_mul`."""
+    broadcast arrays of blade bitmasks.
+
+    The sign counts the transpositions needed to interleave the two
+    ascending factor lists, plus one metric factor for every basis vector
+    the blades share that squares to -1.
+    """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     swaps = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
@@ -146,80 +142,86 @@ def blade_signs(sig: Signature, a, b) -> np.ndarray:
     return np.where((swaps + negatives) % 2 == 0, 1.0, -1.0)
 
 
-@dataclass(frozen=True)
-class _Tables:
-    sign: np.ndarray | None       # (dim, dim) float64
-    target: np.ndarray | None     # (dim, dim) intp
-    grades: np.ndarray            # (dim,)
-    reverse_sign: np.ndarray      # (dim,)
-    square_sign: np.ndarray       # (dim,) blade * same blade
-    tensor: np.ndarray | None     # (dim, dim, dim) product tensor
+# Sign-table rows are built in blocks of at most this many entries, which
+# bounds the temporaries of blade_signs at n = 12 to a few MiB.
+_BUILD_BLOCK = 1 << 18
+# Tables up to n = 8 (1 MiB) hold intp indices and float64 signs, which
+# gather and multiply about twice as fast as uint16 and int8; larger ones
+# are stored compactly, 48 MiB at n = 12 instead of 256 MiB.
+_NATIVE_MAX = 8
 
 
 @lru_cache(maxsize=None)
-def _tables(p: int, q: int) -> _Tables:
+def _table(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The product table of Cl(p,q): xor[i, k] = i ^ k and sign[i, k] =
+    the sign of e_i e_{i^k}, so that (a b)[k] = sum_i sign[i, k] a_i b_{i^k}."""
     sig = Signature(p, q)
-    n, dim = sig.n, sig.dim
-    idx = np.arange(dim, dtype=np.uint64)
-    grades = np.bitwise_count(idx).astype(np.int64)
-    reverse_sign = np.where((grades * (grades - 1) // 2) % 2 == 0, 1.0, -1.0)
-
-    sign = target = tensor = None
-    if n <= _TABLE_MAX:
-        sign = blade_signs(sig, idx[:, None], idx[None, :])
-        target = (idx[:, None] ^ idx[None, :]).astype(np.intp)
-        square_sign = sign.diagonal().copy()
-        if n <= _TENSOR_MAX:
-            tensor = np.zeros((dim, dim, dim))
-            ii, jj = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-            tensor[ii.ravel(), jj.ravel(), target.ravel()] = sign.ravel()
-    else:
-        square_sign = np.array([blade_mul(i, i, sig)[0] for i in range(dim)])
-    return _Tables(sign, target, grades, reverse_sign, square_sign, tensor)
+    native = sig.n <= _NATIVE_MAX
+    idx = np.arange(sig.dim, dtype=np.intp if native else np.uint16)
+    xor = idx[:, None] ^ idx[None, :]
+    sign = np.empty((sig.dim, sig.dim), dtype=np.float64 if native else np.int8)
+    rows = max(1, _BUILD_BLOCK // sig.dim)
+    for lo in range(0, sig.dim, rows):
+        sign[lo:lo + rows] = blade_signs(sig, idx[lo:lo + rows, None], xor[lo:lo + rows])
+    xor.setflags(write=False)
+    sign.setflags(write=False)
+    return xor, sign
 
 
-def _gp_coeffs(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    t = _tables(sig.p, sig.q)
-    if t.sign is not None:
-        w = a[:, None] * b[None, :] * t.sign
-        return np.bincount(t.target.ravel(), weights=w.ravel(), minlength=sig.dim)
-    out = np.zeros(sig.dim)
-    for i in np.nonzero(a)[0]:
-        for j in np.nonzero(b)[0]:
-            s, m = blade_mul(int(i), int(j), sig)
-            out[m] += s * a[i] * b[j]
-    return out
+@lru_cache(maxsize=None)
+def _grades(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Blade grades and reversion signs (-1)**(k(k-1)/2) for 2**n blades."""
+    grades = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
+    reverse_sign = np.where(grades & 2, -1.0, 1.0)
+    grades.setflags(write=False)
+    reverse_sign.setflags(write=False)
+    return grades, reverse_sign
+
+
+def _right_factor(sig: Signature, b: np.ndarray) -> np.ndarray:
+    """Matrix M with (x * b) == x @ M for coefficient rows x."""
+    xor, sign = _table(sig.p, sig.q)
+    m = b[xor]
+    m *= sign
+    return m
+
+
+def _left_factor(sig: Signature, a: np.ndarray) -> np.ndarray:
+    """Matrix M with (a * x) == x @ M for coefficient rows x."""
+    xor, sign = _table(sig.p, sig.q)
+    m = a[xor]
+    m *= sign[xor, np.arange(sig.dim)]
+    return m
+
+
+# Row-by-row products expand each row of b into a (2**n, 2**n) matrix;
+# rows are processed in chunks of at most this many matrix entries (8 MiB).
+_ROW_BLOCK = 1 << 20
 
 
 def gp_many(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise geometric products of stacked coefficient arrays.
 
     `a` and `b` are (N, 2**n) or a single (2**n,) row broadcast against the
-    other argument.  Used by the transform engine; equivalent to gp row by
-    row but vectorized through the dense product tensor.
+    other argument.  A constant factor becomes one (2**n, 2**n) matrix and
+    the product one matrix multiply; two stacks are multiplied row by row.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    t = _tables(sig.p, sig.q)
-    if a.ndim == 1 and b.ndim == 1:
-        return _gp_coeffs(sig, a, b)
-    if t.tensor is None:
-        aa = np.atleast_2d(a)
-        bb = np.atleast_2d(b)
-        if len(aa) == 1:
-            aa = np.broadcast_to(aa, bb.shape)
-        if len(bb) == 1:
-            bb = np.broadcast_to(bb, aa.shape)
-        return np.stack([_gp_coeffs(sig, x, y) for x, y in zip(aa, bb)])
-    if a.ndim == 1:
-        # constant left factor: contract it into a matrix once
-        lm = np.tensordot(a, t.tensor, axes=([0], [0]))   # (j, k)
-        return b @ lm
     if b.ndim == 1:
-        rm = np.tensordot(b, t.tensor, axes=([0], [1]))   # (i, k)
-        return a @ rm
-    tt = np.tensordot(b, t.tensor, axes=([1], [1]))       # (N, i, k)
-    return np.einsum("ni,nik->nk", a, tt)
+        return a @ _right_factor(sig, b)
+    if a.ndim == 1:
+        return b @ _left_factor(sig, a)
+    if a.shape != b.shape:
+        raise ValueError(f"row stacks of shapes {a.shape} and {b.shape} differ")
+    xor, sign = _table(sig.p, sig.q)
+    out = np.empty(a.shape)
+    rows = max(1, _ROW_BLOCK // sig.dim ** 2)
+    for lo in range(0, len(out), rows):
+        m = np.take(b[lo:lo + rows], xor, axis=1)
+        m *= sign
+        out[lo:lo + rows] = (a[lo:lo + rows, None, :] @ m)[:, 0]
+    return out
 
 
 class Multivector:
@@ -310,7 +312,8 @@ class Multivector:
         if isinstance(other, Multivector):
             if other.sig != self.sig:
                 raise ValueError("signature mismatch")
-            return Multivector(self.sig, _gp_coeffs(self.sig, self.coeffs, other.coeffs))
+            product = self.coeffs @ _right_factor(self.sig, other.coeffs)
+            return Multivector(self.sig, product)
         if isinstance(other, (int, float, np.floating, np.integer)):
             return Multivector(self.sig, self.coeffs * float(other))
         return NotImplemented
@@ -342,13 +345,13 @@ class Multivector:
         return float(self.coeffs[0])
 
     def grade_part(self, k: int) -> "Multivector":
-        t = _tables(self.sig.p, self.sig.q)
-        return Multivector(self.sig, np.where(t.grades == k, self.coeffs, 0.0))
+        grades, _ = _grades(self.sig.n)
+        return Multivector(self.sig, np.where(grades == k, self.coeffs, 0.0))
 
     def max_grade(self) -> int:
-        t = _tables(self.sig.p, self.sig.q)
+        grades, _ = _grades(self.sig.n)
         nz = np.nonzero(self.coeffs)[0]
-        return int(t.grades[nz].max()) if len(nz) else 0
+        return int(grades[nz].max()) if len(nz) else 0
 
     def terms(self) -> list[tuple[int, float]]:
         """Nonzero (mask, coefficient) pairs in blade-index order."""
@@ -356,8 +359,8 @@ class Multivector:
 
     def reverse(self) -> "Multivector":
         """Reversion: grade k picks up the sign (-1)**(k(k-1)/2)."""
-        t = _tables(self.sig.p, self.sig.q)
-        return Multivector(self.sig, self.coeffs * t.reverse_sign)
+        _, reverse_sign = _grades(self.sig.n)
+        return Multivector(self.sig, self.coeffs * reverse_sign)
 
     def inverse(self, tol: float = RELATIVE_TOL) -> "Multivector":
         """Inverse via reversion, defined when B * reverse(B) is a scalar.
@@ -366,7 +369,7 @@ class Multivector:
         residue above tol or a scalar part of magnitude at most tol.
         """
         rev = self.reverse()
-        prod = _gp_coeffs(self.sig, self.coeffs, rev.coeffs)
+        prod = self.coeffs @ _right_factor(self.sig, rev.coeffs)
         s = prod[0]
         residue = np.linalg.norm(prod[1:])
         scale = np.linalg.norm(prod)
@@ -376,41 +379,13 @@ class Multivector:
             )
         return Multivector(self.sig, rev.coeffs / s)
 
-    def is_root_of_minus_one(self, tol: float = STRUCTURAL_TOL) -> bool:
-        """True when the square is a negative real scalar.
-
-        The scalar part of the square must lie below -tol and every other
-        coefficient of the square below tol * max(1, magnitude()**2).
-        """
-        sq = _gp_coeffs(self.sig, self.coeffs, self.coeffs)
-        if sq[0] >= -tol:
-            return False
-        bound = tol * max(1.0, float(self.coeffs @ self.coeffs))
-        return bool(np.all(np.abs(sq[1:]) < bound))
-
     def left_matrix(self) -> np.ndarray:
         """Matrix L with (self * X).coeffs == L @ X.coeffs."""
-        return self._mult_matrix(left=True)
+        return _left_factor(self.sig, self.coeffs).T
 
     def right_matrix(self) -> np.ndarray:
         """Matrix R with (X * self).coeffs == R @ X.coeffs."""
-        return self._mult_matrix(left=False)
-
-    def _mult_matrix(self, left: bool) -> np.ndarray:
-        sig = self.sig
-        t = _tables(sig.p, sig.q)
-        if t.tensor is not None:
-            contracted = np.tensordot(self.coeffs, t.tensor, axes=([0], [0 if left else 1]))
-            return contracted.T
-        out = np.zeros((sig.dim, sig.dim))
-        for i in np.nonzero(self.coeffs)[0]:
-            for j in range(sig.dim):
-                if left:
-                    s, m = blade_mul(int(i), j, sig)
-                else:
-                    s, m = blade_mul(j, int(i), sig)
-                out[m, j] += s * self.coeffs[i]
-        return out
+        return _right_factor(self.sig, self.coeffs).T
 
     def __repr__(self) -> str:
         parts = []
@@ -421,25 +396,15 @@ class Multivector:
         return f"<{body} in {self.sig}>"
 
 
-# functional aliases matching the operation names used elsewhere -----------
-
-def reverse(a: Multivector) -> Multivector:
-    return a.reverse()
-
-
-def magnitude(a: Multivector) -> float:
-    return a.magnitude()
-
-
-def is_root_of_minus_one(a: Multivector, tol: float = STRUCTURAL_TOL) -> bool:
-    return a.is_root_of_minus_one(tol)
-
-
 def pseudoscalar(sig: Signature) -> Multivector:
     """Highest-grade basis blade e_1...e_n."""
     return Multivector.blade(sig, sig.dim - 1)
 
 
+@lru_cache(maxsize=None)
 def square_scalar_signs(sig: Signature) -> np.ndarray:
     """Per-blade squares e_J * e_J as a (2**n,) sign array."""
-    return _tables(sig.p, sig.q).square_sign
+    idx = np.arange(sig.dim)
+    squares = blade_signs(sig, idx, idx)
+    squares.setflags(write=False)
+    return squares

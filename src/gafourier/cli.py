@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Callable, Iterator, Sequence
 
@@ -56,15 +55,6 @@ THEOREM_NAMES = (
 )
 
 SCALING_FACTORS = (-1.0, 2.0, 0.5)
-
-_DEFAULT_TOLS = {
-    "linearity": 1e-12,
-    "scaling": 1e-10,
-    "left-product": 1e-10,
-    "right-product": 1e-10,
-    "shift": 1e-10,
-    "existence": 1e-12,
-}
 
 _PRESET_ROWS = (
     ("clifford:2", "n = 2 or 3 (mod 4)"),
@@ -190,25 +180,6 @@ def _shift_offsets(m: int) -> tuple[int, ...]:
     return table.get(m, (1, -1) + (0,) * (m - 2))
 
 
-def _random_field(
-    sig: Signature,
-    dims: Sequence[int],
-    rng: np.random.Generator,
-    border: int = 0,
-) -> SampledField:
-    count = math.prod(dims)
-    vals = rng.uniform(-1.0, 1.0, size=(count, sig.dim))
-    if border:
-        shaped = vals.reshape(tuple(dims) + (sig.dim,))
-        keep = np.zeros(tuple(dims), dtype=bool)
-        inner = tuple(slice(border, d - border) for d in dims)
-        keep[inner] = True
-        shaped[~keep] = 0.0
-        vals = shaped.reshape(count, sig.dim)
-    origin = tuple(-(d // 2) * 1.0 for d in dims)
-    return SampledField(sig, tuple(dims), origin, (1.0,) * len(dims), vals)
-
-
 def _verify_lines(args: argparse.Namespace) -> Iterator[tuple[str, bool]]:
     """Yield (report line, failed) pairs for the selected checks."""
     spec = parse_preset(args.preset)
@@ -216,44 +187,41 @@ def _verify_lines(args: argparse.Namespace) -> Iterator[tuple[str, bool]]:
     dims = _verify_dims(spec.m, args.size)
     offsets = _shift_offsets(spec.m)
     border = max(abs(t) for t in offsets)
-    base = _random_field(spec.sig, dims, rng)
-    second = _random_field(spec.sig, dims, rng)
-    padded = _random_field(spec.sig, dims, rng, border=border)
+    base = SampledField.random(spec.sig, dims, rng)
+    second = SampledField.random(spec.sig, dims, rng)
+    padded = SampledField.random(spec.sig, dims, rng, border=border)
     constant = Multivector(spec.sig, rng.uniform(-1.0, 1.0, spec.sig.dim))
     freqs = default_freqs(base)
     x0 = tuple(t * s for t, s in zip(offsets, base.spacing))
 
-    def tol(name: str) -> float:
-        return args.tol if args.tol is not None else _DEFAULT_TOLS[name]
-
+    # without --tol every check keeps its own default tolerance
+    tol = {} if args.tol is None else {"tol": args.tol}
     selected = THEOREM_NAMES if args.theorem == "all" else (args.theorem,)
     for name in selected:
         if name == "linearity":
-            rep = check_linearity(spec, base, second, 2.0, -3.0, freqs,
-                                  tol(name))
+            rep = check_linearity(spec, base, second, 2.0, -3.0, freqs, **tol)
             yield rep.line(), not rep.passed
         elif name == "scaling":
             for a in SCALING_FACTORS:
-                rep = check_scaling(spec, base, a, freqs, tol(name))
+                rep = check_scaling(spec, base, a, freqs, **tol)
                 yield rep.line(), not rep.passed
         elif name == "left-product":
             try:
-                rep = check_left_product(spec, constant, base, freqs, tol(name))
+                rep = check_left_product(spec, constant, base, freqs, **tol)
             except NotSeparable as exc:
                 yield skip_line(name, f"not separable: {exc}"), False
                 continue
             yield rep.line(), not rep.passed
         elif name == "right-product":
             try:
-                rep = check_right_product(spec, constant, base, freqs,
-                                          tol(name))
+                rep = check_right_product(spec, constant, base, freqs, **tol)
             except NotSeparable as exc:
                 yield skip_line(name, f"not separable: {exc}"), False
                 continue
             yield rep.line(), not rep.passed
         elif name == "shift":
             try:
-                rep = check_shift(spec, padded, x0, freqs, tol(name))
+                rep = check_shift(spec, padded, x0, freqs, **tol)
             except NotSeparable as exc:
                 yield skip_line(name, f"not separable: {exc}"), False
                 continue

@@ -13,11 +13,11 @@ anticommuting parts see.  `shift_exponential_terms` decomposes the
 exponential factors that appear when the argument of a kernel product is
 translated, one term per strictly triangular binary matrix.
 
-Generators that are square roots of negative reals are always accepted:
+Generators that pass `exponential.not_imaginary` are always accepted:
 when the reversion inverse does not exist, B^-1 = -B / r with
-r = -<B^2>_0 is used instead.  Zero generators perform no split at all
-(the commuting component keeps the value, the anticommuting one is zero),
-which keeps the identities total at sample points where a kernel
+r = -<B^2>_0 != 0 is used instead.  Zero generators perform no split at
+all (the commuting component keeps the value, the anticommuting one is
+zero), which keeps the identities total at sample points where a kernel
 vanishes.
 """
 
@@ -27,13 +27,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .algebra import (
-    RELATIVE_TOL,
-    STRUCTURAL_TOL,
-    Multivector,
-    NotInvertible,
-)
-from .exponential import NotImaginary, exp_imag
+from .algebra import RELATIVE_TOL, Multivector, NotInvertible
+from .exponential import NotImaginary, check_square, exp_imag
 
 __all__ = [
     "MAX_GENERATORS",
@@ -70,12 +65,14 @@ def _inverse_for_split(b: Multivector, tol: float) -> Multivector:
     try:
         return b.inverse(tol)
     except NotInvertible:
-        # roots of negative reals invert as -b / r even when the reversion
-        # product is not scalar
-        if b.is_root_of_minus_one(max(tol, STRUCTURAL_TOL)):
-            r = -(b * b).scalar_part()
-            return b * (-1.0 / r)
-        raise
+        # values passing the imaginary-square test invert as -b / r with
+        # r = -<b^2>_0 even when the reversion product is not scalar; a
+        # square within tolerance of a positive real still has r != 0
+        fails, sq = check_square(b)
+        scalar = sq.scalar_part()
+        if fails or scalar == 0.0:
+            raise
+        return b * (1.0 / scalar)
 
 
 def _split_total(
@@ -136,9 +133,9 @@ def _split_component(
     return a
 
 
-def _require_kernel_values(fvals: Sequence[Multivector], tol: float) -> None:
+def _require_kernel_values(fvals: Sequence[Multivector]) -> None:
     for k, f in enumerate(fvals):
-        if f.magnitude() != 0.0 and not f.is_root_of_minus_one(tol):
+        if check_square(f)[0]:
             raise NotImaginary(
                 f"value {k + 1} does not square to a negative real: {f!r}"
             )
@@ -147,7 +144,6 @@ def _require_kernel_values(fvals: Sequence[Multivector], tol: float) -> None:
 def swap_through_exponentials(
     fvals: Sequence[Multivector],
     a: Multivector,
-    tol: float = STRUCTURAL_TOL,
     drop_tol: float = _DROP_TOL,
 ) -> list[tuple[Multivector, SplitIndex]]:
     """Decompose `a` for moving it leftward through prod_k e^{-f_k}.
@@ -155,10 +151,10 @@ def swap_through_exponentials(
     Returns (component, signs) pairs with zero components dropped;
     reassembly:  prod_k e^{-f_k} * a  ==  sum over pairs of
     component * prod_k e^{-(-1)^{signs_k} f_k}.
-    Each value must be zero or square to a negative real.
+    Each value must pass `not_imaginary`.
     """
-    _require_kernel_values(fvals, tol)
-    comps = split_multi(a, list(fvals), "backward", tol=max(tol, RELATIVE_TOL))
+    _require_kernel_values(fvals)
+    comps = split_multi(a, list(fvals), "backward")
     scale = max(1.0, a.magnitude())
     return [
         (comp, bits)
@@ -241,7 +237,6 @@ def shift_exponential_terms(
     fvals: Sequence[Multivector],
     orientation: str,
     directions: Sequence[Multivector] | None = None,
-    tol: float = STRUCTURAL_TOL,
     drop_tol: float = _DROP_TOL,
 ) -> list[tuple[Multivector, SplitIndex]]:
     """Split translated exponential factors for reordering around the data.
@@ -271,24 +266,25 @@ def shift_exponential_terms(
         raise ValueError(f"at most {MAX_GENERATORS} values supported")
     if orientation not in ("lower", "upper"):
         raise ValueError("orientation must be 'lower' or 'upper'")
-    _require_kernel_values(fvals, tol)
+    _require_kernel_values(fvals)
     gens = list(directions) if directions is not None else list(fvals)
     if len(gens) != d:
         raise ValueError("directions must match values in length")
     sig = fvals[0].sig
-    exps = [exp_imag(f, tol) for f in fvals]
+    exps = [exp_imag(f) for f in fvals]
     zero = Multivector.zero(sig)
-    split_tol = max(tol, RELATIVE_TOL)
     out = []
     for mat in _all_triangular(d, orientation):
         factor = Multivector.scalar(sig, 1.0)
         for l in range(d):
             if orientation == "lower":
                 padded = gens[: l + 1] + [zero] * (d - l - 1)
-                comp = _split_component(exps[l], padded, mat.row(l), "backward", split_tol)
+                comp = _split_component(exps[l], padded, mat.row(l), "backward",
+                                        RELATIVE_TOL)
             else:
                 padded = [zero] * l + gens[l:]
-                comp = _split_component(exps[l], padded, mat.row(l), "forward", split_tol)
+                comp = _split_component(exps[l], padded, mat.row(l), "forward",
+                                        RELATIVE_TOL)
             factor = factor * comp
             if factor.magnitude() == 0.0:
                 break

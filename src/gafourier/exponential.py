@@ -7,7 +7,15 @@ evaluates e^{-f} directly because the kernels always appear with a
 negative exponent.  `exp_neg_many` is the same closed form vectorized
 over stacked samples, with optional validation of the square.  The
 transform engines share its pieces: `cos_sinc` for the closed form and
-`not_imaginary` for the validation test and tolerance.
+`not_imaginary` for the validation test; `check_square` applies that
+test to one multivector.
+
+`not_imaginary` is the package's one test for "squares to a negative
+real", with one contract: f passes iff the L2 norm of the non-scalar
+part of f^2 and the scalar part of f^2 are both at most
+STRUCTURAL_TOL * max(1, |f|^2).  Zero passes, NaN fails.  `exp_imag`,
+`exp_neg_many`, both transform engines, `kernels.validate_spec` and the
+splits of `commsplit` all call it, so they give the same verdict.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    RELATIVE_TOL,
     STRUCTURAL_TOL,
     Multivector,
     Signature,
@@ -35,6 +42,7 @@ __all__ = [
     "exp_neg_many",
     "cos_sinc",
     "not_imaginary",
+    "check_square",
 ]
 
 # Below this value of r = sqrt(-<f^2>_0) the closed form switches to the
@@ -88,22 +96,18 @@ def exp_series(a: Multivector, opts: ExpOptions = ExpOptions()) -> Multivector:
     )
 
 
-def exp_imag(f: Multivector, tol: float = STRUCTURAL_TOL) -> Multivector:
+def exp_imag(f: Multivector) -> Multivector:
     """Closed-form e^{-f} for f squaring to a negative real (or f = 0).
 
     With r = sqrt(-<f^2>_0) the value is cos(r) - (f/r) sin(r); pass -f to
-    exponentiate with a positive sign.  Raises NotImaginary when the square
-    has a non-scalar or positive part above tol relative to max(1, |f|^2);
-    near-zero arguments fall through to the small-angle branch.
+    exponentiate with a positive sign.  Raises NotImaginary when f fails
+    `not_imaginary`; near-zero arguments fall through to the small-angle
+    branch.
     """
-    if f.magnitude() == 0.0:
-        return Multivector.scalar(f.sig, 1.0)
-    sq = f * f
-    scale = max(1.0, float(f.coeffs @ f.coeffs))
-    residue = float(np.linalg.norm(sq.coeffs[1:]))
-    if residue > tol * scale or sq.coeffs[0] > tol * scale:
+    fails, sq = check_square(f)
+    if fails:
         raise NotImaginary(f"{f!r} does not square to a negative real")
-    r = math.sqrt(max(-sq.coeffs[0], 0.0))
+    r = math.sqrt(max(-sq.scalar_part(), 0.0))
     if r < _SMALL_ANGLE:
         return Multivector.scalar(f.sig, 1.0) - f
     return math.cos(r) - f * (math.sin(r) / r)
@@ -121,34 +125,35 @@ def cos_sinc(square: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(r), np.where(small, 1.0, np.sin(r) / np.where(small, 1.0, r))
 
 
-def not_imaginary(
-    scalar: np.ndarray,
-    residue: np.ndarray,
-    norm2: np.ndarray,
-    tol: float = RELATIVE_TOL,
-) -> np.ndarray:
-    """Mask of samples f whose square is not a negative real.
+def not_imaginary(scalar, residue, norm2):
+    """True (elementwise) where f does not square to a negative real.
 
-    `scalar` is the scalar part of f^2, `residue` the largest magnitude
-    of its other coefficients and `norm2` = |f|^2.  A sample fails when
-    either exceeds tol * max(1, |f|^2); NaN fails too.
+    `scalar` is the scalar part of f^2, `residue` the L2 norm of its
+    other coefficients and `norm2` = |f|^2.  A sample fails when either
+    exceeds STRUCTURAL_TOL * max(1, |f|^2); NaN fails too.
     """
-    bound = tol * np.maximum(1.0, norm2)
+    bound = STRUCTURAL_TOL * np.maximum(1.0, norm2)
     return ~((residue <= bound) & (scalar <= bound))
+
+
+def check_square(f: Multivector) -> tuple[bool, Multivector]:
+    """(f fails `not_imaginary`, f^2) for one multivector."""
+    sq = f * f
+    c = sq.coeffs
+    return bool(not_imaginary(c[0], np.sqrt(c[1:] @ c[1:]), f.coeffs @ f.coeffs)), sq
 
 
 def exp_neg_many(
     sig: Signature,
     values: np.ndarray,
-    tol: float = RELATIVE_TOL,
     validate: bool = True,
     label: str = "kernel",
 ) -> np.ndarray:
     """e^{-f} for stacked coefficient rows of kernel samples.
 
     Rows must be zero or square to a negative real; with validate=True each
-    row's square is checked against a relative tolerance and the first
-    offender is reported.  Zero rows map to 1 through the small-angle
+    row is checked with `not_imaginary` and the first offender is
+    reported.  Zero rows map to 1 through the small-angle
     branch, so the result is total on valid kernel samples.
     """
     values = np.asarray(values, dtype=np.float64)
@@ -156,8 +161,8 @@ def exp_neg_many(
     s = (values * values) @ squares
     if validate:
         full = gp_many(sig, values, values)
-        residue = np.abs(full[:, 1:]).max(axis=1, initial=0.0)
-        bad = not_imaginary(full[:, 0], residue, (values * values).sum(axis=1), tol)
+        residue = np.linalg.norm(full[:, 1:], axis=1)
+        bad = not_imaginary(full[:, 0], residue, (values * values).sum(axis=1))
         if bad.any():
             raise NotImaginary.at_sample(label, int(np.argmax(bad)))
     cos, sinc = cos_sinc(s)

@@ -18,8 +18,9 @@ chosen per call by `plan`:
   those weight blocks (r_k basis elements of kernel k), followed by
   constant maps: a dense product for a direction, a signed permutation
   for a blade.  With validate=True the blade kernels are checked per
-  (node, frequency) with exp_neg_many's test and tolerance, and raise
-  the same NotImaginary as the direct engine.
+  (node, frequency) with `not_imaginary`, exp_neg_many's test, and a
+  direction's phases for finiteness; both raise the same NotImaginary
+  as the direct engine.
 * direct (`gft_direct`): per frequency, exponentials of the kernel values
   at every node, two-sided products, and a sum over nodes.  It handles
   every spec and is the reference the other engine is tested against.
@@ -45,14 +46,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import (
-    RELATIVE_TOL,
     Multivector,
     Signature,
     blade_signs,
     gp_many,
     square_scalar_signs,
 )
-from .exponential import NotImaginary, cos_sinc, exp_neg_many, not_imaginary
+from .exponential import (
+    NotImaginary,
+    check_square,
+    cos_sinc,
+    exp_neg_many,
+    not_imaginary,
+)
 from .kernels import GftSpec
 
 __all__ = [
@@ -203,6 +209,28 @@ class SampledField:
                    np.zeros((n, sig.dim)))
 
     @classmethod
+    def random(
+        cls,
+        sig: Signature,
+        dims: Sequence[int],
+        rng: np.random.Generator,
+        border: int = 0,
+    ) -> "SampledField":
+        """Coefficients drawn uniformly from [-1, 1) on a unit-spaced grid
+        with x = 0 at index extent//2 on every axis, zeroed within
+        `border` nodes of every face."""
+        dims = tuple(dims)
+        count = math.prod(dims)
+        vals = rng.uniform(-1.0, 1.0, size=(count, sig.dim))
+        if border:
+            shaped = vals.reshape(dims + (sig.dim,))
+            keep = np.zeros(dims, dtype=bool)
+            keep[tuple(slice(border, d - border) for d in dims)] = True
+            shaped[~keep] = 0.0
+        origin = tuple(-(d // 2) * 1.0 for d in dims)
+        return cls(sig, dims, origin, (1.0,) * len(dims), vals)
+
+    @classmethod
     def from_multivectors(
         cls,
         dims: Sequence[int],
@@ -335,16 +363,21 @@ class _Basis:
         """Weight blocks (terms, M, N) of e^{-f} from the coordinates
         s = (r, M, N), and the mask of invalid samples when checked."""
         if self.step is not None:
-            return np.concatenate((np.cos(s), np.sin(s))), None
+            # f = s d with d checked once: only a non-finite phase can fail
+            bad = ~np.isfinite(s[0]) if validate else None
+            return np.concatenate((np.cos(s), np.sin(s))), bad
         s2 = s * s
         square = np.tensordot(self.squares, s2, axes=1)  # scalar part of f^2
         cos, sinc = cos_sinc(square)
         bad = None
         if validate:
             a, b, q = self.pairs
-            cross = s[a]
-            cross *= s[b]
-            residue = np.abs(np.tensordot(q, cross, axes=1)).max(axis=0, initial=0.0)
+            residue = 0.0  # no commuting blade pair: f^2 is a scalar
+            if len(q):
+                cross = s[a]
+                cross *= s[b]
+                rest = np.tensordot(q, cross, axes=1)  # non-scalar part of f^2
+                residue = np.sqrt(np.einsum("t...,t...->...", rest, rest))
             bad = not_imaginary(square, residue, s2.sum(axis=0))
         return np.concatenate((cos[None], s * sinc)), bad
 
@@ -360,9 +393,9 @@ def _basis(sig: Signature, side: str, label: str, tensor: np.ndarray) -> _Basis 
     """Basis of one kernel tensor (m, m, 2^n), or None for a zero kernel.
 
     The rank-1 basis is taken when T is S (x) d up to _FACTOR_ULPS ulps of
-    max|T| with d^2 a negative real within RELATIVE_TOL |d|^2: then
-    f^2 = s^2 d^2, so that one check is at least as strict as checking
-    every sample.  Every other kernel gets its nonzero blades.
+    max|T| with d passing `not_imaginary` and <d^2>_0 < 0: then
+    f^2 = s^2 d^2 and |d| >= 1, so that one check is at least as strict
+    as checking every sample.  Every other kernel gets its nonzero blades.
     """
     m = tensor.shape[0]
     t = tensor.reshape(-1, sig.dim)
@@ -372,10 +405,9 @@ def _basis(sig: Signature, side: str, label: str, tensor: np.ndarray) -> _Basis 
     d = t[np.argmax((t * t).sum(axis=1))] / top
     s = t @ d / (d @ d)
     if np.abs(t - np.outer(s, d)).max() <= _FACTOR_ULPS * np.spacing(top):
-        sq = gp_many(sig, d, d)
-        bound = RELATIVE_TOL * (d @ d)
-        if sq[0] < -bound and np.abs(sq[1:]).max(initial=0.0) <= bound:
-            rho = math.sqrt(-sq[0])
+        fails, sq = check_square(Multivector(sig, d))
+        if not fails and sq.scalar_part() < 0.0:
+            rho = math.sqrt(-sq.scalar_part())
             j = -d / rho
             eye = np.eye(sig.dim)
             step = gp_many(sig, j, eye) if side == "left" else gp_many(sig, eye, j)

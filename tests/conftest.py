@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from hypothesis import strategies as st
 
 from gafourier.algebra import Multivector, Signature
-from gafourier.transform import SampledField
+from gafourier.exponential import check_square
 
 SIGNATURES_SMALL = (
     Signature(2, 0),
@@ -53,22 +51,9 @@ def rand_root(
     return total
 
 
-def rand_field(
-    sig: Signature,
-    dims: tuple[int, ...],
-    rng: np.random.Generator,
-    border: int = 0,
-) -> SampledField:
-    count = math.prod(dims)
-    vals = rng.uniform(-1.0, 1.0, size=(count, sig.dim))
-    if border:
-        shaped = vals.reshape(dims + (sig.dim,))
-        keep = np.zeros(dims, dtype=bool)
-        keep[tuple(slice(border, d - border) for d in dims)] = True
-        shaped[~keep] = 0.0
-        vals = shaped.reshape(count, sig.dim)
-    origin = tuple(-(d // 2) * 1.0 for d in dims)
-    return SampledField(sig, dims, origin, (1.0,) * len(dims), vals)
+def squares_to_negative_real(f: Multivector) -> bool:
+    """Verdict of the package's one imaginary-square test on f."""
+    return not check_square(f)[0]
 
 
 def coeff_lists(sig: Signature, max_abs: float = 4.0) -> st.SearchStrategy:

@@ -20,16 +20,11 @@ from gafourier.commsplit import (
 )
 from gafourier.exponential import exp_imag, exp_series
 from gafourier.fileio import read_grid_file, read_kernels, write_field, write_kernels
-from gafourier.kernels import is_separable, parse_preset
+from gafourier.kernels import VERIFY_PRESETS, is_separable, parse_preset
 from gafourier.theorems import check_right_product, check_shift
-from gafourier.transform import default_freqs, dft_complex_oracle, gft
+from gafourier.transform import SampledField, default_freqs, dft_complex_oracle, gft
 
-from conftest import SIGNATURES_SMALL, rand_field, rand_mv, rand_root, root_family
-
-VERIFY_PRESETS = (
-    "clifford:2", "clifford:3", "buelow:2", "quaternionic",
-    "spacetime", "color_image", "cylindrical:2", "cylindrical:3",
-)
+from conftest import SIGNATURES_SMALL, rand_mv, rand_root, root_family
 
 
 def _line(num, name, ok, dt, extra=""):
@@ -142,7 +137,7 @@ def test_criterion_4_oracle_equivalence():
     rng = np.random.default_rng(404)
     worst = 0.0
     for _ in range(5):
-        field = rand_field(sig, (16, 16), rng)
+        field = SampledField.random(sig, (16, 16), rng)
         vals = field.values.copy()
         vals[:, 1] = vals[:, 2] = 0.0
         field = field.with_values(vals)
@@ -174,15 +169,15 @@ def test_criterion_5_identity_suite(capsys):
     # term structure of the product and shift sums on dedicated fields
     rng = np.random.default_rng(505)
     spec = parse_preset("buelow:2")
-    field = rand_field(spec.sig, (8, 8), rng)
+    field = SampledField.random(spec.sig, (8, 8), rng)
     rep = check_right_product(spec, rand_mv(spec.sig, rng), field,
                               default_freqs(field))
     structure_ok = rep.passed and rep.detail == "terms=4"
-    padded = rand_field(spec.sig, (8, 8), rng, border=3)
+    padded = SampledField.random(spec.sig, (8, 8), rng, border=3)
     rep = check_shift(spec, padded, (3.0, -1.0), default_freqs(padded))
     structure_ok &= rep.passed and rep.detail == "terms=1x2"
     quat = parse_preset("quaternionic")
-    qpad = rand_field(quat.sig, (8, 8), rng, border=3)
+    qpad = SampledField.random(quat.sig, (8, 8), rng, border=3)
     rep = check_shift(quat, qpad, (3.0, -1.0), default_freqs(qpad))
     structure_ok &= rep.passed and "collapsed_residual=" in rep.detail
     dt = time.perf_counter() - t0
@@ -212,7 +207,7 @@ def test_criterion_7_cli_round_trips(tmp_path, capsys):
     t0 = time.perf_counter()
     ok = True
     rng = np.random.default_rng(707)
-    field = rand_field(Signature(0, 2), (5, 4), rng)
+    field = SampledField.random(Signature(0, 2), (5, 4), rng)
     for binary in (False, True):
         path = tmp_path / f"f{binary}.mvf"
         write_field(path, field, binary=binary)

@@ -1,5 +1,7 @@
 """Multivector arithmetic against an independent symbolic oracle."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,20 @@ from gafourier.algebra import (
     NotInvertible,
     Signature,
     blade_mul,
+    blade_signs,
     gp_many,
     pseudoscalar,
     square_scalar_signs,
 )
 
-from conftest import SIGNATURES_SMALL, rand_mv, rand_root, root_family, sig_and_mvs
+from conftest import (
+    SIGNATURES_SMALL,
+    rand_mv,
+    rand_root,
+    root_family,
+    sig_and_mvs,
+    squares_to_negative_real,
+)
 
 
 def blade_product_oracle(sig, mask_a, mask_b):
@@ -50,13 +60,22 @@ def blade_product_oracle(sig, mask_a, mask_b):
     return sign, mask
 
 
-@pytest.mark.parametrize("sig", SIGNATURES_SMALL, ids=str)
+@pytest.mark.parametrize("sig", SIGNATURES_SMALL + (Signature(9, 0),), ids=str)
 def test_blade_mul_matches_symbolic_oracle(sig):
-    for a in range(sig.dim):
+    # every blade pair up to 2**n = 16; beyond, all pairs with 6 random blades
+    rng = np.random.default_rng(sig.dim)
+    picked = range(sig.dim) if sig.dim <= 16 else rng.choice(sig.dim, 6, replace=False)
+    for a in map(int, picked):
+        # column b: e_a e_b and e_b e_a from the product table
+        left = Multivector.blade(sig, a).left_matrix()
+        right = Multivector.blade(sig, a).right_matrix()
         for b in range(sig.dim):
-            want_sign, want_mask = blade_product_oracle(sig, a, b)
-            got_sign, got_mask = blade_mul(a, b, sig)
-            assert (got_sign, got_mask) == (want_sign, want_mask), (a, b)
+            for x, y, table in ((a, b, left), (b, a, right)):
+                want_sign, want_mask = blade_product_oracle(sig, x, y)
+                assert blade_mul(x, y, sig) == (want_sign, want_mask), (x, y)
+                want = np.zeros(sig.dim)
+                want[want_mask] = want_sign
+                assert np.array_equal(table[:, b], want), (x, y)
 
 
 def test_blade_mul_known_values():
@@ -196,9 +215,9 @@ def test_root_family_members_square_to_minus_one():
     for sig in SIGNATURES_SMALL:
         for label in root_family(sig):
             mv = Multivector.blade(sig, label)
-            assert mv.is_root_of_minus_one()
+            assert squares_to_negative_real(mv)
             assert (mv * mv).coeffs[0] == -1.0
-        assert not Multivector.basis_vector(sig, 1).is_root_of_minus_one() or sig.q > 0
+        assert not squares_to_negative_real(Multivector.basis_vector(sig, 1)) or sig.q > 0
 
 
 def test_rand_root_samples_are_imaginary():
@@ -211,21 +230,72 @@ def test_rand_root_samples_are_imaginary():
             assert abs(sq.magnitude() + sq.coeffs[0]) <= 1e-12 * max(1.0, -sq.coeffs[0])
 
 
+def pair_table(sig):
+    """(sign, mask) of e_i e_j for every blade pair (i, j).
+
+    Up to 2**n = 128 from the symbolic oracle; beyond, where the oracle
+    takes seconds, from `blade_signs`, which the oracle test above checks
+    on sampled Cl(9,0) pairs.  Neither reads the product table.
+    """
+    if sig.dim <= 128:
+        pairs = [[blade_product_oracle(sig, i, j) for j in range(sig.dim)]
+                 for i in range(sig.dim)]
+        return np.array([[s for s, _ in row] for row in pairs]), \
+            np.array([[m for _, m in row] for row in pairs])
+    idx = np.arange(sig.dim)
+    return blade_signs(sig, idx[:, None], idx[None, :]), idx[:, None] ^ idx[None, :]
+
+
 def test_gp_many_matches_elementwise_products():
     rng = np.random.default_rng(5)
-    sig = Signature(0, 2)
-    a = rng.uniform(-1, 1, (10, sig.dim))
-    b = rng.uniform(-1, 1, (10, sig.dim))
-    rows = gp_many(sig, a, b)
-    for i in range(10):
-        want = Multivector(sig, a[i]) * Multivector(sig, b[i])
-        assert np.allclose(rows[i], want.coeffs, atol=1e-14)
-    # single row broadcast against a stack, both sides
-    left = gp_many(sig, a[0], b)
-    right = gp_many(sig, a, b[0])
-    for i in range(10):
-        assert np.allclose(left[i], (Multivector(sig, a[0]) * Multivector(sig, b[i])).coeffs)
-        assert np.allclose(right[i], (Multivector(sig, a[i]) * Multivector(sig, b[0])).coeffs)
+    # atol bounds coefficients near zero; a Cl(9,0) coefficient sums 512 terms
+    for sig, atol in ((Signature(0, 2), 1e-14), (Signature(0, 7), 1e-14),
+                      (Signature(9, 0), 1e-13)):
+        sign, mask = pair_table(sig)
+
+        def product(x, y):
+            out = np.zeros(sig.dim)
+            np.add.at(out, mask, sign * np.outer(x, y))
+            return out
+
+        a = rng.uniform(-1, 1, (10, sig.dim))
+        b = rng.uniform(-1, 1, (10, sig.dim))
+        want = [product(a[i], b[i]) for i in range(10)]
+        assert np.allclose(gp_many(sig, a, b), want, atol=atol)
+        # single row broadcast against a stack, both sides
+        left = gp_many(sig, a[0], b)
+        right = gp_many(sig, a, b[0])
+        for i in range(10):
+            assert np.allclose(left[i], product(a[0], b[i]))
+            assert np.allclose(right[i], product(a[i], b[0]))
+        # sparse rows against the blade-by-blade oracle
+        sa, sb = np.zeros((2, sig.dim)), np.zeros((2, sig.dim))
+        for row in (*sa, *sb):
+            row[rng.choice(sig.dim, 4, replace=False)] = rng.uniform(-1, 1, 4)
+        oracle = np.zeros((2, sig.dim))
+        for r in range(2):
+            for i in np.flatnonzero(sa[r]):
+                for j in np.flatnonzero(sb[r]):
+                    sign, mask = blade_product_oracle(sig, int(i), int(j))
+                    oracle[r, mask] += sign * sa[r, i] * sb[r, j]
+        assert np.allclose(gp_many(sig, sa, sb), oracle, atol=1e-15)
+        assert np.allclose(gp_many(sig, sa[0], sb[:1]), oracle[:1], atol=1e-15)
+        assert np.allclose(gp_many(sig, sa[:1], sb[0]), oracle[:1], atol=1e-15)
+
+
+def test_dense_product_in_nine_dimensions():
+    sig = Signature(9, 0)
+    rng = np.random.default_rng(8)
+    a, b, c = (Multivector(sig, rng.uniform(-1, 1, sig.dim)) for _ in range(3))
+    ab = a * b
+    t0 = time.perf_counter()
+    for _ in range(10):
+        a * b
+    assert time.perf_counter() - t0 < 1.0  # a dense product takes ~2 ms
+    lhs, rhs = ab * c, a * (b * c)
+    assert (lhs - rhs).magnitude() <= 1e-11 * lhs.magnitude()
+    assert np.allclose(a.left_matrix() @ b.coeffs, ab.coeffs)
+    assert np.allclose(b.right_matrix() @ a.coeffs, ab.coeffs)
 
 
 def test_scalar_operators_and_division():

@@ -11,15 +11,13 @@ from gafourier.algebra import Signature
 from gafourier.cli import main
 from gafourier.fileio import read_grid_file, write_field, write_kernels
 from gafourier.kernels import parse_preset
-from gafourier.transform import default_freqs, gft
-
-from conftest import rand_field
+from gafourier.transform import SampledField, default_freqs, gft
 
 
 @pytest.fixture
 def field_file(tmp_path):
     rng = np.random.default_rng(7)
-    field = rand_field(Signature(0, 2), (6, 6), rng)
+    field = SampledField.random(Signature(0, 2), (6, 6), rng)
     path = tmp_path / "field.mvf"
     write_field(path, field)
     return path, field

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from gafourier.algebra import Multivector, Signature
+from gafourier.commsplit import swap_through_exponentials
 from gafourier.exponential import (
     ExpOptions,
     NoConvergence,
@@ -15,6 +16,8 @@ from gafourier.exponential import (
     exp_neg_many,
     exp_series,
 )
+from gafourier.kernels import GftSpec, KernelMatrix, validate_spec
+from gafourier.transform import SampledField, gft_at, gft_direct, plan
 
 from conftest import SIGNATURES_SMALL, rand_mv, rand_root, sig_and_root
 
@@ -131,3 +134,49 @@ def test_batched_validation_rejects_non_finite_rows(bad):
     with np.errstate(invalid="ignore"), \
             pytest.raises(NotImaginary, match="right kernel 1: sample 1 "):
         exp_neg_many(sig, rows, label="right kernel 1")
+
+
+# name: (signature, kernel entry as {blade: coefficient}, frequency, rejected)
+VERDICT_CASES = {
+    "zero": (Signature(2, 0), {}, 1.0, False),
+    # square +1e-14: within the tolerance of zero
+    "tiny positive square": (Signature(1, 0), {"e1": 1e-7}, 1.0, False),
+    # e12 and e34 commute: the square has a 2e-11 e1234 part
+    "commuting residue": (Signature(4, 0), {"e12": 1.0, "e34": 1e-11}, 1.0, True),
+    # a NaN frequency makes every coefficient of the value NaN
+    "nan": (Signature(2, 0), {"e12": 1.0}, math.nan, True),
+}
+
+
+def _raises_not_imaginary(call, *args) -> bool:
+    try:
+        call(*args)
+    except NotImaginary:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+def test_every_caller_gives_the_same_verdict(case):
+    sig, blades, u, rejected = VERDICT_CASES[case]
+    entry = sum((Multivector.blade(sig, b, c) for b, c in blades.items()),
+                Multivector.zero(sig))
+    kern = KernelMatrix.sparse(sig, 1, [(0, 0, entry)])
+    spec = GftSpec(sig, 1, (kern,), ())
+    # one node at x = 1 and one frequency u: the kernel takes one value f
+    field = SampledField(sig, (1,), (1.0,), (1.0,), np.ones((1, sig.dim)))
+    unodes = np.array([[u]])
+    f = kern.eval((1.0,), (u,))
+    assert plan(spec, field, unodes).engine == "expansion"
+    a = Multivector(sig, np.linspace(-1.0, 1.0, sig.dim))
+    with np.errstate(invalid="ignore"):
+        verdicts = {
+            "exp_imag": _raises_not_imaginary(exp_imag, f),
+            "exp_neg_many": _raises_not_imaginary(exp_neg_many, sig, f.coeffs[None]),
+            "gft_at (expansion)": _raises_not_imaginary(gft_at, spec, field, unodes),
+            "gft_direct": _raises_not_imaginary(gft_direct, spec, field, unodes),
+            "validate_spec": not validate_spec(spec, [((1.0,), (u,))]).ok,
+            "swap_through_exponentials": _raises_not_imaginary(
+                swap_through_exponentials, [f], a),
+        }
+    assert verdicts == dict.fromkeys(verdicts, rejected)

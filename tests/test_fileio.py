@@ -24,8 +24,6 @@ from gafourier.fileio import (
 from gafourier.kernels import parse_preset
 from gafourier.transform import FreqGrid, SampledField, default_freqs, gft
 
-from conftest import rand_field
-
 
 SIG = Signature(0, 2)
 
@@ -81,7 +79,7 @@ def test_expression_round_trip_is_exact(coeffs):
 @pytest.mark.parametrize("binary", [False, True])
 def test_field_file_round_trip(tmp_path, binary):
     rng = np.random.default_rng(4)
-    field = rand_field(SIG, (3, 4), rng)
+    field = SampledField.random(SIG, (3, 4), rng)
     path = tmp_path / "field.mvf"
     write_field(path, field, binary=binary)
     got = read_grid_file(path)
@@ -95,7 +93,7 @@ def test_field_file_round_trip(tmp_path, binary):
 @pytest.mark.parametrize("binary", [False, True])
 def test_spectrum_file_round_trip(tmp_path, binary):
     rng = np.random.default_rng(5)
-    field = rand_field(SIG, (4, 4), rng)
+    field = SampledField.random(SIG, (4, 4), rng)
     spectrum = gft(parse_preset("quaternionic"), field, default_freqs(field))
     path = tmp_path / "spec.mvf"
     write_spectrum(path, spectrum, binary=binary)
@@ -110,7 +108,7 @@ def test_spectrum_file_round_trip(tmp_path, binary):
 
 def test_grid_file_rejects_corruption(tmp_path):
     rng = np.random.default_rng(6)
-    field = rand_field(SIG, (2, 2), rng)
+    field = SampledField.random(SIG, (2, 2), rng)
     path = tmp_path / "field.mvf"
     write_field(path, field)
     good = path.read_text()
@@ -142,7 +140,7 @@ def test_grid_file_rejects_corruption(tmp_path):
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_grid_file_rejects_non_finite_values(tmp_path, bad):
     rng = np.random.default_rng(6)
-    field = rand_field(SIG, (2, 2), rng)
+    field = SampledField.random(SIG, (2, 2), rng)
     path = tmp_path / "field.mvf"
     write_field(path, field)
     lines = path.read_text().splitlines()

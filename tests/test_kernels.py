@@ -19,6 +19,8 @@ from gafourier.kernels import (
     validate_spec,
 )
 
+from conftest import squares_to_negative_real
+
 TAU = 2.0 * math.pi
 
 
@@ -134,7 +136,7 @@ def test_spacetime_preset_entries():
     assert np.count_nonzero(spec.left[0].tensor) == 1
     right = spec.right[0]
     want = Multivector.blade(spec.sig, "e123", -1.0)
-    assert want.is_root_of_minus_one()
+    assert squares_to_negative_real(want)
     for j in range(3):
         assert _cell(right, j, j) == want
     assert _cell(right, 3, 3).magnitude() == 0.0

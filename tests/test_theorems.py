@@ -21,13 +21,13 @@ from gafourier.theorems import (
 )
 from gafourier.transform import SampledField, default_freqs
 
-from conftest import rand_field, rand_mv
+from conftest import rand_mv
 
 
 def _setup(name, dims=(6, 6), seed=3, border=0):
     spec = parse_preset(name)
     rng = np.random.default_rng(seed)
-    field = rand_field(spec.sig, dims, rng, border=border)
+    field = SampledField.random(spec.sig, dims, rng, border=border)
     return spec, field, default_freqs(field), rng
 
 
@@ -43,13 +43,13 @@ def test_report_line_format():
 
 def test_linearity_holds_and_reports():
     spec, field, freqs, rng = _setup("quaternionic")
-    other = rand_field(spec.sig, field.dims, rng)
+    other = SampledField.random(spec.sig, field.dims, rng)
     rep = check_linearity(spec, field, other, 2.0, -3.0, freqs)
     assert rep.passed and rep.residual <= rep.threshold
     assert rep.name == "linearity"
     forced = check_linearity(spec, field, other, 2.0, -3.0, freqs, tol=1e-30)
     assert not forced.passed and forced.line().endswith("FAIL")
-    shrunk = rand_field(spec.sig, (3, 3), rng)
+    shrunk = SampledField.random(spec.sig, (3, 3), rng)
     with pytest.raises(ValueError):
         check_linearity(spec, field, shrunk, 1.0, 1.0, freqs)
 

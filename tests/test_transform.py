@@ -24,7 +24,7 @@ from gafourier.transform import (
     plan,
 )
 
-from conftest import SIGNATURES_SMALL, rand_field, root_family
+from conftest import SIGNATURES_SMALL, root_family
 
 
 def test_grid_nodes_row_major_order():
@@ -106,7 +106,7 @@ def test_transform_matches_complex_oracle():
     sig = Signature(2, 0)
     spec = parse_preset("clifford:2")
     rng = np.random.default_rng(14)
-    field = rand_field(sig, (8, 8), rng)
+    field = SampledField.random(sig, (8, 8), rng)
     vals = field.values.copy()
     vals[:, 1] = vals[:, 2] = 0.0
     field = field.with_values(vals)
@@ -136,7 +136,7 @@ def test_zero_kernels_sum_the_field():
     sig = Signature(0, 2)
     spec = GftSpec(sig, 2, (KernelMatrix.sparse(sig, 2, []),), ())
     rng = np.random.default_rng(3)
-    field = rand_field(sig, (4, 4), rng)
+    field = SampledField.random(sig, (4, 4), rng)
     spectrum = gft(spec, field, default_freqs(field))
     want = field.values.sum(axis=0) * field.cell_volume
     assert np.allclose(spectrum.values, want[None, :], atol=1e-12)
@@ -145,7 +145,7 @@ def test_zero_kernels_sum_the_field():
 def test_transform_is_deterministic():
     spec = parse_preset("quaternionic")
     rng = np.random.default_rng(8)
-    field = rand_field(Signature(0, 2), (6, 6), rng)
+    field = SampledField.random(Signature(0, 2), (6, 6), rng)
     freqs = default_freqs(field)
     a = gft(spec, field, freqs).values
     b = gft(spec, field, freqs).values
@@ -155,7 +155,7 @@ def test_transform_is_deterministic():
 def test_gft_at_validation_toggle():
     spec = parse_preset("quaternionic")
     rng = np.random.default_rng(5)
-    field = rand_field(Signature(0, 2), (4, 4), rng)
+    field = SampledField.random(Signature(0, 2), (4, 4), rng)
     unodes = default_freqs(field).nodes()
     a = gft_at(spec, field, unodes, validate=True)
     b = gft_at(spec, field, unodes, validate=False)
@@ -165,16 +165,16 @@ def test_gft_at_validation_toggle():
 def test_gft_rejects_mismatched_inputs():
     spec = parse_preset("quaternionic")
     rng = np.random.default_rng(5)
-    wrong_sig = rand_field(Signature(2, 0), (4, 4), rng)
+    wrong_sig = SampledField.random(Signature(2, 0), (4, 4), rng)
     with pytest.raises(ValueError):
         gft(spec, wrong_sig, default_freqs(wrong_sig))
-    field = rand_field(Signature(0, 2), (4,), rng)  # m=1 field, m=2 spec
+    field = SampledField.random(Signature(0, 2), (4,), rng)  # m=1 field, m=2 spec
     with pytest.raises(ValueError):
         gft(spec, field, default_freqs(field))
     bad_kernel = KernelMatrix.sparse(Signature(0, 2), 2,
                                      [(0, 0, Multivector.scalar(Signature(0, 2), 1.0))])
     bad_spec = GftSpec(Signature(0, 2), 2, (bad_kernel,), ())
-    good = rand_field(Signature(0, 2), (4, 4), rng)
+    good = SampledField.random(Signature(0, 2), (4, 4), rng)
     with pytest.raises(NotImaginary, match="left kernel 1"):
         gft(bad_spec, good, default_freqs(good))
 
@@ -182,7 +182,7 @@ def test_gft_rejects_mismatched_inputs():
 def test_spectrum_accessors():
     spec = parse_preset("quaternionic")
     rng = np.random.default_rng(2)
-    field = rand_field(Signature(0, 2), (4, 4), rng)
+    field = SampledField.random(Signature(0, 2), (4, 4), rng)
     freqs = default_freqs(field)
     spectrum = gft(spec, field, freqs)
     assert spectrum.dims == (4, 4)
@@ -227,7 +227,7 @@ SEPARABLE_PRESETS = {
 def test_separable_engine_matches_direct_on_presets(selector):
     spec = parse_preset(selector)
     rng = np.random.default_rng(21)
-    field = rand_field(spec.sig, SEPARABLE_PRESETS[selector], rng)
+    field = SampledField.random(spec.sig, SEPARABLE_PRESETS[selector], rng)
     dual = default_freqs(field).nodes()
     off_lattice = rng.uniform(-1.7, 1.7, (40, spec.m))
     p = plan(spec, field, dual)
@@ -251,7 +251,7 @@ CYLINDRICAL_GRIDS = {
 def test_expansion_engine_matches_direct_on_cylindrical(n):
     spec = parse_preset(f"cylindrical:{n}")
     rng = np.random.default_rng(22)
-    field = rand_field(spec.sig, CYLINDRICAL_GRIDS[n], rng)
+    field = SampledField.random(spec.sig, CYLINDRICAL_GRIDS[n], rng)
     dual = default_freqs(field).nodes()
     off_lattice = rng.uniform(-1.7, 1.7, (12, spec.m))
     assert plan(spec, field, dual).engine == "expansion"
@@ -289,7 +289,7 @@ def separable_specs(draw):
 def test_separable_engine_matches_direct_on_random_specs(spec, seed):
     rng = np.random.default_rng(seed)
     dims = {1: (7,), 2: (4, 3), 3: (3, 2, 2)}[spec.m]
-    field = rand_field(spec.sig, dims, rng)
+    field = SampledField.random(spec.sig, dims, rng)
     unodes = rng.uniform(-1.3, 1.3, (6, spec.m))
     p = plan(spec, field, unodes)
     if any(k.tensor.any() for k in spec.left + spec.right):
@@ -321,7 +321,7 @@ def wedge_specs(draw):
 def test_expansion_engine_matches_direct_on_rotated_wedge_kernels(spec, seed):
     rng = np.random.default_rng(seed)
     dims = {2: (4, 3), 3: (3, 2, 2), 4: (2, 2, 2, 2), 5: (2,) * 5}[spec.m]
-    field = rand_field(spec.sig, dims, rng)
+    field = SampledField.random(spec.sig, dims, rng)
     unodes = rng.uniform(-1.3, 1.3, (6, spec.m))
     assert plan(spec, field, unodes).engine == "expansion"
     _assert_engines_agree(spec, field, unodes)
@@ -333,7 +333,7 @@ def _two_blade_spec():
     sig = Signature(0, 4)
     kern = KernelMatrix.sparse(sig, 2, [(0, 0, Multivector.blade(sig, "e12", 2.0)),
                                         (1, 1, Multivector.blade(sig, "e34", 1.5))])
-    field = rand_field(sig, (4, 4), np.random.default_rng(6))
+    field = SampledField.random(sig, (4, 4), np.random.default_rng(6))
     field = SampledField(sig, (4, 4), (0.0, 0.0), (1.0, 1.0), field.values)
     return sig, kern, field
 
@@ -380,7 +380,7 @@ def test_invalid_two_blade_kernel_unvalidated_matches_direct():
 def test_plan_reasons():
     rng = np.random.default_rng(4)
     cyl = parse_preset("cylindrical:3")
-    field = rand_field(cyl.sig, (3, 3, 3), rng)
+    field = SampledField.random(cyl.sig, (3, 3, 3), rng)
     p = plan(cyl, field, default_freqs(field).nodes())
     assert (p.engine, p.reason) == (
         "expansion", "left kernel 1: 3 blades, per-sample check; 4 terms")
@@ -391,7 +391,7 @@ def test_plan_reasons():
     inexact = KernelMatrix.sparse(sig, 2, [(0, 0, e1), (1, 1, nearly)])
     assert inexact.direction() is not None  # loose enough to call it separable
     spec = GftSpec(sig, 2, (), (KernelMatrix.sparse(sig, 2, [(0, 0, e1)]), inexact))
-    field = rand_field(sig, (4, 4), rng)
+    field = SampledField.random(sig, (4, 4), rng)
     unodes = default_freqs(field).nodes()
     p = plan(spec, field, unodes)
     assert (p.engine, p.reason) == ("direct", "right kernel 2: 6 terms exceed 2^n = 4")
@@ -412,7 +412,7 @@ def test_plan_reasons():
     full = KernelMatrix.sparse(sig, 2, [(0, 0, Multivector(sig, np.linspace(1, 2, 16))),
                                         (1, 1, Multivector.blade(sig, "e1"))])
     spec = GftSpec(sig, 2, (full,), (KernelMatrix.sparse(sig, 2, []),))
-    field = rand_field(sig, (3, 3), rng)
+    field = SampledField.random(sig, (3, 3), rng)
     unodes = rng.uniform(-1, 1, (4, 2))
     p = plan(spec, field, unodes)
     assert (p.engine, p.reason) == ("direct", "left kernel 1: 17 terms exceed 2^n = 16")
@@ -425,7 +425,7 @@ def test_plan_reasons():
 
 def test_plan_decision_is_logged(caplog):
     spec = parse_preset("quaternionic")
-    field = rand_field(spec.sig, (4, 4), np.random.default_rng(9))
+    field = SampledField.random(spec.sig, (4, 4), np.random.default_rng(9))
     with caplog.at_level(logging.DEBUG, logger="gafourier"):
         gft(spec, field, default_freqs(field))
     assert [r.getMessage() for r in caplog.records] == [
