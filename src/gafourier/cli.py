@@ -32,6 +32,7 @@ from .kernels import (
 )
 from .theorems import (
     OffGridShift,
+    TheoremReport,
     UnsupportedScale,
     check_existence_bound,
     check_left_product,
@@ -196,38 +197,30 @@ def _verify_lines(args: argparse.Namespace) -> Iterator[tuple[str, bool]]:
 
     # without --tol every check keeps its own default tolerance
     tol = {} if args.tol is None else {"tol": args.tol}
+    checks: dict[str, Callable[[], list[TheoremReport]]] = {
+        "linearity": lambda: [
+            check_linearity(spec, base, second, 2.0, -3.0, freqs, **tol)
+        ],
+        "scaling": lambda: [
+            check_scaling(spec, base, a, freqs, **tol) for a in SCALING_FACTORS
+        ],
+        "left-product": lambda: [
+            check_left_product(spec, constant, base, freqs, **tol)
+        ],
+        "right-product": lambda: [
+            check_right_product(spec, constant, base, freqs, **tol)
+        ],
+        "shift": lambda: [check_shift(spec, padded, x0, freqs, **tol)],
+        "existence": lambda: [check_existence_bound(spec, base, freqs, **tol)],
+    }
     selected = THEOREM_NAMES if args.theorem == "all" else (args.theorem,)
     for name in selected:
-        if name == "linearity":
-            rep = check_linearity(spec, base, second, 2.0, -3.0, freqs, **tol)
-            yield rep.line(), not rep.passed
-        elif name == "scaling":
-            for a in SCALING_FACTORS:
-                rep = check_scaling(spec, base, a, freqs, **tol)
-                yield rep.line(), not rep.passed
-        elif name == "left-product":
-            try:
-                rep = check_left_product(spec, constant, base, freqs, **tol)
-            except NotSeparable as exc:
-                yield skip_line(name, f"not separable: {exc}"), False
-                continue
-            yield rep.line(), not rep.passed
-        elif name == "right-product":
-            try:
-                rep = check_right_product(spec, constant, base, freqs, **tol)
-            except NotSeparable as exc:
-                yield skip_line(name, f"not separable: {exc}"), False
-                continue
-            yield rep.line(), not rep.passed
-        elif name == "shift":
-            try:
-                rep = check_shift(spec, padded, x0, freqs, **tol)
-            except NotSeparable as exc:
-                yield skip_line(name, f"not separable: {exc}"), False
-                continue
-            yield rep.line(), not rep.passed
-        else:
-            rep = check_existence_bound(spec, base, freqs)
+        try:
+            reports = checks[name]()
+        except NotSeparable as exc:
+            yield skip_line(name, f"not separable: {exc}"), False
+            continue
+        for rep in reports:
             yield rep.line(), not rep.passed
 
 

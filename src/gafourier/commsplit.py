@@ -1,34 +1,49 @@
 """Commutative/anticommutative decompositions.
 
-Any multivector A splits against an invertible B into a half that commutes
-with B and a half that anticommutes:
+Any multivector A splits against an invertible generator g into a half
+that commutes with g and a half that anticommutes:
 
-    A = 1/2 (A + B^-1 A B)  +  1/2 (A - B^-1 A B)
+    A = 1/2 (A + g^-1 A g)  +  1/2 (A - g^-1 A g)
 
-Nesting this over an ordered generator list gives 2**d components indexed
-by sign vectors; the machinery below packages the two identities the
+For a constant g the conjugation A -> g^-1 A g is one fixed linear map C,
+so each split is a pair of constant projectors P0 = (I + C)/2 and
+P1 = (I - C)/2 applied to coefficient rows as `coeffs @ P`; a stack of
+(M, 2**n) rows splits with the same two matrix multiplies.  Nesting the
+split over an ordered generator list gives 2**d components indexed by
+sign vectors; the machinery below packages the two identities the
 transform checks rely on.  `swap_through_exponentials` moves a constant
 through a product of exponentials, flipping the exponent signs that its
 anticommuting parts see.  `shift_exponential_terms` decomposes the
 exponential factors that appear when the argument of a kernel product is
-translated, one term per strictly triangular binary matrix.
+translated, one term per strictly triangular binary matrix, for a whole
+stack of kernel values at once.
 
 Generators that pass `exponential.not_imaginary` are always accepted:
-when the reversion inverse does not exist, B^-1 = -B / r with
-r = -<B^2>_0 != 0 is used instead.  Zero generators perform no split at
+when the reversion inverse does not exist, g^-1 = -g / r with
+r = -<g^2>_0 != 0 is used instead.  Zero generators perform no split at
 all (the commuting component keeps the value, the anticommuting one is
-zero), which keeps the identities total at sample points where a kernel
-vanishes.
+zero), which keeps the identities total where a kernel vanishes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .algebra import RELATIVE_TOL, Multivector, NotInvertible
-from .exponential import NotImaginary, check_square, exp_imag
+import numpy as np
+
+from .algebra import (
+    RELATIVE_TOL,
+    Multivector,
+    NotInvertible,
+    _left_factor,
+    _right_factor,
+    gp_many,
+)
+from .exponential import NotImaginary, check_square, exp_neg_many
+from .exponential import exp_imag  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
     "MAX_GENERATORS",
@@ -50,17 +65,6 @@ SplitIndex = tuple[int, ...]
 _DROP_TOL = 1e-12
 
 
-def split_pair(
-    a: Multivector, b: Multivector, tol: float = RELATIVE_TOL
-) -> tuple[Multivector, Multivector]:
-    """Split `a` into (commuting, anticommuting) parts with respect to `b`.
-
-    Requires an invertible `b`; NotInvertible propagates from the inverse.
-    """
-    conj = b.inverse(tol) * a * b
-    return (a + conj) * 0.5, (a - conj) * 0.5
-
-
 def _inverse_for_split(b: Multivector, tol: float) -> Multivector:
     try:
         return b.inverse(tol)
@@ -75,13 +79,33 @@ def _inverse_for_split(b: Multivector, tol: float) -> Multivector:
         return b * (1.0 / scalar)
 
 
-def _split_total(
-    a: Multivector, b: Multivector | None, tol: float
+def _projectors(g: Multivector, tol: float) -> np.ndarray:
+    """The (2, 2**n, 2**n) pair [P0, P1]: for a coefficient row x,
+    x @ P0 commutes with g and x @ P1 anticommutes with it.
+
+    A zero generator gives [I, 0]; any other non-invertible one raises
+    NotInvertible.
+    """
+    eye = np.eye(g.sig.dim)
+    if g.magnitude() == 0.0:
+        return np.stack([eye, np.zeros_like(eye)])
+    inv = _inverse_for_split(g, tol)
+    conj = _left_factor(g.sig, inv.coeffs) @ _right_factor(g.sig, g.coeffs)
+    return np.stack([eye + conj, eye - conj]) * 0.5
+
+
+def split_pair(
+    a: Multivector, b: Multivector, tol: float = RELATIVE_TOL
 ) -> tuple[Multivector, Multivector]:
-    if b is None or b.magnitude() == 0.0:
-        return a, Multivector.zero(a.sig)
-    conj = _inverse_for_split(b, tol) * a * b
-    return (a + conj) * 0.5, (a - conj) * 0.5
+    """Split `a` into (commuting, anticommuting) parts with respect to `b`.
+
+    Requires an invertible `b`; NotInvertible is raised for a zero or
+    non-invertible one.
+    """
+    if b.magnitude() == 0.0:
+        raise NotInvertible(f"{b!r}: the zero generator has no inverse")
+    c0, c1 = a.coeffs @ _projectors(b, tol)
+    return Multivector(a.sig, c0), Multivector(a.sig, c1)
 
 
 def split_multi(
@@ -101,44 +125,16 @@ def split_multi(
         raise ValueError(f"at most {MAX_GENERATORS} generators supported")
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
-    comps: dict[SplitIndex, Multivector] = {(): a}
-    order = gens if direction == "forward" else reversed(gens)
-    for b in order:
-        new: dict[SplitIndex, Multivector] = {}
-        for bits, comp in comps.items():
-            c0, c1 = _split_total(comp, b, tol)
-            if direction == "forward":
-                new[bits + (0,)] = c0
-                new[bits + (1,)] = c1
-            else:
-                new[(0,) + bits] = c0
-                new[(1,) + bits] = c1
-        comps = new
-    return comps
-
-
-def _split_component(
-    a: Multivector,
-    gens: Sequence[Multivector | None],
-    bits: Sequence[int],
-    direction: str,
-    tol: float,
-) -> Multivector:
-    order = range(len(gens)) if direction == "forward" else reversed(range(len(gens)))
-    for k in order:
-        c0, c1 = _split_total(a, gens[k], tol)
-        a = c1 if bits[k] else c0
-        if a.magnitude() == 0.0:
-            break
-    return a
-
-
-def _require_kernel_values(fvals: Sequence[Multivector]) -> None:
-    for k, f in enumerate(fvals):
-        if check_square(f)[0]:
-            raise NotImaginary(
-                f"value {k + 1} does not square to a negative real: {f!r}"
-            )
+    # comps[i] is the component whose bits, gens[0]'s first, spell i
+    comps = a.coeffs[None]
+    projs = [_projectors(g, tol) for g in gens]
+    for p in projs if direction == "forward" else projs[::-1]:
+        halves = comps @ p  # (2, len(comps), 2**n), this generator's bit first
+        if direction == "forward":
+            halves = halves.swapaxes(0, 1)
+        comps = halves.reshape(-1, a.sig.dim)
+    bits = itertools.product((0, 1), repeat=len(gens))
+    return {b: Multivector(a.sig, c) for b, c in zip(bits, comps)}
 
 
 def swap_through_exponentials(
@@ -153,7 +149,11 @@ def swap_through_exponentials(
     component * prod_k e^{-(-1)^{signs_k} f_k}.
     Each value must pass `not_imaginary`.
     """
-    _require_kernel_values(fvals)
+    for k, f in enumerate(fvals):
+        if check_square(f)[0]:
+            raise NotImaginary(
+                f"value {k + 1} does not square to a negative real: {f!r}"
+            )
     comps = split_multi(a, list(fvals), "backward")
     scale = max(1.0, a.magnitude())
     return [
@@ -234,30 +234,30 @@ def enumerate_triangular(
 
 
 def shift_exponential_terms(
-    fvals: Sequence[Multivector],
+    fvals: Sequence[np.ndarray],
     orientation: str,
-    directions: Sequence[Multivector] | None = None,
+    directions: Sequence[Multivector],
     drop_tol: float = _DROP_TOL,
-) -> list[tuple[Multivector, SplitIndex]]:
+) -> list[tuple[np.ndarray, SplitIndex]]:
     """Split translated exponential factors for reordering around the data.
 
-    `fvals` are the kernel values at the shift point.  One candidate term
-    arises per strictly triangular binary matrix: its factor multiplies the
-    matrix rows' split components of e^{-f_l} together, and its sign vector
-    is the column parity.  For 'lower' the factors end up left of the
-    remaining transform and row l splits backward against
-    (g_1, ..., g_l, 0, ..., 0); for 'upper' they end up right of it and row
-    l splits forward against (0, ..., 0, g_l, ..., g_d).
-
-    The split generators g default to the values themselves.  Pass
-    `directions` when a value can vanish at the shift point while the
-    kernel stays active elsewhere, so the split still tracks the right
-    commutation behaviour.  Reassembly for 'lower':
+    `fvals` holds one (M, 2**n) stack per kernel: its values at the shift
+    point for M frequencies.  One candidate term arises per strictly
+    triangular binary matrix: its factor multiplies the matrix rows' split
+    components of e^{-f_l} together, and its sign vector is the column
+    parity.  For 'lower' the factors end up left of the remaining
+    transform and row l splits backward against (g_1, ..., g_l, 0, ..., 0);
+    for 'upper' they end up right of it and row l splits forward against
+    (0, ..., 0, g_l, ..., g_d).  The generators g are the kernels'
+    constant `directions`, so every split is the same pair of projectors
+    at every frequency.  Reassembly for 'lower', row by row:
 
         prod_l e^{-f_l(x0 + y)}  ==  sum over terms of
             factor * prod_l e^{-(-1)^{signs_l} f_l(y)}
 
-    and the mirror image with the factor on the right for 'upper'.
+    and the mirror image with the factor on the right for 'upper'.  Each
+    term is an (M, 2**n) factor stack; factor rows of norm at most
+    `drop_tol` are zeroed, and terms with no row left are dropped.
     """
     d = len(fvals)
     if d == 0:
@@ -266,28 +266,32 @@ def shift_exponential_terms(
         raise ValueError(f"at most {MAX_GENERATORS} values supported")
     if orientation not in ("lower", "upper"):
         raise ValueError("orientation must be 'lower' or 'upper'")
-    _require_kernel_values(fvals)
-    gens = list(directions) if directions is not None else list(fvals)
-    if len(gens) != d:
+    if len(directions) != d:
         raise ValueError("directions must match values in length")
-    sig = fvals[0].sig
-    exps = [exp_imag(f) for f in fvals]
-    zero = Multivector.zero(sig)
+    sig = directions[0].sig
+    shape = np.shape(fvals[0])
+    if len(shape) != 2 or shape[1] != sig.dim or any(np.shape(f) != shape for f in fvals):
+        raise ValueError(f"values must be (M, {sig.dim}) stacks of one shape")
+    exps = [
+        exp_neg_many(sig, f, validate=True, label=f"value {l + 1}")
+        for l, f in enumerate(fvals)
+    ]
+    projs = [_projectors(g, RELATIVE_TOL) for g in directions]
+    lower = orientation == "lower"
+
+    @functools.cache
+    def component(l: int, row: SplitIndex) -> np.ndarray:
+        comp = exps[l]
+        for k in reversed(range(l + 1)) if lower else range(l, d):
+            comp = comp @ projs[k][row[k]]
+        return comp
+
     out = []
     for mat in _all_triangular(d, orientation):
-        factor = Multivector.scalar(sig, 1.0)
-        for l in range(d):
-            if orientation == "lower":
-                padded = gens[: l + 1] + [zero] * (d - l - 1)
-                comp = _split_component(exps[l], padded, mat.row(l), "backward",
-                                        RELATIVE_TOL)
-            else:
-                padded = [zero] * l + gens[l:]
-                comp = _split_component(exps[l], padded, mat.row(l), "forward",
-                                        RELATIVE_TOL)
-            factor = factor * comp
-            if factor.magnitude() == 0.0:
-                break
-        if factor.magnitude() > drop_tol:
-            out.append((factor, mat.column_parity()))
+        factor = component(0, mat.row(0))
+        for l in range(1, d):
+            factor = gp_many(sig, factor, component(l, mat.row(l)))
+        keep = np.linalg.norm(factor, axis=1) > drop_tol
+        if keep.any():
+            out.append((np.where(keep[:, None], factor, 0.0), mat.column_parity()))
     return out

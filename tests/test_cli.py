@@ -144,6 +144,20 @@ def test_verify_single_theorem(capsys):
     assert out[0].startswith("THEOREM existence") and out[0].endswith("PASS")
 
 
+def test_verify_tol_reaches_the_existence_check(capsys):
+    def bound(*extra):
+        rc = main(["verify", "--preset", "quaternionic", "--theorem",
+                   "existence", *extra])
+        line = capsys.readouterr().out.strip()
+        assert rc == 0, line
+        return float(line.split("bound=")[1].split()[0])
+
+    # the threshold is bound + tol * max(1, bound); the bound exceeds 1
+    plain = bound()
+    assert plain > 1.0
+    assert bound("--tol", "0.5") == pytest.approx(1.5 * plain, rel=1e-6)
+
+
 def test_verify_forced_failure_exits_one(capsys):
     rc = main(["verify", "--preset", "quaternionic", "--theorem", "linearity",
                "--size", "6", "--tol", "1e-30"])

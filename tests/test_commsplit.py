@@ -46,6 +46,8 @@ def test_pair_split_requires_invertible():
     a = Multivector.scalar(sig, 1.0)
     with pytest.raises(NotInvertible):
         split_pair(a, Multivector.scalar(sig, 1.0) + Multivector.blade(sig, "e1"))
+    with pytest.raises(NotInvertible):
+        split_pair(a, Multivector.zero(sig))
 
 
 def test_multi_split_sum_and_commutation():
@@ -189,6 +191,32 @@ def _interleaved_product(sig, constants, moving, factor_side):
     return out
 
 
+def _rows(values):
+    """One-row stacks of single kernel values."""
+    return [f.coeffs[None] for f in values]
+
+
+def _assert_terms_reassemble(sig, shift_stacks, grid_parts, orientation, dirs):
+    """Row by row, the factor stacks rebuild the interleaved product."""
+    terms = shift_exponential_terms(shift_stacks, orientation, dirs)
+    for i in range(len(shift_stacks[0])):
+        shift_parts = [Multivector(sig, f[i]) for f in shift_stacks]
+        lhs = _interleaved_product(
+            sig,
+            [exp_imag(f) for f in shift_parts],
+            [exp_imag(g) for g in grid_parts],
+            orientation,
+        )
+        rhs = Multivector.zero(sig)
+        for factor, signs in terms:
+            prod = Multivector.scalar(sig, 1.0)
+            for s, g in zip(signs, grid_parts):
+                prod = prod * exp_imag(g if s == 0 else -g)
+            f = Multivector(sig, factor[i])
+            rhs = rhs + (f * prod if orientation == "lower" else prod * f)
+        assert (lhs - rhs).magnitude() <= 1e-12 * max(1.0, lhs.magnitude())
+
+
 @pytest.mark.parametrize("orientation", ["lower", "upper"])
 def test_shift_terms_reassemble_interleaved_products(orientation):
     # anticommuting directions force genuinely different split components
@@ -198,46 +226,94 @@ def test_shift_terms_reassemble_interleaved_products(orientation):
     for d in (1, 2, 3):
         shift_parts = [dirs[k] * rng.uniform(0.3, 1.5) for k in range(d)]
         grid_parts = [dirs[k] * rng.uniform(0.3, 1.5) for k in range(d)]
-        lhs = _interleaved_product(
-            sig,
-            [exp_imag(f) for f in shift_parts],
-            [exp_imag(g) for g in grid_parts],
-            orientation,
-        )
-        rhs = Multivector.zero(sig)
-        terms = shift_exponential_terms(
-            shift_parts, orientation, directions=dirs[:d]
-        )
-        for factor, signs in terms:
-            prod = Multivector.scalar(sig, 1.0)
-            for s, g in zip(signs, grid_parts):
-                prod = prod * exp_imag(g if s == 0 else -g)
-            rhs = rhs + (factor * prod if orientation == "lower" else prod * factor)
-        assert (lhs - rhs).magnitude() <= 1e-12 * max(1.0, lhs.magnitude())
+        _assert_terms_reassemble(sig, _rows(shift_parts), grid_parts,
+                                 orientation, dirs[:d])
+
+
+def _stack(rng, dirs, m):
+    """(m, 2**n) kernel-value stacks along each direction; row 0 is the
+    shift x0 = 0, where every value vanishes."""
+    stacks = []
+    for g in dirs:
+        scales = rng.uniform(-1.5, 1.5, m)
+        scales[0] = 0.0
+        stacks.append(scales[:, None] * g.coeffs)
+    return stacks
+
+
+@pytest.mark.parametrize("orientation", ["lower", "upper"])
+@pytest.mark.parametrize(
+    "sig, labels",
+    [
+        (Signature(0, 2), ("e1", "e2", "e12")),  # anticommuting
+        (Signature(4, 0), ("e12", "e34")),       # commuting
+        (Signature(0, 2), ("e1", None, "e2")),   # one zero direction
+    ],
+)
+def test_shift_term_stacks_reassemble_every_row(orientation, sig, labels):
+    rng = np.random.default_rng(41)
+    dirs = [Multivector.zero(sig) if lab is None else Multivector.blade(sig, lab)
+            for lab in labels]
+    stacks = _stack(rng, dirs, 6)
+    grid_parts = [g * rng.uniform(0.3, 1.5) for g in dirs]
+    _assert_terms_reassemble(sig, stacks, grid_parts, orientation, dirs)
+
+
+@pytest.mark.parametrize("orientation", ["lower", "upper"])
+def test_shift_term_stack_matches_one_row_calls(orientation):
+    sig = Signature(0, 2)
+    rng = np.random.default_rng(5)
+    dirs = [Multivector.blade(sig, lab) for lab in ("e1", "e2", "e12")]
+    stacks = _stack(rng, dirs, 5)
+    stacked = {
+        signs: factor
+        for factor, signs in shift_exponential_terms(stacks, orientation, dirs)
+    }
+    seen = set()
+    for i in range(5):
+        single = shift_exponential_terms([f[i:i + 1] for f in stacks],
+                                         orientation, dirs)
+        for factor, signs in single:
+            assert signs in stacked
+            assert np.abs(stacked[signs][i] - factor[0]).max() <= 1e-14
+            seen.add((i, signs))
+        for signs, factor in stacked.items():
+            if (i, signs) not in seen:
+                assert not factor[i].any()  # dropped in the one-row call
+    # row 0 (all values zero) keeps one term; the others keep several
+    assert sum(factor[0].any() for factor in stacked.values()) == 1
+    assert len(stacked) > 1
 
 
 def test_shift_terms_counts_follow_commutativity():
     sig = Signature(0, 2)
     anti = [Multivector.blade(sig, "e1", 0.7), Multivector.blade(sig, "e2", 1.1)]
-    assert len(shift_exponential_terms(anti, "lower")) == 2
-    assert len(shift_exponential_terms(anti, "upper")) == 2
+    assert len(shift_exponential_terms(_rows(anti), "lower", anti)) == 2
+    assert len(shift_exponential_terms(_rows(anti), "upper", anti)) == 2
     # commuting directions: every off-diagonal split component vanishes
     sig4 = Signature(4, 0)
     comm = [Multivector.blade(sig4, "e12", 0.7), Multivector.blade(sig4, "e34", 1.1)]
-    terms = shift_exponential_terms(comm, "lower")
+    terms = shift_exponential_terms(_rows(comm), "lower", comm)
     assert len(terms) == 1 and terms[0][1] == (0, 0)
 
 
 def test_shift_terms_argument_validation():
     sig = Signature(0, 2)
     f = Multivector.blade(sig, "e1", 0.5)
+    row = f.coeffs[None]
     with pytest.raises(ValueError):
-        shift_exponential_terms([], "lower")
+        shift_exponential_terms([], "lower", [])
     with pytest.raises(ValueError):
-        shift_exponential_terms([f] * (MAX_GENERATORS + 1), "lower")
+        shift_exponential_terms([row] * (MAX_GENERATORS + 1), "lower",
+                                [f] * (MAX_GENERATORS + 1))
     with pytest.raises(ValueError):
-        shift_exponential_terms([f], "diagonal")
+        shift_exponential_terms([row], "diagonal", [f])
     with pytest.raises(ValueError):
-        shift_exponential_terms([f], "lower", directions=[f, f])
+        shift_exponential_terms([row], "lower", directions=[f, f])
+    with pytest.raises(ValueError):
+        shift_exponential_terms([f.coeffs], "lower", [f])  # not a stack
+    with pytest.raises(ValueError):
+        shift_exponential_terms([row, np.vstack([row, row])], "upper", [f, f])
+    two = Multivector.scalar(sig, 2.0)
     with pytest.raises(NotImaginary):
-        shift_exponential_terms([Multivector.scalar(sig, 2.0)], "lower")
+        shift_exponential_terms([two.coeffs[None]], "lower", [two])

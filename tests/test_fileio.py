@@ -1,6 +1,8 @@
 """Text and binary file formats: round trips and rejection of bad input."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,3 +245,56 @@ def test_ppm_reader(tmp_path):
     path.write_bytes(b"P6\n2 3\n255\n" + payload[:-1])
     with pytest.raises(FileFormatError):
         read_ppm(path)
+
+
+def _valid_files() -> list[bytes]:
+    """Well-formed files of every kind, as starting points for mutation."""
+    spec = parse_preset("quaternionic")
+    field = SampledField.random(SIG, (2, 2), np.random.default_rng(2))
+    freqs = default_freqs(field)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        write_field(d / "t.mvf", field)
+        write_field(d / "b.mvf", field, binary=True)
+        write_freqs(d / "g.freqs", freqs)
+        write_kernels(d / "k.gft", spec)
+        files = [(d / name).read_bytes()
+                 for name in ("t.mvf", "b.mvf", "g.freqs", "k.gft")]
+    return files + [b"P6\n# comment\n2 1\n255\n" + bytes(range(6))]
+
+
+@st.composite
+def _file_bytes(draw):
+    """Arbitrary bytes, or a valid file with a few bytes replaced,
+    inserted or deleted, or cut short."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    data = bytearray(draw(st.sampled_from(_VALID_FILES)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(("replace", "insert", "delete", "cut")))
+        if edit == "cut":
+            del data[at:]
+        elif edit == "delete":
+            del data[at:at + draw(st.integers(1, 8))]
+        else:
+            chunk = draw(st.binary(min_size=1, max_size=8))
+            data[at:at + (len(chunk) if edit == "replace" else 0)] = chunk
+    return bytes(data)
+
+
+_VALID_FILES = _valid_files()
+_READERS = (read_grid_file, read_kernels, read_freqs, read_ppm)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_file_bytes())
+def test_readers_return_or_raise_format_errors(tmp_path_factory, data):
+    # any input either parses or fails as FileFormatError / ValueError
+    path = tmp_path_factory.getbasetemp() / "fuzz-input"
+    path.write_bytes(data)
+    for reader in _READERS:
+        try:
+            reader(path)
+        except ValueError:  # FileFormatError is a ValueError
+            pass

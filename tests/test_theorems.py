@@ -141,6 +141,14 @@ def test_shift_identity_and_term_structure():
     assert float(rep2.detail.split("=")[-1]) <= 1e-10
 
 
+def test_shift_with_three_anticommuting_kernels():
+    # d = 3 right kernels: 8 upper sign matrices, at most 4 terms survive
+    spec, field, freqs, _ = _setup("buelow:3", dims=(6, 6, 6), border=2)
+    rep = check_shift(spec, field, (2.0, -1.0, 1.0), freqs)
+    assert rep.passed, rep.line()
+    assert rep.detail == "terms=1x4"
+
+
 def test_shift_rejects_bad_inputs():
     spec, field, freqs, _ = _setup("quaternionic", dims=(8, 8), border=2)
     with pytest.raises(OffGridShift):
