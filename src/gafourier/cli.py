@@ -34,6 +34,7 @@ from .theorems import (
     OffGridShift,
     TheoremReport,
     UnsupportedScale,
+    VERIFY_SCALE_FACTORS,
     check_existence_bound,
     check_left_product,
     check_linearity,
@@ -54,8 +55,6 @@ THEOREM_NAMES = (
     "shift",
     "existence",
 )
-
-SCALING_FACTORS = (-1.0, 2.0, 0.5)
 
 _PRESET_ROWS = (
     ("clifford:2", "n = 2 or 3 (mod 4)"),
@@ -202,7 +201,7 @@ def _verify_lines(args: argparse.Namespace) -> Iterator[tuple[str, bool]]:
             check_linearity(spec, base, second, 2.0, -3.0, freqs, **tol)
         ],
         "scaling": lambda: [
-            check_scaling(spec, base, a, freqs, **tol) for a in SCALING_FACTORS
+            check_scaling(spec, base, a, freqs, **tol) for a in VERIFY_SCALE_FACTORS
         ],
         "left-product": lambda: [
             check_left_product(spec, constant, base, freqs, **tol)

@@ -232,8 +232,9 @@ def _write_grid(
         if binary:
             fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
         else:
-            for row in values:
-                fh.write((_floats_line(row) + "\n").encode("ascii"))
+            rows = np.asarray(values, dtype=float).tolist()
+            fh.write("".join(" ".join(map(repr, row)) + "\n" for row in rows)
+                     .encode("ascii"))
 
 
 def write_field(path: str | Path, field: SampledField, binary: bool = False) -> None:

@@ -122,6 +122,13 @@ class KernelMatrix:
         t.setflags(write=False)
         return t
 
+    @cached_property
+    def _bases(self) -> dict[str, object]:
+        """Memo of the transform engines' factorization of this kernel,
+        one entry per side ("left"/"right"), filled by `transform.plan`
+        on first use; the kernel is immutable, so it never goes stale."""
+        return {}
+
     def eval(self, x: Sequence[float], u: Sequence[float]) -> Multivector:
         xa = np.asarray(x, dtype=float)
         ua = np.asarray(u, dtype=float)

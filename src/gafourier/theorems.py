@@ -37,6 +37,7 @@ __all__ = [
     "UnsupportedScale",
     "OffGridShift",
     "SCALE_FACTORS",
+    "VERIFY_SCALE_FACTORS",
     "scaled_field",
     "shifted_field",
     "check_linearity",
@@ -49,6 +50,8 @@ __all__ = [
 ]
 
 SCALE_FACTORS = (1.0, -1.0, 2.0, -2.0, 0.5, -0.5)
+# the factors `verify --theorem scaling` checks, in the order it prints them
+VERIFY_SCALE_FACTORS = (-1.0, 2.0, 0.5)
 
 _COMPONENT_DROP = 1e-12
 

@@ -6,9 +6,19 @@ The transform of a field A at one frequency u is the Riemann sum
 
 over all grid nodes x, with the kernel products taken in their configured
 order.  The frequency grid is arbitrary and independent of the spatial
-one.  `gft_at` (and `gft` on a frequency grid) runs one of two engines,
-chosen per call by `plan`:
+one.  `gft` (on a frequency grid) and `gft_at` (on an array of
+frequencies) run one of three engines, chosen per call by `plan`:
 
+* axes: every kernel is one direction j_k with j_k^2 = -1, checked once,
+  times a diagonal form s_k = sum_j a_kj x_j u_j, and the frequencies form
+  a grid.  With cos s = (e^{is} + e^{-is})/2 and sin s = (e^{is} -
+  e^{-is})/2i the expanded integrand becomes complex sums
+  E_c(u) = sum_x e^{i sum_j c_j x_j u_j} A(x) over the phase vectors
+  c = sum_k sigma_k a_k of the sign patterns sigma, and each such sum is
+  contracted one axis at a time.  Only patterns with sigma_1 = +1 are
+  summed (E_{-c} is the conjugate of E_c), equal phase vectors once, and
+  the sums are recombined into the cos/sin weights one kernel at a time
+  before the expansion engine's constant maps.
 * expansion: every kernel gets a basis.  A kernel that is exactly a real
   bilinear form times one constant direction j with j^2 = -1 (checked
   once) has e^{-f} = cos(s) - j sin(s) of a real phase s; any other
@@ -17,30 +27,42 @@ chosen per call by `plan`:
   two-sided product then expands into prod(1 + r_k) real GEMMs over
   those weight blocks (r_k basis elements of kernel k), followed by
   constant maps: a dense product for a direction, a signed permutation
-  for a blade.  With validate=True the blade kernels are checked per
-  (node, frequency) with `not_imaginary`, exp_neg_many's test, and a
-  direction's phases for finiteness; both raise the same NotImaginary
-  as the direct engine.
+  for a blade.
 * direct (`gft_direct`): per frequency, exponentials of the kernel values
   at every node, two-sided products, and a sum over nodes.  It handles
-  every spec and is the reference the other engine is tested against.
+  every spec and is the reference the other engines are tested against.
 
-Routing: the expansion engine runs while prod(1 + r_k) <= max(2^nu, 2^n),
-that is while its GEMM work per pair is at most that of 2^nu sign
-patterns or of one dense product; larger specs go to the direct engine.
-The validate flag never changes which engine runs.
+Routing: a grid of frequencies whose nonzero kernels (at least one) all
+have the one-direction basis goes to the axes engine when each of those
+forms is diagonal and the phase bound sum_kj |a_kj| max|x_j| max|u_j| is
+finite; otherwise its reason ends in "no axes engine: " and the first
+condition that failed ("right kernel 1 form not diagonal", or the phase
+bound "is not finite").  Everything else, and every array of
+frequencies, runs the
+expansion engine while prod(1 + r_k) <= max(2^nu, 2^n), that is while
+its GEMM work per pair is at most that of 2^nu sign patterns or of one
+dense product; larger specs go to the direct engine.  The validate flag
+never changes which engine runs.
+
+Validation (validate=True) raises the same NotImaginary as the direct
+engine.  The axes engine needs no per-sample check: each direction is
+checked once, and the finite phase bound makes every phase finite.  The
+expansion engine checks blade kernels per (node, frequency) with
+`not_imaginary`, exp_neg_many's test, and a direction's phases for
+finiteness.
 
 Determinism: the direct engine sums each frequency's rows with one fixed
 numpy reduction over row-major node order, so identical inputs give
-bit-identical spectra.  The expansion engine is bit-identical for the
-same input and the same BLAS thread count, and agrees with the direct
-engine within 1e-12 * max(1, |F(u)|) per frequency.
+bit-identical spectra.  The axes and expansion engines are bit-identical
+for the same input and the same numpy build and BLAS thread count, and
+agree with the direct engine within 1e-12 * max(1, |F(u)|) per
+frequency.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,7 +81,7 @@ from .exponential import (
     exp_neg_many,
     not_imaginary,
 )
-from .kernels import GftSpec
+from .kernels import GftSpec, KernelMatrix
 
 __all__ = [
     "FreqGrid",
@@ -84,6 +106,11 @@ _FACTOR_ULPS = 4
 # terms, hold at most this many values (128 KiB), or one frequency's
 # worth on larger grids.  Larger blocks raise peak RSS and gain no speed.
 _BLOCK = 1 << 14
+# The axes engine's intermediates for one chunk of frequency rows hold
+# about this many values (2 MiB), or one row's worth on larger grids.
+_AXES_BLOCK = 1 << 18
+# (-i)^p for p = 0..3
+_UNITS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
 def _check_geometry(
@@ -278,13 +305,17 @@ def row_magnitudes(values: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.asarray(values, dtype=float), axis=1)
 
 
-def _check_inputs(
-    spec: GftSpec, field: SampledField, unodes: np.ndarray
-) -> np.ndarray:
+def _check_spec(spec: GftSpec, field: SampledField) -> None:
     if spec.sig != field.sig:
         raise ValueError(f"spec is over {spec.sig}, field over {field.sig}")
     if spec.m != field.m:
         raise ValueError(f"spec has m={spec.m}, field has m={field.m}")
+
+
+def _check_inputs(
+    spec: GftSpec, field: SampledField, unodes: np.ndarray
+) -> np.ndarray:
+    _check_spec(spec, field)
     unodes = np.asarray(unodes, dtype=float)
     if unodes.ndim != 2 or unodes.shape[1] != spec.m:
         raise ValueError(f"frequency nodes must have shape (M, {spec.m})")
@@ -331,7 +362,8 @@ class _Basis:
 
     A rank-1 kernel has one basis element, a unit direction j with
     j^2 = -1 (checked once), and `step`, the dense row-form map of
-    x -> (-j) x on the left or x (-j) on the right.  Any other kernel has
+    x -> (-j) x on the left or x (-j) on the right; `axes` is the diagonal
+    of its form when the form is diagonal.  Any other kernel has
     its nonzero blades e_i, checked per sample: the map of blade i is the
     signed permutation out[:, k] = sign[i, k] * x[:, gather[i, k]], and
     `pairs` = (a, b, q) gives the non-scalar part of f^2 as q @ (s_a s_b)
@@ -342,6 +374,7 @@ class _Basis:
     label: str
     forms: np.ndarray                   # (r, m, m)
     step: np.ndarray | None = None      # (2^n, 2^n), rank 1 only
+    axes: np.ndarray | None = None      # (m,), rank 1 with a diagonal form only
     gather: np.ndarray | None = None    # (r, 2^n)
     sign: np.ndarray | None = None      # (r, 2^n)
     squares: np.ndarray | None = None   # (r,) blade squares e_i^2
@@ -389,7 +422,16 @@ class _Basis:
         return y[0] + (moved * self.sign[:, None, None]).sum(axis=0)
 
 
-def _basis(sig: Signature, side: str, label: str, tensor: np.ndarray) -> _Basis | None:
+def _kernel_basis(kern: KernelMatrix, side: str) -> _Basis | None:
+    """The basis of `kern` on one side, built once per kernel and side
+    and kept in the kernel's memo; the label is left empty."""
+    memo = kern._bases
+    if side not in memo:
+        memo[side] = _basis(kern.sig, side, kern.tensor)
+    return memo[side]
+
+
+def _basis(sig: Signature, side: str, tensor: np.ndarray) -> _Basis | None:
     """Basis of one kernel tensor (m, m, 2^n), or None for a zero kernel.
 
     The rank-1 basis is taken when T is S (x) d up to _FACTOR_ULPS ulps of
@@ -411,7 +453,10 @@ def _basis(sig: Signature, side: str, label: str, tensor: np.ndarray) -> _Basis 
             j = -d / rho
             eye = np.eye(sig.dim)
             step = gp_many(sig, j, eye) if side == "left" else gp_many(sig, eye, j)
-            return _Basis(side, label, (s * rho).reshape(1, m, m), step=step)
+            form = (s * rho).reshape(m, m)
+            diag = np.diagonal(form)
+            axes = diag.copy() if np.array_equal(form, np.diag(diag)) else None
+            return _Basis(side, "", form[None], step=step, axes=axes)
     blades = np.flatnonzero(np.abs(t).max(axis=0))
     col = blades[:, None]
     gather = np.arange(sig.dim) ^ col
@@ -425,7 +470,7 @@ def _basis(sig: Signature, side: str, label: str, tensor: np.ndarray) -> _Basis 
     targets, row = np.unique(blades[a] ^ blades[b], return_inverse=True)
     q = np.zeros((len(targets), len(a)))
     q[row, np.arange(len(a))] = 2.0 * ab
-    return _Basis(side, label, t[:, blades].T.reshape(-1, m, m), gather=gather,
+    return _Basis(side, "", t[:, blades].T.reshape(-1, m, m), gather=gather,
                   sign=sign, squares=square_scalar_signs(sig)[blades], pairs=(a, b, q))
 
 
@@ -433,23 +478,26 @@ def _basis(sig: Signature, side: str, label: str, tensor: np.ndarray) -> _Basis 
 class Plan:
     """Engine chosen for one transform call and the reason for the choice.
 
-    For the expansion engine `bases` holds the basis of every nonzero
-    kernel, left kernels then right kernels, each in order.
+    For the axes and expansion engines `bases` holds the basis of every
+    nonzero kernel, left kernels then right kernels, each in order.
     """
 
-    engine: str  # "expansion" or "direct"
+    engine: str  # "axes", "expansion" or "direct"
     reason: str
     bases: tuple[_Basis, ...] = ()
 
 
-def plan(spec: GftSpec, field: SampledField, unodes: np.ndarray) -> Plan:
-    """Choose the engine for transforming `field` at `unodes` under `spec`.
+def plan(spec: GftSpec, field: SampledField, freqs: FreqGrid | np.ndarray) -> Plan:
+    """Choose the engine for transforming `field` at `freqs`, a frequency
+    grid or an (M, m) array of frequency vectors, under `spec`.
 
-    Every kernel gets a basis (`_basis`) of r terms; the expansion engine
-    runs while the product of (1 + r) over the kernels stays within
-    max(2^nu, 2^n), so its GEMM work per pair is at most that of 2^nu
-    sign patterns or of one dense product.  Larger specs go to the
-    direct engine.
+    Every kernel gets a basis (`_basis`) of r terms.  A grid goes to the
+    axes engine when there is a nonzero kernel, every basis is one
+    direction with a diagonal form and the phase bound is finite.
+    Otherwise the expansion engine runs while the product of (1 + r) over
+    the kernels stays within max(2^nu, 2^n), so its GEMM work per pair is
+    at most that of 2^nu sign patterns or of one dense product; larger
+    specs go to the direct engine.
     """
     sig = spec.sig
     limit = max(1 << spec.nu, sig.dim)
@@ -457,31 +505,72 @@ def plan(spec: GftSpec, field: SampledField, unodes: np.ndarray) -> Plan:
     for side, kernels in (("left", spec.left), ("right", spec.right)):
         for pos, kern in enumerate(kernels, start=1):
             label = f"{side} kernel {pos}"
-            b = _basis(sig, side, label, kern.tensor)
+            b = _kernel_basis(kern, side)
             if b is None:
                 notes.append(f"{label}: zero")
                 continue
+            b = replace(b, label=label)
             terms *= b.terms
             if terms > limit:
                 bound = f"2^n = {limit}" if limit == sig.dim else f"2^nu = {limit}"
                 return _decided(Plan("direct", f"{label}: {terms} terms exceed {bound}"),
-                                field, unodes)
+                                field, freqs)
             bases.append(b)
             notes.append(b.describe())
     notes.append(f"{terms} term{'s' if terms > 1 else ''}")
-    return _decided(Plan("expansion", "; ".join(notes), tuple(bases)), field, unodes)
+    engine = "expansion"
+    if isinstance(freqs, FreqGrid) and bases and all(b.step is not None for b in bases):
+        refusal = _axes_refusal(bases, field, freqs)
+        if refusal is None:
+            engine = "axes"
+            notes.append("diagonal forms")
+        else:
+            notes.append(f"no axes engine: {refusal}")
+    return _decided(Plan(engine, "; ".join(notes), tuple(bases)), field, freqs)
 
 
-def _decided(p: Plan, field: SampledField, unodes: np.ndarray) -> Plan:
+def _axes_refusal(
+    bases: Sequence[_Basis], field: SampledField, freqs: FreqGrid
+) -> str | None:
+    """Why the one-direction `bases` cannot run on the axes engine, or None."""
+    for b in bases:
+        if b.axes is None:
+            return f"{b.label} form not diagonal"
+    a = np.abs([b.axes for b in bases]).sum(axis=0)
+    # every phase c_j u_j x_j the engine forms is at most (a_j U_j) X_j
+    with np.errstate(over="ignore"):
+        bound = ((a * _axis_max(freqs)) * _axis_max(field)).sum()
+    if not np.isfinite(bound):
+        return "phase bound sum_kj |a_kj| max|x_j| max|u_j| is not finite"
+    return None
+
+
+def _axis_max(grid: FreqGrid | SampledField) -> np.ndarray:
+    """Largest |coordinate| along each axis of a regular grid."""
+    origin, spacing = np.array(grid.origin), np.array(grid.spacing)
+    return np.maximum(np.abs(origin),
+                      np.abs(origin + (np.array(grid.dims) - 1) * spacing))
+
+
+def _decided(p: Plan, field: SampledField, freqs: FreqGrid | np.ndarray) -> Plan:
     # imported here, not at module level: importing logging would add
     # about 9 ms to every start of the package
     import logging
 
     log = logging.getLogger("gafourier")
     if log.isEnabledFor(logging.DEBUG):
+        count = freqs.node_count if isinstance(freqs, FreqGrid) else len(freqs)
         log.debug("plan: %s engine (%s), %d nodes x %d frequencies",
-                  p.engine, p.reason, field.node_count, len(unodes))
+                  p.engine, p.reason, field.node_count, count)
     return p
+
+
+def _fold_order(bases: Sequence[_Basis]) -> list[_Basis]:
+    """Row-form maps x -> x @ step compose innermost first: left kernels
+    from the last to the first, then right kernels in order."""
+    return [b for b in reversed(bases) if b.side == "left"] + [
+        b for b in bases if b.side == "right"
+    ]
 
 
 def _gft_expansion(
@@ -499,11 +588,7 @@ def _gft_expansion(
     """
     sig = field.sig
     xs = field.nodes()
-    # Row-form maps x -> x @ step compose innermost first: left kernels
-    # from the last to the first, then right kernels in order.
-    order = [b for b in reversed(p.bases) if b.side == "left"] + [
-        b for b in p.bases if b.side == "right"
-    ]
+    order = _fold_order(p.bases)
     phases = [(xs @ b.forms).transpose(0, 2, 1).copy() for b in order]
     n = len(xs)
     chunk = max(1, _BLOCK // (math.prod(b.terms for b in order) * n))
@@ -535,6 +620,99 @@ def _raise_first_violation(p: Plan, bad: dict[str, np.ndarray | None]) -> None:
         raise NotImaginary.at_sample(label, int(np.argmax(m[first])))
 
 
+def _axis_coords(grid: FreqGrid | SampledField, j: int) -> np.ndarray:
+    """Coordinates of axis j's nodes, as `grid_nodes` computes them."""
+    return grid.origin[j] + np.arange(grid.dims[j]) * grid.spacing[j]
+
+
+def _sign_patterns(k: int) -> np.ndarray:
+    """The 2^(k-1) sign vectors sigma in {+1, -1}^k with sigma_1 = +1,
+    kernel 2's sign the most significant bit (+1 as bit 0)."""
+    bits = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 2, -1, -1)) & 1
+    return np.hstack((np.ones((len(bits), 1)), 1.0 - 2.0 * bits))
+
+
+def _gft_axes(p: Plan, field: SampledField, freqs: FreqGrid) -> np.ndarray:
+    """Transform on a frequency grid, one axis at a time.
+
+    With every kernel one direction times s_k = sum_j a_kj x_j u_j, the
+    expansion engine's GEMM output for the cos/sin term t = (t_1..t_K) is
+
+        y_t = sum_sigma prod_k M[t_k, sigma_k] E_{sigma.a},
+        M = [[1/2, 1/2], [-i/2, i/2]],
+        E_c(u) = sum_x e^{i sum_j c_j x_j u_j} B(x),
+
+    over all sign patterns sigma, or 2 Re of the sum over those with
+    sigma_1 = +1, since E_{-c} = conj E_c.  Per chunk of rows of the
+    first frequency axis, each distinct phase vector up to sign is
+    contracted axis by axis (the first axis as one real GEMM of B against
+    cos and sin, the others as complex GEMMs).  M = D H / 2 with
+    D = diag(1, -i) and H the 2x2 Hadamard matrix, so the map to terms is
+    one butterfly per kernel, then one unit (-i)^(sin count) per term
+    and a power of 1/2 at the end.  The terms go through the expansion
+    engine's folds.
+    """
+    dim, dims, fdims = field.sig.dim, field.dims, freqs.dims
+    order = _fold_order(p.bases)
+    k = len(order)
+    c = _sign_patterns(k) @ np.array([b.axes for b in order]).reshape(k, field.m)
+    # one representative per phase vector up to sign: first nonzero > 0
+    first = np.take_along_axis(c, (c != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
+    conj = first < 0
+    index: dict[tuple[float, ...], int] = {}
+    which = [index.setdefault(key, len(index))
+             for key in map(tuple, (np.where(conj[:, None], -c, c) + 0.0).tolist())]
+    keys = np.array(list(index)).reshape(len(index), field.m)
+    xs = [_axis_coords(field, j) for j in range(field.m)]
+    us = [_axis_coords(freqs, j) for j in range(field.m)]
+    later = [[np.exp(1j * np.multiply.outer(key[j] * us[j], xs[j])).T
+              for j in range(1, field.m)] for key in keys]
+    b0 = field.values.reshape(dims[0], -1).T  # (rest of x and blades, d_1)
+    per_row = freqs.node_count // fdims[0]
+    # values per row of u_1: the complex sums and terms, and the first GEMM
+    width = ((1 << k) + 2 * len(keys)) * per_row * dim + 2 * len(keys) * len(b0)
+    rows = max(1, _AXES_BLOCK // width)
+    out = np.empty((freqs.node_count, dim))
+    for lo in range(0, fdims[0], rows):
+        u0 = us[0][lo:lo + rows]
+        count = len(u0) * per_row
+        theta = np.multiply.outer(xs[0], np.multiply.outer(keys[:, 0], u0))
+        cs = np.empty(theta.shape + (2,))  # (d_1, D, R, cos/sin)
+        np.cos(theta, out=cs[..., 0])
+        np.sin(theta, out=cs[..., 1])
+        t = (b0 @ cs.reshape(dims[0], -1)).view(complex)
+        t = t.reshape(len(b0), len(keys), len(u0))
+        e = np.empty((len(keys), count, dim), dtype=complex)
+        for i, mats in enumerate(later):
+            s = t[:, i]  # axes 2..m of x, blades, rows of u_1
+            for j, mat in enumerate(mats, start=1):
+                s = s.reshape(dims[j], -1).T @ mat  # ..., blades, rows, u_2..u_j
+            e[i] = s.reshape(dim, count).T
+        z = e[which]
+        np.conjugate(z, out=z, where=conj[:, None, None])
+        for axis in range(k - 1):
+            z = z.reshape(1 << axis, 2, -1)
+            h = np.empty_like(z)
+            np.add(z[:, 0], z[:, 1], out=h[:, 0])
+            np.subtract(z[:, 0], z[:, 1], out=h[:, 1])
+            z = h
+        z = z.reshape(-1, count, dim)
+        z *= _UNITS[np.bitwise_count(np.arange(len(z))) % 4][:, None, None]
+        y = np.concatenate((z.real, z.imag))
+        for b in order:
+            y = b.fold(y.reshape(b.terms, -1, count, dim))
+        out[lo * per_row:lo * per_row + count] = y[0]
+    return out * (field.cell_volume * 0.5 ** (k - 1))
+
+
+def _gft_nodes(
+    p: Plan, spec: GftSpec, field: SampledField, unodes: np.ndarray, validate: bool
+) -> np.ndarray:
+    if p.engine == "expansion":
+        return _gft_expansion(p, field, unodes, validate)
+    return gft_direct(spec, field, unodes, validate)
+
+
 def gft_at(
     spec: GftSpec,
     field: SampledField,
@@ -542,12 +720,9 @@ def gft_at(
     validate: bool = True,
 ) -> np.ndarray:
     """Transform values at an explicit (M, m) array of frequency vectors,
-    on the engine `plan` chooses."""
+    on the engine `plan` chooses (never the axes engine)."""
     unodes = _check_inputs(spec, field, unodes)
-    p = plan(spec, field, unodes)
-    if p.engine == "expansion":
-        return _gft_expansion(p, field, unodes, validate)
-    return gft_direct(spec, field, unodes, validate)
+    return _gft_nodes(plan(spec, field, unodes), spec, field, unodes, validate)
 
 
 def gft(
@@ -559,7 +734,13 @@ def gft(
     """Discrete transform of a sampled field on a frequency grid."""
     if freqs.m != field.m:
         raise ValueError(f"frequency grid has m={freqs.m}, field has m={field.m}")
-    return Spectrum(spec.sig, freqs, gft_at(spec, field, freqs.nodes(), validate))
+    _check_spec(spec, field)
+    p = plan(spec, field, freqs)
+    if p.engine == "axes":
+        values = _gft_axes(p, field, freqs)
+    else:
+        values = _gft_nodes(p, spec, field, freqs.nodes(), validate)
+    return Spectrum(spec.sig, freqs, values)
 
 
 def default_freqs(field: SampledField, scale: float = 1.0) -> FreqGrid:

@@ -158,6 +158,17 @@ def test_verify_tol_reaches_the_existence_check(capsys):
     assert bound("--tol", "0.5") == pytest.approx(1.5 * plain, rel=1e-6)
 
 
+def test_verify_scaling_runs_the_theorems_factor_table(capsys):
+    from gafourier.theorems import SCALE_FACTORS, VERIFY_SCALE_FACTORS
+
+    rc = main(["verify", "--preset", "quaternionic", "--theorem", "scaling"])
+    names = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+    assert rc == 0
+    assert names == ["scaling[a=-1]", "scaling[a=2]", "scaling[a=0.5]"]
+    assert names == [f"scaling[a={a:g}]" for a in VERIFY_SCALE_FACTORS]
+    assert set(VERIFY_SCALE_FACTORS) <= set(SCALE_FACTORS)
+
+
 def test_verify_forced_failure_exits_one(capsys):
     rc = main(["verify", "--preset", "quaternionic", "--theorem", "linearity",
                "--size", "6", "--tol", "1e-30"])

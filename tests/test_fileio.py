@@ -108,6 +108,23 @@ def test_spectrum_file_round_trip(tmp_path, binary):
         got.field()  # wrong kind accessor
 
 
+def test_text_writer_bytes_match_per_value_repr(tmp_path):
+    # -0.0, the smallest subnormal, values near the float limit and values
+    # that need all 17 significant digits to round-trip
+    rows = np.array([
+        [-0.0, 5e-324, 1e308, -1.7976931348623157e308],
+        [0.1, 1 / 3, 2.0 / 3.0, math.pi],
+        [1.0000000000000002, -2.2250738585072014e-308, 123456789.12345679, 1e-5],
+    ])
+    field = SampledField(SIG, (3,), (0.0,), (1.0,), rows)
+    path = tmp_path / "rows.mvf"
+    write_field(path, field)
+    head, _, data = path.read_bytes().partition(b"data\n")
+    want = "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    assert data == want.encode("ascii")
+    assert np.array_equal(read_grid_file(path).values.view(np.uint64), rows.view(np.uint64))
+
+
 def test_grid_file_rejects_corruption(tmp_path):
     rng = np.random.default_rng(6)
     field = SampledField.random(SIG, (2, 2), rng)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gafourier.algebra import Multivector, Signature
 from gafourier.exponential import NotImaginary
 from gafourier.kernels import GftSpec, KernelMatrix, parse_preset
+from gafourier import transform
 from gafourier.transform import (
     FreqGrid,
     SampledField,
@@ -138,6 +139,9 @@ def test_zero_kernels_sum_the_field():
     rng = np.random.default_rng(3)
     field = SampledField.random(sig, (4, 4), rng)
     spectrum = gft(spec, field, default_freqs(field))
+    # nothing to contract one axis at a time: the expansion engine runs
+    p = plan(spec, field, default_freqs(field))
+    assert (p.engine, p.reason) == ("expansion", "left kernel 1: zero; 1 term")
     want = field.values.sum(axis=0) * field.cell_volume
     assert np.allclose(spectrum.values, want[None, :], atol=1e-12)
 
@@ -429,7 +433,146 @@ def test_plan_decision_is_logged(caplog):
     with caplog.at_level(logging.DEBUG, logger="gafourier"):
         gft(spec, field, default_freqs(field))
     assert [r.getMessage() for r in caplog.records] == [
-        "plan: expansion engine (left kernel 1: 1 direction, checked once; "
-        "right kernel 1: 1 direction, checked once; 4 terms), "
+        "plan: axes engine (left kernel 1: 1 direction, checked once; "
+        "right kernel 1: 1 direction, checked once; 4 terms; diagonal forms), "
         "16 nodes x 16 frequencies"
     ]
+
+
+def _assert_grid_agrees(spec, field, freqs):
+    got = gft(spec, field, freqs).values
+    ref = gft_direct(spec, field, freqs.nodes())
+    err = np.linalg.norm(got - ref, axis=1)
+    allowed = 1e-12 * np.maximum(1.0, np.linalg.norm(ref, axis=1))
+    assert (err <= allowed).all(), float((err / allowed).max())
+
+
+AXES_PRESETS = {
+    "clifford:2": (8, 8),
+    "clifford:3": (4, 4, 4),
+    "buelow:2": (8, 8),
+    "buelow:3": (4, 4, 4),
+    "quaternionic": (8, 8),
+    "spacetime": (3, 3, 3, 3),
+    "color_image": (8, 8),
+    "color_image:e13": (8, 8),
+}
+
+
+@pytest.mark.parametrize("selector", sorted(AXES_PRESETS))
+def test_axes_engine_matches_direct_on_presets(selector):
+    spec = parse_preset(selector)
+    rng = np.random.default_rng(23)
+    dims = AXES_PRESETS[selector]
+    field = SampledField.random(spec.sig, dims, rng)
+    # off the DFT lattice: no node at u = 0, spacing unrelated to the field
+    off_lattice = FreqGrid(tuple(d + 1 for d in dims),
+                           tuple(rng.uniform(-1.9, -1.1, len(dims))),
+                           tuple(rng.uniform(0.13, 0.41, len(dims))))
+    assert not (off_lattice.nodes() == 0.0).all(axis=1).any()
+    for freqs in (default_freqs(field), off_lattice):
+        p = plan(spec, field, freqs)
+        assert p.engine == "axes" and p.reason.endswith("; diagonal forms"), p.reason
+        _assert_grid_agrees(spec, field, freqs)
+
+
+@pytest.mark.parametrize("selector", ["buelow:3", "color_image"])
+def test_axes_engine_chunks_of_one_frequency_row(selector, monkeypatch):
+    monkeypatch.setattr(transform, "_AXES_BLOCK", 1)
+    spec = parse_preset(selector)
+    dims = AXES_PRESETS[selector]
+    field = SampledField.random(spec.sig, dims, np.random.default_rng(24))
+    freqs = FreqGrid(tuple(d + 1 for d in dims), (-0.77,) * len(dims), (0.29,) * len(dims))
+    assert plan(spec, field, freqs).engine == "axes"
+    _assert_grid_agrees(spec, field, freqs)
+
+
+@st.composite
+def diagonal_specs(draw):
+    """Up to 4 kernels in Cl(p,q), n <= 4, each a direction squaring to a
+    negative real times a diagonal form whose entries may be zero,
+    negative or repeated (so that phase vectors repeat)."""
+    sig = draw(st.sampled_from(SIGNATURES_SMALL))
+    m = draw(st.integers(1, 3))
+    entry = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.25, -3.0])
+
+    def kernel():
+        labels = root_family(sig)
+        d = Multivector.blade(sig, draw(st.sampled_from(labels)),
+                              draw(st.sampled_from([1.0, -1.0, 0.5])))
+        a = draw(st.lists(entry, min_size=m, max_size=m))
+        return KernelMatrix.sparse(sig, m, [(j, j, d * a[j]) for j in range(m)])
+
+    count = draw(st.integers(1, 4))
+    left = draw(st.integers(0, count))
+    kernels = tuple(kernel() for _ in range(count))
+    return GftSpec(sig, m, kernels[:left], kernels[left:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(diagonal_specs(), st.integers(0, 2**32 - 1))
+def test_axes_engine_matches_direct_on_random_diagonal_specs(spec, seed):
+    rng = np.random.default_rng(seed)
+    dims = {1: (7,), 2: (4, 3), 3: (3, 2, 2)}[spec.m]
+    field = SampledField.random(spec.sig, dims, rng)
+    freqs = FreqGrid(tuple(rng.integers(1, 5, spec.m)), tuple(rng.uniform(-1.3, 0.3, spec.m)),
+                     tuple(rng.uniform(0.05, 0.9, spec.m)))
+    nonzero = any(k.tensor.any() for k in spec.left + spec.right)
+    assert plan(spec, field, freqs).engine == ("axes" if nonzero else "expansion")
+    _assert_grid_agrees(spec, field, freqs)
+
+
+def test_axes_routing_refusals():
+    sig = Signature(0, 2)
+    e1 = Multivector.blade(sig, "e1", 2 * math.pi)
+    field = SampledField.random(sig, (4, 4), np.random.default_rng(31))
+    freqs = default_freqs(field)
+    # a rank-1 kernel whose form is not diagonal stays on the expansion engine
+    skew = GftSpec(sig, 2, (KernelMatrix.sparse(sig, 2, [(0, 0, e1)]),),
+                   (KernelMatrix.sparse(sig, 2, [(0, 1, e1), (1, 1, e1)]),))
+    p = plan(skew, field, freqs)
+    assert (p.engine, p.reason) == (
+        "expansion", "left kernel 1: 1 direction, checked once; "
+        "right kernel 1: 1 direction, checked once; 4 terms; "
+        "no axes engine: right kernel 1 form not diagonal")
+    _assert_grid_agrees(skew, field, freqs)
+    # an array of frequencies keeps the expansion engine and its reason
+    quat = parse_preset("quaternionic")
+    assert (plan(quat, field, freqs.nodes()).engine, plan(quat, field, freqs.nodes()).reason) == (
+        "expansion", "left kernel 1: 1 direction, checked once; "
+        "right kernel 1: 1 direction, checked once; 4 terms")
+    assert plan(quat, field, freqs).engine == "axes"
+    # phases that overflow go to the expansion engine, which raises what
+    # the direct engine raises
+    huge = SampledField(sig, (4, 4), (0.0, 0.0), (1e200, 1e200), field.values)
+    wide = FreqGrid((3, 3), (0.0, 0.0), (1e200, 1e200))
+    p = plan(quat, huge, wide)
+    assert p.engine == "expansion"
+    assert p.reason.endswith(
+        "; no axes engine: phase bound sum_kj |a_kj| max|x_j| max|u_j| is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf phases, then NaN
+        msg = _not_imaginary_message(gft, quat, huge, wide)
+        assert msg == _not_imaginary_message(gft_direct, quat, huge, wide.nodes())
+    # u = (0, 1e200) at node x = (0, 1e200) is the first overflow
+    assert msg == "right kernel 1: sample 1 does not square to a negative real"
+
+
+def test_second_plan_builds_no_basis(monkeypatch):
+    calls = []
+    build = transform._basis
+
+    def counting(*args):
+        calls.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(transform, "_basis", counting)
+    spec = parse_preset("color_image")
+    field = SampledField.random(spec.sig, (4, 4), np.random.default_rng(33))
+    freqs = default_freqs(field)
+    first = plan(spec, field, freqs)
+    assert calls == ["left", "left", "right", "right"]
+    second = plan(spec, field, freqs.nodes())
+    assert len(calls) == 4
+    assert [b.label for b in second.bases] == [b.label for b in first.bases] == [
+        "left kernel 1", "left kernel 2", "right kernel 1", "right kernel 2"]
+    assert all(a.step is b.step for a, b in zip(first.bases, second.bases))
