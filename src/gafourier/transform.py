@@ -18,7 +18,9 @@ frequencies) run one of three engines, chosen per call by `plan`:
   contracted one axis at a time.  Only patterns with sigma_1 = +1 are
   summed (E_{-c} is the conjugate of E_c), equal phase vectors once, and
   the sums are recombined into the cos/sin weights one kernel at a time
-  before the expansion engine's constant maps.
+  before the expansion engine's constant maps.  It runs in tiles of the
+  frequency grid whose working set stays within 2 MiB or the size of the
+  field plus the spectrum, whichever is larger.
 * expansion: every kernel gets a basis.  A kernel that is exactly a real
   bilinear form times one constant direction j with j^2 = -1 (checked
   once) has e^{-f} = cos(s) - j sin(s) of a real phase s; any other
@@ -61,6 +63,7 @@ frequency.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -106,8 +109,10 @@ _FACTOR_ULPS = 4
 # terms, hold at most this many values (128 KiB), or one frequency's
 # worth on larger grids.  Larger blocks raise peak RSS and gain no speed.
 _BLOCK = 1 << 14
-# The axes engine's intermediates for one chunk of frequency rows hold
-# about this many values (2 MiB), or one row's worth on larger grids.
+# The axes engine's working set for one tile of the frequency grid
+# (`_axes_values`) stays within this many values (2 MiB) or the size of
+# the field plus the spectrum, whichever is larger, unless a single
+# frequency needs more.
 _AXES_BLOCK = 1 << 18
 # (-i)^p for p = 0..3
 _UNITS = np.array([1.0, -1.0j, -1.0, 1.0j])
@@ -362,8 +367,7 @@ class _Basis:
 
     A rank-1 kernel has one basis element, a unit direction j with
     j^2 = -1 (checked once), and `step`, the dense row-form map of
-    x -> (-j) x on the left or x (-j) on the right; `axes` is the diagonal
-    of its form when the form is diagonal.  Any other kernel has
+    x -> (-j) x on the left or x (-j) on the right.  Any other kernel has
     its nonzero blades e_i, checked per sample: the map of blade i is the
     signed permutation out[:, k] = sign[i, k] * x[:, gather[i, k]], and
     `pairs` = (a, b, q) gives the non-scalar part of f^2 as q @ (s_a s_b)
@@ -374,7 +378,6 @@ class _Basis:
     label: str
     forms: np.ndarray                   # (r, m, m)
     step: np.ndarray | None = None      # (2^n, 2^n), rank 1 only
-    axes: np.ndarray | None = None      # (m,), rank 1 with a diagonal form only
     gather: np.ndarray | None = None    # (r, 2^n)
     sign: np.ndarray | None = None      # (r, 2^n)
     squares: np.ndarray | None = None   # (r,) blade squares e_i^2
@@ -424,10 +427,16 @@ class _Basis:
 
 def _kernel_basis(kern: KernelMatrix, side: str) -> _Basis | None:
     """The basis of `kern` on one side, built once per kernel and side
-    and kept in the kernel's memo; the label is left empty."""
+    and kept in the kernel's memo, read-only as every `Plan` shares it;
+    the label is left empty."""
     memo = kern._bases
     if side not in memo:
-        memo[side] = _basis(kern.sig, side, kern.tensor)
+        b = _basis(kern.sig, side, kern.tensor)
+        if b is not None:
+            for v in (b.forms, b.step, b.gather, b.sign, b.squares, *(b.pairs or ())):
+                if v is not None:
+                    v.setflags(write=False)
+        memo[side] = b
     return memo[side]
 
 
@@ -453,10 +462,7 @@ def _basis(sig: Signature, side: str, tensor: np.ndarray) -> _Basis | None:
             j = -d / rho
             eye = np.eye(sig.dim)
             step = gp_many(sig, j, eye) if side == "left" else gp_many(sig, eye, j)
-            form = (s * rho).reshape(m, m)
-            diag = np.diagonal(form)
-            axes = diag.copy() if np.array_equal(form, np.diag(diag)) else None
-            return _Basis(side, "", form[None], step=step, axes=axes)
+            return _Basis(side, "", (s * rho).reshape(1, m, m), step=step)
     blades = np.flatnonzero(np.abs(t).max(axis=0))
     col = blades[:, None]
     gather = np.arange(sig.dim) ^ col
@@ -534,9 +540,9 @@ def _axes_refusal(
 ) -> str | None:
     """Why the one-direction `bases` cannot run on the axes engine, or None."""
     for b in bases:
-        if b.axes is None:
+        if np.count_nonzero(b.forms[0]) > np.count_nonzero(np.diagonal(b.forms[0])):
             return f"{b.label} form not diagonal"
-    a = np.abs([b.axes for b in bases]).sum(axis=0)
+    a = np.abs([np.diagonal(b.forms[0]) for b in bases]).sum(axis=0)
     # every phase c_j u_j x_j the engine forms is at most (a_j U_j) X_j
     with np.errstate(over="ignore"):
         bound = ((a * _axis_max(freqs)) * _axis_max(field)).sum()
@@ -632,6 +638,41 @@ def _sign_patterns(k: int) -> np.ndarray:
     return np.hstack((np.ones((len(bits), 1)), 1.0 - 2.0 * bits))
 
 
+def _axes_values(
+    tile: Sequence[int], dims: Sequence[int], keys: int, k: int, dim: int
+) -> int:
+    """Float64 values the axes engine holds at once for one tile of
+    `tile` frequencies per axis: a field of extents `dims` with `dim`
+    blade coefficients, `keys` distinct phase vectors and k kernels."""
+    count = math.prod(tile)
+    # complex intermediate after contracting x_1..x_j (j = 1..m), one key
+    steps = [math.prod(tile[:j]) * math.prod(dims[j:]) * dim
+             for j in range(1, len(dims) + 1)]
+    return (3 * keys * dims[0] * tile[0]  # first-axis phases, cos and sin
+            + 3 * keys * sum(d * r for d, r in zip(dims[1:], tile[1:]))  # later axes
+            + 2 * keys * steps[0]  # first-axis sums of every key
+            + 6 * max(steps)  # one later axis: input, its copy, output
+            + (2 * keys + 3 * (1 << k)) * count * dim)  # sums, terms, folds
+
+
+def _axes_tile(dims: Sequence[int], fdims: Sequence[int], keys: int, k: int,
+               dim: int) -> list[int]:
+    """Extents of the frequency tiles: the whole grid, halved along the
+    first axis, then the next, until `_axes_values` is within
+    max(`_AXES_BLOCK`, field values + spectrum values) or the tile is
+    one frequency.  Later axes are split only when a row of the first
+    axis does not fit, since their phase tables are then rebuilt for
+    every tile of the first axis."""
+    budget = max(_AXES_BLOCK, (math.prod(dims) + math.prod(fdims)) * dim)
+    tile, j = list(fdims), 0
+    while j < len(tile) and _axes_values(tile, dims, keys, k, dim) > budget:
+        if tile[j] == 1:
+            j += 1
+        else:
+            tile[j] = (tile[j] + 1) // 2
+    return tile
+
+
 def _gft_axes(p: Plan, field: SampledField, freqs: FreqGrid) -> np.ndarray:
     """Transform on a frequency grid, one axis at a time.
 
@@ -643,19 +684,21 @@ def _gft_axes(p: Plan, field: SampledField, freqs: FreqGrid) -> np.ndarray:
         E_c(u) = sum_x e^{i sum_j c_j x_j u_j} B(x),
 
     over all sign patterns sigma, or 2 Re of the sum over those with
-    sigma_1 = +1, since E_{-c} = conj E_c.  Per chunk of rows of the
-    first frequency axis, each distinct phase vector up to sign is
+    sigma_1 = +1, since E_{-c} = conj E_c.  Per tile of the frequency
+    grid (`_axes_tile`), each distinct phase vector up to sign is
     contracted axis by axis (the first axis as one real GEMM of B against
-    cos and sin, the others as complex GEMMs).  M = D H / 2 with
-    D = diag(1, -i) and H the 2x2 Hadamard matrix, so the map to terms is
-    one butterfly per kernel, then one unit (-i)^(sin count) per term
-    and a power of 1/2 at the end.  The terms go through the expansion
-    engine's folds.
+    cos and sin, the others as complex GEMMs); a tile reuses the first
+    axis's sums and the per-axis phase tables of the tile before it when
+    its range on that axis is the same.  M = D H / 2 with D = diag(1, -i)
+    and H the 2x2 Hadamard matrix, so the map to terms is one butterfly
+    per kernel, then one unit (-i)^(sin count) per term and a power of
+    1/2 at the end.  The terms go through the expansion engine's folds.
     """
     dim, dims, fdims = field.sig.dim, field.dims, freqs.dims
     order = _fold_order(p.bases)
     k = len(order)
-    c = _sign_patterns(k) @ np.array([b.axes for b in order]).reshape(k, field.m)
+    a = np.array([np.diagonal(b.forms[0]) for b in order])
+    c = _sign_patterns(k) @ a
     # one representative per phase vector up to sign: first nonzero > 0
     first = np.take_along_axis(c, (c != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
     conj = first < 0
@@ -665,28 +708,36 @@ def _gft_axes(p: Plan, field: SampledField, freqs: FreqGrid) -> np.ndarray:
     keys = np.array(list(index)).reshape(len(index), field.m)
     xs = [_axis_coords(field, j) for j in range(field.m)]
     us = [_axis_coords(freqs, j) for j in range(field.m)]
-    later = [[np.exp(1j * np.multiply.outer(key[j] * us[j], xs[j])).T
-              for j in range(1, field.m)] for key in keys]
     b0 = field.values.reshape(dims[0], -1).T  # (rest of x and blades, d_1)
-    per_row = freqs.node_count // fdims[0]
-    # values per row of u_1: the complex sums and terms, and the first GEMM
-    width = ((1 << k) + 2 * len(keys)) * per_row * dim + 2 * len(keys) * len(b0)
-    rows = max(1, _AXES_BLOCK // width)
-    out = np.empty((freqs.node_count, dim))
-    for lo in range(0, fdims[0], rows):
-        u0 = us[0][lo:lo + rows]
-        count = len(u0) * per_row
-        theta = np.multiply.outer(xs[0], np.multiply.outer(keys[:, 0], u0))
-        cs = np.empty(theta.shape + (2,))  # (d_1, D, R, cos/sin)
-        np.cos(theta, out=cs[..., 0])
-        np.sin(theta, out=cs[..., 1])
-        t = (b0 @ cs.reshape(dims[0], -1)).view(complex)
-        t = t.reshape(len(b0), len(keys), len(u0))
+    tile = _axes_tile(dims, fdims, len(keys), k, dim)
+    out = np.empty(fdims + (dim,))
+    held: dict[int, tuple[int, np.ndarray]] = {}  # axis -> (tile start, table)
+    for starts in itertools.product(*(range(0, f, r) for f, r in zip(fdims, tile))):
+        u = [us[j][lo:lo + r] for j, (lo, r) in enumerate(zip(starts, tile))]
+        count = math.prod(map(len, u))
+        if held.get(0, (None,))[0] != starts[0]:
+            held.pop(0, None)
+            theta = np.multiply.outer(xs[0], np.multiply.outer(keys[:, 0], u[0]))
+            cs = np.empty(theta.shape + (2,))  # (d_1, D, R_1, cos/sin)
+            np.cos(theta, out=cs[..., 0])
+            np.sin(theta, out=cs[..., 1])
+            t = (b0 @ cs.reshape(dims[0], -1)).view(complex)
+            held[0] = (starts[0], t.reshape(len(b0), len(keys), len(u[0])))
+            del theta, cs, t
+        for j in range(1, field.m):
+            if held.get(j, (None,))[0] != starts[j]:
+                held.pop(j, None)
+                theta = np.multiply.outer(keys[:, j], u[j])[:, None] * xs[j][:, None]
+                table = np.empty(theta.shape, dtype=complex)  # (D, d_j, R_j)
+                np.cos(theta, out=table.real)
+                np.sin(theta, out=table.imag)
+                held[j] = (starts[j], table)
+                del theta, table
         e = np.empty((len(keys), count, dim), dtype=complex)
-        for i, mats in enumerate(later):
-            s = t[:, i]  # axes 2..m of x, blades, rows of u_1
-            for j, mat in enumerate(mats, start=1):
-                s = s.reshape(dims[j], -1).T @ mat  # ..., blades, rows, u_2..u_j
+        for i in range(len(keys)):
+            s = held[0][1][:, i]  # axes 2..m of x, blades, u_1
+            for j in range(1, field.m):
+                s = s.reshape(dims[j], -1).T @ held[j][1][i]  # ..., blades, u_1..u_j
             e[i] = s.reshape(dim, count).T
         z = e[which]
         np.conjugate(z, out=z, where=conj[:, None, None])
@@ -701,8 +752,9 @@ def _gft_axes(p: Plan, field: SampledField, freqs: FreqGrid) -> np.ndarray:
         y = np.concatenate((z.real, z.imag))
         for b in order:
             y = b.fold(y.reshape(b.terms, -1, count, dim))
-        out[lo * per_row:lo * per_row + count] = y[0]
-    return out * (field.cell_volume * 0.5 ** (k - 1))
+        out[tuple(slice(lo, lo + len(v)) for lo, v in zip(starts, u))] = (
+            y[0].reshape(tuple(map(len, u)) + (dim,)))
+    return out.reshape(-1, dim) * (field.cell_volume * 0.5 ** (k - 1))
 
 
 def _gft_nodes(

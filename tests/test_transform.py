@@ -476,15 +476,86 @@ def test_axes_engine_matches_direct_on_presets(selector):
         _assert_grid_agrees(spec, field, freqs)
 
 
-@pytest.mark.parametrize("selector", ["buelow:3", "color_image"])
-def test_axes_engine_chunks_of_one_frequency_row(selector, monkeypatch):
-    monkeypatch.setattr(transform, "_AXES_BLOCK", 1)
+@pytest.mark.parametrize("selector, tile", [
+    ("buelow:3", (1, 1, 1)), ("buelow:3", (2, 5, 3)), ("buelow:3", (5, 2, 5)),
+    ("color_image", (1, 1)), ("color_image", (5, 2)), ("color_image", (2, 4)),
+])
+def test_axes_engine_tiles(selector, tile, monkeypatch):
+    # single frequencies, and uneven tiles split along the first axis,
+    # later axes or both (the last tile on an axis is shorter)
+    monkeypatch.setattr(transform, "_axes_tile", lambda *args: list(tile))
     spec = parse_preset(selector)
     dims = AXES_PRESETS[selector]
     field = SampledField.random(spec.sig, dims, np.random.default_rng(24))
     freqs = FreqGrid(tuple(d + 1 for d in dims), (-0.77,) * len(dims), (0.29,) * len(dims))
     assert plan(spec, field, freqs).engine == "axes"
     _assert_grid_agrees(spec, field, freqs)
+
+
+@pytest.mark.parametrize("selector, dims, fdims", [
+    ("buelow:1", (2048,), None),  # long first axis: its phase table is d_1 x M_1
+    ("quaternionic", (1024, 2), None),
+    ("quaternionic", (2, 1024), None),  # long later axis: its table is d_2 x M_2
+    # M_2 > d_2 and d_3 > M_3: contracting x_2 first grows the intermediate
+    ("clifford:3", (2, 2, 512), (2, 512, 2)),
+])
+def test_axes_engine_peak_memory(selector, dims, fdims):
+    import tracemalloc
+
+    spec = parse_preset(selector)
+    field = SampledField.random(spec.sig, dims, np.random.default_rng(25))
+    freqs = default_freqs(field)
+    if fdims is not None:
+        freqs = FreqGrid(fdims, (-0.5,) * len(dims), (0.013,) * len(dims))
+    assert plan(spec, field, freqs).engine == "axes"
+    tracemalloc.start()
+    try:
+        values = gft(spec, field, freqs).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the working set, the spectrum and its scaled copy, and small objects
+    budget = max(transform._AXES_BLOCK, field.values.size + values.size)
+    assert peak <= 8 * budget + 2 * values.nbytes + (1 << 16), peak
+    some = np.random.default_rng(26).integers(freqs.node_count, size=4)
+    ref = gft_direct(spec, field, freqs.nodes()[some])
+    err = np.linalg.norm(values[some] - ref, axis=1)
+    assert (err <= 1e-12 * np.maximum(1.0, np.linalg.norm(ref, axis=1))).all()
+
+
+@pytest.mark.parametrize("selector", ["buelow:1", "clifford:3", "color_image"])
+def test_axes_tile_bounds_the_traced_working_set(selector, monkeypatch):
+    # `_axes_values` of the chosen tile covers what the engine allocates
+    import tracemalloc
+
+    spec = parse_preset(selector)
+    rng = np.random.default_rng(27)
+    tiles = []
+    choose = transform._axes_tile
+
+    def chosen(*args):
+        tiles.append((choose(*args), args))
+        return tiles[-1][0]
+
+    monkeypatch.setattr(transform, "_axes_tile", chosen)
+    hi = 200 if spec.m == 1 else 12
+    for block in (1 << 10, 1 << 13, 1 << 16):
+        monkeypatch.setattr(transform, "_AXES_BLOCK", block)
+        for _ in range(3):
+            dims = tuple(int(v) for v in rng.integers(1, hi, spec.m))
+            fdims = tuple(int(v) for v in rng.integers(1, hi, spec.m))
+            field = SampledField.random(spec.sig, dims, rng)
+            freqs = FreqGrid(fdims, (-0.5,) * spec.m, (0.07,) * spec.m)
+            gft(spec, field, freqs)  # builds the bases outside the trace
+            tracemalloc.start()
+            try:
+                values = gft(spec, field, freqs).values
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            tile, (dims_, _, keys, k, dim) = tiles[-1]
+            counted = 8 * transform._axes_values(tile, dims_, keys, k, dim)
+            assert peak <= counted + 2 * values.nbytes + (1 << 16), (dims, fdims, tile)
 
 
 @st.composite
@@ -576,3 +647,20 @@ def test_second_plan_builds_no_basis(monkeypatch):
     assert [b.label for b in second.bases] == [b.label for b in first.bases] == [
         "left kernel 1", "left kernel 2", "right kernel 1", "right kernel 2"]
     assert all(a.step is b.step for a, b in zip(first.bases, second.bases))
+
+
+def test_plan_bases_are_read_only():
+    # every plan of a kernel shares its memoised basis arrays
+    sig = Signature(3, 0)
+    blades = KernelMatrix.sparse(sig, 2, [(0, 0, Multivector.blade(sig, "e1")),
+                                          (1, 1, Multivector.blade(sig, "e12"))])
+    direction = KernelMatrix.sparse(sig, 2, [(0, 0, Multivector.blade(sig, "e123"))])
+    spec = GftSpec(sig, 2, (direction,), (blades,))
+    field = SampledField.random(sig, (3, 3), np.random.default_rng(34))
+    bases = plan(spec, field, default_freqs(field)).bases
+    arrays = [v for b in bases for v in (b.forms, b.step, b.gather, b.sign, b.squares,
+                                         *(b.pairs or ())) if v is not None]
+    assert len(arrays) == 2 + 4 + 3
+    for v in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            v[(0,) * v.ndim] = 1
