@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable, Iterator, Sequence
 
@@ -226,6 +227,8 @@ def _verify_lines(args: argparse.Namespace) -> Iterator[tuple[str, bool]]:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.size < 2:
         raise ValueError("--size must be at least 2")
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and non-negative, got {args.tol}")
     failed = False
     for line, bad in _verify_lines(args):
         print(line)

@@ -14,8 +14,9 @@ test to one multivector.
 real", with one contract: f passes iff the L2 norm of the non-scalar
 part of f^2 and the scalar part of f^2 are both at most
 STRUCTURAL_TOL * max(1, |f|^2).  Zero passes, NaN fails.  `exp_imag`,
-`exp_neg_many`, both transform engines, `kernels.validate_spec` and the
-splits of `commsplit` all call it, so they give the same verdict.
+`exp_neg_many`, the transform engines, the kernel factorization of
+`kernels` and the splits of `commsplit` all call it, so they give the
+same verdict.
 """
 
 from __future__ import annotations

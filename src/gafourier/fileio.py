@@ -373,13 +373,11 @@ def write_kernels(path: str | Path, spec: GftSpec) -> None:
     for side, kernels in (("left", spec.left), ("right", spec.right)):
         for kern in kernels:
             lines.append(f"kernel {side}")
-            for r, row in enumerate(kern.entries):
-                for c, entry in enumerate(row):
-                    if entry.magnitude() != 0.0:
-                        lines.append(
-                            f"entry {r + 1} {c + 1} "
-                            f"{format_multivector_expr(entry)}"
-                        )
+            for r, c in zip(*np.nonzero(kern.tensor.any(axis=2))):
+                entry = Multivector(spec.sig, kern.tensor[r, c])
+                lines.append(
+                    f"entry {r + 1} {c + 1} {format_multivector_expr(entry)}"
+                )
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

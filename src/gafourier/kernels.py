@@ -1,25 +1,48 @@
 """Bilinear exponent kernels and the built-in transform presets.
 
-A kernel is a bilinear map f(x,u) = sum_{j,l} x_j u_l M[j][l] from pairs of
-real m-vectors into the algebra, stored as the m x m matrix of multivector
-coefficients M.  A transform configuration is an ordered list of left
-kernels and an ordered list of right kernels over one signature.  Kernel
-values must square to negative reals (or vanish) wherever they are
-evaluated; `validate_spec` checks that pointwise on samples rather than
-structurally, with `exponential.not_imaginary`, the test the transform
-engines apply.
+A kernel is a bilinear map f(x,u) = sum_{j,l} x_j u_l T[j, l] from pairs of
+real m-vectors into the algebra, held as the (m, m, 2**n) tensor T of its
+multivector coefficients.  A transform configuration is an ordered list of
+left kernels and an ordered list of right kernels over one signature.
+Kernel values must square to negative reals (or vanish) wherever they are
+evaluated; the transform engines check that with
+`exponential.not_imaginary`.
+
+Every kernel is factored once, by one rule, which decides both which
+transform engine can run and which identities apply:
+
+* zero: T = 0;
+* one direction: T is S (x) d for a real m x m matrix S and a constant d
+  up to _FACTOR_ULPS ulps of max|T| in every entry, and d passes
+  `not_imaginary` with <d^2>_0 < 0.  The kernel is s(x,u) j with the real
+  phase s = x^T (rho S) u and j = d / rho, j^2 = -1, rho^2 = -<d^2>_0.
+  Then f^2 = s^2 d^2 and |d| >= 1, so checking d once is at least as
+  strict as checking every sample;
+* blades: any other kernel, sum_i s_i(x,u) e_i over its nonzero blades,
+  checked per sample.
+
+Only a direction kernel lets constants be pulled through its
+exponentials, so the product and shift theorems need every kernel on a
+side to be zero or one direction (`side_directions`, `is_separable`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, Signature, pseudoscalar
+from .algebra import (
+    Multivector,
+    Signature,
+    blade_signs,
+    gp_many,
+    pseudoscalar,
+    square_scalar_signs,
+)
 from .exponential import check_square
 
 __all__ = [
@@ -27,19 +50,21 @@ __all__ = [
     "GftSpec",
     "UnsupportedSignature",
     "NotSeparable",
-    "ValidationReport",
-    "Violation",
     "PRESET_NAMES",
     "VERIFY_PRESETS",
     "preset",
     "parse_preset",
     "negate",
-    "validate_spec",
     "is_separable",
     "side_directions",
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# A kernel tensor T counts as S (x) d when no entry of S (x) d is further
+# than this many ulps of max|T| from T; a looser test would break the
+# 1e-12 agreement of the transform engines with the direct sum.
+_FACTOR_ULPS = 4
 
 PRESET_NAMES = (
     "clifford",
@@ -75,27 +100,33 @@ class NotSeparable(ValueError):
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """One bilinear kernel, as the matrix of its basis-pair values."""
+    """One bilinear kernel f(x,u) = sum_{j,l} x_j u_l T[j, l], held as its
+    read-only (m, m, 2**n) coefficient tensor T."""
 
     sig: Signature
-    entries: tuple[tuple[Multivector, ...], ...]
+    tensor: np.ndarray
 
     def __post_init__(self) -> None:
-        m = len(self.entries)
-        if m == 0:
+        t = np.array(self.tensor, dtype=float)
+        if t.ndim != 3 or t.shape[0] == 0:
             raise ValueError("kernel matrix must have at least one row")
-        for row in self.entries:
-            if len(row) != m:
-                raise ValueError("kernel matrix must be square")
-            for e in row:
-                if e.sig != self.sig:
-                    raise ValueError("entry signature mismatch")
-                if not np.isfinite(e.coeffs).all():
-                    raise ValueError("kernel entries must be finite")
+        if t.shape[1] != t.shape[0]:
+            raise ValueError("kernel matrix must be square")
+        if t.shape[2] != self.sig.dim:
+            raise ValueError("entry signature mismatch")
+        if not np.isfinite(t).all():
+            raise ValueError("kernel entries must be finite")
+        t.setflags(write=False)
+        object.__setattr__(self, "tensor", t)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KernelMatrix):
+            return NotImplemented
+        return self.sig == other.sig and np.array_equal(self.tensor, other.tensor)
 
     @property
     def m(self) -> int:
-        return len(self.entries)
+        return self.tensor.shape[0]
 
     @classmethod
     def sparse(
@@ -105,29 +136,20 @@ class KernelMatrix:
         triples: Iterable[tuple[int, int, Multivector]],
     ) -> "KernelMatrix":
         """Build from 0-based (row, col, value) triples, zeros elsewhere."""
-        rows = [[Multivector.zero(sig) for _ in range(m)] for _ in range(m)]
+        t = np.zeros((m, m, sig.dim))
         for r, c, v in triples:
             if not (0 <= r < m and 0 <= c < m):
                 raise ValueError(f"entry ({r}, {c}) outside {m}x{m} matrix")
-            rows[r][c] = rows[r][c] + v
-        return cls(sig, tuple(tuple(row) for row in rows))
+            if v.sig != sig:
+                raise ValueError("entry signature mismatch")
+            t[r, c] += v.coeffs
+        return cls(sig, t)
 
     @cached_property
-    def tensor(self) -> np.ndarray:
-        """(m, m, 2**n) coefficient stack of the entries; read-only."""
-        t = np.empty((self.m, self.m, self.sig.dim))
-        for r, row in enumerate(self.entries):
-            for c, e in enumerate(row):
-                t[r, c] = e.coeffs
-        t.setflags(write=False)
-        return t
-
-    @cached_property
-    def _bases(self) -> dict[str, object]:
-        """Memo of the transform engines' factorization of this kernel,
-        one entry per side ("left"/"right"), filled by `transform.plan`
-        on first use; the kernel is immutable, so it never goes stale."""
-        return {}
+    def factors(self) -> Factors | None:
+        """This kernel's factorization under the rule above, built on
+        first use; None for a zero kernel."""
+        return _factor(self.sig, self.tensor)
 
     def eval(self, x: Sequence[float], u: Sequence[float]) -> Multivector:
         xa = np.asarray(x, dtype=float)
@@ -145,30 +167,101 @@ class KernelMatrix:
         )
 
     def scaled(self, factor: float) -> "KernelMatrix":
-        return KernelMatrix(
-            self.sig,
-            tuple(tuple(e * factor for e in row) for row in self.entries),
-        )
+        """The kernel times a real factor.  For a nonzero factor the
+        result takes this kernel's factorization with its forms scaled,
+        so a sign flip is never factored again."""
+        out = KernelMatrix(self.sig, self.tensor * factor)
+        if factor != 0.0:
+            f = self.factors
+            out.__dict__["factors"] = None if f is None else f.scaled(factor)
+        return out
 
-    def direction(self, tol: float = 1e-10) -> Multivector | None:
-        """Common unit direction of all nonzero entries, if one exists.
 
-        Returns the zero multivector for an identically zero kernel and
-        None when the entries are not all real multiples of one element.
+@dataclass(frozen=True, eq=False)
+class Factors:
+    """A nonzero kernel written as f(x,u) = sum_i (x^T forms[i] u) e_i.
+
+    A direction kernel has one basis element, `direction` = j with
+    j^2 = -1, so e^{-f} = cos(s) - j sin(s) for the real phase s.  Any
+    other kernel has its nonzero `blades` as the e_i.  The transform
+    engines' constant maps for each side are built by `maps` on first
+    use and shared with every scaled copy.
+    """
+
+    sig: Signature
+    forms: np.ndarray                 # (r, m, m)
+    direction: np.ndarray | None      # (2^n,) j, direction kernels only
+    blades: np.ndarray | None         # (r,) blade indices, otherwise
+    _maps: dict[str, dict[str, object]] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        for v in (self.forms, self.direction, self.blades):
+            if v is not None:
+                v.setflags(write=False)
+
+    def scaled(self, factor: float) -> Factors:
+        return replace(self, forms=self.forms * factor)
+
+    def maps(self, side: str) -> dict[str, object]:
+        """The engines' read-only constant maps on one side, by name.
+
+        A direction has `step`, the dense row-form map of x -> (-j) x on
+        the left or x (-j) on the right.  Blades have the signed
+        permutations out[:, k] = sign[i, k] * x[:, gather[i, k]] of
+        x -> -e_i x (or x (-e_i)), the blade squares `squares`, and
+        `pairs` = (a, b, q), which gives the non-scalar part of f^2 as
+        q @ (s_a s_b) over the commuting blade pairs a < b.
         """
-        flat = [e for row in self.entries for e in row]
-        mags = [e.magnitude() for e in flat]
-        best = max(range(len(flat)), key=lambda i: mags[i])
-        if mags[best] == 0.0:
-            return Multivector.zero(self.sig)
-        d = flat[best] / mags[best]
-        for e, mag in zip(flat, mags):
-            if mag == 0.0:
-                continue
-            c = float(np.dot(e.coeffs, d.coeffs))
-            if (e - d * c).magnitude() > tol * max(1.0, mag):
-                return None
-        return d
+        if side not in self._maps:
+            self._maps[side] = _side_maps(self, side)
+        return self._maps[side]
+
+
+def _factor(sig: Signature, tensor: np.ndarray) -> Factors | None:
+    """Factorization of one kernel tensor (m, m, 2^n); None when zero."""
+    m = tensor.shape[0]
+    t = tensor.reshape(-1, sig.dim)
+    top = np.abs(t).max()
+    if top == 0.0:
+        return None
+    d = t[np.argmax((t * t).sum(axis=1))] / top
+    s = t @ d / (d @ d)
+    if np.abs(t - np.outer(s, d)).max() <= _FACTOR_ULPS * np.spacing(top):
+        fails, sq = check_square(Multivector(sig, d))
+        if not fails and sq.scalar_part() < 0.0:
+            rho = math.sqrt(-sq.scalar_part())
+            return Factors(sig, (s * rho).reshape(1, m, m), d / rho, None)
+    blades = np.flatnonzero(np.abs(t).max(axis=0))
+    return Factors(sig, t[:, blades].T.reshape(-1, m, m), None, blades)
+
+
+def _side_maps(f: Factors, side: str) -> dict[str, object]:
+    sig = f.sig
+    if f.direction is not None:
+        eye = np.eye(sig.dim)
+        step = gp_many(sig, -f.direction, eye) if side == "left" else gp_many(
+            sig, eye, -f.direction)
+        maps = {"step": step}
+    else:
+        blades = f.blades
+        col = blades[:, None]
+        gather = np.arange(sig.dim) ^ col
+        sign = -(blade_signs(sig, col, gather) if side == "left"
+                 else blade_signs(sig, gather, col))
+        a, b = np.triu_indices(len(blades), 1)
+        ab = blade_signs(sig, blades[a], blades[b])
+        commute = ab == blade_signs(sig, blades[b], blades[a])
+        a, b, ab = a[commute], b[commute], ab[commute]
+        # e_a e_b + e_b e_a = 2 sign(a, b) e_{a^b} for a commuting pair
+        targets, row = np.unique(blades[a] ^ blades[b], return_inverse=True)
+        q = np.zeros((len(targets), len(a)))
+        q[row, np.arange(len(a))] = 2.0 * ab
+        maps = {"gather": gather, "sign": sign,
+                "squares": square_scalar_signs(sig)[blades], "pairs": (a, b, q)}
+    for v in maps.values():
+        for w in v if isinstance(v, tuple) else (v,):
+            w.setflags(write=False)
+    return maps
 
 
 @dataclass(frozen=True)
@@ -358,60 +451,6 @@ def negate(
     return GftSpec(spec.sig, spec.m, left, right)
 
 
-@dataclass(frozen=True)
-class Violation:
-    side: str
-    kernel: int  # 1-based position within its side
-    sample: int
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        if self.ok:
-            return "all kernel values square to negative reals or vanish"
-        lines = [f"{len(self.violations)} kernel value violation(s):"]
-        for v in self.violations[:10]:
-            lines.append(
-                f"  {v.side} kernel {v.kernel}, sample {v.sample}: {v.message}"
-            )
-        if len(self.violations) > 10:
-            lines.append(f"  ... and {len(self.violations) - 10} more")
-        return "\n".join(lines)
-
-
-def validate_spec(
-    spec: GftSpec,
-    samples: Sequence[tuple[Sequence[float], Sequence[float]]],
-) -> ValidationReport:
-    """Check every kernel value on the samples with `not_imaginary`; a
-    sample is reported iff a validated transform would raise on it."""
-    found: list[Violation] = []
-    for side, kernels in (("left", spec.left), ("right", spec.right)):
-        for pos, kern in enumerate(kernels, start=1):
-            for si, (x, u) in enumerate(samples):
-                v = kern.eval(x, u)
-                fails, sq = check_square(v)
-                if not fails:
-                    continue
-                found.append(
-                    Violation(
-                        side,
-                        pos,
-                        si,
-                        f"value {v!r} squares to {sq!r}, not a negative real",
-                    )
-                )
-    return ValidationReport(tuple(found))
-
-
 def _side_kernels(spec: GftSpec, side: str) -> tuple[KernelMatrix, ...]:
     if side == "left":
         return spec.left
@@ -421,25 +460,28 @@ def _side_kernels(spec: GftSpec, side: str) -> tuple[KernelMatrix, ...]:
 
 
 def side_directions(spec: GftSpec, side: str) -> tuple[Multivector, ...]:
-    """Constant unit direction of each kernel on one side.
+    """Constant direction of each kernel on one side, scaled to unit
+    magnitude; zero for a zero kernel.
 
-    Raises NotSeparable when some kernel's entries do not share a single
-    direction (so constants cannot be pulled through its exponentials).
+    Raises NotSeparable when some kernel is not one direction (so
+    constants cannot be pulled through its exponentials).
     """
     dirs = []
     for pos, kern in enumerate(_side_kernels(spec, side), start=1):
-        d = kern.direction()
-        if d is None:
+        f = kern.factors
+        if f is None:
+            dirs.append(Multivector.zero(spec.sig))
+        elif f.direction is None:
             raise NotSeparable(
                 f"{side} kernel {pos} has no single constant direction"
             )
-        dirs.append(d)
+        else:
+            dirs.append(Multivector(spec.sig, f.direction / np.linalg.norm(f.direction)))
     return tuple(dirs)
 
 
 def is_separable(spec: GftSpec, side: str) -> bool:
-    """Structural separability: every kernel on the side factors as a real
-    function times one constant direction."""
+    """Every kernel on the side is zero or one direction."""
     try:
         side_directions(spec, side)
     except NotSeparable:

@@ -21,10 +21,10 @@ frequencies) run one of three engines, chosen per call by `plan`:
   before the expansion engine's constant maps.  It runs in tiles of the
   frequency grid whose working set stays within 2 MiB or the size of the
   field plus the spectrum, whichever is larger.
-* expansion: every kernel gets a basis.  A kernel that is exactly a real
-  bilinear form times one constant direction j with j^2 = -1 (checked
-  once) has e^{-f} = cos(s) - j sin(s) of a real phase s; any other
-  kernel is sum_i s_i e_i over its nonzero blades, with
+* expansion: every kernel gets a basis from its factorization, the one
+  rule stated in `kernels`.  A direction kernel s j (j^2 = -1, checked
+  once) has e^{-f} = cos(s) - j sin(s) of a real phase s; a blade kernel
+  is sum_i s_i e_i over its nonzero blades, with
   e^{-f} = cos(rho) - sum_i s_i sin(rho)/rho e_i, rho^2 = -<f^2>_0.  The
   two-sided product then expands into prod(1 + r_k) real GEMMs over
   those weight blocks (r_k basis elements of kernel k), followed by
@@ -34,8 +34,8 @@ frequencies) run one of three engines, chosen per call by `plan`:
   at every node, two-sided products, and a sum over nodes.  It handles
   every spec and is the reference the other engines are tested against.
 
-Routing: a grid of frequencies whose nonzero kernels (at least one) all
-have the one-direction basis goes to the axes engine when each of those
+Routing: a grid of frequencies whose nonzero kernels (at least one) are
+all direction kernels goes to the axes engine when each of those
 forms is diagonal and the phase bound sum_kj |a_kj| max|x_j| max|u_j| is
 finite; otherwise its reason ends in "no axes engine: " and the first
 condition that failed ("right kernel 1 form not diagonal", or the phase
@@ -65,26 +65,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import (
-    Multivector,
-    Signature,
-    blade_signs,
-    gp_many,
-    square_scalar_signs,
-)
-from .exponential import (
-    NotImaginary,
-    check_square,
-    cos_sinc,
-    exp_neg_many,
-    not_imaginary,
-)
-from .kernels import GftSpec, KernelMatrix
+from .algebra import Multivector, Signature, gp_many
+from .exponential import NotImaginary, cos_sinc, exp_neg_many, not_imaginary
+from .kernels import GftSpec
 
 __all__ = [
     "FreqGrid",
@@ -101,10 +89,6 @@ __all__ = [
     "row_magnitudes",
 ]
 
-# A kernel tensor T counts as S (x) d when no entry of S (x) d is further
-# than this many ulps of max|T| from T; a looser test would break the
-# 1e-12 agreement with the direct engine.
-_FACTOR_ULPS = 4
 # The expansion engine's weights for one frequency chunk, over all
 # terms, hold at most this many values (128 KiB), or one frequency's
 # worth on larger grids.  Larger blocks raise peak RSS and gain no speed.
@@ -262,21 +246,6 @@ class SampledField:
         origin = tuple(-(d // 2) * 1.0 for d in dims)
         return cls(sig, dims, origin, (1.0,) * len(dims), vals)
 
-    @classmethod
-    def from_multivectors(
-        cls,
-        dims: Sequence[int],
-        origin: Sequence[float],
-        spacing: Sequence[float],
-        data: Iterable[Multivector],
-    ) -> "SampledField":
-        items = list(data)
-        if not items:
-            raise ValueError("need at least one multivector")
-        sig = items[0].sig
-        rows = np.stack([mv.coeffs for mv in items])
-        return cls(sig, tuple(dims), tuple(origin), tuple(spacing), rows)
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -363,21 +332,15 @@ def gft_direct(
 
 @dataclass(frozen=True)
 class _Basis:
-    """One nonzero kernel written as f(x,u) = sum_i (x^T forms[i] u) e_i.
-
-    A rank-1 kernel has one basis element, a unit direction j with
-    j^2 = -1 (checked once), and `step`, the dense row-form map of
-    x -> (-j) x on the left or x (-j) on the right.  Any other kernel has
-    its nonzero blades e_i, checked per sample: the map of blade i is the
-    signed permutation out[:, k] = sign[i, k] * x[:, gather[i, k]], and
-    `pairs` = (a, b, q) gives the non-scalar part of f^2 as q @ (s_a s_b)
-    over the commuting blade pairs a < b.
+    """One nonzero kernel on one side of a plan: its factorization's
+    `forms` (`kernels.Factors`) and the constant maps `Factors.maps`
+    built for that side, shared by every plan of the kernel.
     """
 
     side: str
     label: str
     forms: np.ndarray                   # (r, m, m)
-    step: np.ndarray | None = None      # (2^n, 2^n), rank 1 only
+    step: np.ndarray | None = None      # (2^n, 2^n), direction only
     gather: np.ndarray | None = None    # (r, 2^n)
     sign: np.ndarray | None = None      # (r, 2^n)
     squares: np.ndarray | None = None   # (r,) blade squares e_i^2
@@ -425,61 +388,6 @@ class _Basis:
         return y[0] + (moved * self.sign[:, None, None]).sum(axis=0)
 
 
-def _kernel_basis(kern: KernelMatrix, side: str) -> _Basis | None:
-    """The basis of `kern` on one side, built once per kernel and side
-    and kept in the kernel's memo, read-only as every `Plan` shares it;
-    the label is left empty."""
-    memo = kern._bases
-    if side not in memo:
-        b = _basis(kern.sig, side, kern.tensor)
-        if b is not None:
-            for v in (b.forms, b.step, b.gather, b.sign, b.squares, *(b.pairs or ())):
-                if v is not None:
-                    v.setflags(write=False)
-        memo[side] = b
-    return memo[side]
-
-
-def _basis(sig: Signature, side: str, tensor: np.ndarray) -> _Basis | None:
-    """Basis of one kernel tensor (m, m, 2^n), or None for a zero kernel.
-
-    The rank-1 basis is taken when T is S (x) d up to _FACTOR_ULPS ulps of
-    max|T| with d passing `not_imaginary` and <d^2>_0 < 0: then
-    f^2 = s^2 d^2 and |d| >= 1, so that one check is at least as strict
-    as checking every sample.  Every other kernel gets its nonzero blades.
-    """
-    m = tensor.shape[0]
-    t = tensor.reshape(-1, sig.dim)
-    top = np.abs(t).max()
-    if top == 0.0:
-        return None
-    d = t[np.argmax((t * t).sum(axis=1))] / top
-    s = t @ d / (d @ d)
-    if np.abs(t - np.outer(s, d)).max() <= _FACTOR_ULPS * np.spacing(top):
-        fails, sq = check_square(Multivector(sig, d))
-        if not fails and sq.scalar_part() < 0.0:
-            rho = math.sqrt(-sq.scalar_part())
-            j = -d / rho
-            eye = np.eye(sig.dim)
-            step = gp_many(sig, j, eye) if side == "left" else gp_many(sig, eye, j)
-            return _Basis(side, "", (s * rho).reshape(1, m, m), step=step)
-    blades = np.flatnonzero(np.abs(t).max(axis=0))
-    col = blades[:, None]
-    gather = np.arange(sig.dim) ^ col
-    sign = -(blade_signs(sig, col, gather) if side == "left"
-             else blade_signs(sig, gather, col))
-    a, b = np.triu_indices(len(blades), 1)
-    ab = blade_signs(sig, blades[a], blades[b])
-    commute = ab == blade_signs(sig, blades[b], blades[a])
-    a, b, ab = a[commute], b[commute], ab[commute]
-    # e_a e_b + e_b e_a = 2 sign(a, b) e_{a^b} for a commuting pair
-    targets, row = np.unique(blades[a] ^ blades[b], return_inverse=True)
-    q = np.zeros((len(targets), len(a)))
-    q[row, np.arange(len(a))] = 2.0 * ab
-    return _Basis(side, "", t[:, blades].T.reshape(-1, m, m), gather=gather,
-                  sign=sign, squares=square_scalar_signs(sig)[blades], pairs=(a, b, q))
-
-
 @dataclass(frozen=True)
 class Plan:
     """Engine chosen for one transform call and the reason for the choice.
@@ -497,7 +405,8 @@ def plan(spec: GftSpec, field: SampledField, freqs: FreqGrid | np.ndarray) -> Pl
     """Choose the engine for transforming `field` at `freqs`, a frequency
     grid or an (M, m) array of frequency vectors, under `spec`.
 
-    Every kernel gets a basis (`_basis`) of r terms.  A grid goes to the
+    Every nonzero kernel gets a basis of r terms from its factorization
+    (`KernelMatrix.factors`).  A grid goes to the
     axes engine when there is a nonzero kernel, every basis is one
     direction with a diagonal form and the phase bound is finite.
     Otherwise the expansion engine runs while the product of (1 + r) over
@@ -511,11 +420,11 @@ def plan(spec: GftSpec, field: SampledField, freqs: FreqGrid | np.ndarray) -> Pl
     for side, kernels in (("left", spec.left), ("right", spec.right)):
         for pos, kern in enumerate(kernels, start=1):
             label = f"{side} kernel {pos}"
-            b = _kernel_basis(kern, side)
-            if b is None:
+            f = kern.factors
+            if f is None:
                 notes.append(f"{label}: zero")
                 continue
-            b = replace(b, label=label)
+            b = _Basis(side, label, f.forms, **f.maps(side))
             terms *= b.terms
             if terms > limit:
                 bound = f"2^n = {limit}" if limit == sig.dim else f"2^nu = {limit}"

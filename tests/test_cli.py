@@ -1,5 +1,6 @@
 """Command line behaviour: happy paths, exit codes, output shapes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from gafourier import cli, kernels
 from gafourier.algebra import Signature
 from gafourier.cli import main
 from gafourier.fileio import read_grid_file, write_field, write_kernels
@@ -156,6 +158,34 @@ def test_verify_tol_reaches_the_existence_check(capsys):
     plain = bound()
     assert plain > 1.0
     assert bound("--tol", "0.5") == pytest.approx(1.5 * plain, rel=1e-6)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_rejects_a_tolerance_outside_the_contract(capsys, tol):
+    rc = main(["verify", "--preset", "quaternionic", "--theorem", "existence",
+               f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "--tol must be finite and non-negative" in captured.err
+
+
+def test_verify_factors_each_preset_kernel_once(monkeypatch):
+    calls = []
+    build = kernels._factor
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(kernels, "_factor", counting)
+    count = 0
+    for sel in kernels.VERIFY_PRESETS:
+        args = argparse.Namespace(theorem="all", preset=sel, seed=3, size=8, tol=None)
+        assert not any(bad for _, bad in cli._verify_lines(args))
+        spec = parse_preset(sel)
+        count += len(spec.left + spec.right)
+    # sign-flipped and rescaled kernels inherit their parent's factorization
+    assert len(calls) == count == 14
 
 
 def test_verify_scaling_runs_the_theorems_factor_table(capsys):

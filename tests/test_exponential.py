@@ -16,7 +16,7 @@ from gafourier.exponential import (
     exp_neg_many,
     exp_series,
 )
-from gafourier.kernels import GftSpec, KernelMatrix, validate_spec
+from gafourier.kernels import GftSpec, KernelMatrix
 from gafourier.transform import SampledField, gft_at, gft_direct, plan
 
 from conftest import SIGNATURES_SMALL, rand_mv, rand_root, sig_and_root
@@ -175,7 +175,6 @@ def test_every_caller_gives_the_same_verdict(case):
             "exp_neg_many": _raises_not_imaginary(exp_neg_many, sig, f.coeffs[None]),
             "gft_at (expansion)": _raises_not_imaginary(gft_at, spec, field, unodes),
             "gft_direct": _raises_not_imaginary(gft_direct, spec, field, unodes),
-            "validate_spec": not validate_spec(spec, [((1.0,), (u,))]).ok,
             "swap_through_exponentials": _raises_not_imaginary(
                 swap_through_exponentials, [f], a),
         }

@@ -1,4 +1,4 @@
-"""Kernel matrices, built-in configurations, and structural validation."""
+"""Kernel matrices, built-in configurations, and their factorization."""
 
 import math
 
@@ -16,7 +16,6 @@ from gafourier.kernels import (
     parse_preset,
     preset,
     side_directions,
-    validate_spec,
 )
 
 from conftest import squares_to_negative_real
@@ -72,15 +71,54 @@ def test_direction_extraction():
     sig = Signature(0, 2)
     diag = KernelMatrix.sparse(sig, 2, [(j, j, Multivector.blade(sig, "e1", TAU))
                                         for j in range(2)])
-    d = diag.direction()
-    assert d is not None
-    assert abs(abs(d.coeffs[1]) - 1.0) <= 1e-12 and np.count_nonzero(d.coeffs) == 1
+    f = diag.factors
+    assert np.array_equal(f.direction, [0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(f.forms, TAU * np.eye(2)[None])
+    assert f.blades is None and diag.factors is f
+    (d,) = side_directions(GftSpec(sig, 2, (diag,), ()), "left")
+    assert np.array_equal(d.coeffs, [0.0, 1.0, 0.0, 0.0])
     zero = KernelMatrix.sparse(sig, 2, [])
-    z = zero.direction()
-    assert z is not None and z.magnitude() == 0.0
+    assert zero.factors is None
+    (z,) = side_directions(GftSpec(sig, 2, (zero,), ()), "left")
+    assert z.magnitude() == 0.0
     mixed = KernelMatrix.sparse(sig, 2, [(0, 0, Multivector.blade(sig, "e1")),
                                          (1, 1, Multivector.blade(sig, "e2"))])
-    assert mixed.direction() is None
+    assert mixed.factors.direction is None
+    assert mixed.factors.blades.tolist() == [1, 2]
+    # rank 1, but e1 squares to +1 in Cl(2,0): its blades, not separable
+    real = Signature(2, 0)
+    vector = KernelMatrix.sparse(real, 2, [(0, 0, Multivector.blade(real, "e1"))])
+    assert vector.factors.direction is None
+    assert not is_separable(GftSpec(real, 2, (vector,), ()), "left")
+
+
+def test_scaled_kernel_keeps_the_factorization():
+    spec = parse_preset("quaternionic")
+    kern = spec.right[0]
+    flipped = kern.scaled(-1.0)
+    assert np.array_equal(flipped.tensor, -kern.tensor)
+    assert flipped.factors.direction is kern.factors.direction
+    assert np.array_equal(flipped.factors.forms, -kern.factors.forms)
+    assert flipped.factors.maps("right") is kern.factors.maps("right")
+    assert kern.scaled(0.0).factors is None
+    assert KernelMatrix.sparse(spec.sig, 2, []).scaled(2.0).factors is None
+
+
+def test_kernel_tensor_is_read_only_and_checked():
+    sig = Signature(0, 2)
+    t = np.zeros((2, 2, 4))
+    t[0, 1, 1] = 1.0
+    k = KernelMatrix(sig, t)
+    t[0, 1, 1] = 5.0  # the kernel holds its own copy
+    assert k.tensor[0, 1, 1] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        k.tensor[0, 0, 0] = 1.0
+    assert k == KernelMatrix.sparse(sig, 2, [(0, 1, Multivector.blade(sig, "e1"))])
+    assert k != k.scaled(2.0)
+    for bad, msg in ((np.zeros((2, 3, 4)), "square"), (np.zeros((2, 2, 8)), "signature"),
+                     (np.zeros((0, 0, 4)), "at least one row")):
+        with pytest.raises(ValueError, match=msg):
+            KernelMatrix(sig, bad)
 
 
 def test_preset_shapes_and_counts():
@@ -220,24 +258,6 @@ def test_negate_flips_selected_kernels():
         negate(spec, (0, 1), (0,))
     with pytest.raises(ValueError):
         negate(spec, (2,), (0,))
-
-
-def test_validate_spec_reports_offenders():
-    rng = np.random.default_rng(9)
-    samples = [tuple(map(tuple, rng.uniform(-2, 2, (2, 2)))) for _ in range(25)]
-    good = validate_spec(parse_preset("quaternionic"), samples)
-    assert good.ok
-    assert good.summary() == "all kernel values square to negative reals or vanish"
-    sig = Signature(2, 0)
-    bad_kernel = KernelMatrix.sparse(
-        sig, 2, [(0, 0, Multivector.basis_vector(sig, 1))]
-    )
-    bad = GftSpec(sig, 2, (bad_kernel,), ())
-    report = validate_spec(bad, samples)
-    assert not report.ok
-    v = report.violations[0]
-    assert v.side == "left" and v.kernel == 1
-    assert "left kernel 1" in report.summary()
 
 
 def test_gft_spec_rejects_mismatched_kernels():

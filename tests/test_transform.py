@@ -10,8 +10,16 @@ from hypothesis import strategies as st
 
 from gafourier.algebra import Multivector, Signature
 from gafourier.exponential import NotImaginary
-from gafourier.kernels import GftSpec, KernelMatrix, parse_preset
-from gafourier import transform
+from gafourier import kernels, transform
+from gafourier.kernels import (
+    GftSpec,
+    KernelMatrix,
+    NotSeparable,
+    is_separable,
+    negate,
+    parse_preset,
+)
+from gafourier.theorems import check_right_product
 from gafourier.transform import (
     FreqGrid,
     SampledField,
@@ -61,9 +69,6 @@ def test_sampled_field_accessors():
     assert field.at((1, 1)) == Multivector(sig, vals[4])
     replaced = field.with_values(np.zeros((6, 4)))
     assert replaced.at(0).magnitude() == 0.0 and replaced.dims == field.dims
-    mvs = [Multivector(sig, row) for row in vals]
-    rebuilt = SampledField.from_multivectors((2, 3), (0.0, 0.0), (1.0, 1.0), mvs)
-    assert np.array_equal(rebuilt.values, vals)
     zero = SampledField.zero(sig, (2, 3), (0.0, 0.0), (1.0, 1.0))
     assert zero.values.shape == (6, 4) and not zero.values.any()
     with pytest.raises(ValueError):
@@ -280,8 +285,7 @@ def separable_specs(draw):
                 Multivector.zero(sig))
         entry = st.floats(-7.0, 7.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6)
         s = np.array(draw(st.lists(entry, min_size=m * m, max_size=m * m))).reshape(m, m)
-        return KernelMatrix(sig, tuple(tuple(d * float(s[r, k]) for k in range(m))
-                                       for r in range(m)))
+        return KernelMatrix(sig, np.multiply.outer(s, d.coeffs))
 
     left = tuple(kernel() for _ in range(draw(st.integers(1, 2))))
     right = tuple(kernel() for _ in range(draw(st.integers(1, 2))))
@@ -298,6 +302,7 @@ def test_separable_engine_matches_direct_on_random_specs(spec, seed):
     p = plan(spec, field, unodes)
     if any(k.tensor.any() for k in spec.left + spec.right):
         assert p.engine == "expansion" and "per-sample" not in p.reason, p.reason
+    assert is_separable(spec, "left") and is_separable(spec, "right")
     _assert_engines_agree(spec, field, unodes)
 
 
@@ -348,6 +353,27 @@ def _not_imaginary_message(engine, *args):
     return str(err.value)
 
 
+@pytest.mark.parametrize("off", [0.0, np.spacing(2 * math.pi), 2e-12 * math.pi,
+                                 2e-9 * math.pi], ids=["exact", "1ulp", "1e-12", "1e-9"])
+def test_one_separability_rule_for_theorems_and_engines(off):
+    # a rank-1 kernel with its second entry tilted by `off` towards e2
+    sig = Signature(0, 2)
+    e1 = Multivector.blade(sig, "e1", 2 * math.pi)
+    tilted = e1 + Multivector.blade(sig, "e2", off)
+    kern = KernelMatrix.sparse(sig, 2, [(0, 0, e1), (1, 1, tilted)])
+    spec = GftSpec(sig, 2, (), (kern,))
+    field = SampledField.random(sig, (4, 4), np.random.default_rng(8))
+    freqs = default_freqs(field)
+    reason = plan(spec, field, freqs.nodes()).reason
+    separable = is_separable(spec, "right")
+    assert separable == ("right kernel 1: 1 direction, checked once" in reason), reason
+    assert separable == (off <= np.spacing(2 * math.pi))
+    if not separable:
+        c = Multivector(sig, [0.5, -0.25, 1.0, 0.75])
+        with pytest.raises(NotSeparable, match="right kernel 1"):
+            check_right_product(spec, c, field, freqs)
+
+
 def test_invalid_two_blade_kernel_raises_like_direct():
     sig, kern, field = _two_blade_spec()
     # no offender at the first frequency (u_1 = 0); at the second, node
@@ -368,6 +394,23 @@ def test_invalid_two_blade_kernel_raises_like_direct():
     unodes = np.array([[0.0, 0.0], [0.5, 0.5], [0.4, 0.0]])
     msg = _not_imaginary_message(gft_at, spec, field, unodes)
     assert msg == "right kernel 1: sample 5 does not square to a negative real"
+    assert msg == _not_imaginary_message(gft_direct, spec, field, unodes)
+
+
+def test_engines_name_the_offending_kernel():
+    rng = np.random.default_rng(9)
+    unodes = rng.uniform(-2, 2, (25, 2))
+    quat = parse_preset("quaternionic")
+    field = SampledField.random(quat.sig, (3, 3), rng)
+    assert np.isfinite(gft_at(quat, field, unodes)).all()
+    assert np.isfinite(gft_direct(quat, field, unodes)).all()
+    # e1 squares to +1 in Cl(2,0)
+    sig = Signature(2, 0)
+    bad = KernelMatrix.sparse(sig, 2, [(0, 0, Multivector.basis_vector(sig, 1))])
+    spec = GftSpec(sig, 2, (bad,), ())
+    field = SampledField.random(sig, (3, 3), rng)
+    msg = _not_imaginary_message(gft_at, spec, field, unodes)
+    assert msg.startswith("left kernel 1: ")
     assert msg == _not_imaginary_message(gft_direct, spec, field, unodes)
 
 
@@ -393,7 +436,6 @@ def test_plan_reasons():
     e1 = Multivector.blade(sig, "e1", 2 * math.pi)
     nearly = e1 + Multivector.blade(sig, "e2", 1e-12)
     inexact = KernelMatrix.sparse(sig, 2, [(0, 0, e1), (1, 1, nearly)])
-    assert inexact.direction() is not None  # loose enough to call it separable
     spec = GftSpec(sig, 2, (), (KernelMatrix.sparse(sig, 2, [(0, 0, e1)]), inexact))
     field = SampledField.random(sig, (4, 4), rng)
     unodes = default_freqs(field).nodes()
@@ -630,20 +672,27 @@ def test_axes_routing_refusals():
 
 def test_second_plan_builds_no_basis(monkeypatch):
     calls = []
-    build = transform._basis
+    build = kernels._factor
 
     def counting(*args):
-        calls.append(args[1])
+        calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(transform, "_basis", counting)
+    monkeypatch.setattr(kernels, "_factor", counting)
     spec = parse_preset("color_image")
     field = SampledField.random(spec.sig, (4, 4), np.random.default_rng(33))
     freqs = default_freqs(field)
     first = plan(spec, field, freqs)
-    assert calls == ["left", "left", "right", "right"]
+    assert len(calls) == 4
     second = plan(spec, field, freqs.nodes())
     assert len(calls) == 4
+    # a sign flip reuses the factorization and the maps it built
+    flipped = plan(negate(spec, (1, 0), (0, 1)), field, freqs)
+    assert len(calls) == 4
+    assert all(a.step is b.step for a, b in zip(first.bases, flipped.bases))
+    assert [b.forms[0, 0, 0] for b in flipped.bases] == [
+        -b.forms[0, 0, 0] if flip else b.forms[0, 0, 0]
+        for b, flip in zip(first.bases, (1, 0, 0, 1))]
     assert [b.label for b in second.bases] == [b.label for b in first.bases] == [
         "left kernel 1", "left kernel 2", "right kernel 1", "right kernel 2"]
     assert all(a.step is b.step for a, b in zip(first.bases, second.bases))
