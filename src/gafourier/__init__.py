@@ -19,20 +19,13 @@ from .algebra import (
 from .commsplit import (
     MAX_GENERATORS,
     SplitIndex,
-    TriangularSignMatrix,
-    enumerate_triangular,
     shift_exponential_terms,
     split_multi,
-    split_pair,
-    swap_through_exponentials,
 )
 from .exponential import (
-    ExpOptions,
-    NoConvergence,
     NotImaginary,
     exp_imag,
     exp_neg_many,
-    exp_series,
 )
 from .fileio import (
     FileFormatError,
@@ -86,14 +79,12 @@ __version__ = "0.1.0"
 __all__ = [
     "MAX_DIMENSION",
     "MAX_GENERATORS",
-    "ExpOptions",
     "FileFormatError",
     "FreqGrid",
     "GftSpec",
     "GridFile",
     "KernelMatrix",
     "Multivector",
-    "NoConvergence",
     "NotImaginary",
     "NotInvertible",
     "NotSeparable",
@@ -104,7 +95,6 @@ __all__ = [
     "Spectrum",
     "SplitIndex",
     "TheoremReport",
-    "TriangularSignMatrix",
     "UnsupportedScale",
     "UnsupportedSignature",
     "blade_mul",
@@ -116,10 +106,8 @@ __all__ = [
     "check_shift",
     "default_freqs",
     "dft_complex_oracle",
-    "enumerate_triangular",
     "exp_imag",
     "exp_neg_many",
-    "exp_series",
     "format_multivector_expr",
     "gft",
     "gft_at",
@@ -138,9 +126,7 @@ __all__ = [
     "shift_exponential_terms",
     "side_directions",
     "split_multi",
-    "split_pair",
     "square_scalar_signs",
-    "swap_through_exponentials",
     "write_field",
     "write_kernels",
     "write_spectrum",

@@ -10,13 +10,13 @@ so each split is a pair of constant projectors P0 = (I + C)/2 and
 P1 = (I - C)/2 applied to coefficient rows as `coeffs @ P`; a stack of
 (M, 2**n) rows splits with the same two matrix multiplies.  Nesting the
 split over an ordered generator list gives 2**d components indexed by
-sign vectors; the machinery below packages the two identities the
-transform checks rely on.  `swap_through_exponentials` moves a constant
-through a product of exponentials, flipping the exponent signs that its
-anticommuting parts see.  `shift_exponential_terms` decomposes the
-exponential factors that appear when the argument of a kernel product is
-translated, one term per strictly triangular binary matrix, for a whole
-stack of kernel values at once.
+sign vectors.  `split_multi` is that nested split of one constant; the
+swap lemma of the product theorems moves a constant through a product of
+exponentials by splitting it backward against the exponents and flipping
+the signs that its anticommuting parts see.  `shift_exponential_terms`
+decomposes the exponential factors that appear when the argument of a
+kernel product is translated, one term per strictly triangular binary
+matrix, for a whole stack of kernel values at once.
 
 Generators that pass `exponential.not_imaginary` are always accepted:
 when the reversion inverse does not exist, g^-1 = -g / r with
@@ -29,30 +29,24 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import (
-    RELATIVE_TOL,
     Multivector,
     NotInvertible,
     _left_factor,
     _right_factor,
     gp_many,
 )
-from .exponential import NotImaginary, check_square, exp_neg_many
+from .exponential import check_square, exp_neg_many
 from .exponential import exp_imag  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
     "MAX_GENERATORS",
     "SplitIndex",
-    "TriangularSignMatrix",
-    "split_pair",
     "split_multi",
-    "swap_through_exponentials",
-    "enumerate_triangular",
     "shift_exponential_terms",
 ]
 
@@ -62,12 +56,14 @@ MAX_GENERATORS = 6
 # A split component index: one bit per generator, 0 commuting / 1 anti.
 SplitIndex = tuple[int, ...]
 
+# Split components and factor rows of at most this norm (relative to
+# max(1, |constant|) where a constant is split) count as zero.
 _DROP_TOL = 1e-12
 
 
-def _inverse_for_split(b: Multivector, tol: float) -> Multivector:
+def _inverse_for_split(b: Multivector) -> Multivector:
     try:
-        return b.inverse(tol)
+        return b.inverse()
     except NotInvertible:
         # values passing the imaginary-square test invert as -b / r with
         # r = -<b^2>_0 even when the reversion product is not scalar; a
@@ -79,7 +75,7 @@ def _inverse_for_split(b: Multivector, tol: float) -> Multivector:
         return b * (1.0 / scalar)
 
 
-def _projectors(g: Multivector, tol: float) -> np.ndarray:
+def _projectors(g: Multivector) -> np.ndarray:
     """The (2, 2**n, 2**n) pair [P0, P1]: for a coefficient row x,
     x @ P0 commutes with g and x @ P1 anticommutes with it.
 
@@ -89,30 +85,15 @@ def _projectors(g: Multivector, tol: float) -> np.ndarray:
     eye = np.eye(g.sig.dim)
     if g.magnitude() == 0.0:
         return np.stack([eye, np.zeros_like(eye)])
-    inv = _inverse_for_split(g, tol)
+    inv = _inverse_for_split(g)
     conj = _left_factor(g.sig, inv.coeffs) @ _right_factor(g.sig, g.coeffs)
     return np.stack([eye + conj, eye - conj]) * 0.5
-
-
-def split_pair(
-    a: Multivector, b: Multivector, tol: float = RELATIVE_TOL
-) -> tuple[Multivector, Multivector]:
-    """Split `a` into (commuting, anticommuting) parts with respect to `b`.
-
-    Requires an invertible `b`; NotInvertible is raised for a zero or
-    non-invertible one.
-    """
-    if b.magnitude() == 0.0:
-        raise NotInvertible(f"{b!r}: the zero generator has no inverse")
-    c0, c1 = a.coeffs @ _projectors(b, tol)
-    return Multivector(a.sig, c0), Multivector(a.sig, c1)
 
 
 def split_multi(
     a: Multivector,
     gens: Sequence[Multivector],
     direction: str,
-    tol: float = RELATIVE_TOL,
 ) -> dict[SplitIndex, Multivector]:
     """Nested split along an ordered generator list, materialized densely.
 
@@ -127,7 +108,7 @@ def split_multi(
         raise ValueError("direction must be 'forward' or 'backward'")
     # comps[i] is the component whose bits, gens[0]'s first, spell i
     comps = a.coeffs[None]
-    projs = [_projectors(g, tol) for g in gens]
+    projs = [_projectors(g) for g in gens]
     for p in projs if direction == "forward" else projs[::-1]:
         halves = comps @ p  # (2, len(comps), 2**n), this generator's bit first
         if direction == "forward":
@@ -137,107 +118,22 @@ def split_multi(
     return {b: Multivector(a.sig, c) for b, c in zip(bits, comps)}
 
 
-def swap_through_exponentials(
-    fvals: Sequence[Multivector],
-    a: Multivector,
-    drop_tol: float = _DROP_TOL,
-) -> list[tuple[Multivector, SplitIndex]]:
-    """Decompose `a` for moving it leftward through prod_k e^{-f_k}.
-
-    Returns (component, signs) pairs with zero components dropped;
-    reassembly:  prod_k e^{-f_k} * a  ==  sum over pairs of
-    component * prod_k e^{-(-1)^{signs_k} f_k}.
-    Each value must pass `not_imaginary`.
-    """
-    for k, f in enumerate(fvals):
-        if check_square(f)[0]:
-            raise NotImaginary(
-                f"value {k + 1} does not square to a negative real: {f!r}"
-            )
-    comps = split_multi(a, list(fvals), "backward")
-    scale = max(1.0, a.magnitude())
-    return [
-        (comp, bits)
-        for bits, comp in sorted(comps.items())
-        if comp.magnitude() > drop_tol * scale
-    ]
-
-
-@dataclass(frozen=True)
-class TriangularSignMatrix:
-    """Strictly triangular binary matrix; column parities form a sign vector."""
-
-    entries: tuple[tuple[int, ...], ...]
-    orientation: str  # 'lower' or 'upper'
-
-    def __post_init__(self) -> None:
-        if self.orientation not in ("lower", "upper"):
-            raise ValueError("orientation must be 'lower' or 'upper'")
-        d = len(self.entries)
-        for r, row in enumerate(self.entries):
-            if len(row) != d:
-                raise ValueError("matrix must be square")
-            for c, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                strict = c < r if self.orientation == "lower" else c > r
-                if v and not strict:
-                    raise ValueError(
-                        f"nonzero entry at ({r + 1},{c + 1}) breaks strict "
-                        f"{self.orientation} triangularity"
-                    )
-
-    @property
-    def d(self) -> int:
-        return len(self.entries)
-
-    def row(self, l: int) -> tuple[int, ...]:
-        return self.entries[l]
-
-    def column_parity(self) -> SplitIndex:
-        return tuple(sum(row[c] for row in self.entries) % 2 for c in range(self.d))
-
-
-def _free_cells(d: int, orientation: str) -> list[tuple[int, int]]:
-    if orientation == "lower":
-        return [(r, c) for r in range(d) for c in range(r)]
-    return [(r, c) for r in range(d) for c in range(r + 1, d)]
-
-
-def _all_triangular(d: int, orientation: str) -> Iterable[TriangularSignMatrix]:
-    cells = _free_cells(d, orientation)
-    for combo in itertools.product((0, 1), repeat=len(cells)):
-        rows = [[0] * d for _ in range(d)]
-        for (r, c), v in zip(cells, combo):
-            rows[r][c] = v
-        yield TriangularSignMatrix(tuple(tuple(row) for row in rows), orientation)
-
-
-def enumerate_triangular(
-    d: int, j: Sequence[int] | None = None, orientation: str = "lower"
-) -> list[TriangularSignMatrix]:
-    """All strictly triangular binary d x d matrices, optionally restricted
-    to those whose column sums mod 2 equal `j`, in lexicographic order of
-    the flattened entries."""
-    if orientation not in ("lower", "upper"):
-        raise ValueError("orientation must be 'lower' or 'upper'")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    want = None if j is None else tuple(j)
-    if want is not None and len(want) != d:
-        raise ValueError("sign vector length must equal d")
-    out = []
-    for m in _all_triangular(d, orientation):
-        if want is None or m.column_parity() == want:
-            out.append(m)
-    return out
+def _triangular(d: int, lower: bool) -> list[tuple[tuple[SplitIndex, ...], SplitIndex]]:
+    """(rows, column parity) of every strictly lower (or upper) triangular
+    0/1 d x d matrix, lexicographic in the flattened entries: the free
+    cells in row-major order, the first cell most significant."""
+    cells = np.tril_indices(d, -1) if lower else np.triu_indices(d, 1)
+    k = len(cells[0])
+    mats = np.zeros((2**k, d, d), dtype=np.int64)
+    mats[:, cells[0], cells[1]] = (np.arange(2**k)[:, None] >> np.arange(k)[::-1]) & 1
+    parities = (mats.sum(axis=1) % 2).tolist()
+    return [(tuple(map(tuple, m)), tuple(p)) for m, p in zip(mats.tolist(), parities)]
 
 
 def shift_exponential_terms(
     fvals: Sequence[np.ndarray],
     orientation: str,
     directions: Sequence[Multivector],
-    drop_tol: float = _DROP_TOL,
 ) -> list[tuple[np.ndarray, SplitIndex]]:
     """Split translated exponential factors for reordering around the data.
 
@@ -257,7 +153,7 @@ def shift_exponential_terms(
 
     and the mirror image with the factor on the right for 'upper'.  Each
     term is an (M, 2**n) factor stack; factor rows of norm at most
-    `drop_tol` are zeroed, and terms with no row left are dropped.
+    `_DROP_TOL` are zeroed, and terms with no row left are dropped.
     """
     d = len(fvals)
     if d == 0:
@@ -276,7 +172,7 @@ def shift_exponential_terms(
         exp_neg_many(sig, f, validate=True, label=f"value {l + 1}")
         for l, f in enumerate(fvals)
     ]
-    projs = [_projectors(g, RELATIVE_TOL) for g in directions]
+    projs = [_projectors(g) for g in directions]
     lower = orientation == "lower"
 
     @functools.cache
@@ -287,11 +183,11 @@ def shift_exponential_terms(
         return comp
 
     out = []
-    for mat in _all_triangular(d, orientation):
-        factor = component(0, mat.row(0))
+    for rows, signs in _triangular(d, lower):
+        factor = component(0, rows[0])
         for l in range(1, d):
-            factor = gp_many(sig, factor, component(l, mat.row(l)))
-        keep = np.linalg.norm(factor, axis=1) > drop_tol
+            factor = gp_many(sig, factor, component(l, rows[l]))
+        keep = np.linalg.norm(factor, axis=1) > _DROP_TOL
         if keep.any():
-            out.append((np.where(keep[:, None], factor, 0.0), mat.column_parity()))
+            out.append((np.where(keep[:, None], factor, 0.0), signs))
     return out

@@ -1,14 +1,13 @@
 """Multivector exponentials.
 
-`exp_series` is the plain power series and works for any element.
-`exp_imag` is the trigonometric closed form for elements that square to a
-negative real number, the only case the transform engine needs; it
+`exp_imag` is the trigonometric closed form for one element that squares
+to a negative real number, the only case the transform needs; it
 evaluates e^{-f} directly because the kernels always appear with a
 negative exponent.  `exp_neg_many` is the same closed form vectorized
-over stacked samples, with optional validation of the square.  The
-transform engines share its pieces: `cos_sinc` for the closed form and
-`not_imaginary` for the validation test; `check_square` applies that
-test to one multivector.
+over stacked samples, with optional validation of the square.  They and
+the transform engines share two pieces: `cos_sinc` for the closed form
+and its small-angle rule, and `not_imaginary` for the validation test;
+`check_square` applies that test to one multivector.
 
 `not_imaginary` is the package's one test for "squares to a negative
 real", with one contract: f passes iff the L2 norm of the non-scalar
@@ -21,9 +20,6 @@ same verdict.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import (
@@ -35,10 +31,7 @@ from .algebra import (
 )
 
 __all__ = [
-    "ExpOptions",
-    "NoConvergence",
     "NotImaginary",
-    "exp_series",
     "exp_imag",
     "exp_neg_many",
     "cos_sinc",
@@ -51,10 +44,6 @@ __all__ = [
 _SMALL_ANGLE = 1e-14
 
 
-class NoConvergence(ArithmeticError):
-    """Power series still has large terms after max_terms iterations."""
-
-
 class NotImaginary(ValueError):
     """Argument does not square to a negative real number."""
 
@@ -63,55 +52,19 @@ class NotImaginary(ValueError):
         return cls(f"{label}: sample {sample} does not square to a negative real")
 
 
-@dataclass(frozen=True)
-class ExpOptions:
-    """Truncation control for exp_series."""
-
-    tol: float = 1e-14
-    max_terms: int = 256
-
-    def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-def exp_series(a: Multivector, opts: ExpOptions = ExpOptions()) -> Multivector:
-    """Power-series exponential e^{a}.
-
-    Terms a**j / j! are accumulated in ascending order; the sum stops at
-    (and includes) the first term whose magnitude drops below opts.tol.
-    """
-    term = Multivector.scalar(a.sig, 1.0)
-    total = term
-    if term.magnitude() < opts.tol:
-        return total
-    for j in range(1, opts.max_terms + 1):
-        term = term * a / j
-        total = total + term
-        if term.magnitude() < opts.tol:
-            return total
-    raise NoConvergence(
-        f"series terms still above {opts.tol} after {opts.max_terms} iterations"
-    )
-
-
 def exp_imag(f: Multivector) -> Multivector:
     """Closed-form e^{-f} for f squaring to a negative real (or f = 0).
 
     With r = sqrt(-<f^2>_0) the value is cos(r) - (f/r) sin(r); pass -f to
     exponentiate with a positive sign.  Raises NotImaginary when f fails
-    `not_imaginary`; near-zero arguments fall through to the small-angle
-    branch.
+    `not_imaginary`; near-zero arguments take the small-angle rule of
+    `cos_sinc`.
     """
     fails, sq = check_square(f)
     if fails:
         raise NotImaginary(f"{f!r} does not square to a negative real")
-    r = math.sqrt(max(-sq.scalar_part(), 0.0))
-    if r < _SMALL_ANGLE:
-        return Multivector.scalar(f.sig, 1.0) - f
-    return math.cos(r) - f * (math.sin(r) / r)
+    cos, sinc = cos_sinc(sq.scalar_part())
+    return float(cos) - f * float(sinc)
 
 
 def cos_sinc(square: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ as a blade term.  Basis indices above 9 are underscore-separated
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -306,7 +307,7 @@ def read_grid_file(path: str | Path) -> GridFile:
         raise FileFormatError(
             f"{path}: dims/origin/spacing must each have m={m} entries"
         )
-    count = int(np.prod(dims)) * sig.dim
+    count = math.prod(dims) * sig.dim
     if mode == "binary":
         if len(payload) != 8 * count:
             raise FileFormatError(
@@ -328,7 +329,7 @@ def read_grid_file(path: str | Path) -> GridFile:
         raise FileFormatError(f"{path}: payload holds NaN or infinite values")
     if not np.isfinite(origin + spacing).all():
         raise FileFormatError(f"{path}: origin and spacing must be finite")
-    values = flat.reshape(int(np.prod(dims)), sig.dim)
+    values = flat.reshape(-1, sig.dim)
     return GridFile(kind, sig, dims, origin, spacing, values)
 
 

@@ -9,7 +9,10 @@ residual is compared against tol * max(1, |LHS|).
 Every split (`commsplit`) is against a kernel's constant direction, so
 it is the same projector pair at every frequency: the shift check splits
 the exponentials of all frequencies as (M, 2**n) stacks and assembles
-its right-hand side with `gp_many`, with no loop over frequencies.
+its right-hand side with `gp_many`, with no loop over frequencies.  The
+left and right product checks are one body, mirrored by side: both
+split the constant with the swap lemma and drop the same negligible
+components.
 
 The auxiliary transforms a right-hand side assembles (sign-flipped kernel
 sets, rescaled frequencies) skip kernel-value validation: they reuse the
@@ -26,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Multivector, gp_many
-from .commsplit import SplitIndex, shift_exponential_terms, split_multi
+from .commsplit import _DROP_TOL, SplitIndex, shift_exponential_terms, split_multi
 from .exponential import exp_neg_many
 from .exponential import exp_imag  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .kernels import GftSpec, negate, side_directions
@@ -52,8 +55,6 @@ __all__ = [
 SCALE_FACTORS = (1.0, -1.0, 2.0, -2.0, 0.5, -0.5)
 # the factors `verify --theorem scaling` checks, in the order it prints them
 VERIFY_SCALE_FACTORS = (-1.0, 2.0, 0.5)
-
-_COMPONENT_DROP = 1e-12
 
 
 class UnsupportedScale(ValueError):
@@ -184,13 +185,46 @@ def check_scaling(
 def _constant_components(
     c: Multivector, dirs: Sequence[Multivector], direction: str
 ) -> list[tuple[SplitIndex, Multivector]]:
+    """C's split components against `dirs`, in sign-vector order, without
+    those of norm at most _DROP_TOL * max(1, |C|)."""
     comps = split_multi(c, list(dirs), direction)
     scale = max(1.0, c.magnitude())
     return [
         (bits, comp)
         for bits, comp in sorted(comps.items())
-        if comp.magnitude() > _COMPONENT_DROP * scale
+        if comp.magnitude() > _DROP_TOL * scale
     ]
+
+
+def _check_product(
+    spec: GftSpec,
+    c: Multivector,
+    b_field: SampledField,
+    freqs: FreqGrid,
+    tol: float,
+    side: str,
+) -> TheoremReport:
+    """The product theorem with C on `side` of B: by the swap lemma, C's
+    split components against that side's kernel directions (backward on
+    the left, forward on the right) times transforms of B with those
+    kernels flipped where the component anticommutes."""
+    left = side == "left"
+
+    def times_c(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return gp_many(spec.sig, x, rows) if left else gp_many(spec.sig, rows, x)
+
+    unodes = freqs.nodes()
+    product_field = b_field.with_values(times_c(c.coeffs, b_field.values))
+    lhs = gft_at(spec, product_field, unodes, validate=True)
+    rhs = np.zeros_like(lhs)
+    comps = _constant_components(c, side_directions(spec, side),
+                                 "backward" if left else "forward")
+    unflipped = (0,) * len(spec.right if left else spec.left)
+    for bits, comp in comps:
+        flips = (bits, unflipped) if left else (unflipped, bits)
+        spectrum = gft_at(negate(spec, *flips), b_field, unodes, validate=False)
+        rhs += times_c(comp.coeffs, spectrum)
+    return _report(f"{side}-product", lhs, rhs, tol, detail=f"terms={len(comps)}")
 
 
 def check_left_product(
@@ -202,21 +236,7 @@ def check_left_product(
 ) -> TheoremReport:
     """F(C B) against the sum of C's split components times sign-flipped
     transforms of B, one per component that survives the split."""
-    dirs = side_directions(spec, "left")
-    unodes = freqs.nodes()
-    product_field = b_field.with_values(
-        gp_many(spec.sig, c.coeffs, b_field.values)
-    )
-    lhs = gft_at(spec, product_field, unodes, validate=True)
-    rhs = np.zeros_like(lhs)
-    k_zero = (0,) * len(spec.right)
-    terms = 0
-    for bits, comp in _constant_components(c, dirs, "backward"):
-        spectrum = gft_at(negate(spec, bits, k_zero), b_field, unodes,
-                          validate=False)
-        rhs += gp_many(spec.sig, comp.coeffs, spectrum)
-        terms += 1
-    return _report("left-product", lhs, rhs, tol, detail=f"terms={terms}")
+    return _check_product(spec, c, b_field, freqs, tol, "left")
 
 
 def check_right_product(
@@ -227,21 +247,7 @@ def check_right_product(
     tol: float = 1e-10,
 ) -> TheoremReport:
     """F(B C) against sign-flipped transforms of B times C's components."""
-    dirs = side_directions(spec, "right")
-    unodes = freqs.nodes()
-    product_field = b_field.with_values(
-        gp_many(spec.sig, b_field.values, c.coeffs)
-    )
-    lhs = gft_at(spec, product_field, unodes, validate=True)
-    rhs = np.zeros_like(lhs)
-    j_zero = (0,) * len(spec.left)
-    terms = 0
-    for bits, comp in _constant_components(c, dirs, "forward"):
-        spectrum = gft_at(negate(spec, j_zero, bits), b_field, unodes,
-                          validate=False)
-        rhs += gp_many(spec.sig, spectrum, comp.coeffs)
-        terms += 1
-    return _report("right-product", lhs, rhs, tol, detail=f"terms={terms}")
+    return _check_product(spec, c, b_field, freqs, tol, "right")
 
 
 def shifted_field(field: SampledField, x0: Sequence[float]) -> SampledField:
@@ -253,13 +259,12 @@ def shifted_field(field: SampledField, x0: Sequence[float]) -> SampledField:
     offs = []
     for k, (v, s) in enumerate(zip(np.asarray(x0, dtype=float), field.spacing)):
         t = v / s
-        r = round(t)
-        if abs(t - r) > 1e-9 * max(1.0, abs(t)):
+        if not np.isfinite(t) or abs(t - round(t)) > 1e-9 * max(1.0, abs(t)):
             raise OffGridShift(
                 f"shift component {k + 1} is {v}, not an integer multiple "
                 f"of spacing {s}"
             )
-        offs.append(int(r))
+        offs.append(int(round(t)))
     shaped = field.values.reshape(field.dims + (field.sig.dim,))
     out = np.zeros_like(shaped)
     src = []

@@ -51,6 +51,19 @@ def rand_root(
     return total
 
 
+def exp_series(a: Multivector) -> Multivector:
+    """Power-series e^{a}, the reference `exponential.exp_imag` is tested
+    against: terms a**j / j! are added in ascending order, up to and
+    including the first of magnitude below 1e-14."""
+    term = total = Multivector.scalar(a.sig, 1.0)
+    for j in range(1, 257):
+        term = term * a / j
+        total = total + term
+        if term.magnitude() < 1e-14:
+            return total
+    raise AssertionError(f"power series of {a!r} has not converged")
+
+
 def squares_to_negative_real(f: Multivector) -> bool:
     """Verdict of the package's one imaginary-square test on f."""
     return not check_square(f)[0]

@@ -1,5 +1,7 @@
 """Commutativity splits, exponential swaps, and triangular sign matrices."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,22 +9,25 @@ from hypothesis import given, settings
 from gafourier.algebra import Multivector, NotInvertible, Signature
 from gafourier.commsplit import (
     MAX_GENERATORS,
-    TriangularSignMatrix,
-    enumerate_triangular,
+    _triangular,
     shift_exponential_terms,
     split_multi,
-    split_pair,
-    swap_through_exponentials,
 )
 from gafourier.exponential import NotImaginary, exp_imag
 
 from conftest import SIGNATURES_SMALL, rand_mv, rand_root, root_family, sig_and_mvs
 
 
+def _pair(a, b):
+    """(commuting, anticommuting) parts of a against the one generator b."""
+    comps = split_multi(a, [b], "forward")
+    return comps[(0,)], comps[(1,)]
+
+
 def test_pair_split_known_example():
     sig = Signature(2, 0)
     a = Multivector(sig, np.array([1.0, 2.0, 3.0, 4.0]))
-    c0, c1 = split_pair(a, Multivector.blade(sig, "e1"))
+    c0, c1 = _pair(a, Multivector.blade(sig, "e1"))
     # e1 (1 + 2 e1 + 3 e2 + 4 e12) e1 = 1 + 2 e1 - 3 e2 - 4 e12
     assert np.allclose(c0.coeffs, [1.0, 2.0, 0.0, 0.0], atol=1e-15)
     assert np.allclose(c1.coeffs, [0.0, 0.0, 3.0, 4.0], atol=1e-15)
@@ -34,7 +39,7 @@ def test_pair_split_reassembles_and_commutes(data):
     sig, a = data
     for label in root_family(sig):
         b = Multivector.blade(sig, label, 1.5)
-        c0, c1 = split_pair(a, b)
+        c0, c1 = _pair(a, b)
         assert (c0 + c1 - a).magnitude() <= 1e-12 * max(1.0, a.magnitude())
         scale = max(1.0, a.magnitude()) * b.magnitude()
         assert (c0 * b - b * c0).magnitude() <= 1e-10 * scale
@@ -42,12 +47,14 @@ def test_pair_split_reassembles_and_commutes(data):
 
 
 def test_pair_split_requires_invertible():
+    # 1 + e1 is nonzero but has no inverse (its reversion norm is 0);
+    # a zero generator performs no split (test_zero_and_empty_generators)
     sig = Signature(2, 0)
     a = Multivector.scalar(sig, 1.0)
-    with pytest.raises(NotInvertible):
-        split_pair(a, Multivector.scalar(sig, 1.0) + Multivector.blade(sig, "e1"))
-    with pytest.raises(NotInvertible):
-        split_pair(a, Multivector.zero(sig))
+    for direction in ("forward", "backward"):
+        with pytest.raises(NotInvertible):
+            split_multi(a, [Multivector.scalar(sig, 1.0) + Multivector.blade(sig, "e1")],
+                        direction)
 
 
 def test_multi_split_sum_and_commutation():
@@ -64,11 +71,13 @@ def test_multi_split_sum_and_commutation():
             for part in comps.values():
                 total = total + part
             assert (total - a).magnitude() <= 1e-12 * max(1.0, a.magnitude())
-        # with a single generator both directions agree with the pair split
-        comps = split_multi(a, gens[:1], "forward")
-        c0, c1 = split_pair(a, gens[0])
-        assert (comps[(0,)] - c0).magnitude() <= 1e-13
-        assert (comps[(1,)] - c1).magnitude() <= 1e-13
+        # with a single generator g both directions give 1/2 (a +- g^-1 a g)
+        g = gens[0]
+        conj = g.inverse() * a * g
+        for direction in ("forward", "backward"):
+            comps = split_multi(a, gens[:1], direction)
+            assert (comps[(0,)] - 0.5 * (a + conj)).magnitude() <= 1e-13
+            assert (comps[(1,)] - 0.5 * (a - conj)).magnitude() <= 1e-13
 
 
 def test_multi_split_components_carry_sign_contract():
@@ -114,6 +123,9 @@ def test_zero_and_empty_generators():
 
 
 def test_swap_through_exponentials_identity():
+    # the swap lemma: a constant moves left through prod_k e^{-f_k} as its
+    # backward split components, each flipping the exponents it anticommutes
+    # with:  prod_k e^{-f_k} a == sum_s a_s prod_k e^{-(-1)^{s_k} f_k}
     rng = np.random.default_rng(17)
     for sig in (Signature(0, 2), Signature(3, 0)):
         labels = root_family(sig)
@@ -127,7 +139,7 @@ def test_swap_through_exponentials_identity():
                 lhs = lhs * exp_imag(f)
             lhs = lhs * a
             rhs = Multivector.zero(sig)
-            for comp, signs in swap_through_exponentials(fvals, a):
+            for signs, comp in split_multi(a, fvals, "backward").items():
                 tail = Multivector.scalar(sig, 1.0)
                 for s, f in zip(signs, fvals):
                     tail = tail * exp_imag(f if s == 0 else -f)
@@ -136,51 +148,69 @@ def test_swap_through_exponentials_identity():
 
 
 def test_swap_rejects_non_imaginary_values():
+    # the shift terms exponentiate their values and name the first offender
     sig = Signature(2, 0)
+    e1 = Multivector.basis_vector(sig, 1)  # squares to +1
     with pytest.raises(NotImaginary) as err:
-        swap_through_exponentials([Multivector.basis_vector(sig, 1)],
-                                  Multivector.scalar(sig, 1.0))
+        shift_exponential_terms([e1.coeffs[None]], "lower", [e1])
     assert "value 1" in str(err.value)
+
+
+def _triangular_reference(d, orientation):
+    """(rows, column parity) per strictly triangular 0/1 matrix, looping
+    over the free cells in row-major order with the first cell most
+    significant."""
+    if orientation == "lower":
+        cells = [(r, c) for r in range(d) for c in range(r)]
+    else:
+        cells = [(r, c) for r in range(d) for c in range(r + 1, d)]
+    out = []
+    for combo in itertools.product((0, 1), repeat=len(cells)):
+        rows = [[0] * d for _ in range(d)]
+        for (r, c), v in zip(cells, combo):
+            rows[r][c] = v
+        parity = tuple(sum(row[c] for row in rows) % 2 for c in range(d))
+        out.append((tuple(map(tuple, rows)), parity))
+    return out
 
 
 def test_triangular_counts_are_exact():
     for orientation in ("lower", "upper"):
-        for d, want in [(1, 1), (2, 2), (3, 8), (4, 64)]:
-            mats = enumerate_triangular(d, orientation=orientation)
-            assert len(mats) == want == 2 ** (d * (d - 1) // 2)
-        assert enumerate_triangular(0, orientation=orientation) == [
-            TriangularSignMatrix((), orientation)
-        ]
+        for d in range(5):
+            mats = _triangular(d, orientation == "lower")
+            assert len(mats) == 2 ** (d * (d - 1) // 2)
+            assert mats == _triangular_reference(d, orientation)
 
 
-def test_triangular_parity_filter():
-    # strictly lower 3x3: column 3 has no free cells, so its parity is 0
-    assert len(enumerate_triangular(3, j=(1, 1, 0))) == 2
-    assert enumerate_triangular(3, j=(0, 0, 1)) == []
-    for mat in enumerate_triangular(3, j=(1, 0, 0)):
-        assert mat.column_parity() == (1, 0, 0)
-    # upper mirror: first column is forced to parity 0
-    assert enumerate_triangular(3, j=(1, 0, 0), orientation="upper") == []
-    total = sum(
-        len(enumerate_triangular(3, j=(a, b, 0)))
-        for a in (0, 1) for b in (0, 1)
-    )
-    assert total == 8
-
-
-def test_triangular_matrix_validation():
-    with pytest.raises(ValueError):
-        TriangularSignMatrix(((0, 1), (0, 0)), "lower")  # upper cell set
-    with pytest.raises(ValueError):
-        TriangularSignMatrix(((1, 0), (0, 0)), "lower")  # diagonal set
-    with pytest.raises(ValueError):
-        TriangularSignMatrix(((0, 2), (0, 0)), "upper")
-    with pytest.raises(ValueError):
-        TriangularSignMatrix(((0, 0),), "lower")
-    mat = TriangularSignMatrix(((0, 0, 0), (1, 0, 0), (1, 1, 0)), "lower")
-    assert mat.row(2) == (1, 1, 0)
-    assert mat.column_parity() == (0, 1, 0)
-    assert mat.d == 3
+def test_triangular_order_and_parities():
+    # the shift check sums its terms in this order, so verify's residuals
+    # depend on it: free cells (1,0), (2,0), (2,1) for 'lower' and (0,1),
+    # (0,2), (1,2) for 'upper', counted in binary with the first most
+    # significant
+    zero = (0, 0, 0)
+    assert _triangular(3, True) == [
+        ((zero, zero, (0, 0, 0)), (0, 0, 0)),
+        ((zero, zero, (0, 1, 0)), (0, 1, 0)),
+        ((zero, zero, (1, 0, 0)), (1, 0, 0)),
+        ((zero, zero, (1, 1, 0)), (1, 1, 0)),
+        ((zero, (1, 0, 0), (0, 0, 0)), (1, 0, 0)),
+        ((zero, (1, 0, 0), (0, 1, 0)), (1, 1, 0)),
+        ((zero, (1, 0, 0), (1, 0, 0)), (0, 0, 0)),
+        ((zero, (1, 0, 0), (1, 1, 0)), (0, 1, 0)),
+    ]
+    assert _triangular(3, False) == [
+        (((0, 0, 0), (0, 0, 0), zero), (0, 0, 0)),
+        (((0, 0, 0), (0, 0, 1), zero), (0, 0, 1)),
+        (((0, 0, 1), (0, 0, 0), zero), (0, 0, 1)),
+        (((0, 0, 1), (0, 0, 1), zero), (0, 0, 0)),
+        (((0, 1, 0), (0, 0, 0), zero), (0, 1, 0)),
+        (((0, 1, 0), (0, 0, 1), zero), (0, 1, 1)),
+        (((0, 1, 1), (0, 0, 0), zero), (0, 1, 1)),
+        (((0, 1, 1), (0, 0, 1), zero), (0, 1, 0)),
+    ]
+    # plain ints, so the sign vectors hash like the tuples negate caches on
+    for rows, parity in _triangular(3, True) + _triangular(3, False):
+        assert all(type(v) is int for row in rows + (parity,) for v in row)
 
 
 def _interleaved_product(sig, constants, moving, factor_side):

@@ -7,19 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 from gafourier.algebra import Multivector, Signature
-from gafourier.commsplit import swap_through_exponentials
-from gafourier.exponential import (
-    ExpOptions,
-    NoConvergence,
-    NotImaginary,
-    exp_imag,
-    exp_neg_many,
-    exp_series,
-)
+from gafourier.commsplit import shift_exponential_terms
+from gafourier.exponential import NotImaginary, exp_imag, exp_neg_many
 from gafourier.kernels import GftSpec, KernelMatrix
 from gafourier.transform import SampledField, gft_at, gft_direct, plan
 
-from conftest import SIGNATURES_SMALL, rand_mv, rand_root, sig_and_root
+from conftest import SIGNATURES_SMALL, exp_series, rand_root, sig_and_root
 
 
 def test_closed_form_matches_series():
@@ -82,20 +75,6 @@ def test_rejects_non_imaginary():
         exp_imag(Multivector.basis_vector(sig, 1))  # squares to +1
     with pytest.raises(NotImaginary):
         exp_imag(Multivector.scalar(sig, 1.0) + Multivector.blade(sig, "e12"))
-
-
-def test_series_convergence_control():
-    sig = Signature(2, 0)
-    f = Multivector.blade(sig, "e12", 30.0)
-    with pytest.raises(NoConvergence):
-        exp_series(f, ExpOptions(max_terms=10))
-    # large-angle series loses digits to cancellation; moderate angle is exact
-    mid = Multivector.blade(sig, "e12", 6.0)
-    assert (exp_series(mid) - exp_imag(-mid)).magnitude() <= 1e-11
-    with pytest.raises(ValueError):
-        ExpOptions(tol=0.0)
-    with pytest.raises(ValueError):
-        ExpOptions(max_terms=0)
 
 
 def test_batched_exponentials_match_scalar_path():
@@ -168,14 +147,13 @@ def test_every_caller_gives_the_same_verdict(case):
     unodes = np.array([[u]])
     f = kern.eval((1.0,), (u,))
     assert plan(spec, field, unodes).engine == "expansion"
-    a = Multivector(sig, np.linspace(-1.0, 1.0, sig.dim))
     with np.errstate(invalid="ignore"):
         verdicts = {
             "exp_imag": _raises_not_imaginary(exp_imag, f),
             "exp_neg_many": _raises_not_imaginary(exp_neg_many, sig, f.coeffs[None]),
             "gft_at (expansion)": _raises_not_imaginary(gft_at, spec, field, unodes),
             "gft_direct": _raises_not_imaginary(gft_direct, spec, field, unodes),
-            "swap_through_exponentials": _raises_not_imaginary(
-                swap_through_exponentials, [f], a),
+            "shift_exponential_terms": _raises_not_imaginary(
+                shift_exponential_terms, [f.coeffs[None]], "lower", [f]),
         }
     assert verdicts == dict.fromkeys(verdicts, rejected)

@@ -156,6 +156,21 @@ def test_grid_file_rejects_corruption(tmp_path):
         read_grid_file(truncated)
 
 
+@pytest.mark.parametrize("binary", [False, True])
+def test_grid_file_rejects_overflowing_dims(tmp_path, binary):
+    # 2**32 * 2**32 samples wrap to 0 in int64; the count must not
+    path = tmp_path / "field.mvf"
+    write_field(path, SampledField.random(SIG, (2, 2), np.random.default_rng(6)),
+                binary=binary)
+    head, _, _ = path.read_bytes().partition(b"\ndata\n")
+    path.write_bytes(head.replace(b"dims 2 2", b"dims 4294967296 4294967296")
+                     + b"\ndata\n")
+    count = 2**64 * SIG.dim
+    want = f"expected {8 * count} payload bytes" if binary else f"expected {count} numbers"
+    with pytest.raises(FileFormatError, match=want):
+        read_grid_file(path)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_grid_file_rejects_non_finite_values(tmp_path, bad):
     rng = np.random.default_rng(6)

@@ -158,6 +158,15 @@ def test_shift_rejects_bad_inputs():
         check_shift(odd, ofield, (1.0, 0.0, 0.0), ofreqs)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_shift_rejects_non_finite_shift(bad):
+    spec, field, freqs, _ = _setup("quaternionic", dims=(8, 8), border=2)
+    with pytest.raises(OffGridShift, match="shift component 1"):
+        shifted_field(field, (bad, 0.0))
+    with pytest.raises(OffGridShift):
+        check_shift(spec, field, (bad, 0.0), freqs)
+
+
 def test_existence_bound_point_mass():
     sig = Signature(0, 2)
     spec = parse_preset("quaternionic")
