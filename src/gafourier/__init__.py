@@ -11,7 +11,6 @@ from .algebra import (
     Multivector,
     NotInvertible,
     Signature,
-    blade_mul,
     gp_many,
     pseudoscalar,
     square_scalar_signs,
@@ -97,7 +96,6 @@ __all__ = [
     "TheoremReport",
     "UnsupportedScale",
     "UnsupportedSignature",
-    "blade_mul",
     "check_existence_bound",
     "check_left_product",
     "check_linearity",

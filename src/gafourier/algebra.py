@@ -10,12 +10,12 @@ use: since e_i e_j = sign(i, j) e_{i^j},
 
     (a b)[k] = sum_i sign[i, k] a_i b_{i^k},   sign[i, k] = sign(i, i^k),
 
-with xor[i, k] = i ^ k.  A constant factor turns into one (2**n, 2**n)
-matrix through that table (`left_matrix`, `right_matrix`), so a product
-is one matrix multiply; `gp_many` applies the same rule to stacks of
-rows.  Everything here is a pure function on immutable values; nothing
-mutates shared state after a table is built, so the module is safe to
-use from multiple threads.
+with xor[i, k] = i ^ k.  A constant factor on either side turns into one
+(2**n, 2**n) matrix through that table, so a product is one matrix
+multiply; `gp_many` applies the same rule to stacks of rows.  Everything
+here is a pure function on immutable values; nothing mutates shared
+state after a table is built, so the module is safe to use from
+multiple threads.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "NotInvertible",
     "Signature",
     "Multivector",
-    "blade_mul",
     "blade_signs",
     "gp_many",
     "pseudoscalar",
@@ -114,13 +113,6 @@ class Signature:
 
     def __str__(self) -> str:
         return f"Cl({self.p},{self.q})"
-
-
-def blade_mul(a: int, b: int, sig: Signature) -> tuple[float, int]:
-    """Product of two basis blades given as bitmasks: (sign, a ^ b)."""
-    if not 0 <= a < sig.dim or not 0 <= b < sig.dim:
-        raise ValueError("blade mask out of range for signature")
-    return float(blade_signs(sig, a, b)), a ^ b
 
 
 def blade_signs(sig: Signature, a, b) -> np.ndarray:
@@ -348,11 +340,6 @@ class Multivector:
         grades, _ = _grades(self.sig.n)
         return Multivector(self.sig, np.where(grades == k, self.coeffs, 0.0))
 
-    def max_grade(self) -> int:
-        grades, _ = _grades(self.sig.n)
-        nz = np.nonzero(self.coeffs)[0]
-        return int(grades[nz].max()) if len(nz) else 0
-
     def terms(self) -> list[tuple[int, float]]:
         """Nonzero (mask, coefficient) pairs in blade-index order."""
         return [(int(i), float(self.coeffs[i])) for i in np.nonzero(self.coeffs)[0]]
@@ -378,14 +365,6 @@ class Multivector:
                 f"{self!r}: product with its reversion is not an invertible scalar"
             )
         return Multivector(self.sig, rev.coeffs / s)
-
-    def left_matrix(self) -> np.ndarray:
-        """Matrix L with (self * X).coeffs == L @ X.coeffs."""
-        return _left_factor(self.sig, self.coeffs).T
-
-    def right_matrix(self) -> np.ndarray:
-        """Matrix R with (X * self).coeffs == R @ X.coeffs."""
-        return _right_factor(self.sig, self.coeffs).T
 
     def __repr__(self) -> str:
         parts = []

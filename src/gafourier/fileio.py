@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import Multivector, Signature
 from .kernels import GftSpec, KernelMatrix
-from .transform import FreqGrid, SampledField, Spectrum
+from .transform import FreqGrid, SampledField, Spectrum, _check_geometry
 
 __all__ = [
     "FileFormatError",
@@ -307,6 +307,10 @@ def read_grid_file(path: str | Path) -> GridFile:
         raise FileFormatError(
             f"{path}: dims/origin/spacing must each have m={m} entries"
         )
+    try:
+        dims, origin, spacing = _check_geometry(dims, origin, spacing)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
     count = math.prod(dims) * sig.dim
     if mode == "binary":
         if len(payload) != 8 * count:
@@ -327,8 +331,6 @@ def read_grid_file(path: str | Path) -> GridFile:
             )
     if not np.isfinite(flat).all():
         raise FileFormatError(f"{path}: payload holds NaN or infinite values")
-    if not np.isfinite(origin + spacing).all():
-        raise FileFormatError(f"{path}: origin and spacing must be finite")
     values = flat.reshape(-1, sig.dim)
     return GridFile(kind, sig, dims, origin, spacing, values)
 

@@ -151,14 +151,6 @@ class KernelMatrix:
         first use; None for a zero kernel."""
         return _factor(self.sig, self.tensor)
 
-    def eval(self, x: Sequence[float], u: Sequence[float]) -> Multivector:
-        xa = np.asarray(x, dtype=float)
-        ua = np.asarray(u, dtype=float)
-        if xa.shape != (self.m,) or ua.shape != (self.m,):
-            raise ValueError(f"kernel expects {self.m}-vectors")
-        coeffs = xa @ np.tensordot(self.tensor, ua, axes=([1], [0]))
-        return Multivector(self.sig, coeffs)
-
     def values(self, xs: np.ndarray, u: Sequence[float]) -> np.ndarray:
         """Kernel values at many spatial points, one fixed u; (N, 2**n)."""
         ua = np.asarray(u, dtype=float)

@@ -6,6 +6,13 @@ per-frequency deviation.  The identities are pointwise-algebraic in the
 integrand, so on shared grids they hold to float roundoff; the reported
 residual is compared against tol * max(1, |LHS|).
 
+Every transform a check makes is `gft` on a frequency grid, so the
+checks run the engine `transform` runs for the same spec: the axes
+engine for every separable preset.  The scaling check transforms its
+right-hand side on the grid of the nodes u/a; one rule (`_divided`)
+gives that grid and the grid of `scaled_field`.  For a < 0 the division
+mirrors a grid, so its rows are read back reversed along every axis.
+
 Every split (`commsplit`) is against a kernel's constant direction, so
 it is the same projector pair at every frequency: the shift check splits
 the exponentials of all frequencies as (M, 2**n) stacks and assembles
@@ -33,7 +40,8 @@ from .commsplit import _DROP_TOL, SplitIndex, shift_exponential_terms, split_mul
 from .exponential import exp_neg_many
 from .exponential import exp_imag  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .kernels import GftSpec, negate, side_directions
-from .transform import FreqGrid, SampledField, gft_at, row_magnitudes
+from .transform import FreqGrid, SampledField, gft, row_magnitudes
+from .transform import gft_at  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
     "TheoremReport",
@@ -128,13 +136,28 @@ def check_linearity(
     """Transform of b*B + c*C against the combination of transforms."""
     if not _same_grid(b_field, c_field):
         raise ValueError("linearity check needs fields on one shared grid")
-    unodes = freqs.nodes()
     combined = b_field.with_values(b * b_field.values + c * c_field.values)
-    lhs = gft_at(spec, combined, unodes, validate=True)
-    rhs = b * gft_at(spec, b_field, unodes, validate=False) + c * gft_at(
-        spec, c_field, unodes, validate=False
-    )
+    lhs = gft(spec, combined, freqs).values
+    rhs = (b * gft(spec, b_field, freqs, validate=False).values
+           + c * gft(spec, c_field, freqs, validate=False).values)
     return _report("linearity", lhs, rhs, tol)
+
+
+def _divided(
+    grid: FreqGrid | SampledField, a: float
+) -> tuple[tuple[float, ...], tuple[float, ...], slice | np.ndarray]:
+    """The regular grid of `grid`'s nodes divided by a: its origin, its
+    spacing, and the row order that lines its nodes up with `grid`'s.
+
+    For a < 0 the division mirrors the grid, so the order reverses every
+    axis; it is its own inverse.
+    """
+    spacing = tuple(s / abs(a) for s in grid.spacing)
+    if a > 0:
+        return tuple(o / a for o in grid.origin), spacing, slice(None)
+    far = (o + (d - 1) * s for o, d, s in zip(grid.origin, grid.dims, grid.spacing))
+    order = np.flip(np.arange(grid.node_count).reshape(grid.dims)).ravel()
+    return tuple(v / a for v in far), spacing, order
 
 
 def scaled_field(field: SampledField, a: float) -> SampledField:
@@ -146,20 +169,8 @@ def scaled_field(field: SampledField, a: float) -> SampledField:
     """
     if a == 1.0:
         return field
-    if a > 0:
-        origin = tuple(o / a for o in field.origin)
-        values = field.values
-    else:
-        origin = tuple(
-            (o + (d - 1) * s) / a
-            for o, d, s in zip(field.origin, field.dims, field.spacing)
-        )
-        shaped = field.values.reshape(field.dims + (field.sig.dim,))
-        values = np.flip(shaped, axis=tuple(range(field.m))).reshape(
-            field.values.shape
-        )
-    spacing = tuple(s / abs(a) for s in field.spacing)
-    return SampledField(field.sig, field.dims, origin, spacing, values)
+    origin, spacing, order = _divided(field, a)
+    return SampledField(field.sig, field.dims, origin, spacing, field.values[order])
 
 
 def check_scaling(
@@ -169,16 +180,16 @@ def check_scaling(
     freqs: FreqGrid,
     tol: float = 1e-10,
 ) -> TheoremReport:
-    """F(B(a.))(u) against |a|^-m F(B)(u/a) at every frequency node."""
+    """F(B(a.))(u) against |a|^-m F(B)(u/a) at every frequency node, the
+    right-hand side transformed on the grid of the nodes u/a."""
     if a not in SCALE_FACTORS:
         raise UnsupportedScale(
             f"scale factor must be one of +-1, +-2, +-1/2; got {a}"
         )
-    unodes = freqs.nodes()
-    lhs = gft_at(spec, scaled_field(b_field, a), unodes, validate=True)
-    rhs = abs(a) ** (-spec.m) * gft_at(
-        spec, b_field, unodes / a, validate=False
-    )
+    origin, spacing, order = _divided(freqs, a)
+    lhs = gft(spec, scaled_field(b_field, a), freqs).values
+    divided = FreqGrid(freqs.dims, origin, spacing)
+    rhs = abs(a) ** (-spec.m) * gft(spec, b_field, divided, validate=False).values[order]
     return _report(f"scaling[a={a:g}]", lhs, rhs, tol)
 
 
@@ -213,16 +224,15 @@ def _check_product(
     def times_c(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return gp_many(spec.sig, x, rows) if left else gp_many(spec.sig, rows, x)
 
-    unodes = freqs.nodes()
     product_field = b_field.with_values(times_c(c.coeffs, b_field.values))
-    lhs = gft_at(spec, product_field, unodes, validate=True)
+    lhs = gft(spec, product_field, freqs).values
     rhs = np.zeros_like(lhs)
     comps = _constant_components(c, side_directions(spec, side),
                                  "backward" if left else "forward")
     unflipped = (0,) * len(spec.right if left else spec.left)
     for bits, comp in comps:
         flips = (bits, unflipped) if left else (unflipped, bits)
-        spectrum = gft_at(negate(spec, *flips), b_field, unodes, validate=False)
+        spectrum = gft(negate(spec, *flips), b_field, freqs, validate=False).values
         rhs += times_c(comp.coeffs, spectrum)
     return _report(f"{side}-product", lhs, rhs, tol, detail=f"terms={len(comps)}")
 
@@ -314,7 +324,7 @@ def check_shift(
     right_dirs = side_directions(spec, "right")
     x0 = np.asarray(x0, dtype=float)
     unodes = freqs.nodes()
-    lhs = gft_at(spec, shifted_field(b_field, x0), unodes, validate=True)
+    lhs = gft(spec, shifted_field(b_field, x0), freqs).values
     # kernel values f(x0, u) at every frequency, one (M, 2**n) stack each
     left_vals, right_vals = (
         [unodes @ np.tensordot(x0, k.tensor, axes=1) for k in side]
@@ -328,7 +338,7 @@ def check_shift(
 
     @functools.cache
     def spectrum(j: SplitIndex, k: SplitIndex) -> np.ndarray:
-        return gft_at(negate(spec, j, k), b_field, unodes, validate=False)
+        return gft(negate(spec, j, k), b_field, freqs, validate=False).values
 
     rhs = np.zeros_like(lhs)
     for lf, j in left_terms:
@@ -361,8 +371,7 @@ def check_existence_bound(
     tol: float = 1e-12,
 ) -> TheoremReport:
     """Max spectrum magnitude against 2^nu times the field's L1 mass."""
-    unodes = freqs.nodes()
-    values = gft_at(spec, b_field, unodes, validate=True)
+    values = gft(spec, b_field, freqs).values
     attained = float(row_magnitudes(values).max())
     bound = (
         2.0 ** spec.nu

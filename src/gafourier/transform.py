@@ -6,8 +6,10 @@ The transform of a field A at one frequency u is the Riemann sum
 
 over all grid nodes x, with the kernel products taken in their configured
 order.  The frequency grid is arbitrary and independent of the spatial
-one.  `gft` (on a frequency grid) and `gft_at` (on an array of
-frequencies) run one of three engines, chosen per call by `plan`:
+one.  `gft` (on a frequency grid) is the transform the CLI and every
+identity check run; `gft_at` is the entry point for scattered
+frequencies (an (M, m) array).  Both run one of three engines, chosen
+per call by `plan`:
 
 * axes: every kernel is one direction j_k with j_k^2 = -1, checked once,
   times a diagonal form s_k = sum_j a_kj x_j u_j, and the frequencies form

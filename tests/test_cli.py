@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import logging
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from gafourier.algebra import Signature
 from gafourier.cli import main
 from gafourier.fileio import read_grid_file, write_field, write_kernels
 from gafourier.kernels import parse_preset
-from gafourier.transform import SampledField, default_freqs, gft
+from gafourier.transform import SampledField, default_freqs, gft, plan
 
 
 @pytest.fixture
@@ -186,6 +187,20 @@ def test_verify_factors_each_preset_kernel_once(monkeypatch):
         count += len(spec.left + spec.right)
     # sign-flipped and rescaled kernels inherit their parent's factorization
     assert len(calls) == count == 14
+
+
+@pytest.mark.parametrize("selector, engine", [
+    ("quaternionic", "axes"), ("color_image", "axes"), ("cylindrical:3", "expansion"),
+])
+def test_verify_runs_the_engine_transform_runs(caplog, selector, engine):
+    spec = parse_preset(selector)
+    field = SampledField.random(spec.sig, (4,) * spec.m, np.random.default_rng(0))
+    assert plan(spec, field, default_freqs(field)).engine == engine
+    args = argparse.Namespace(theorem="all", preset=selector, seed=3, size=8, tol=None)
+    with caplog.at_level(logging.DEBUG, logger="gafourier"):
+        assert not any(bad for _, bad in cli._verify_lines(args))
+    plans = [r.getMessage() for r in caplog.records if r.getMessage().startswith("plan:")]
+    assert plans and all(m.startswith(f"plan: {engine} engine") for m in plans), plans
 
 
 def test_verify_scaling_runs_the_theorems_factor_table(capsys):

@@ -145,7 +145,7 @@ def test_every_caller_gives_the_same_verdict(case):
     # one node at x = 1 and one frequency u: the kernel takes one value f
     field = SampledField(sig, (1,), (1.0,), (1.0,), np.ones((1, sig.dim)))
     unodes = np.array([[u]])
-    f = kern.eval((1.0,), (u,))
+    f = Multivector(sig, kern.values(np.array([[1.0]]), (u,))[0])
     assert plan(spec, field, unodes).engine == "expansion"
     with np.errstate(invalid="ignore"):
         verdicts = {

@@ -156,17 +156,27 @@ def test_grid_file_rejects_corruption(tmp_path):
         read_grid_file(truncated)
 
 
-@pytest.mark.parametrize("binary", [False, True])
-def test_grid_file_rejects_overflowing_dims(tmp_path, binary):
-    # 2**32 * 2**32 samples wrap to 0 in int64; the count must not
+_WRAPPED = 2**64 * SIG.dim
+
+
+@pytest.mark.parametrize("binary, dims, want", [
+    (False, "4294967296 4294967296", f"expected {_WRAPPED} numbers"),
+    (True, "4294967296 4294967296", f"expected {8 * _WRAPPED} payload bytes"),
+    (False, "-2 -2", "extents must be at least 1"),
+    (True, "-2 -2", "extents must be at least 1"),
+    (False, "0 4", "extents must be at least 1"),
+    (True, "0 4", "extents must be at least 1"),
+], ids=["False", "True", "negative-text", "negative-binary", "zero-text", "zero-binary"])
+def test_grid_file_rejects_overflowing_dims(tmp_path, binary, dims, want):
+    # each `dims` fits its payload in some arithmetic, none as a grid:
+    # 2**32 * 2**32 samples wrap to 0 in int64 and 0 * 4 is 0 (both with an
+    # empty payload), and -2 * -2 is the 4 rows of the 2x2 field's payload
     path = tmp_path / "field.mvf"
     write_field(path, SampledField.random(SIG, (2, 2), np.random.default_rng(6)),
                 binary=binary)
-    head, _, _ = path.read_bytes().partition(b"\ndata\n")
-    path.write_bytes(head.replace(b"dims 2 2", b"dims 4294967296 4294967296")
-                     + b"\ndata\n")
-    count = 2**64 * SIG.dim
-    want = f"expected {8 * count} payload bytes" if binary else f"expected {count} numbers"
+    head, _, data = path.read_bytes().partition(b"\ndata\n")
+    path.write_bytes(head.replace(b"dims 2 2", f"dims {dims}".encode())
+                     + b"\ndata\n" + (data if dims == "-2 -2" else b""))
     with pytest.raises(FileFormatError, match=want):
         read_grid_file(path)
 

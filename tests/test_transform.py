@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gafourier.algebra import Multivector, Signature
 from gafourier.exponential import NotImaginary
-from gafourier import kernels, transform
+from gafourier import kernels, theorems, transform
 from gafourier.kernels import (
     GftSpec,
     KernelMatrix,
@@ -19,7 +19,7 @@ from gafourier.kernels import (
     negate,
     parse_preset,
 )
-from gafourier.theorems import check_right_product
+from gafourier.theorems import SCALE_FACTORS, check_right_product
 from gafourier.transform import (
     FreqGrid,
     SampledField,
@@ -482,8 +482,10 @@ def test_plan_decision_is_logged(caplog):
 
 
 def _assert_grid_agrees(spec, field, freqs):
-    got = gft(spec, field, freqs).values
-    ref = gft_direct(spec, field, freqs.nodes())
+    _assert_agrees(gft(spec, field, freqs).values, gft_direct(spec, field, freqs.nodes()))
+
+
+def _assert_agrees(got, ref):
     err = np.linalg.norm(got - ref, axis=1)
     allowed = 1e-12 * np.maximum(1.0, np.linalg.norm(ref, axis=1))
     assert (err <= allowed).all(), float((err / allowed).max())
@@ -516,6 +518,24 @@ def test_axes_engine_matches_direct_on_presets(selector):
         p = plan(spec, field, freqs)
         assert p.engine == "axes" and p.reason.endswith("; diagonal forms"), p.reason
         _assert_grid_agrees(spec, field, freqs)
+
+
+@pytest.mark.parametrize("a", SCALE_FACTORS)
+@pytest.mark.parametrize("selector", ["quaternionic", "color_image"])
+def test_axes_engine_matches_direct_on_divided_grids(selector, a):
+    # the grid of the nodes u / a that check_scaling transforms on, which
+    # a < 0 mirrors: its spectrum reads back reversed along every axis
+    spec = parse_preset(selector)
+    dims = AXES_PRESETS[selector]
+    field = SampledField.random(spec.sig, dims, np.random.default_rng(26))
+    freqs = default_freqs(field)
+    origin, spacing, _ = theorems._divided(freqs, a)
+    divided = FreqGrid(freqs.dims, origin, spacing)
+    assert plan(spec, field, divided).engine == "axes"
+    got = gft(spec, field, divided).values
+    if a < 0:
+        got = np.flip(got.reshape(dims + (-1,)), axis=(0, 1)).reshape(got.shape)
+    _assert_agrees(got, gft_direct(spec, field, freqs.nodes() / a))
 
 
 @pytest.mark.parametrize("selector, tile", [
