@@ -12,7 +12,8 @@ use: since e_i e_j = sign(i, j) e_{i^j},
 
 with xor[i, k] = i ^ k.  A constant factor on either side turns into one
 (2**n, 2**n) matrix through that table, so a product is one matrix
-multiply; `gp_many` applies the same rule to stacks of rows.  Everything
+multiply (beyond n = 10, a sum of them over row blocks of the matrix);
+`gp_many` applies the same rule to stacks of rows.  Everything
 here is a pure function on immutable values; nothing mutates shared
 state after a table is built, so the module is safe to use from
 multiple threads.
@@ -38,8 +39,8 @@ __all__ = [
     "square_scalar_signs",
 ]
 
-# Hard cap on p+q.  At n = 12 the product table takes 48 MiB and one
-# dense product a (2**n, 2**n) matrix of 128 MiB.
+# Hard cap on p+q.  At n = 12 the product table takes 48 MiB; a product
+# reads it in row blocks (`_ROW_BLOCK`), not as a 128 MiB matrix.
 MAX_DIMENSION = 12
 
 STRUCTURAL_TOL = 1e-12  # absolute tolerance for structural checks
@@ -170,25 +171,37 @@ def _grades(n: int) -> tuple[np.ndarray, np.ndarray]:
     return grades, reverse_sign
 
 
-def _right_factor(sig: Signature, b: np.ndarray) -> np.ndarray:
-    """Matrix M with (x * b) == x @ M for coefficient rows x."""
-    xor, sign = _table(sig.p, sig.q)
-    m = b[xor]
-    m *= sign
-    return m
-
-
-def _left_factor(sig: Signature, a: np.ndarray) -> np.ndarray:
-    """Matrix M with (a * x) == x @ M for coefficient rows x."""
-    xor, sign = _table(sig.p, sig.q)
-    m = a[xor]
-    m *= sign[xor, np.arange(sig.dim)]
-    return m
-
-
-# Row-by-row products expand each row of b into a (2**n, 2**n) matrix;
-# rows are processed in chunks of at most this many matrix entries (8 MiB).
+# Products gather and multiply the table in row blocks of at most this
+# many entries (8 MiB of float64), so that beyond n = 10 no product holds
+# a (2**n, 2**n) index or matrix; up to n = 10 the table is one block.
 _ROW_BLOCK = 1 << 20
+
+
+def _right_factor(sig: Signature, b: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Rows `rows` of the matrix M with (x * b) == x @ M for coefficient rows x."""
+    xor, sign = _table(sig.p, sig.q)
+    m = np.take(b, xor[rows])
+    m *= sign[rows]
+    return m
+
+
+def _left_factor(sig: Signature, a: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Rows `rows` of the matrix M with (a * x) == x @ M for coefficient rows x."""
+    xor, sign = _table(sig.p, sig.q)
+    index = xor[rows]
+    m = np.take(a, index)
+    m *= sign[index, np.arange(sig.dim)]
+    return m
+
+
+def _blockwise(sig: Signature, product) -> np.ndarray:
+    """x @ M as the sum of product(rows) = x[..., rows] @ M[rows] over the
+    table's row blocks."""
+    step = max(1, _ROW_BLOCK // sig.dim)
+    out = product(slice(0, step))
+    for lo in range(step, sig.dim, step):
+        out += product(slice(lo, lo + step))
+    return out
 
 
 def gp_many(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -197,22 +210,30 @@ def gp_many(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     `a` and `b` are (N, 2**n) or a single (2**n,) row broadcast against the
     other argument.  A constant factor becomes one (2**n, 2**n) matrix and
     the product one matrix multiply; two stacks are multiplied row by row.
+    Beyond n = 10 both are done in row blocks of the matrix.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if b.ndim == 1:
-        return a @ _right_factor(sig, b)
+        return _blockwise(sig, lambda r: a[..., r] @ _right_factor(sig, b, r))
     if a.ndim == 1:
-        return b @ _left_factor(sig, a)
+        return _blockwise(sig, lambda r: b[..., r] @ _left_factor(sig, a, r))
     if a.shape != b.shape:
         raise ValueError(f"row stacks of shapes {a.shape} and {b.shape} differ")
     xor, sign = _table(sig.p, sig.q)
     out = np.empty(a.shape)
+    # each row of b expands into a (2**n, 2**n) matrix, so a chunk of rows
+    # stays within one block up to n = 10
     rows = max(1, _ROW_BLOCK // sig.dim ** 2)
     for lo in range(0, len(out), rows):
-        m = np.take(b[lo:lo + rows], xor, axis=1)
-        m *= sign
-        out[lo:lo + rows] = (a[lo:lo + rows, None, :] @ m)[:, 0]
+        x, y = a[lo:lo + rows, None], b[lo:lo + rows]
+
+        def product(r: slice) -> np.ndarray:
+            m = np.take(y, xor[r], axis=1)
+            m *= sign[r]
+            return (x[..., r] @ m)[:, 0]
+
+        out[lo:lo + rows] = _blockwise(sig, product)
     return out
 
 
@@ -304,8 +325,7 @@ class Multivector:
         if isinstance(other, Multivector):
             if other.sig != self.sig:
                 raise ValueError("signature mismatch")
-            product = self.coeffs @ _right_factor(self.sig, other.coeffs)
-            return Multivector(self.sig, product)
+            return Multivector(self.sig, gp_many(self.sig, self.coeffs, other.coeffs))
         if isinstance(other, (int, float, np.floating, np.integer)):
             return Multivector(self.sig, self.coeffs * float(other))
         return NotImplemented
@@ -356,7 +376,7 @@ class Multivector:
         residue above tol or a scalar part of magnitude at most tol.
         """
         rev = self.reverse()
-        prod = self.coeffs @ _right_factor(self.sig, rev.coeffs)
+        prod = gp_many(self.sig, self.coeffs, rev.coeffs)
         s = prod[0]
         residue = np.linalg.norm(prod[1:])
         scale = np.linalg.norm(prod)

@@ -258,7 +258,12 @@ def _side_maps(f: Factors, side: str) -> dict[str, object]:
 
 @dataclass(frozen=True)
 class GftSpec:
-    """Ordered left and right kernel lists over one signature."""
+    """Ordered left and right kernel lists over one signature.
+
+    The transform keeps the plan record it derives from a spec in the
+    spec's instance dictionary (`transform._spec_plan`), so a spec is
+    planned once and the record is freed with it.
+    """
 
     sig: Signature
     m: int

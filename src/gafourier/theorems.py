@@ -224,11 +224,12 @@ def _check_product(
     def times_c(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return gp_many(spec.sig, x, rows) if left else gp_many(spec.sig, rows, x)
 
+    # NotSeparable, if the side has no directions, before any transform
+    comps = _constant_components(c, side_directions(spec, side),
+                                 "backward" if left else "forward")
     product_field = b_field.with_values(times_c(c.coeffs, b_field.values))
     lhs = gft(spec, product_field, freqs).values
     rhs = np.zeros_like(lhs)
-    comps = _constant_components(c, side_directions(spec, side),
-                                 "backward" if left else "forward")
     unflipped = (0,) * len(spec.right if left else spec.left)
     for bits, comp in comps:
         flips = (bits, unflipped) if left else (unflipped, bits)

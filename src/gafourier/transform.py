@@ -48,6 +48,15 @@ its GEMM work per pair is at most that of 2^nu sign patterns or of one
 dense product; larger specs go to the direct engine.  The validate flag
 never changes which engine runs.
 
+Planning: what depends on the spec alone is built on the first `plan` of
+a spec object and kept with it (`_spec_plan`): the kernel bases, the
+reason text up to the term count, the direct-engine and diagonal-form
+verdicts, and the axes engine's layout (fold order, the phase vectors up
+to sign and the unit column).  Each call pays for the rest: the phase
+bound from the grids' origin, spacing and extents, the routing, the
+DEBUG record, the tile sizes and the arithmetic.  No verdict about a
+grid is kept.
+
 Validation (validate=True) raises the same NotImaginary as the direct
 engine.  The axes engine needs no per-sample check: each direction is
 checked once, and the finite phase bound makes every phase finite.  The
@@ -403,6 +412,39 @@ class Plan:
     bases: tuple[_Basis, ...] = ()
 
 
+@dataclass(frozen=True, eq=False)
+class _Axes:
+    """The axes engine's layout for one spec, with the kernels in fold
+    order: the sign patterns sigma with sigma_1 = +1 (`_sign_patterns`)
+    give the phase vectors c = sigma . a, kept once up to sign."""
+
+    reach: tuple[float, ...]  # sum_k |a_kj| per axis j
+    keys: np.ndarray          # (D, m) distinct c up to sign, first nonzero > 0
+    which: np.ndarray         # (2^(K-1),) the key of each pattern
+    conj: np.ndarray          # (2^(K-1), 1, 1) the pattern's c is minus its key
+    units: np.ndarray         # (2^(K-1), 1, 1) (-i)^p, p = bit count of the index
+
+
+@dataclass(frozen=True, eq=False)
+class _SpecPlan:
+    """What `plan` and the engines derive from a spec alone, whatever the
+    grids: built once per spec object by `_spec_plan`.
+
+    `reason` is the plan's reason up to the term count (the whole reason
+    when `direct`).  `refusal` says why one-direction bases cannot run on
+    the axes engine on any grid, and `axes` is set when they can on grids
+    whose phase bound is finite; both are None when there is no basis or
+    some basis is not one direction.
+    """
+
+    reason: str
+    direct: bool = False
+    bases: tuple[_Basis, ...] = ()
+    order: tuple[_Basis, ...] = ()  # `_fold_order` of the bases
+    refusal: str | None = None
+    axes: _Axes | None = None
+
+
 def plan(spec: GftSpec, field: SampledField, freqs: FreqGrid | np.ndarray) -> Plan:
     """Choose the engine for transforming `field` at `freqs`, a frequency
     grid or an (M, m) array of frequency vectors, under `spec`.
@@ -414,8 +456,46 @@ def plan(spec: GftSpec, field: SampledField, freqs: FreqGrid | np.ndarray) -> Pl
     Otherwise the expansion engine runs while the product of (1 + r) over
     the kernels stays within max(2^nu, 2^n), so its GEMM work per pair is
     at most that of 2^nu sign patterns or of one dense product; larger
-    specs go to the direct engine.
+    specs go to the direct engine.  Everything but the phase bound is
+    decided once per spec object; see `_spec_plan`.
     """
+    return _route(_spec_plan(spec), field, freqs)
+
+
+def _route(rec: _SpecPlan, field: SampledField, freqs: FreqGrid | np.ndarray) -> Plan:
+    if rec.direct:
+        p = Plan("direct", rec.reason)
+    elif isinstance(freqs, FreqGrid) and (rec.axes is not None or rec.refusal):
+        refusal = rec.refusal or _phase_refusal(rec.axes.reach, field, freqs)
+        if refusal is None:
+            p = Plan("axes", f"{rec.reason}; diagonal forms", rec.bases)
+        else:
+            p = Plan("expansion", f"{rec.reason}; no axes engine: {refusal}", rec.bases)
+    else:
+        p = Plan("expansion", rec.reason, rec.bases)
+    # imported here, not at module level: importing logging would add
+    # about 9 ms to every start of the package
+    import logging
+
+    log = logging.getLogger("gafourier")
+    if log.isEnabledFor(logging.DEBUG):
+        count = freqs.node_count if isinstance(freqs, FreqGrid) else len(freqs)
+        log.debug("plan: %s engine (%s), %d nodes x %d frequencies",
+                  p.engine, p.reason, field.node_count, count)
+    return p
+
+
+def _spec_plan(spec: GftSpec) -> _SpecPlan:
+    """The spec's `_SpecPlan`, built on first use and kept in the spec
+    object's instance dictionary (as `KernelMatrix.factors` is kept with
+    its kernel), so it lives exactly as long as the spec."""
+    rec = spec.__dict__.get("_plan")
+    if rec is None:
+        rec = spec.__dict__["_plan"] = _build_spec_plan(spec)
+    return rec
+
+
+def _build_spec_plan(spec: GftSpec) -> _SpecPlan:
     sig = spec.sig
     limit = max(1 << spec.nu, sig.dim)
     bases, notes, terms = [], [], 1
@@ -430,56 +510,54 @@ def plan(spec: GftSpec, field: SampledField, freqs: FreqGrid | np.ndarray) -> Pl
             terms *= b.terms
             if terms > limit:
                 bound = f"2^n = {limit}" if limit == sig.dim else f"2^nu = {limit}"
-                return _decided(Plan("direct", f"{label}: {terms} terms exceed {bound}"),
-                                field, freqs)
+                return _SpecPlan(f"{label}: {terms} terms exceed {bound}", direct=True)
             bases.append(b)
             notes.append(b.describe())
     notes.append(f"{terms} term{'s' if terms > 1 else ''}")
-    engine = "expansion"
-    if isinstance(freqs, FreqGrid) and bases and all(b.step is not None for b in bases):
-        refusal = _axes_refusal(bases, field, freqs)
+    bases, order = tuple(bases), tuple(_fold_order(bases))
+    refusal = axes = None
+    if bases and all(b.step is not None for b in bases):
+        refusal = next((f"{b.label} form not diagonal" for b in bases
+                        if np.count_nonzero(b.forms[0])
+                        > np.count_nonzero(np.diagonal(b.forms[0]))), None)
         if refusal is None:
-            engine = "axes"
-            notes.append("diagonal forms")
-        else:
-            notes.append(f"no axes engine: {refusal}")
-    return _decided(Plan(engine, "; ".join(notes), tuple(bases)), field, freqs)
+            axes = _axes_layout(order)
+    return _SpecPlan("; ".join(notes), bases=bases, order=order, refusal=refusal, axes=axes)
 
 
-def _axes_refusal(
-    bases: Sequence[_Basis], field: SampledField, freqs: FreqGrid
+def _axes_layout(order: Sequence[_Basis]) -> _Axes:
+    k = len(order)
+    a = np.array([np.diagonal(b.forms[0]) for b in order])
+    c = _sign_patterns(k) @ a
+    # one representative per phase vector up to sign: first nonzero > 0
+    first = np.take_along_axis(c, (c != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
+    conj = first < 0
+    index: dict[tuple[float, ...], int] = {}
+    which = [index.setdefault(key, len(index))
+             for key in map(tuple, (np.where(conj[:, None], -c, c) + 0.0).tolist())]
+    keys = np.array(list(index)).reshape(len(index), a.shape[1])
+    units = _UNITS[np.bitwise_count(np.arange(len(c))) % 4]
+    arrays = keys, np.array(which), conj[:, None, None], units[:, None, None]
+    for v in arrays:
+        v.setflags(write=False)
+    return _Axes(tuple(np.abs(a).sum(axis=0).tolist()), *arrays)
+
+
+def _phase_refusal(
+    reach: Sequence[float], field: SampledField, freqs: FreqGrid
 ) -> str | None:
-    """Why the one-direction `bases` cannot run on the axes engine, or None."""
-    for b in bases:
-        if np.count_nonzero(b.forms[0]) > np.count_nonzero(np.diagonal(b.forms[0])):
-            return f"{b.label} form not diagonal"
-    a = np.abs([np.diagonal(b.forms[0]) for b in bases]).sum(axis=0)
+    """Why the axes engine cannot run on these grids, or None."""
     # every phase c_j u_j x_j the engine forms is at most (a_j U_j) X_j
-    with np.errstate(over="ignore"):
-        bound = ((a * _axis_max(freqs)) * _axis_max(field)).sum()
-    if not np.isfinite(bound):
+    bound = sum(a * _axis_max(freqs, j) * _axis_max(field, j) for j, a in enumerate(reach))
+    if not math.isfinite(bound):
         return "phase bound sum_kj |a_kj| max|x_j| max|u_j| is not finite"
     return None
 
 
-def _axis_max(grid: FreqGrid | SampledField) -> np.ndarray:
-    """Largest |coordinate| along each axis of a regular grid."""
-    origin, spacing = np.array(grid.origin), np.array(grid.spacing)
-    return np.maximum(np.abs(origin),
-                      np.abs(origin + (np.array(grid.dims) - 1) * spacing))
-
-
-def _decided(p: Plan, field: SampledField, freqs: FreqGrid | np.ndarray) -> Plan:
-    # imported here, not at module level: importing logging would add
-    # about 9 ms to every start of the package
-    import logging
-
-    log = logging.getLogger("gafourier")
-    if log.isEnabledFor(logging.DEBUG):
-        count = freqs.node_count if isinstance(freqs, FreqGrid) else len(freqs)
-        log.debug("plan: %s engine (%s), %d nodes x %d frequencies",
-                  p.engine, p.reason, field.node_count, count)
-    return p
+def _axis_max(grid: FreqGrid | SampledField, j: int) -> float:
+    """Largest |coordinate| along axis j of a regular grid."""
+    origin = grid.origin[j]
+    return max(abs(origin), abs(origin + (grid.dims[j] - 1) * grid.spacing[j]))
 
 
 def _fold_order(bases: Sequence[_Basis]) -> list[_Basis]:
@@ -491,9 +569,9 @@ def _fold_order(bases: Sequence[_Basis]) -> list[_Basis]:
 
 
 def _gft_expansion(
-    p: Plan, field: SampledField, unodes: np.ndarray, validate: bool
+    rec: _SpecPlan, field: SampledField, unodes: np.ndarray, validate: bool
 ) -> np.ndarray:
-    """Expanded transform over the kernel bases of `p`.
+    """Expanded transform over the kernel bases of `rec`.
 
     Each e^{-f} is a sum of its basis terms with real weights (cos and
     sin of the phase for a direction; cos(rho) and s_i sin(rho)/rho for
@@ -505,7 +583,7 @@ def _gft_expansion(
     """
     sig = field.sig
     xs = field.nodes()
-    order = _fold_order(p.bases)
+    order = rec.order
     phases = [(xs @ b.forms).transpose(0, 2, 1).copy() for b in order]
     n = len(xs)
     chunk = max(1, _BLOCK // (math.prod(b.terms for b in order) * n))
@@ -518,19 +596,22 @@ def _gft_expansion(
         for b, ph in zip(order, phases):
             blocks, bad[b.label] = b.weights(u @ ph, validate)
             w = (w[:, None] * blocks).reshape(-1, len(u), n)
-        _raise_first_violation(p, bad)
+        _raise_first_violation(rec.bases, bad)
         y = w @ field.values
         for b in order:
             y = b.fold(y.reshape(b.terms, -1, len(u), sig.dim))
         out[lo:lo + chunk] = y[0]
-    return out * field.cell_volume
+    out *= field.cell_volume
+    return out
 
 
-def _raise_first_violation(p: Plan, bad: dict[str, np.ndarray | None]) -> None:
+def _raise_first_violation(
+    bases: Sequence[_Basis], bad: dict[str, np.ndarray | None]
+) -> None:
     """Raise what the direct engine raises first: at the first offending
     frequency, the first offending kernel in order, its first node."""
     hits = [(int(np.argmax(m.any(axis=1))), i, b.label, m)
-            for i, b in enumerate(p.bases)
+            for i, b in enumerate(bases)
             if (m := bad[b.label]) is not None and m.any()]
     if hits:
         first, _, label, m = min(hits, key=lambda h: h[:2])
@@ -584,7 +665,7 @@ def _axes_tile(dims: Sequence[int], fdims: Sequence[int], keys: int, k: int,
     return tile
 
 
-def _gft_axes(p: Plan, field: SampledField, freqs: FreqGrid) -> np.ndarray:
+def _gft_axes(rec: _SpecPlan, field: SampledField, freqs: FreqGrid) -> np.ndarray:
     """Transform on a frequency grid, one axis at a time.
 
     With every kernel one direction times s_k = sum_j a_kj x_j u_j, the
@@ -606,17 +687,8 @@ def _gft_axes(p: Plan, field: SampledField, freqs: FreqGrid) -> np.ndarray:
     1/2 at the end.  The terms go through the expansion engine's folds.
     """
     dim, dims, fdims = field.sig.dim, field.dims, freqs.dims
-    order = _fold_order(p.bases)
-    k = len(order)
-    a = np.array([np.diagonal(b.forms[0]) for b in order])
-    c = _sign_patterns(k) @ a
-    # one representative per phase vector up to sign: first nonzero > 0
-    first = np.take_along_axis(c, (c != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
-    conj = first < 0
-    index: dict[tuple[float, ...], int] = {}
-    which = [index.setdefault(key, len(index))
-             for key in map(tuple, (np.where(conj[:, None], -c, c) + 0.0).tolist())]
-    keys = np.array(list(index)).reshape(len(index), field.m)
+    order, layout = rec.order, rec.axes
+    k, keys = len(order), layout.keys
     xs = [_axis_coords(field, j) for j in range(field.m)]
     us = [_axis_coords(freqs, j) for j in range(field.m)]
     b0 = field.values.reshape(dims[0], -1).T  # (rest of x and blades, d_1)
@@ -650,8 +722,8 @@ def _gft_axes(p: Plan, field: SampledField, freqs: FreqGrid) -> np.ndarray:
             for j in range(1, field.m):
                 s = s.reshape(dims[j], -1).T @ held[j][1][i]  # ..., blades, u_1..u_j
             e[i] = s.reshape(dim, count).T
-        z = e[which]
-        np.conjugate(z, out=z, where=conj[:, None, None])
+        z = e[layout.which]
+        np.conjugate(z, out=z, where=layout.conj)
         for axis in range(k - 1):
             z = z.reshape(1 << axis, 2, -1)
             h = np.empty_like(z)
@@ -659,20 +731,22 @@ def _gft_axes(p: Plan, field: SampledField, freqs: FreqGrid) -> np.ndarray:
             np.subtract(z[:, 0], z[:, 1], out=h[:, 1])
             z = h
         z = z.reshape(-1, count, dim)
-        z *= _UNITS[np.bitwise_count(np.arange(len(z))) % 4][:, None, None]
+        z *= layout.units
         y = np.concatenate((z.real, z.imag))
         for b in order:
             y = b.fold(y.reshape(b.terms, -1, count, dim))
         out[tuple(slice(lo, lo + len(v)) for lo, v in zip(starts, u))] = (
             y[0].reshape(tuple(map(len, u)) + (dim,)))
-    return out.reshape(-1, dim) * (field.cell_volume * 0.5 ** (k - 1))
+    out *= field.cell_volume * 0.5 ** (k - 1)
+    return out.reshape(-1, dim)
 
 
 def _gft_nodes(
-    p: Plan, spec: GftSpec, field: SampledField, unodes: np.ndarray, validate: bool
+    p: Plan, rec: _SpecPlan, spec: GftSpec, field: SampledField, unodes: np.ndarray,
+    validate: bool,
 ) -> np.ndarray:
     if p.engine == "expansion":
-        return _gft_expansion(p, field, unodes, validate)
+        return _gft_expansion(rec, field, unodes, validate)
     return gft_direct(spec, field, unodes, validate)
 
 
@@ -685,7 +759,8 @@ def gft_at(
     """Transform values at an explicit (M, m) array of frequency vectors,
     on the engine `plan` chooses (never the axes engine)."""
     unodes = _check_inputs(spec, field, unodes)
-    return _gft_nodes(plan(spec, field, unodes), spec, field, unodes, validate)
+    rec = _spec_plan(spec)
+    return _gft_nodes(_route(rec, field, unodes), rec, spec, field, unodes, validate)
 
 
 def gft(
@@ -698,11 +773,12 @@ def gft(
     if freqs.m != field.m:
         raise ValueError(f"frequency grid has m={freqs.m}, field has m={field.m}")
     _check_spec(spec, field)
-    p = plan(spec, field, freqs)
+    rec = _spec_plan(spec)
+    p = _route(rec, field, freqs)
     if p.engine == "axes":
-        values = _gft_axes(p, field, freqs)
+        values = _gft_axes(rec, field, freqs)
     else:
-        values = _gft_nodes(p, spec, field, freqs.nodes(), validate)
+        values = _gft_nodes(p, rec, spec, field, freqs.nodes(), validate)
     return Spectrum(spec.sig, freqs, values)
 
 

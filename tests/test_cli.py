@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from gafourier import cli, kernels
+from gafourier import cli, kernels, theorems
 from gafourier.algebra import Signature
 from gafourier.cli import main
 from gafourier.fileio import read_grid_file, write_field, write_kernels
@@ -233,6 +233,24 @@ def test_verify_skips_non_separable(capsys):
     assert rc == 0
     assert out.count("SKIP") == 2  # left-product and shift
     assert "right-product" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("theorem", ["left-product", "shift"])
+def test_verify_skip_makes_no_transform(monkeypatch, capsys, theorem):
+    # a side without kernel directions is found before any transform
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return gft(*args, **kwargs)
+
+    monkeypatch.setattr(theorems, "gft", counting)
+    argv = ["verify", "--preset", "cylindrical:3", "--size", "4", "--theorem"]
+    assert main(argv + [theorem]) == 0
+    assert "SKIP(not separable" in capsys.readouterr().out
+    assert calls == []
+    assert main(argv + ["right-product"]) == 0
+    assert "PASS" in capsys.readouterr().out and calls
 
 
 def test_verify_rejects_bad_invocation(capsys):

@@ -675,14 +675,16 @@ def test_axes_routing_refusals():
         "expansion", "left kernel 1: 1 direction, checked once; "
         "right kernel 1: 1 direction, checked once; 4 terms")
     assert plan(quat, field, freqs).engine == "axes"
+    gft(quat, field, freqs)
     # phases that overflow go to the expansion engine, which raises what
-    # the direct engine raises
+    # the direct engine raises; the spec's record keeps no grid's verdict
     huge = SampledField(sig, (4, 4), (0.0, 0.0), (1e200, 1e200), field.values)
     wide = FreqGrid((3, 3), (0.0, 0.0), (1e200, 1e200))
     p = plan(quat, huge, wide)
     assert p.engine == "expansion"
     assert p.reason.endswith(
         "; no axes engine: phase bound sum_kj |a_kj| max|x_j| max|u_j| is not finite")
+    assert plan(quat, field, freqs).engine == "axes"
     with np.errstate(over="ignore", invalid="ignore"):  # inf phases, then NaN
         msg = _not_imaginary_message(gft, quat, huge, wide)
         assert msg == _not_imaginary_message(gft_direct, quat, huge, wide.nodes())
@@ -699,6 +701,14 @@ def test_second_plan_builds_no_basis(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(kernels, "_factor", counting)
+    records = []
+    build_plan = transform._build_spec_plan
+
+    def counting_plan(spec):
+        records.append(spec)
+        return build_plan(spec)
+
+    monkeypatch.setattr(transform, "_build_spec_plan", counting_plan)
     spec = parse_preset("color_image")
     field = SampledField.random(spec.sig, (4, 4), np.random.default_rng(33))
     freqs = default_freqs(field)
@@ -706,9 +716,16 @@ def test_second_plan_builds_no_basis(monkeypatch):
     assert len(calls) == 4
     second = plan(spec, field, freqs.nodes())
     assert len(calls) == 4
+    # the spec's plan record is built once and serves every later call
+    values = gft(spec, field, freqs).values
+    assert np.array_equal(gft(spec, field, freqs).values, values)
+    assert np.array_equal(gft_at(spec, field, freqs.nodes()[:3]),
+                          gft_at(spec, field, freqs.nodes()[:3]))
+    assert records == [spec]
+    assert plan(spec, field, freqs) == first and first.bases is second.bases
     # a sign flip reuses the factorization and the maps it built
     flipped = plan(negate(spec, (1, 0), (0, 1)), field, freqs)
-    assert len(calls) == 4
+    assert len(calls) == 4 and len(records) == 2
     assert all(a.step is b.step for a, b in zip(first.bases, flipped.bases))
     assert [b.forms[0, 0, 0] for b in flipped.bases] == [
         -b.forms[0, 0, 0] if flip else b.forms[0, 0, 0]
@@ -729,7 +746,23 @@ def test_plan_bases_are_read_only():
     bases = plan(spec, field, default_freqs(field)).bases
     arrays = [v for b in bases for v in (b.forms, b.step, b.gather, b.sign, b.squares,
                                          *(b.pairs or ())) if v is not None]
-    assert len(arrays) == 2 + 4 + 3
+    # as are the arrays of the axes layout a spec keeps for every gft
+    layout = transform._spec_plan(parse_preset("color_image")).axes
+    arrays += [layout.keys, layout.which, layout.conj, layout.units]
+    assert len(arrays) == 2 + 4 + 3 + 4
     for v in arrays:
         with pytest.raises(ValueError, match="read-only"):
             v[(0,) * v.ndim] = 1
+
+
+def test_spec_plan_dies_with_its_spec():
+    import gc
+    import weakref
+
+    spec = parse_preset("quaternionic")
+    field = SampledField.random(spec.sig, (4, 4), np.random.default_rng(35))
+    gft(spec, field, default_freqs(field))
+    refs = weakref.ref(spec), weakref.ref(transform._spec_plan(spec))
+    del spec
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
