@@ -28,7 +28,6 @@ from .exponential import (
 )
 from .fileio import (
     FileFormatError,
-    GridFile,
     format_multivector_expr,
     parse_multivector_expr,
     read_grid_file,
@@ -81,7 +80,6 @@ __all__ = [
     "FileFormatError",
     "FreqGrid",
     "GftSpec",
-    "GridFile",
     "KernelMatrix",
     "Multivector",
     "NotImaginary",

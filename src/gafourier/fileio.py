@@ -7,11 +7,18 @@ Three line-oriented text formats plus PPM ingestion:
   ``data`` line and, per node in row-major order, the 2**n blade
   coefficients.  Numbers are written with ``repr`` so text round-trips
   exactly; a binary variant stores the same payload as little-endian
-  float64.
+  float64.  `read_grid_file` returns the library's own type: a
+  `SampledField` for ``kind field``, a `Spectrum` for ``kind spectrum``.
 * kernel configuration files list the signature, m, and each kernel's
   side and nonzero matrix entries as 1-based (row, col, expression)
   lines, in kernel order.
 * frequency grid files carry dims/origin/spacing only.
+
+Both grid formats read and write the dims/origin/spacing lines through
+one pair of helpers and check them by building a `FreqGrid`, the same
+check every grid in the library passes; a geometry it refuses is
+reported with the file's path.  Every reader raises bad content as a
+`FileFormatError`, which is a `ValueError`.
 
 Multivector expressions are sums of terms ``coefficient*blade`` (or a
 bare coefficient for the scalar part), e.g. ``6.283*e12 - 0.5``.  The
@@ -22,21 +29,17 @@ as a blade term.  Basis indices above 9 are underscore-separated
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .algebra import Multivector, Signature
 from .kernels import GftSpec, KernelMatrix
-from .transform import FreqGrid, SampledField, Spectrum, _check_geometry
+from .transform import FreqGrid, SampledField, Spectrum
 
 __all__ = [
     "FileFormatError",
-    "GridFile",
     "write_field",
     "write_spectrum",
     "read_grid_file",
@@ -163,71 +166,44 @@ def _blade_term(
 # grid files (.mvf)
 
 
-@dataclass(frozen=True)
-class GridFile:
-    """Parsed contents of an .mvf file."""
-
-    kind: str
-    sig: Signature
-    dims: tuple[int, ...]
-    origin: tuple[float, ...]
-    spacing: tuple[float, ...]
-    values: np.ndarray
-
-    def field(self) -> SampledField:
-        if self.kind != "field":
-            raise FileFormatError(f"grid file holds a {self.kind}, not a field")
-        return SampledField(self.sig, self.dims, self.origin, self.spacing,
-                            self.values)
-
-    def spectrum(self) -> Spectrum:
-        if self.kind != "spectrum":
-            raise FileFormatError(
-                f"grid file holds a {self.kind}, not a spectrum"
-            )
-        grid = FreqGrid(self.dims, self.origin, self.spacing)
-        return Spectrum(self.sig, grid, self.values)
+# The header lines that place a grid, each with its number type.  Grid
+# files and frequency grid files share them, and `FreqGrid` checks them.
+_GEOMETRY = (("dims", int), ("origin", float), ("spacing", float))
 
 
-def _floats_line(values: Sequence[float]) -> str:
-    return " ".join(repr(float(v)) for v in values)
+def _geometry_lines(grid: FreqGrid | SampledField) -> list[str]:
+    return [key + " " + " ".join(repr(number(v)) for v in getattr(grid, key))
+            for key, number in _GEOMETRY]
 
 
-def _grid_header(
-    kind: str,
-    sig: Signature,
-    dims: Sequence[int],
-    origin: Sequence[float],
-    spacing: Sequence[float],
-    mode: str,
-) -> str:
-    return "\n".join(
-        [
-            f"{_MVF_MAGIC} {_VERSION} {mode}",
-            f"kind {kind}",
-            f"signature {sig.p} {sig.q}",
-            f"m {len(dims)}",
-            "dims " + " ".join(str(int(d)) for d in dims),
-            "origin " + _floats_line(origin),
-            "spacing " + _floats_line(spacing),
-            "data",
-            "",
-        ]
-    )
+def _read_geometry(fields: dict[str, str], path: str | Path) -> FreqGrid:
+    try:
+        return FreqGrid(*(tuple(number(v) for v in _need(fields, key).split())
+                          for key, number in _GEOMETRY))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def _write_grid(
     path: str | Path,
     kind: str,
     sig: Signature,
-    dims: Sequence[int],
-    origin: Sequence[float],
-    spacing: Sequence[float],
+    grid: FreqGrid | SampledField,
     values: np.ndarray,
     binary: bool,
 ) -> None:
     mode = "binary" if binary else "text"
-    header = _grid_header(kind, sig, dims, origin, spacing, mode)
+    header = "\n".join(
+        [
+            f"{_MVF_MAGIC} {_VERSION} {mode}",
+            f"kind {kind}",
+            f"signature {sig.p} {sig.q}",
+            f"m {len(grid.dims)}",
+            *_geometry_lines(grid),
+            "data",
+            "",
+        ]
+    )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         if binary:
@@ -239,14 +215,12 @@ def _write_grid(
 
 
 def write_field(path: str | Path, field: SampledField, binary: bool = False) -> None:
-    _write_grid(path, "field", field.sig, field.dims, field.origin,
-                field.spacing, field.values, binary)
+    _write_grid(path, "field", field.sig, field, field.values, binary)
 
 
 def write_spectrum(path: str | Path, spectrum: Spectrum, binary: bool = False) -> None:
-    grid = spectrum.grid
-    _write_grid(path, "spectrum", spectrum.sig, grid.dims, grid.origin,
-                grid.spacing, spectrum.values, binary)
+    _write_grid(path, "spectrum", spectrum.sig, spectrum.grid, spectrum.values,
+                binary)
 
 
 def _header_dict(header: str, magic: str) -> dict[str, str]:
@@ -273,7 +247,9 @@ def _need(fields: dict[str, str], key: str) -> str:
     return fields[key]
 
 
-def read_grid_file(path: str | Path) -> GridFile:
+def read_grid_file(path: str | Path) -> SampledField | Spectrum:
+    """The field (`kind field`) or spectrum (`kind spectrum`) in an .mvf
+    file; bad content raises `FileFormatError`."""
     buf = Path(path).read_bytes()
     marker = b"\ndata\n"
     cut = buf.find(marker)
@@ -298,20 +274,12 @@ def read_grid_file(path: str | Path) -> GridFile:
         p, q = (int(v) for v in _need(fields, "signature").split())
         sig = Signature(p, q)
         m = int(_need(fields, "m"))
-        dims = tuple(int(v) for v in _need(fields, "dims").split())
-        origin = tuple(float(v) for v in _need(fields, "origin").split())
-        spacing = tuple(float(v) for v in _need(fields, "spacing").split())
     except (ValueError, TypeError) as exc:
         raise FileFormatError(f"{path}: bad header value: {exc}") from None
-    if len(dims) != m or len(origin) != m or len(spacing) != m:
-        raise FileFormatError(
-            f"{path}: dims/origin/spacing must each have m={m} entries"
-        )
-    try:
-        dims, origin, spacing = _check_geometry(dims, origin, spacing)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
-    count = math.prod(dims) * sig.dim
+    grid = _read_geometry(fields, path)
+    if grid.m != m:
+        raise FileFormatError(f"{path}: m is {m} but dims has {grid.m} entries")
+    count = grid.node_count * sig.dim
     if mode == "binary":
         if len(payload) != 8 * count:
             raise FileFormatError(
@@ -332,7 +300,9 @@ def read_grid_file(path: str | Path) -> GridFile:
     if not np.isfinite(flat).all():
         raise FileFormatError(f"{path}: payload holds NaN or infinite values")
     values = flat.reshape(-1, sig.dim)
-    return GridFile(kind, sig, dims, origin, spacing, values)
+    if kind == "field":
+        return SampledField(sig, grid.dims, grid.origin, grid.spacing, values)
+    return Spectrum(sig, grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -340,27 +310,13 @@ def read_grid_file(path: str | Path) -> GridFile:
 
 
 def write_freqs(path: str | Path, freqs: FreqGrid) -> None:
-    text = "\n".join(
-        [
-            f"{_FREQS_MAGIC} {_VERSION}",
-            "dims " + " ".join(str(d) for d in freqs.dims),
-            "origin " + _floats_line(freqs.origin),
-            "spacing " + _floats_line(freqs.spacing),
-            "",
-        ]
-    )
-    Path(path).write_text(text, encoding="ascii")
+    lines = [f"{_FREQS_MAGIC} {_VERSION}", *_geometry_lines(freqs), ""]
+    Path(path).write_text("\n".join(lines), encoding="ascii")
 
 
 def read_freqs(path: str | Path) -> FreqGrid:
     fields = _header_dict(Path(path).read_text(encoding="ascii"), _FREQS_MAGIC)
-    try:
-        dims = tuple(int(v) for v in _need(fields, "dims").split())
-        origin = tuple(float(v) for v in _need(fields, "origin").split())
-        spacing = tuple(float(v) for v in _need(fields, "spacing").split())
-        return FreqGrid(dims, origin, spacing)
-    except (ValueError, TypeError) as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+    return _read_geometry(fields, path)
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Multivector, Signature, gp_many
+from .algebra import Signature, gp_many
 from .exponential import NotImaginary, cos_sinc, exp_neg_many, not_imaginary
 from .kernels import GftSpec
 
@@ -215,11 +215,6 @@ class SampledField:
     def nodes(self) -> np.ndarray:
         return grid_nodes(self.dims, self.origin, self.spacing)
 
-    def at(self, index: int | Sequence[int]) -> Multivector:
-        if not isinstance(index, int):
-            index = int(np.ravel_multi_index(tuple(index), self.dims))
-        return Multivector(self.sig, self.values[index])
-
     def with_values(self, values: np.ndarray) -> "SampledField":
         return SampledField(self.sig, self.dims, self.origin, self.spacing, values)
 
@@ -279,11 +274,6 @@ class Spectrum:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.grid.dims
-
-    def at(self, index: int | Sequence[int]) -> Multivector:
-        if not isinstance(index, int):
-            index = int(np.ravel_multi_index(tuple(index), self.grid.dims))
-        return Multivector(self.sig, self.values[index])
 
 
 def row_magnitudes(values: np.ndarray) -> np.ndarray:
@@ -401,15 +391,10 @@ class _Basis:
 
 @dataclass(frozen=True)
 class Plan:
-    """Engine chosen for one transform call and the reason for the choice.
-
-    For the axes and expansion engines `bases` holds the basis of every
-    nonzero kernel, left kernels then right kernels, each in order.
-    """
+    """Engine chosen for one transform call and the reason for the choice."""
 
     engine: str  # "axes", "expansion" or "direct"
     reason: str
-    bases: tuple[_Basis, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,11 +453,11 @@ def _route(rec: _SpecPlan, field: SampledField, freqs: FreqGrid | np.ndarray) ->
     elif isinstance(freqs, FreqGrid) and (rec.axes is not None or rec.refusal):
         refusal = rec.refusal or _phase_refusal(rec.axes.reach, field, freqs)
         if refusal is None:
-            p = Plan("axes", f"{rec.reason}; diagonal forms", rec.bases)
+            p = Plan("axes", f"{rec.reason}; diagonal forms")
         else:
-            p = Plan("expansion", f"{rec.reason}; no axes engine: {refusal}", rec.bases)
+            p = Plan("expansion", f"{rec.reason}; no axes engine: {refusal}")
     else:
-        p = Plan("expansion", rec.reason, rec.bases)
+        p = Plan("expansion", rec.reason)
     # imported here, not at module level: importing logging would add
     # about 9 ms to every start of the package
     import logging

@@ -12,9 +12,11 @@ import pytest
 from gafourier import cli, kernels, theorems
 from gafourier.algebra import Signature
 from gafourier.cli import main
-from gafourier.fileio import read_grid_file, write_field, write_kernels
-from gafourier.kernels import parse_preset
-from gafourier.transform import SampledField, default_freqs, gft, plan
+from gafourier.exponential import NotImaginary
+from gafourier.fileio import FileFormatError, read_grid_file, write_field, write_kernels
+from gafourier.kernels import NotSeparable, UnsupportedSignature, parse_preset
+from gafourier.theorems import OffGridShift, UnsupportedScale
+from gafourier.transform import SampledField, Spectrum, default_freqs, gft, plan
 
 
 @pytest.fixture
@@ -33,7 +35,7 @@ def test_transform_with_preset(tmp_path, field_file):
                "--out", str(out)])
     assert rc == 0
     got = read_grid_file(out)
-    assert got.kind == "spectrum"
+    assert isinstance(got, Spectrum)
     want = gft(parse_preset("quaternionic"), field, default_freqs(field))
     assert np.allclose(got.values, want.values, atol=1e-15)
 
@@ -49,7 +51,7 @@ def test_transform_with_kernel_file_and_binary(tmp_path, field_file):
     got = read_grid_file(out)
     want = gft(parse_preset("quaternionic"), field, default_freqs(field, 0.5))
     assert np.array_equal(got.values, want.values)
-    assert np.allclose(got.spacing, np.array(default_freqs(field, 0.5).spacing))
+    assert np.allclose(got.grid.spacing, np.array(default_freqs(field, 0.5).spacing))
 
 
 def test_transform_with_freqs_file(tmp_path, field_file):
@@ -76,6 +78,7 @@ def test_transform_error_exit_codes(tmp_path, field_file, capsys):
     rc = main(["transform", "--field", str(path), "--preset", "clifford:2",
                "--out", str(out)])
     assert rc == 2
+    assert "error: spec is over Cl(2,0), field over Cl(0,2)" in capsys.readouterr().err
     # unsupported preset parameter
     rc = main(["transform", "--field", str(path), "--preset", "clifford:4",
                "--out", str(out)])
@@ -120,6 +123,36 @@ def test_transform_rejects_spectrum_input(tmp_path, field_file, capsys):
                "quaternionic", "--out", str(tmp_path / "twice.mvf")])
     assert rc == 2
     assert "spectrum" in capsys.readouterr().err
+
+
+def test_transform_refuses_kernels_of_another_rank(tmp_path, field_file, capsys):
+    # the kernel file's signature is the field's, its m is not; only gft
+    # compares a spec with its field
+    path, _ = field_file
+    kfile = tmp_path / "rank1.gft"
+    kfile.write_text("gft-kernels 1\nsignature 0 2\nm 1\n"
+                     "kernel right\nentry 1 1 6.283185307179586*e1\n")
+    out = tmp_path / "spec.mvf"
+    rc = main(["transform", "--field", str(path), "--kernels", str(kfile),
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "error: spec has m=1, field has m=2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    NotImaginary, NotSeparable, UnsupportedSignature, UnsupportedScale,
+    OffGridShift, FileFormatError,
+])
+def test_bad_input_errors_exit_two(monkeypatch, capsys, error):
+    # every error the package raises for bad input is a ValueError
+    def failing(args):
+        raise error("bad input")
+
+    monkeypatch.setitem(cli._COMMANDS, "presets", failing)
+    assert main(["presets"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: bad input\n"
 
 
 def test_argparse_failures_exit_two(capsys):
@@ -272,7 +305,7 @@ def test_image_transform(tmp_path):
     rc = main(["image", "--input", str(img), "--out", str(out)])
     assert rc == 0
     got = read_grid_file(out)
-    assert got.kind == "spectrum"
+    assert isinstance(got, Spectrum)
     assert got.sig == Signature(4, 0) and got.dims == (8, 8)
 
 

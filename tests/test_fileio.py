@@ -24,7 +24,7 @@ from gafourier.fileio import (
     write_spectrum,
 )
 from gafourier.kernels import parse_preset
-from gafourier.transform import FreqGrid, SampledField, default_freqs, gft
+from gafourier.transform import FreqGrid, SampledField, Spectrum, default_freqs, gft
 
 
 SIG = Signature(0, 2)
@@ -84,9 +84,8 @@ def test_field_file_round_trip(tmp_path, binary):
     field = SampledField.random(SIG, (3, 4), rng)
     path = tmp_path / "field.mvf"
     write_field(path, field, binary=binary)
-    got = read_grid_file(path)
-    assert got.kind == "field"
-    back = got.field()
+    back = read_grid_file(path)
+    assert isinstance(back, SampledField)
     assert back.sig == field.sig and back.dims == field.dims
     assert back.origin == field.origin and back.spacing == field.spacing
     assert np.array_equal(back.values, field.values)
@@ -99,13 +98,10 @@ def test_spectrum_file_round_trip(tmp_path, binary):
     spectrum = gft(parse_preset("quaternionic"), field, default_freqs(field))
     path = tmp_path / "spec.mvf"
     write_spectrum(path, spectrum, binary=binary)
-    got = read_grid_file(path)
-    assert got.kind == "spectrum"
-    back = got.spectrum()
-    assert back.grid.dims == spectrum.grid.dims
+    back = read_grid_file(path)
+    assert isinstance(back, Spectrum)
+    assert back.sig == spectrum.sig and back.grid == spectrum.grid
     assert np.array_equal(back.values, spectrum.values)
-    with pytest.raises(FileFormatError):
-        got.field()  # wrong kind accessor
 
 
 def test_text_writer_bytes_match_per_value_repr(tmp_path):
