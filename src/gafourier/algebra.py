@@ -43,6 +43,8 @@ __all__ = [
 # reads it in row blocks (`_ROW_BLOCK`), not as a 128 MiB matrix.
 MAX_DIMENSION = 12
 
+# The package's two tolerances.  The only other numeric bounds are ulp
+# counts, the small-angle switch and the verify checks' default bounds.
 STRUCTURAL_TOL = 1e-12  # absolute tolerance for structural checks
 RELATIVE_TOL = 1e-9     # relative tolerance for numeric comparisons
 
@@ -369,18 +371,19 @@ class Multivector:
         _, reverse_sign = _grades(self.sig.n)
         return Multivector(self.sig, self.coeffs * reverse_sign)
 
-    def inverse(self, tol: float = RELATIVE_TOL) -> "Multivector":
+    def inverse(self) -> "Multivector":
         """Inverse via reversion, defined when B * reverse(B) is a scalar.
 
         Raises NotInvertible when the product has a relative non-scalar
-        residue above tol or a scalar part of magnitude at most tol.
+        residue above RELATIVE_TOL or a scalar part of magnitude at most
+        RELATIVE_TOL.
         """
         rev = self.reverse()
         prod = gp_many(self.sig, self.coeffs, rev.coeffs)
         s = prod[0]
         residue = np.linalg.norm(prod[1:])
         scale = np.linalg.norm(prod)
-        if residue >= tol * max(1.0, scale) or abs(s) <= tol:
+        if residue >= RELATIVE_TOL * max(1.0, scale) or abs(s) <= RELATIVE_TOL:
             raise NotInvertible(
                 f"{self!r}: product with its reversion is not an invertible scalar"
             )

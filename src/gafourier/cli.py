@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fileio
 from .algebra import Multivector, Signature
-from .kernels import GftSpec, NotSeparable, is_separable, parse_preset, preset
+from .kernels import PRESETS, GftSpec, NotSeparable, is_separable, parse_preset, preset
 from .theorems import (
     TheoremReport,
     VERIFY_SCALE_FACTORS,
@@ -52,15 +52,6 @@ THEOREM_NAMES = (
     "right-product",
     "shift",
     "existence",
-)
-
-_PRESET_ROWS = (
-    ("clifford:2", "n = 2 or 3 (mod 4)"),
-    ("buelow:2", "any n >= 1"),
-    ("quaternionic", ""),
-    ("spacetime", ""),
-    ("color_image", "any unit bivector, default e12"),
-    ("cylindrical:2", "left separable only for n = 2"),
 )
 
 
@@ -242,18 +233,18 @@ def cmd_image(args: argparse.Namespace) -> int:
 
 def _preset_rows() -> list[dict[str, object]]:
     rows = []
-    for selector, note in _PRESET_ROWS:
-        spec = parse_preset(selector)
+    for row in PRESETS.values():
+        spec = parse_preset(row.verify[0])
         rows.append(
             {
-                "name": selector,
+                "name": row.verify[0],
                 "signature": str(spec.sig),
                 "m": spec.m,
                 "mu": spec.mu,
                 "nu": spec.nu,
                 "separable_left": is_separable(spec, "left"),
                 "separable_right": is_separable(spec, "right"),
-                "note": note,
+                "note": row.note,
             }
         )
     return rows

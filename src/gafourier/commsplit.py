@@ -16,7 +16,9 @@ exponentials by splitting it backward against the exponents and flipping
 the signs that its anticommuting parts see.  `shift_exponential_terms`
 decomposes the exponential factors that appear when the argument of a
 kernel product is translated, one term per strictly triangular binary
-matrix, for a whole stack of kernel values at once.
+matrix, for a whole stack of kernel values at once.  Split components
+and factor rows of norm at most `algebra.STRUCTURAL_TOL` (relative to
+max(1, |constant|) where a constant is split) count as zero.
 
 Generators that pass `exponential.not_imaginary` are always accepted:
 when the reversion inverse does not exist, g^-1 = -g / r with
@@ -34,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
+    STRUCTURAL_TOL,
     Multivector,
     NotInvertible,
     _left_factor,
@@ -55,10 +58,6 @@ MAX_GENERATORS = 6
 
 # A split component index: one bit per generator, 0 commuting / 1 anti.
 SplitIndex = tuple[int, ...]
-
-# Split components and factor rows of at most this norm (relative to
-# max(1, |constant|) where a constant is split) count as zero.
-_DROP_TOL = 1e-12
 
 
 def _inverse_for_split(b: Multivector) -> Multivector:
@@ -153,7 +152,7 @@ def shift_exponential_terms(
 
     and the mirror image with the factor on the right for 'upper'.  Each
     term is an (M, 2**n) factor stack; factor rows of norm at most
-    `_DROP_TOL` are zeroed, and terms with no row left are dropped.
+    `STRUCTURAL_TOL` are zeroed, and terms with no row left are dropped.
     """
     d = len(fvals)
     if d == 0:
@@ -187,7 +186,7 @@ def shift_exponential_terms(
         factor = component(0, rows[0])
         for l in range(1, d):
             factor = gp_many(sig, factor, component(l, rows[l]))
-        keep = np.linalg.norm(factor, axis=1) > _DROP_TOL
+        keep = np.linalg.norm(factor, axis=1) > STRUCTURAL_TOL
         if keep.any():
             out.append((np.where(keep[:, None], factor, 0.0), signs))
     return out

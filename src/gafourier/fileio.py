@@ -16,9 +16,9 @@ Three line-oriented text formats plus PPM ingestion:
 
 Both grid formats read and write the dims/origin/spacing lines through
 one pair of helpers and check them by building a `FreqGrid`, the same
-check every grid in the library passes; a geometry it refuses is
-reported with the file's path.  Every reader raises bad content as a
-`FileFormatError`, which is a `ValueError`.
+check every grid in the library passes.  Every reader raises bad content
+as a `FileFormatError`, which is a `ValueError`, whose message starts
+with the file's path; the readers add it in one place (`_names_path`).
 
 Multivector expressions are sums of terms ``coefficient*blade`` (or a
 bare coefficient for the scalar part), e.g. ``6.283*e12 - 0.5``.  The
@@ -29,8 +29,10 @@ as a blade term.  Basis indices above 9 are underscore-separated
 
 from __future__ import annotations
 
+import functools
 import re
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -60,6 +62,22 @@ _VERSION = "1"
 
 class FileFormatError(ValueError):
     """Malformed or inconsistent file content."""
+
+
+_T = TypeVar("_T")
+
+
+def _names_path(read: Callable[[str | Path], _T]) -> Callable[[str | Path], _T]:
+    """`read` with every FileFormatError message prefixed by the path."""
+
+    @functools.wraps(read)
+    def wrapper(path: str | Path) -> _T:
+        try:
+            return read(path)
+        except FileFormatError as exc:
+            raise FileFormatError(f"{path}: {exc}") from None
+
+    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +194,12 @@ def _geometry_lines(grid: FreqGrid | SampledField) -> list[str]:
             for key, number in _GEOMETRY]
 
 
-def _read_geometry(fields: dict[str, str], path: str | Path) -> FreqGrid:
+def _read_geometry(fields: dict[str, str]) -> FreqGrid:
     try:
         return FreqGrid(*(tuple(number(v) for v in _need(fields, key).split())
                           for key, number in _GEOMETRY))
     except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+        raise FileFormatError(str(exc)) from None
 
 
 def _write_grid(
@@ -247,6 +265,7 @@ def _need(fields: dict[str, str], key: str) -> str:
     return fields[key]
 
 
+@_names_path
 def read_grid_file(path: str | Path) -> SampledField | Spectrum:
     """The field (`kind field`) or spectrum (`kind spectrum`) in an .mvf
     file; bad content raises `FileFormatError`."""
@@ -254,36 +273,36 @@ def read_grid_file(path: str | Path) -> SampledField | Spectrum:
     marker = b"\ndata\n"
     cut = buf.find(marker)
     if cut < 0:
-        raise FileFormatError(f"{path}: no 'data' line found")
+        raise FileFormatError("no 'data' line found")
     try:
         header = buf[:cut].decode("ascii")
     except UnicodeDecodeError as exc:
-        raise FileFormatError(f"{path}: non-ascii header: {exc}") from None
+        raise FileFormatError(f"non-ascii header: {exc}") from None
     payload = buf[cut + len(marker):]
     fields = _header_dict(header, _MVF_MAGIC)
     head = fields["__head__"].split()
     if len(head) != 3 or head[2] not in ("text", "binary"):
         raise FileFormatError(
-            f"{path}: first line must be '{_MVF_MAGIC} {_VERSION} text|binary'"
+            f"first line must be '{_MVF_MAGIC} {_VERSION} text|binary'"
         )
     mode = head[2]
     kind = _need(fields, "kind")
     if kind not in ("field", "spectrum"):
-        raise FileFormatError(f"{path}: unknown kind {kind!r}")
+        raise FileFormatError(f"unknown kind {kind!r}")
     try:
         p, q = (int(v) for v in _need(fields, "signature").split())
         sig = Signature(p, q)
         m = int(_need(fields, "m"))
     except (ValueError, TypeError) as exc:
-        raise FileFormatError(f"{path}: bad header value: {exc}") from None
-    grid = _read_geometry(fields, path)
+        raise FileFormatError(f"bad header value: {exc}") from None
+    grid = _read_geometry(fields)
     if grid.m != m:
-        raise FileFormatError(f"{path}: m is {m} but dims has {grid.m} entries")
+        raise FileFormatError(f"m is {m} but dims has {grid.m} entries")
     count = grid.node_count * sig.dim
     if mode == "binary":
         if len(payload) != 8 * count:
             raise FileFormatError(
-                f"{path}: expected {8 * count} payload bytes, got {len(payload)}"
+                f"expected {8 * count} payload bytes, got {len(payload)}"
             )
         flat = np.frombuffer(payload, dtype="<f8").astype(float)
     else:
@@ -292,13 +311,11 @@ def read_grid_file(path: str | Path) -> SampledField | Spectrum:
                 [float(tok) for tok in payload.decode("ascii").split()]
             )
         except (UnicodeDecodeError, ValueError) as exc:
-            raise FileFormatError(f"{path}: bad text payload: {exc}") from None
+            raise FileFormatError(f"bad text payload: {exc}") from None
         if flat.size != count:
-            raise FileFormatError(
-                f"{path}: expected {count} numbers, got {flat.size}"
-            )
+            raise FileFormatError(f"expected {count} numbers, got {flat.size}")
     if not np.isfinite(flat).all():
-        raise FileFormatError(f"{path}: payload holds NaN or infinite values")
+        raise FileFormatError("payload holds NaN or infinite values")
     values = flat.reshape(-1, sig.dim)
     if kind == "field":
         return SampledField(sig, grid.dims, grid.origin, grid.spacing, values)
@@ -314,9 +331,10 @@ def write_freqs(path: str | Path, freqs: FreqGrid) -> None:
     Path(path).write_text("\n".join(lines), encoding="ascii")
 
 
+@_names_path
 def read_freqs(path: str | Path) -> FreqGrid:
     fields = _header_dict(Path(path).read_text(encoding="ascii"), _FREQS_MAGIC)
-    return _read_geometry(fields, path)
+    return _read_geometry(fields)
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +358,12 @@ def write_kernels(path: str | Path, spec: GftSpec) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+@_names_path
 def read_kernels(path: str | Path) -> GftSpec:
     text = Path(path).read_text(encoding="ascii")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split() != [_KERNELS_MAGIC, _VERSION]:
-        raise FileFormatError(
-            f"{path}: expected '{_KERNELS_MAGIC} {_VERSION}' first line"
-        )
+        raise FileFormatError(f"expected '{_KERNELS_MAGIC} {_VERSION}' first line")
     sig: Signature | None = None
     m: int | None = None
     sides: dict[str, list[list[tuple[int, int, Multivector]]]] = {
@@ -361,49 +378,41 @@ def read_kernels(path: str | Path) -> GftSpec:
                 p, q = (int(v) for v in rest.split())
                 sig = Signature(p, q)
             except (ValueError, TypeError) as exc:
-                raise FileFormatError(f"{path}: bad signature: {exc}") from None
+                raise FileFormatError(f"bad signature: {exc}") from None
         elif key == "m":
             try:
                 m = int(rest)
             except ValueError:
-                raise FileFormatError(f"{path}: bad m {rest!r}") from None
+                raise FileFormatError(f"bad m {rest!r}") from None
         elif key == "kernel":
             side = rest.strip()
             if side not in ("left", "right"):
                 raise FileFormatError(
-                    f"{path}: kernel side must be left or right, got {side!r}"
+                    f"kernel side must be left or right, got {side!r}"
                 )
             current = []
             sides[side].append(current)
         elif key == "entry":
             if current is None:
-                raise FileFormatError(f"{path}: entry before any kernel line")
+                raise FileFormatError("entry before any kernel line")
             if sig is None or m is None:
-                raise FileFormatError(
-                    f"{path}: entries need signature and m declared first"
-                )
+                raise FileFormatError("entries need signature and m declared first")
             parts = rest.split(None, 2)
             if len(parts) != 3:
-                raise FileFormatError(
-                    f"{path}: entry needs 'row col expression', got {rest!r}"
-                )
+                raise FileFormatError(f"entry needs 'row col expression', got {rest!r}")
             try:
                 r, c = int(parts[0]), int(parts[1])
             except ValueError:
-                raise FileFormatError(
-                    f"{path}: bad entry position in {rest!r}"
-                ) from None
+                raise FileFormatError(f"bad entry position in {rest!r}") from None
             if not (1 <= r <= m and 1 <= c <= m):
-                raise FileFormatError(
-                    f"{path}: entry ({r}, {c}) outside 1..{m}"
-                )
+                raise FileFormatError(f"entry ({r}, {c}) outside 1..{m}")
             current.append((r - 1, c - 1, parse_multivector_expr(parts[2], sig)))
         else:
-            raise FileFormatError(f"{path}: unknown line {ln!r}")
+            raise FileFormatError(f"unknown line {ln!r}")
     if sig is None or m is None:
-        raise FileFormatError(f"{path}: missing signature or m")
+        raise FileFormatError("missing signature or m")
     if not sides["left"] and not sides["right"]:
-        raise FileFormatError(f"{path}: no kernels declared")
+        raise FileFormatError("no kernels declared")
     build = lambda triples: KernelMatrix.sparse(sig, m, triples)
     return GftSpec(
         sig,
@@ -417,6 +426,7 @@ def read_kernels(path: str | Path) -> GftSpec:
 # PPM images
 
 
+@_names_path
 def read_ppm(path: str | Path) -> np.ndarray:
     """Read a binary (P6) PPM with 8-bit samples; (height, width, 3) uint8."""
     buf = Path(path).read_bytes()
@@ -429,7 +439,7 @@ def read_ppm(path: str | Path) -> np.ndarray:
             if ch == b"#":
                 nl = buf.find(b"\n", pos)
                 if nl < 0:
-                    raise FileFormatError(f"{path}: unterminated comment")
+                    raise FileFormatError("unterminated comment")
                 pos = nl + 1
             elif ch.isspace():
                 pos += 1
@@ -439,28 +449,24 @@ def read_ppm(path: str | Path) -> np.ndarray:
         while pos < len(buf) and not buf[pos:pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise FileFormatError(f"{path}: truncated PPM header")
+            raise FileFormatError("truncated PPM header")
         return buf[start:pos]
 
     if next_token() != b"P6":
-        raise FileFormatError(f"{path}: not a binary PPM (P6) file")
+        raise FileFormatError("not a binary PPM (P6) file")
     try:
         width = int(next_token())
         height = int(next_token())
         maxval = int(next_token())
     except ValueError:
-        raise FileFormatError(f"{path}: non-numeric PPM header field") from None
+        raise FileFormatError("non-numeric PPM header field") from None
     if width < 1 or height < 1:
-        raise FileFormatError(f"{path}: bad dimensions {width}x{height}")
+        raise FileFormatError(f"bad dimensions {width}x{height}")
     if maxval != 255:
-        raise FileFormatError(
-            f"{path}: only 8-bit PPM supported (maxval 255, got {maxval})"
-        )
+        raise FileFormatError(f"only 8-bit PPM supported (maxval 255, got {maxval})")
     pos += 1  # single whitespace byte after maxval
     pixels = buf[pos:]
     need = width * height * 3
     if len(pixels) != need:
-        raise FileFormatError(
-            f"{path}: expected {need} pixel bytes, got {len(pixels)}"
-        )
+        raise FileFormatError(f"expected {need} pixel bytes, got {len(pixels)}")
     return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, 3)

@@ -24,6 +24,12 @@ transform engine can run and which identities apply:
 Only a direction kernel lets constants be pulled through its
 exponentials, so the product and shift theorems need every kernel on a
 side to be zero or one direction (`side_directions`, `is_separable`).
+
+The six presets are one table, `PRESETS`: one row per preset with its
+builder, the kind of parameter it takes, the selectors the identity
+suite runs and the `presets` listing's note.  `PRESET_NAMES`,
+`VERIFY_PRESETS`, the listing and the dispatch of `preset` and
+`parse_preset` (by parameter kind) are all read from it.
 """
 
 from __future__ import annotations
@@ -31,11 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .algebra import (
+    RELATIVE_TOL,
     Multivector,
     Signature,
     blade_signs,
@@ -50,6 +57,8 @@ __all__ = [
     "GftSpec",
     "UnsupportedSignature",
     "NotSeparable",
+    "Preset",
+    "PRESETS",
     "PRESET_NAMES",
     "VERIFY_PRESETS",
     "preset",
@@ -65,29 +74,6 @@ TWO_PI = 2.0 * math.pi
 # than this many ulps of max|T| from T; a looser test would break the
 # 1e-12 agreement of the transform engines with the direct sum.
 _FACTOR_ULPS = 4
-
-PRESET_NAMES = (
-    "clifford",
-    "buelow",
-    "quaternionic",
-    "spacetime",
-    "color_image",
-    "cylindrical",
-)
-
-
-# The selectors the identity suite (`scripts/verify_all.py`, acceptance
-# criterion 5) runs `verify` on.
-VERIFY_PRESETS = (
-    "clifford:2",
-    "clifford:3",
-    "buelow:2",
-    "quaternionic",
-    "spacetime",
-    "color_image",
-    "cylindrical:2",
-    "cylindrical:3",
-)
 
 
 class UnsupportedSignature(ValueError):
@@ -335,14 +321,18 @@ def _spacetime() -> GftSpec:
     return GftSpec(sig, 4, (left,), (right,))
 
 
+# color_image's algebra, where its bivector and a selector's label live
+_COLOR_SIG = Signature(4, 0)
+
+
 def _color_image(bivector: Multivector | None) -> GftSpec:
-    sig = Signature(4, 0)
+    sig = _COLOR_SIG
     b = bivector if bivector is not None else Multivector.blade(sig, "e12")
     if b.sig != sig:
         raise UnsupportedSignature("color_image preset lives in Cl(4,0)")
-    if (b - b.grade_part(2)).magnitude() > 1e-9 * max(1.0, b.magnitude()):
+    if (b - b.grade_part(2)).magnitude() > RELATIVE_TOL * max(1.0, b.magnitude()):
         raise ValueError("color_image needs a pure bivector")
-    if ((b * b) + 1.0).magnitude() > 1e-9:
+    if ((b * b) + 1.0).magnitude() > RELATIVE_TOL:
         raise ValueError("color_image needs a unit bivector with square -1")
     ib = pseudoscalar(sig) * b
     half = 0.5
@@ -366,60 +356,80 @@ def _cylindrical(n: int) -> GftSpec:
     return GftSpec(sig, n, (kernel,), ())
 
 
+@dataclass(frozen=True)
+class Preset:
+    """One row of `PRESETS`.  `param` is the builder's one parameter,
+    "n", "bivector" or None; `verify` holds the selectors the identity
+    suite (`scripts/verify_all.py`) runs, the first of which the
+    `presets` listing shows."""
+
+    build: Callable[..., GftSpec]
+    param: str | None
+    verify: tuple[str, ...]
+    note: str
+
+
+# The one list of presets, in listing order
+PRESETS = {
+    "clifford": Preset(_clifford, "n", ("clifford:2", "clifford:3"),
+                       "n = 2 or 3 (mod 4)"),
+    "buelow": Preset(_buelow, "n", ("buelow:2",), "any n >= 1"),
+    "quaternionic": Preset(_quaternionic, None, ("quaternionic",), ""),
+    "spacetime": Preset(_spacetime, None, ("spacetime",), ""),
+    "color_image": Preset(_color_image, "bivector", ("color_image",),
+                          "any unit bivector, default e12"),
+    "cylindrical": Preset(_cylindrical, "n", ("cylindrical:2", "cylindrical:3"),
+                          "left separable only for n = 2"),
+}
+PRESET_NAMES = tuple(PRESETS)
+VERIFY_PRESETS = tuple(sel for row in PRESETS.values() for sel in row.verify)
+
+
+def _row(name: str) -> tuple[str, Preset]:
+    key = name.replace("-", "_").lower()
+    if key not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return key, PRESETS[key]
+
+
 def preset(
     name: str,
     n: int | None = None,
     bivector: Multivector | None = None,
 ) -> GftSpec:
-    """Build one of the six built-in transform configurations.
+    """Build the built-in configuration `name`, a key of `PRESETS`.
 
-    clifford, buelow and cylindrical take the dimension n; color_image
-    takes an optional unit bivector (default e12); quaternionic and
-    spacetime take no parameter.
+    A row whose `param` is "n" needs the dimension n, a "bivector" row
+    takes an optional unit bivector, and the others take no parameter.
     """
-    key = name.replace("-", "_").lower()
-    if key not in PRESET_NAMES:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    if key in ("clifford", "buelow", "cylindrical"):
-        if n is None:
-            raise ValueError(f"preset {key!r} needs the dimension parameter n")
-        if bivector is not None:
-            raise ValueError(f"preset {key!r} takes no bivector")
-        return {"clifford": _clifford, "buelow": _buelow, "cylindrical": _cylindrical}[
-            key
-        ](n)
-    if n is not None:
+    key, row = _row(name)
+    if row.param == "n" and n is None:
+        raise ValueError(f"preset {key!r} needs the dimension parameter n")
+    if row.param != "n" and n is not None:
         raise ValueError(f"preset {key!r} takes no dimension parameter")
-    if key == "quaternionic":
-        if bivector is not None:
-            raise ValueError("preset 'quaternionic' takes no bivector")
-        return _quaternionic()
-    if key == "spacetime":
-        if bivector is not None:
-            raise ValueError("preset 'spacetime' takes no bivector")
-        return _spacetime()
-    return _color_image(bivector)
+    if row.param != "bivector" and bivector is not None:
+        raise ValueError(f"preset {key!r} takes no bivector")
+    if row.param is None:
+        return row.build()
+    return row.build(n if row.param == "n" else bivector)
 
 
 def parse_preset(text: str) -> GftSpec:
     """Parse a preset selector like 'quaternionic', 'clifford:2' or
     'color_image:e13'."""
     name, sep, param = text.partition(":")
-    key = name.replace("-", "_").lower()
-    if key not in PRESET_NAMES:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    key, row = _row(name)
     if not sep:
         return preset(key)
-    if key in ("clifford", "buelow", "cylindrical"):
+    if row.param == "n":
         try:
             n = int(param)
         except ValueError:
             raise ValueError(f"preset {key!r} needs an integer parameter") from None
         return preset(key, n=n)
-    if key == "color_image":
-        sig = Signature(4, 0)
+    if row.param == "bivector":
         try:
-            b = Multivector.blade(sig, param)
+            b = Multivector.blade(_COLOR_SIG, param)
         except ValueError as exc:
             raise ValueError(f"bad bivector label {param!r}: {exc}") from None
         return preset(key, bivector=b)

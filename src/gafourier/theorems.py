@@ -35,8 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Multivector, gp_many
-from .commsplit import _DROP_TOL, SplitIndex, shift_exponential_terms, split_multi
+from .algebra import RELATIVE_TOL, STRUCTURAL_TOL, Multivector, gp_many
+from .commsplit import SplitIndex, shift_exponential_terms, split_multi
 from .exponential import exp_neg_many
 from .exponential import exp_imag  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .kernels import GftSpec, negate, side_directions
@@ -197,13 +197,13 @@ def _constant_components(
     c: Multivector, dirs: Sequence[Multivector], direction: str
 ) -> list[tuple[SplitIndex, Multivector]]:
     """C's split components against `dirs`, in sign-vector order, without
-    those of norm at most _DROP_TOL * max(1, |C|)."""
+    those of norm at most STRUCTURAL_TOL * max(1, |C|)."""
     comps = split_multi(c, list(dirs), direction)
     scale = max(1.0, c.magnitude())
     return [
         (bits, comp)
         for bits, comp in sorted(comps.items())
-        if comp.magnitude() > _DROP_TOL * scale
+        if comp.magnitude() > STRUCTURAL_TOL * scale
     ]
 
 
@@ -270,7 +270,7 @@ def shifted_field(field: SampledField, x0: Sequence[float]) -> SampledField:
     offs = []
     for k, (v, s) in enumerate(zip(np.asarray(x0, dtype=float), field.spacing)):
         t = v / s
-        if not np.isfinite(t) or abs(t - round(t)) > 1e-9 * max(1.0, abs(t)):
+        if not np.isfinite(t) or abs(t - round(t)) > RELATIVE_TOL * max(1.0, abs(t)):
             raise OffGridShift(
                 f"shift component {k + 1} is {v}, not an integer multiple "
                 f"of spacing {s}"
@@ -295,10 +295,10 @@ def shifted_field(field: SampledField, x0: Sequence[float]) -> SampledField:
     return field.with_values(out.reshape(field.values.shape))
 
 
-def _mutually_commutative(dirs: Sequence[Multivector], tol: float = 1e-12) -> bool:
+def _mutually_commutative(dirs: Sequence[Multivector]) -> bool:
     for i in range(len(dirs)):
         for j in range(i + 1, len(dirs)):
-            if (dirs[i] * dirs[j] - dirs[j] * dirs[i]).magnitude() > tol:
+            if (dirs[i] * dirs[j] - dirs[j] * dirs[i]).magnitude() > STRUCTURAL_TOL:
                 return False
     return True
 

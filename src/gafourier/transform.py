@@ -219,18 +219,6 @@ class SampledField:
         return SampledField(self.sig, self.dims, self.origin, self.spacing, values)
 
     @classmethod
-    def zero(
-        cls,
-        sig: Signature,
-        dims: Sequence[int],
-        origin: Sequence[float],
-        spacing: Sequence[float],
-    ) -> "SampledField":
-        n = math.prod(int(v) for v in dims)
-        return cls(sig, tuple(dims), tuple(origin), tuple(spacing),
-                   np.zeros((n, sig.dim)))
-
-    @classmethod
     def random(
         cls,
         sig: Signature,

@@ -98,6 +98,39 @@ def test_transform_error_exit_codes(tmp_path, field_file, capsys):
     capsys.readouterr()
 
 
+_KIND = "kind field\n"
+_FREQS_TWICE = "freqs 1\ndims 6 6\ndims 6 6\norigin 0.0 0.0\nspacing 1.0 1.0\n"
+_BAD_BLADE = "gft-kernels 1\nsignature 0 2\nm 2\nkernel left\nentry 1 1 1*e9\n"
+
+
+@pytest.mark.parametrize("option, name, content, message", [
+    ("--field", "twice.mvf", lambda field: field.replace(_KIND, 2 * _KIND),
+     "duplicate header key 'kind'"),
+    ("--field", "kindless.mvf", lambda field: field.replace(_KIND, ""),
+     "missing header key 'kind'"),
+    ("--freqs", "twice.freqs", lambda field: _FREQS_TWICE,
+     "duplicate header key 'dims'"),
+    ("--kernels", "blade.gft", lambda field: _BAD_BLADE,
+     "blade 'e9' is not valid in Cl(0,2)"),
+], ids=["mvf-duplicate-key", "mvf-missing-key", "freqs-duplicate-key",
+        "kernel-bad-blade"])
+def test_reader_errors_name_the_file(tmp_path, field_file, capsys, option, name,
+                                     content, message):
+    path, _ = field_file
+    bad = tmp_path / name
+    bad.write_text(content(path.read_text()))
+    options = {"--field": str(path), "--preset": "quaternionic"}
+    if option == "--kernels":
+        del options["--preset"]
+    options[option] = str(bad)
+    out = tmp_path / "spec.mvf"
+    rc = main(["transform", *(a for kv in options.items() for a in kv),
+               "--out", str(out)])
+    assert rc == 2
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_transform_refuses_non_finite_field(tmp_path, field_file, capsys):
     path, _ = field_file
     lines = path.read_text().splitlines()

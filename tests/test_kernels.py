@@ -7,6 +7,7 @@ import pytest
 
 from gafourier.algebra import Multivector, Signature, pseudoscalar
 from gafourier.kernels import (
+    VERIFY_PRESETS,
     GftSpec,
     KernelMatrix,
     NotSeparable,
@@ -222,6 +223,35 @@ def test_parse_preset_errors():
         parse_preset("color_image:e99")
     # selector is case and hyphen tolerant
     assert parse_preset("Color-Image").sig == Signature(4, 0)
+
+
+_E12 = Multivector.blade(Signature(4, 0), "e12")
+_UNKNOWN = ("unknown preset 'nosuch'; choose from ('clifford', 'buelow', "
+            "'quaternionic', 'spacetime', 'color_image', 'cylindrical')")
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (preset, ("nosuch",), _UNKNOWN),
+    (parse_preset, ("nosuch:2",), _UNKNOWN),
+    (preset, ("buelow",), "preset 'buelow' needs the dimension parameter n"),
+    (preset, ("color_image", 2), "preset 'color_image' takes no dimension parameter"),
+    (preset, ("clifford", 2, _E12), "preset 'clifford' takes no bivector"),
+    (parse_preset, ("spacetime:2",), "preset 'spacetime' takes no parameter"),
+    (parse_preset, ("buelow:x",), "preset 'buelow' needs an integer parameter"),
+    (parse_preset, ("color_image:e9",),
+     "bad bivector label 'e9': basis index 9 not in Cl(4,0)"),
+], ids=["unknown", "unknown-selector", "needs-n", "no-n", "no-bivector",
+        "no-parameter", "integer-parameter", "bad-label"])
+def test_preset_errors(build, args, message):
+    with pytest.raises(ValueError) as exc:
+        build(*args)
+    assert str(exc.value) == message
+
+
+def test_verify_presets_order():
+    assert VERIFY_PRESETS == ("clifford:2", "clifford:3", "buelow:2", "quaternionic",
+                              "spacetime", "color_image", "cylindrical:2",
+                              "cylindrical:3")
 
 
 def test_separability_classification():

@@ -68,8 +68,6 @@ def test_sampled_field_accessors():
     assert np.array_equal(field.values, vals) and not field.values.flags.writeable
     replaced = field.with_values(np.zeros((6, 4)))
     assert not replaced.values.any() and replaced.dims == field.dims
-    zero = SampledField.zero(sig, (2, 3), (0.0, 0.0), (1.0, 1.0))
-    assert zero.values.shape == (6, 4) and not zero.values.any()
     with pytest.raises(ValueError):
         SampledField(sig, (2, 3), (0.0, 0.0), (1.0, 1.0), vals[:5])
     with pytest.raises(ValueError):
