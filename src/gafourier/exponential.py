@@ -10,9 +10,9 @@ and its small-angle rule, and `not_imaginary` for the validation test;
 `check_square` applies that test to one multivector.
 
 `not_imaginary` is the package's one test for "squares to a negative
-real", with one contract: f passes iff the L2 norm of the non-scalar
-part of f^2 and the scalar part of f^2 are both at most
-STRUCTURAL_TOL * max(1, |f|^2).  Zero passes, NaN fails.  `exp_imag`,
+real", with one contract: f passes iff |f|^2 is finite and the L2 norm
+of the non-scalar part of f^2 and the scalar part of f^2 are both at
+most STRUCTURAL_TOL * max(1, |f|^2).  Zero passes, NaN fails.  `exp_imag`,
 `exp_neg_many`, the transform engines, the kernel factorization of
 `kernels` and the splits of `commsplit` all call it, so they give the
 same verdict.
@@ -67,16 +67,22 @@ def exp_imag(f: Multivector) -> Multivector:
     return float(cos) - f * float(sinc)
 
 
-def cos_sinc(square: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cos_sinc(
+    square: np.ndarray, cos: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """cos(r) and sin(r)/r for r = sqrt(-square), elementwise.
 
     `square` is the scalar part of f^2, so e^{-f} = cos(r) - f sin(r)/r.
     A nonnegative square gives r = 0; below r = _SMALL_ANGLE the ratio
-    is taken as 1, the first-order sum 1 - f.
+    is taken as 1, the first-order sum 1 - f.  cos(r) is written into
+    `cos` when it is given.
     """
     r = np.sqrt(np.maximum(-square, 0.0))
     small = r < _SMALL_ANGLE
-    return np.cos(r), np.where(small, 1.0, np.sin(r) / np.where(small, 1.0, r))
+    sinc = np.sin(r, out=np.empty_like(r))
+    np.divide(sinc, r, out=sinc, where=~small)
+    sinc[small] = 1.0
+    return np.cos(r, out=cos), sinc
 
 
 def not_imaginary(scalar, residue, norm2):
@@ -84,10 +90,11 @@ def not_imaginary(scalar, residue, norm2):
 
     `scalar` is the scalar part of f^2, `residue` the L2 norm of its
     other coefficients and `norm2` = |f|^2.  A sample fails when either
-    exceeds STRUCTURAL_TOL * max(1, |f|^2); NaN fails too.
+    exceeds STRUCTURAL_TOL * max(1, |f|^2); NaN fails too, and so does a
+    |f|^2 that is not finite, which would make the bound infinite.
     """
     bound = STRUCTURAL_TOL * np.maximum(1.0, norm2)
-    return ~((residue <= bound) & (scalar <= bound))
+    return ~((residue <= bound) & (scalar <= bound) & (bound < np.inf))
 
 
 def check_square(f: Multivector) -> tuple[bool, Multivector]:

@@ -6,7 +6,8 @@ multivector coefficients.  A transform configuration is an ordered list of
 left kernels and an ordered list of right kernels over one signature.
 Kernel values must square to negative reals (or vanish) wherever they are
 evaluated; the transform engines check that with
-`exponential.not_imaginary`.
+`exponential.not_imaginary`, or once per kernel where the factorization
+below decides it.
 
 Every kernel is factored once, by one rule, which decides both which
 transform engine can run and which identities apply:
@@ -18,8 +19,12 @@ transform engine can run and which identities apply:
   phase s = x^T (rho S) u and j = d / rho, j^2 = -1, rho^2 = -<d^2>_0.
   Then f^2 = s^2 d^2 and |d| >= 1, so checking d once is at least as
   strict as checking every sample;
-* blades: any other kernel, sum_i s_i(x,u) e_i over its nonzero blades,
-  checked per sample.
+* blades: any other kernel, sum_i s_i(x,u) e_i over its nonzero blades.
+  f^2 is a polynomial in (x, u), so whether it squares to a real <= 0
+  everywhere is decided once, exactly (`Factors.imaginary`): every blade
+  squares to -1, and the non-scalar part of f^2 vanishes identically.
+  That holds for every cylindrical:n, n >= 3 (x ^ u is a simple bivector,
+  the Plucker relations); any other blade kernel is checked per sample.
 
 Only a direction kernel lets constants be pulled through its
 exponentials, so the product and shift theorems need every kernel on a
@@ -161,7 +166,11 @@ class Factors:
 
     A direction kernel has one basis element, `direction` = j with
     j^2 = -1, so e^{-f} = cos(s) - j sin(s) for the real phase s.  Any
-    other kernel has its nonzero `blades` as the e_i.  The transform
+    other kernel has its nonzero `blades` as the e_i, and `pairs` =
+    (a, b, q), which gives the non-scalar part of f^2 as q @ (s_a s_b)
+    over the commuting blade pairs a < b.  `imaginary` says that f^2 is
+    a real <= 0 at every (x, u): always true for a direction, decided
+    once by `_imaginary` for blades, and kept by scaling.  The transform
     engines' constant maps for each side are built by `maps` on first
     use and shared with every scaled copy.
     """
@@ -170,10 +179,12 @@ class Factors:
     forms: np.ndarray                 # (r, m, m)
     direction: np.ndarray | None      # (2^n,) j, direction kernels only
     blades: np.ndarray | None         # (r,) blade indices, otherwise
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None  # blades only
+    imaginary: bool
     _maps: dict[str, dict[str, object]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        for v in (self.forms, self.direction, self.blades):
+        for v in (self.forms, self.direction, self.blades, *(self.pairs or ())):
             if v is not None:
                 v.setflags(write=False)
 
@@ -186,9 +197,7 @@ class Factors:
         A direction has `step`, the dense row-form map of x -> (-j) x on
         the left or x (-j) on the right.  Blades have the signed
         permutations out[:, k] = sign[i, k] * x[:, gather[i, k]] of
-        x -> -e_i x (or x (-e_i)), the blade squares `squares`, and
-        `pairs` = (a, b, q), which gives the non-scalar part of f^2 as
-        q @ (s_a s_b) over the commuting blade pairs a < b.
+        x -> -e_i x (or x (-e_i)) and the blade squares `squares`.
         """
         if side not in self._maps:
             self._maps[side] = _side_maps(self, side)
@@ -208,9 +217,51 @@ def _factor(sig: Signature, tensor: np.ndarray) -> Factors | None:
         fails, sq = check_square(Multivector(sig, d))
         if not fails and sq.scalar_part() < 0.0:
             rho = math.sqrt(-sq.scalar_part())
-            return Factors(sig, (s * rho).reshape(1, m, m), d / rho, None)
+            return Factors(sig, (s * rho).reshape(1, m, m), d / rho, None, None, True)
     blades = np.flatnonzero(np.abs(t).max(axis=0))
-    return Factors(sig, t[:, blades].T.reshape(-1, m, m), None, blades)
+    forms = t[:, blades].T.reshape(-1, m, m)
+    pairs = _commuting_pairs(sig, blades)
+    return Factors(sig, forms, None, blades, pairs, _imaginary(sig, blades, forms, pairs))
+
+
+def _commuting_pairs(
+    sig: Signature, blades: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, q) of `Factors.pairs` for these blades."""
+    a, b = np.triu_indices(len(blades), 1)
+    ab = blade_signs(sig, blades[a], blades[b])
+    commute = ab == blade_signs(sig, blades[b], blades[a])
+    a, b, ab = a[commute], b[commute], ab[commute]
+    # e_a e_b + e_b e_a = 2 sign(a, b) e_{a^b} for a commuting pair
+    targets, row = np.unique(blades[a] ^ blades[b], return_inverse=True)
+    q = np.zeros((len(targets), len(a)))
+    q[row, np.arange(len(a))] = 2.0 * ab
+    return a, b, q
+
+
+def _imaginary(
+    sig: Signature, blades: np.ndarray, forms: np.ndarray,
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> bool:
+    """Whether f = sum_i (x^T forms[i] u) e_i squares to a real <= 0 at
+    every (x, u), decided exactly, with no tolerance.
+
+    The scalar part of f^2 is sum_i e_i^2 s_i^2, never positive when
+    every e_i^2 = -1.  Each row t of the non-scalar part sum_p q_tp s_a s_b
+    is the polynomial sum x_j x_k u_l u_o Z[j, k, l, o] with
+    Z = sum_p q_tp A_a[j, l] A_b[k, o]; it vanishes for every (x, u)
+    exactly when Z symmetrised over (j, k) and over (l, o) is zero.
+    """
+    if (square_scalar_signs(sig)[blades] != -1.0).any():
+        return False
+    a, b, q = pairs
+    for row in q:
+        p = np.flatnonzero(row)
+        z = np.einsum("p,pjl,pko->jklo", row[p], forms[a[p]], forms[b[p]])
+        z = z + z.transpose(1, 0, 2, 3)
+        if (z + z.transpose(0, 1, 3, 2)).any():
+            return False
+    return True
 
 
 def _side_maps(f: Factors, side: str) -> dict[str, object]:
@@ -226,19 +277,10 @@ def _side_maps(f: Factors, side: str) -> dict[str, object]:
         gather = np.arange(sig.dim) ^ col
         sign = -(blade_signs(sig, col, gather) if side == "left"
                  else blade_signs(sig, gather, col))
-        a, b = np.triu_indices(len(blades), 1)
-        ab = blade_signs(sig, blades[a], blades[b])
-        commute = ab == blade_signs(sig, blades[b], blades[a])
-        a, b, ab = a[commute], b[commute], ab[commute]
-        # e_a e_b + e_b e_a = 2 sign(a, b) e_{a^b} for a commuting pair
-        targets, row = np.unique(blades[a] ^ blades[b], return_inverse=True)
-        q = np.zeros((len(targets), len(a)))
-        q[row, np.arange(len(a))] = 2.0 * ab
         maps = {"gather": gather, "sign": sign,
-                "squares": square_scalar_signs(sig)[blades], "pairs": (a, b, q)}
+                "squares": square_scalar_signs(sig)[blades]}
     for v in maps.values():
-        for w in v if isinstance(v, tuple) else (v,):
-            w.setflags(write=False)
+        v.setflags(write=False)
     return maps
 
 

@@ -27,11 +27,12 @@ per call by `plan`:
   rule stated in `kernels`.  A direction kernel s j (j^2 = -1, checked
   once) has e^{-f} = cos(s) - j sin(s) of a real phase s; a blade kernel
   is sum_i s_i e_i over its nonzero blades, with
-  e^{-f} = cos(rho) - sum_i s_i sin(rho)/rho e_i, rho^2 = -<f^2>_0.  The
-  two-sided product then expands into prod(1 + r_k) real GEMMs over
-  those weight blocks (r_k basis elements of kernel k), followed by
-  constant maps: a dense product for a direction, a signed permutation
-  for a blade.
+  e^{-f} = cos(rho) - sum_i s_i sin(rho)/rho e_i, rho^2 = -<f^2>_0.  Each
+  kernel's weights for a chunk of frequencies are written into one
+  (1 + r_k, M, N) array.  The two-sided product then expands into
+  prod(1 + r_k) real GEMMs over those weight blocks (r_k basis elements
+  of kernel k), followed by constant maps: a dense product for a
+  direction, a signed permutation for a blade.
 * direct (`gft_direct`): per frequency, exponentials of the kernel values
   at every node, two-sided products, and a sum over nodes.  It handles
   every spec and is the reference the other engines are tested against.
@@ -60,9 +61,11 @@ grid is kept.
 Validation (validate=True) raises the same NotImaginary as the direct
 engine.  The axes engine needs no per-sample check: each direction is
 checked once, and the finite phase bound makes every phase finite.  The
-expansion engine checks blade kernels per (node, frequency) with
-`not_imaginary`, exp_neg_many's test, and a direction's phases for
-finiteness.
+expansion engine checks a direction's phases for finiteness.  A blade
+kernel whose factorization decided once that it squares to a real <= 0
+everywhere (`Factors.imaginary`, cylindrical:n for n >= 3) is checked
+per sample only for a finite -sum_i s_i^2; any other blade kernel is
+checked per (node, frequency) with `not_imaginary`, exp_neg_many's test.
 
 Determinism: the direct engine sums each frequency's rows with one fixed
 numpy reduction over row-major node order, so identical inputs give
@@ -282,6 +285,8 @@ def _check_inputs(
     unodes = np.asarray(unodes, dtype=float)
     if unodes.ndim != 2 or unodes.shape[1] != spec.m:
         raise ValueError(f"frequency nodes must have shape (M, {spec.m})")
+    if not np.isfinite(unodes).all():
+        raise ValueError("frequency nodes must be finite")
     return unodes
 
 
@@ -322,43 +327,53 @@ def gft_direct(
 @dataclass(frozen=True)
 class _Basis:
     """One nonzero kernel on one side of a plan: its factorization's
-    `forms` (`kernels.Factors`) and the constant maps `Factors.maps`
-    built for that side, shared by every plan of the kernel.
+    `forms`, `pairs` and `imaginary` verdict (`kernels.Factors`) and the
+    constant maps `Factors.maps` built for that side, shared by every
+    plan of the kernel.
     """
 
     side: str
     label: str
     forms: np.ndarray                   # (r, m, m)
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    imaginary: bool
     step: np.ndarray | None = None      # (2^n, 2^n), direction only
     gather: np.ndarray | None = None    # (r, 2^n)
     sign: np.ndarray | None = None      # (r, 2^n)
     squares: np.ndarray | None = None   # (r,) blade squares e_i^2
-    pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def terms(self) -> int:
         return 1 + len(self.forms)
 
     def describe(self) -> str:
+        check = "checked once" if self.imaginary else "per-sample check"
         if self.step is not None:
-            return f"{self.label}: 1 direction, checked once"
+            return f"{self.label}: 1 direction, {check}"
         r = len(self.forms)
-        return f"{self.label}: {r} blade{'s' if r > 1 else ''}, per-sample check"
+        return f"{self.label}: {r} blade{'s' if r > 1 else ''}, {check}"
 
     def weights(
         self, s: np.ndarray, validate: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Weight blocks (terms, M, N) of e^{-f} from the coordinates
-        s = (r, M, N), and the mask of invalid samples when checked."""
+        s = (r, M, N), written into one new array, and the mask of
+        invalid samples when checked."""
+        w = np.empty((self.terms,) + s.shape[1:])
         if self.step is not None:
             # f = s d with d checked once: only a non-finite phase can fail
-            bad = ~np.isfinite(s[0]) if validate else None
-            return np.concatenate((np.cos(s), np.sin(s))), bad
+            np.cos(s, out=w[:1])
+            np.sin(s, out=w[1:])
+            return w, ~np.isfinite(s[0]) if validate else None
         s2 = s * s
         square = np.tensordot(self.squares, s2, axes=1)  # scalar part of f^2
-        cos, sinc = cos_sinc(square)
+        _, sinc = cos_sinc(square, cos=w[0])
+        np.multiply(s, sinc, out=w[1:])
         bad = None
-        if validate:
+        if validate and self.imaginary:
+            # f^2 = -sum_i s_i^2 everywhere: only a non-finite one can fail
+            bad = ~np.isfinite(square)
+        elif validate:
             a, b, q = self.pairs
             residue = 0.0  # no commuting blade pair: f^2 is a scalar
             if len(q):
@@ -367,7 +382,7 @@ class _Basis:
                 rest = np.tensordot(q, cross, axes=1)  # non-scalar part of f^2
                 residue = np.sqrt(np.einsum("t...,t...->...", rest, rest))
             bad = not_imaginary(square, residue, s2.sum(axis=0))
-        return np.concatenate((cos[None], s * sinc)), bad
+        return w, bad
 
     def fold(self, y: np.ndarray) -> np.ndarray:
         """Sum y over this kernel's terms (the leading axis), each mapped."""
@@ -479,7 +494,7 @@ def _build_spec_plan(spec: GftSpec) -> _SpecPlan:
             if f is None:
                 notes.append(f"{label}: zero")
                 continue
-            b = _Basis(side, label, f.forms, **f.maps(side))
+            b = _Basis(side, label, f.forms, f.pairs, f.imaginary, **f.maps(side))
             terms *= b.terms
             if terms > limit:
                 bound = f"2^n = {limit}" if limit == sig.dim else f"2^nu = {limit}"
@@ -563,12 +578,13 @@ def _gft_expansion(
     out = np.empty((len(unodes), sig.dim))
     for lo in range(0, len(unodes), chunk):
         u = unodes[lo:lo + chunk]
-        # w[terms]: the first kernel's term is the leading index
-        w = np.ones((1, len(u), n))
+        # w[terms]: the first kernel's term is the leading index; with
+        # only zero kernels, one term of weight 1
+        w = None if order else np.ones((1, len(u), n))
         bad = {}
         for b, ph in zip(order, phases):
             blocks, bad[b.label] = b.weights(u @ ph, validate)
-            w = (w[:, None] * blocks).reshape(-1, len(u), n)
+            w = blocks if w is None else (w[:, None] * blocks).reshape(-1, len(u), n)
         _raise_first_violation(rec.bases, bad)
         y = w @ field.values
         for b in order:

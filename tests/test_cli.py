@@ -146,6 +146,24 @@ def test_transform_refuses_non_finite_field(tmp_path, field_file, capsys):
     assert "NaN" in capsys.readouterr().err
 
 
+def test_transform_refuses_an_overflowing_kernel_square(tmp_path, capsys):
+    # frequencies near 1e155 keep every kernel coordinate finite while
+    # |f|^2 overflows: refused, not written as a NaN spectrum
+    from gafourier.fileio import write_freqs
+    from gafourier.transform import FreqGrid
+
+    path, ffile, out = tmp_path / "f.mvf", tmp_path / "big.freqs", tmp_path / "o.mvf"
+    write_field(path, SampledField.random(Signature(0, 3), (3, 3, 3),
+                                          np.random.default_rng(3)))
+    write_freqs(ffile, FreqGrid((2, 2, 2), (1e155,) * 3, (1.0,) * 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["transform", "--field", str(path), "--preset", "cylindrical:3",
+                   "--freqs", str(ffile), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "does not square to a negative real" in capsys.readouterr().err
+
+
 def test_transform_rejects_spectrum_input(tmp_path, field_file, capsys):
     path, field = field_file
     spec_path = tmp_path / "already.mvf"

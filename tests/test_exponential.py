@@ -122,8 +122,9 @@ VERDICT_CASES = {
     "tiny positive square": (Signature(1, 0), {"e1": 1e-7}, 1.0, False),
     # e12 and e34 commute: the square has a 2e-11 e1234 part
     "commuting residue": (Signature(4, 0), {"e12": 1.0, "e34": 1e-11}, 1.0, True),
-    # a NaN frequency makes every coefficient of the value NaN
-    "nan": (Signature(2, 0), {"e12": 1.0}, math.nan, True),
+    # 10 * 1e308 overflows: the value is inf e12, and its square holds
+    # NaN (0 * inf) next to -inf
+    "infinite": (Signature(2, 0), {"e12": 10.0}, 1e308, True),
 }
 
 
@@ -145,9 +146,10 @@ def test_every_caller_gives_the_same_verdict(case):
     # one node at x = 1 and one frequency u: the kernel takes one value f
     field = SampledField(sig, (1,), (1.0,), (1.0,), np.ones((1, sig.dim)))
     unodes = np.array([[u]])
-    f = Multivector(sig, kern.values(np.array([[1.0]]), (u,))[0])
+    with np.errstate(over="ignore"):
+        f = Multivector(sig, kern.values(np.array([[1.0]]), (u,))[0])
     assert plan(spec, field, unodes).engine == "expansion"
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         verdicts = {
             "exp_imag": _raises_not_imaginary(exp_imag, f),
             "exp_neg_many": _raises_not_imaginary(exp_neg_many, sig, f.coeffs[None]),

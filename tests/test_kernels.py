@@ -310,3 +310,40 @@ def test_kernel_matrix_rejects_non_finite_entries(bad):
         KernelMatrix.sparse(sig, 2, [(0, 0, entry)])
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
         KernelMatrix.sparse(sig, 2, [(1, 1, Multivector.blade(sig, "e1"))]).scaled(bad)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_cylindrical_blades_are_imaginary_by_construction(n):
+    # x ^ u is a simple bivector (the Plucker relations) and every e_jl
+    # squares to -1, so f^2 is a real <= 0 at every (x, u)
+    spec = parse_preset(f"cylindrical:{n}")
+    kern = spec.left[0]
+    f = kern.factors
+    assert f.direction is None and len(f.blades) == n * (n - 1) // 2
+    assert f.imaginary
+    assert (n == 3) == (len(f.pairs[2]) == 0)  # n = 3: no commuting pair
+    # scaled copies keep the verdict; fresh factorizations of scaled
+    # tensors reach it again
+    assert negate(spec, [1], []).left[0].factors.imaginary
+    for c in (TAU, -0.37):
+        assert kern.scaled(c).factors.imaginary
+        assert KernelMatrix(kern.sig, kern.tensor * c).factors.imaginary
+
+
+def test_blade_kernels_off_the_plucker_relations_are_not_imaginary():
+    # x_1 u_1 e12 + x_2 u_2 e34: e12 and e34 commute, so f^2 has an
+    # e1234 part wherever x_1 u_1 x_2 u_2 != 0
+    sig = Signature(0, 4)
+    kern = KernelMatrix.sparse(sig, 2, [(0, 0, Multivector.blade(sig, "e12")),
+                                        (1, 1, Multivector.blade(sig, "e34"))])
+    assert not kern.factors.imaginary
+    # cylindrical:4 with one entry doubled
+    cyl = parse_preset("cylindrical:4").left[0]
+    t = cyl.tensor.copy()
+    t[0, 1] *= 2.0
+    assert not KernelMatrix(cyl.sig, t).factors.imaginary
+    # e1 squares to +1 in Cl(1,1): a scalar part of either sign
+    sig = Signature(1, 1)
+    mixed = KernelMatrix.sparse(sig, 2, [(0, 0, Multivector.blade(sig, "e1")),
+                                         (1, 1, Multivector.blade(sig, "e2"))])
+    assert mixed.factors.direction is None and not mixed.factors.imaginary

@@ -419,13 +419,79 @@ def test_invalid_two_blade_kernel_unvalidated_matches_direct():
     assert (err <= 1e-12 * np.maximum(1.0, np.linalg.norm(ref, axis=1))).all()
 
 
+# the benchmark's non-separable cases: field extents and a frequency grid
+# off the DFT lattice
+NONSEPARABLE_GRIDS = {
+    "cylindrical:3": ((10, 10, 10), FreqGrid((5,) * 3, (-0.613,) * 3, (0.197,) * 3)),
+    "cylindrical:4": ((4, 4, 4, 4), FreqGrid((4, 4, 3, 3), (-0.37,) * 4, (0.21,) * 4)),
+    "cylindrical:7": ((2,) * 7, FreqGrid((2, 2, 1, 1, 1, 1, 1), (-0.29,) * 7, (0.31,) * 7)),
+}
+
+
+@pytest.mark.parametrize("selector", sorted(NONSEPARABLE_GRIDS))
+def test_blades_checked_once_change_no_value(selector):
+    spec = parse_preset(selector)
+    dims, freqs = NONSEPARABLE_GRIDS[selector]
+    rng = np.random.default_rng(61)
+    field = SampledField.random(spec.sig, dims, rng)
+    p = plan(spec, field, freqs)
+    assert p.engine == "expansion"
+    assert p.reason.startswith(f"left kernel 1: {spec.m * (spec.m - 1) // 2} blades, "
+                               "checked once; ")
+    got = gft(spec, field, freqs).values
+    assert np.array_equal(got, gft(spec, field, freqs, validate=False).values)
+    _assert_agrees(got, gft_direct(spec, field, freqs.nodes()))
+    unodes = rng.uniform(-1.3, 1.3, (5, spec.m))
+    assert np.array_equal(gft_at(spec, field, unodes),
+                          gft_at(spec, field, unodes, validate=False))
+
+
+def test_blades_off_the_plucker_relations_keep_the_per_sample_check():
+    # cylindrical:4 with its (1, 2) entry doubled: f^2 gains an e1234
+    # part 2 x_1 u_2 x_3 u_4 - ... that no longer cancels
+    cyl = parse_preset("cylindrical:4")
+    t = cyl.left[0].tensor.copy()
+    t[0, 1] *= 2.0
+    spec = GftSpec(cyl.sig, 4, (KernelMatrix(cyl.sig, t),), ())
+    rng = np.random.default_rng(62)
+    field = SampledField.random(spec.sig, (3, 3, 3, 3), rng)
+    unodes = rng.uniform(-1.3, 1.3, (4, 4))
+    assert plan(spec, field, unodes).reason == \
+        "left kernel 1: 6 blades, per-sample check; 7 terms"
+    msg = _not_imaginary_message(gft_at, spec, field, unodes)
+    assert msg.startswith("left kernel 1: sample ")
+    assert msg == _not_imaginary_message(gft_direct, spec, field, unodes)
+
+
+def test_overflowing_blade_square_is_refused_like_direct():
+    # u near 1e155: each coordinate s_i stays finite, s_i^2 overflows
+    spec = parse_preset("cylindrical:3")
+    field = SampledField.random(spec.sig, (3, 3, 3), np.random.default_rng(63))
+    freqs = FreqGrid((2, 2, 2), (1e155,) * 3, (1.0,) * 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        msg = _not_imaginary_message(gft, spec, field, freqs)
+        assert msg == _not_imaginary_message(gft_direct, spec, field, freqs.nodes())
+    assert msg == "left kernel 1: sample 1 does not square to a negative real"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("engine", [gft_at, gft_direct], ids=["gft_at", "gft_direct"])
+def test_non_finite_frequency_nodes_are_refused(engine, validate, bad):
+    spec = parse_preset("cylindrical:3")
+    field = SampledField.random(spec.sig, (3, 3, 3), np.random.default_rng(64))
+    unodes = np.array([[0.5, bad, 0.25], [0.1, 0.2, 0.3]])
+    with pytest.raises(ValueError, match="frequency nodes must be finite"):
+        engine(spec, field, unodes, validate=validate)
+
+
 def test_plan_reasons():
     rng = np.random.default_rng(4)
     cyl = parse_preset("cylindrical:3")
     field = SampledField.random(cyl.sig, (3, 3, 3), rng)
     p = plan(cyl, field, default_freqs(field).nodes())
     assert (p.engine, p.reason) == (
-        "expansion", "left kernel 1: 3 blades, per-sample check; 4 terms")
+        "expansion", "left kernel 1: 3 blades, checked once; 4 terms")
 
     sig = Signature(0, 2)
     e1 = Multivector.blade(sig, "e1", 2 * math.pi)
