@@ -4,10 +4,12 @@
 to a negative real number, the only case the transform needs; it
 evaluates e^{-f} directly because the kernels always appear with a
 negative exponent.  `exp_neg_many` is the same closed form vectorized
-over stacked samples, with optional validation of the square.  They and
-the transform engines share two pieces: `cos_sinc` for the closed form
-and its small-angle rule, and `not_imaginary` for the validation test;
-`check_square` applies that test to one multivector.
+over stacked samples, with optional validation of the square.  They
+(and through `exp_neg_many` the direct transform engine) share
+`cos_sinc` for the closed form and its small-angle rule; the expansion
+engine keeps that rule, `_SMALL_ANGLE`, with its own cos and sin.  All
+of them share `not_imaginary` for the validation test; `check_square`
+applies that test to one multivector.
 
 `not_imaginary` is the package's one test for "squares to a negative
 real", with one contract: f passes iff |f|^2 is finite and the L2 norm

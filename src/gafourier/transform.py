@@ -27,12 +27,16 @@ per call by `plan`:
   rule stated in `kernels`.  A direction kernel s j (j^2 = -1, checked
   once) has e^{-f} = cos(s) - j sin(s) of a real phase s; a blade kernel
   is sum_i s_i e_i over its nonzero blades, with
-  e^{-f} = cos(rho) - sum_i s_i sin(rho)/rho e_i, rho^2 = -<f^2>_0.  Each
-  kernel's weights for a chunk of frequencies are written into one
-  (1 + r_k, M, N) array.  The two-sided product then expands into
-  prod(1 + r_k) real GEMMs over those weight blocks (r_k basis elements
-  of kernel k), followed by constant maps: a dense product for a
-  direction, a signed permutation for a blade.
+  e^{-f} = cos(rho) - sum_i s_i sin(rho)/rho e_i, rho^2 = -<f^2>_0.  The
+  two-sided product expands into prod(1 + r_k) terms (r_k basis elements
+  of kernel k), each a real weight times a constant map of B(x): a
+  dense product for a direction, a signed permutation for a blade.
+  Every kernel is linear in x, so a term's weight is even or odd in x,
+  and the weights are computed once per pair of nodes {x, -x} of the
+  grid, against B(x) + B(-x) or B(x) - B(-x).  The constant maps are
+  applied to that stack of sums once per transform when it fits the
+  axes engine's budget, and then a chunk of frequencies is its weights
+  and one GEMM; otherwise they are applied to each chunk's GEMM outputs.
 * direct (`gft_direct`): per frequency, exponentials of the kernel values
   at every node, two-sided products, and a sum over nodes.  It handles
   every spec and is the reference the other engines are tested against.
@@ -40,13 +44,14 @@ per call by `plan`:
 Routing: a grid of frequencies whose nonzero kernels (at least one) are
 all direction kernels goes to the axes engine when each of those
 forms is diagonal and the phase bound sum_kj |a_kj| max|x_j| max|u_j| is
-finite; otherwise its reason ends in "no axes engine: " and the first
-condition that failed ("right kernel 1 form not diagonal", or the phase
-bound "is not finite").  Everything else, and every array of
-frequencies, runs the
-expansion engine while prod(1 + r_k) <= max(2^nu, 2^n), that is while
-its GEMM work per pair is at most that of 2^nu sign patterns or of one
-dense product; larger specs go to the direct engine.  The validate flag
+finite, and so is its square times max_k |j_k|^2; otherwise its reason
+ends in "no axes engine: " and the first condition that failed ("right
+kernel 1 form not diagonal", the phase bound "is not finite", or the
+"squared phase bound times max_k |j_k|^2 is not finite").  Everything
+else, and every array of frequencies, runs the expansion engine while
+prod(1 + r_k) <= max(2^nu, 2^n), that is while its GEMM work per pair
+is at most that of 2^nu sign patterns or of one dense product; larger
+specs go to the direct engine.  The validate flag
 never changes which engine runs.
 
 Planning: what depends on the spec alone is built on the first `plan` of
@@ -59,24 +64,32 @@ DEBUG record, the tile sizes and the arithmetic.  No verdict about a
 grid is kept.
 
 Validation (validate=True) raises the same NotImaginary as the direct
-engine.  The axes engine needs no per-sample check: each direction is
-checked once, and the finite phase bound makes every phase finite.  The
-expansion engine checks a direction's phases for finiteness.  A blade
-kernel whose factorization decided once that it squares to a real <= 0
-everywhere (`Factors.imaginary`, cylindrical:n for n >= 3) is checked
-per sample only for a finite -sum_i s_i^2; any other blade kernel is
-checked per (node, frequency) with `not_imaginary`, exp_neg_many's test.
+engine; `gft` and `gft_at` then turn numpy's overflow and invalid-value
+warnings off.  The axes
+engine needs no per-sample check: each direction is checked once, and
+it runs only when the phase bound, and its square times max_k |j_k|^2,
+are finite, so every |f|^2 is.  The expansion engine checks that
+s^2 |j|^2 is finite for a direction.  A blade kernel whose
+factorization decided once that it squares to a real <= 0 everywhere
+(`Factors.imaginary`, cylindrical:n for n >= 3) is checked per sample
+only for a finite -sum_i s_i^2; any other blade kernel is checked per
+(node, frequency) with `not_imaginary`, exp_neg_many's test.  f^2 is
+the same at x and -x, so the expansion engine checks each pair of nodes
+once, at its smaller index, the node the direct engine names.
 
 Determinism: the direct engine sums each frequency's rows with one fixed
 numpy reduction over row-major node order, so identical inputs give
 bit-identical spectra.  The axes and expansion engines are bit-identical
 for the same input and the same numpy build and BLAS thread count, and
 agree with the direct engine within 1e-12 * max(1, |F(u)|) per
-frequency.
+frequency.  The expansion engine sums each pair of nodes {x, -x} before
+its GEMM and takes cos and sin from one tangent of the half angle, so
+its rounding differs from the direct engine's, not its result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -85,7 +98,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Signature, gp_many
-from .exponential import NotImaginary, cos_sinc, exp_neg_many, not_imaginary
+from .exponential import _SMALL_ANGLE, NotImaginary, exp_neg_many, not_imaginary
 from .kernels import GftSpec
 
 __all__ = [
@@ -140,10 +153,7 @@ def grid_nodes(
 ) -> np.ndarray:
     """Node coordinates of a regular grid, row-major, shape (N, m)."""
     dims, origin, spacing = _check_geometry(dims, origin, spacing)
-    axes = [np.arange(d) for d in dims]
-    idx = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
-        -1, len(dims)
-    )
+    idx = np.indices(dims).reshape(len(dims), -1).T
     return np.asarray(origin) + idx * np.asarray(spacing)
 
 
@@ -337,6 +347,7 @@ class _Basis:
     forms: np.ndarray                   # (r, m, m)
     pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     imaginary: bool
+    norm2: float                        # |j|^2 for a direction, else 1
     step: np.ndarray | None = None      # (2^n, 2^n), direction only
     gather: np.ndarray | None = None    # (r, 2^n)
     sign: np.ndarray | None = None      # (r, 2^n)
@@ -356,40 +367,76 @@ class _Basis:
     def weights(
         self, s: np.ndarray, validate: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Weight blocks (terms, M, N) of e^{-f} from the coordinates
-        s = (r, M, N), written into one new array, and the mask of
+        """Weights (M, terms, N) of e^{-f} from the coordinates
+        s = (M, r, N), written into one new array, and the (M, N) mask of
         invalid samples when checked."""
-        w = np.empty((self.terms,) + s.shape[1:])
+        w = np.empty((len(s), self.terms, s.shape[2]))
         if self.step is not None:
-            # f = s d with d checked once: only a non-finite phase can fail
-            np.cos(s, out=w[:1])
-            np.sin(s, out=w[1:])
-            return w, ~np.isfinite(s[0]) if validate else None
-        s2 = s * s
-        square = np.tensordot(self.squares, s2, axes=1)  # scalar part of f^2
-        _, sinc = cos_sinc(square, cos=w[0])
-        np.multiply(s, sinc, out=w[1:])
-        bad = None
-        if validate and self.imaginary:
-            # f^2 = -sum_i s_i^2 everywhere: only a non-finite one can fail
-            bad = ~np.isfinite(square)
-        elif validate:
-            a, b, q = self.pairs
-            residue = 0.0  # no commuting blade pair: f^2 is a scalar
-            if len(q):
-                cross = s[a]
-                cross *= s[b]
-                rest = np.tensordot(q, cross, axes=1)  # non-scalar part of f^2
-                residue = np.sqrt(np.einsum("t...,t...->...", rest, rest))
-            bad = not_imaginary(square, residue, s2.sum(axis=0))
-        return w, bad
+            # f = s j with j checked once: only a |f|^2 = s^2 |j|^2 that
+            # is not finite can fail
+            half_sin = _cos_half_sin(s * 0.5, cos=w[:, :1])
+            np.multiply(half_sin, 2.0, out=w[:, 1:])
+            return w, ~np.isfinite(s[:, 0] * s[:, 0] * self.norm2) if validate else None
+        if self.imaginary:
+            # every e_i^2 = -1, so rho^2 = -<f^2>_0 = sum_i s_i^2
+            rho2 = np.einsum("min,min->mn", s, s)
+        else:
+            square = np.einsum("i,min,min->mn", self.squares, s, s)  # <f^2>_0
+            rho2 = -square
+        # h = r/2 in place, with r = sqrt(rho^2) at least _SMALL_ANGLE as
+        # in `cos_sinc`; h is not finite exactly where rho^2 is not
+        h = np.maximum(rho2, _SMALL_ANGLE * _SMALL_ANGLE, out=rho2)
+        np.sqrt(h, out=h)
+        h *= 0.5
+        sinc = _cos_half_sin(h, cos=w[:, 0])
+        sinc /= h  # sin(r)/r
+        np.multiply(s, sinc[:, None], out=w[:, 1:])
+        if not validate:
+            return w, None
+        if self.imaginary:
+            # f^2 = -rho^2 everywhere: only a non-finite one can fail
+            return w, ~np.isfinite(h)
+        a, b, q = self.pairs
+        residue = 0.0  # no commuting blade pair: f^2 is a scalar
+        if len(q):
+            cross = s[:, a]
+            cross *= s[:, b]
+            rest = np.tensordot(q, cross, axes=(1, 1))  # non-scalar part of f^2
+            residue = np.sqrt(np.einsum("t...,t...->...", rest, rest))
+        return w, not_imaginary(square, residue, np.einsum("min,min->mn", s, s))
+
+    def mapped(self, y: np.ndarray) -> np.ndarray:
+        """Terms 1.. of y (terms, a, b, 2^n), each through its map."""
+        if self.step is not None:
+            return y[1:] @ self.step
+        moved = np.take_along_axis(y[1:], self.gather[:, None, None], axis=-1)
+        moved *= self.sign[:, None, None]
+        return moved
 
     def fold(self, y: np.ndarray) -> np.ndarray:
-        """Sum y over this kernel's terms (the leading axis), each mapped."""
+        """Sum y (terms, a, b, 2^n) over its terms, each mapped."""
         if self.step is not None:
             return y[0] + y[1] @ self.step
-        moved = np.take_along_axis(y[1:], self.gather[:, None, None], axis=-1)
-        return y[0] + (moved * self.sign[:, None, None]).sum(axis=0)
+        return y[0] + self.mapped(y).sum(axis=0)
+
+
+def _cos_half_sin(h: np.ndarray, cos: np.ndarray) -> np.ndarray:
+    """Write cos(2h) into `cos` and return sin(2h)/2, both from t = tan(h):
+    cos 2h = 2/(1 + t^2) - 1 and sin(2h)/2 = t/(1 + t^2).
+
+    numpy evaluates float64 np.tan with SIMD instructions where the CPU
+    has them, but np.sin and np.cos one value at a time: on a 2-core
+    AVX-512 Xeon, 4000 values take 29 us this way against 120 us for
+    np.cos plus np.sin, and agree with them within 2 ulp.
+    """
+    t = np.tan(h)
+    q = np.multiply(t, t)
+    q += 1.0
+    np.divide(1.0, q, out=q)
+    np.multiply(q, 2.0, out=cos)
+    cos -= 1.0
+    q *= t
+    return q
 
 
 @dataclass(frozen=True)
@@ -407,6 +454,7 @@ class _Axes:
     give the phase vectors c = sigma . a, kept once up to sign."""
 
     reach: tuple[float, ...]  # sum_k |a_kj| per axis j
+    norm2: float              # max_k |j_k|^2
     keys: np.ndarray          # (D, m) distinct c up to sign, first nonzero > 0
     which: np.ndarray         # (2^(K-1),) the key of each pattern
     conj: np.ndarray          # (2^(K-1), 1, 1) the pattern's c is minus its key
@@ -454,7 +502,7 @@ def _route(rec: _SpecPlan, field: SampledField, freqs: FreqGrid | np.ndarray) ->
     if rec.direct:
         p = Plan("direct", rec.reason)
     elif isinstance(freqs, FreqGrid) and (rec.axes is not None or rec.refusal):
-        refusal = rec.refusal or _phase_refusal(rec.axes.reach, field, freqs)
+        refusal = rec.refusal or _phase_refusal(rec.axes, field, freqs)
         if refusal is None:
             p = Plan("axes", f"{rec.reason}; diagonal forms")
         else:
@@ -494,7 +542,8 @@ def _build_spec_plan(spec: GftSpec) -> _SpecPlan:
             if f is None:
                 notes.append(f"{label}: zero")
                 continue
-            b = _Basis(side, label, f.forms, f.pairs, f.imaginary, **f.maps(side))
+            norm2 = 1.0 if f.direction is None else float(f.direction @ f.direction)
+            b = _Basis(side, label, f.forms, f.pairs, f.imaginary, norm2, **f.maps(side))
             terms *= b.terms
             if terms > limit:
                 bound = f"2^n = {limit}" if limit == sig.dim else f"2^nu = {limit}"
@@ -528,17 +577,22 @@ def _axes_layout(order: Sequence[_Basis]) -> _Axes:
     arrays = keys, np.array(which), conj[:, None, None], units[:, None, None]
     for v in arrays:
         v.setflags(write=False)
-    return _Axes(tuple(np.abs(a).sum(axis=0).tolist()), *arrays)
+    return _Axes(tuple(np.abs(a).sum(axis=0).tolist()), max(b.norm2 for b in order), *arrays)
 
 
 def _phase_refusal(
-    reach: Sequence[float], field: SampledField, freqs: FreqGrid
+    layout: _Axes, field: SampledField, freqs: FreqGrid
 ) -> str | None:
     """Why the axes engine cannot run on these grids, or None."""
     # every phase c_j u_j x_j the engine forms is at most (a_j U_j) X_j
-    bound = sum(a * _axis_max(freqs, j) * _axis_max(field, j) for j, a in enumerate(reach))
+    bound = sum(a * _axis_max(freqs, j) * _axis_max(field, j)
+                for j, a in enumerate(layout.reach))
     if not math.isfinite(bound):
         return "phase bound sum_kj |a_kj| max|x_j| max|u_j| is not finite"
+    # and every |f|^2 = s_k^2 |j_k|^2 at most this, as the direct engine
+    # requires of each sample
+    if not math.isfinite(bound * bound * layout.norm2):
+        return "squared phase bound times max_k |j_k|^2 is not finite"
     return None
 
 
@@ -564,47 +618,113 @@ def _gft_expansion(
     Each e^{-f} is a sum of its basis terms with real weights (cos and
     sin of the phase for a direction; cos(rho) and s_i sin(rho)/rho for
     blades), so the integrand expands into prod(1 + r_k) terms
-    w(x, u) G_L B(x) G_R with constant G_L, G_R.  Per chunk of
-    frequencies, the real GEMMs W^T B run as one batched product; the
-    constant maps are then applied one kernel at a time, each step
-    summing over that kernel's terms.
+    w(x, u) G_L B(x) G_R with constant G_L, G_R.  Every f is linear in x,
+    so f(-x, u) = -f(x, u), and a term's weight is even or odd in x as
+    its count of sin factors is.  The weights are computed only at the
+    nodes `_mirror_pairs` keeps, one per pair {x, -x}: even terms
+    contract against B(x) + B(-x), odd ones against B(x) - B(-x), and a
+    node without a mirror against B(x).  When the stack of these sums,
+    one per term, fits max(`_AXES_BLOCK`, field + spectrum values), each
+    term's constant maps are applied to it once, and a chunk of
+    frequencies is its weights and one GEMM.  Otherwise each chunk's GEMM
+    outputs are mapped and summed one kernel at a time.
     """
-    sig = field.sig
-    xs = field.nodes()
-    order = rec.order
-    phases = [(xs @ b.forms).transpose(0, 2, 1).copy() for b in order]
-    n = len(xs)
-    chunk = max(1, _BLOCK // (math.prod(b.terms for b in order) * n))
-    out = np.empty((len(unodes), sig.dim))
+    dim, order = field.sig.dim, rec.order
+    values, xs = field.values, field.nodes()
+    pairs = _mirror_pairs(field)
+    if pairs is None:
+        rows, stacks = np.arange(len(xs)), (values,)
+    else:
+        rows, twins = pairs
+        xs, own = xs[rows], values[rows]
+        twin = np.where((twins != rows)[:, None], values[twins], 0.0)
+        stacks = (own + twin, own - twin)
+    n, terms = len(rows), math.prod(b.terms for b in order)
+    # the sum each term contracts against: its count of sin factors mod 2
+    parity = np.zeros(1, dtype=int)
+    for b in order:
+        parity = (parity[:, None] + (np.arange(b.terms) > 0)).ravel() % 2
+    parity *= len(stacks) - 1
+    mapped = None
+    if terms * n * dim <= max(_AXES_BLOCK, (field.node_count + len(unodes)) * dim):
+        mapped, lead = np.array(stacks)[parity], 1
+        for b in order:
+            y = mapped.reshape(lead, b.terms, -1, dim).swapaxes(0, 1)
+            y[1:] = b.mapped(y)
+            lead *= b.terms
+        mapped = mapped.reshape(terms * n, dim)
+    # consecutive terms that contract against the same sum
+    runs = [(len(list(group)), p) for p, group in itertools.groupby(parity.tolist())]
+    phases = [(xs @ b.forms).transpose(2, 0, 1).reshape(field.m, -1) for b in order]
+    chunk = max(1, _BLOCK // (terms * n))
+    out = np.empty((len(unodes), dim))
     for lo in range(0, len(unodes), chunk):
         u = unodes[lo:lo + chunk]
-        # w[terms]: the first kernel's term is the leading index; with
-        # only zero kernels, one term of weight 1
-        w = None if order else np.ones((1, len(u), n))
+        # w[:, terms]: the first kernel's term is the most significant;
+        # with only zero kernels, one term of weight 1
+        w = None if order else np.ones((len(u), 1, n))
         bad = {}
         for b, ph in zip(order, phases):
-            blocks, bad[b.label] = b.weights(u @ ph, validate)
-            w = blocks if w is None else (w[:, None] * blocks).reshape(-1, len(u), n)
-        _raise_first_violation(rec.bases, bad)
-        y = w @ field.values
+            blocks, bad[b.label] = b.weights((u @ ph).reshape(len(u), -1, n), validate)
+            w = blocks if w is None else (w[:, :, None] * blocks[:, None]).reshape(len(u), -1, n)
+        _raise_first_violation(rec.bases, bad, rows)
+        if mapped is not None:
+            out[lo:lo + chunk] = w.reshape(len(u), -1) @ mapped
+            continue
+        y, t, w = np.empty((terms, len(u), dim)), 0, w.swapaxes(0, 1)
+        for count, p in runs:
+            np.matmul(w[t:t + count], stacks[p], out=y[t:t + count])
+            t += count
         for b in order:
-            y = b.fold(y.reshape(b.terms, -1, len(u), sig.dim))
+            y = b.fold(y.reshape(b.terms, -1, len(u), dim))
         out[lo:lo + chunk] = y[0]
     out *= field.cell_volume
     return out
 
 
+def _mirror_pairs(field: SampledField) -> tuple[np.ndarray, np.ndarray] | None:
+    """The nodes whose weights the expansion engine computes, in
+    increasing order, and the node at minus each one (itself for x = 0
+    and for a node whose mirror is not on the grid); None when no node
+    pairs with another.
+
+    Node k on axis j mirrors node k' when coordinate k' is exactly minus
+    coordinate k, computed as `grid_nodes` computes it; a node mirrors
+    the node of the axes' mirrors, and the pair is kept at its smaller
+    index.  The per-axis search runs first, so a grid with no pairs costs
+    no O(N) work.
+    """
+    axes = []  # per axis, the index of each node's mirror, or -1
+    for o, s, d in zip(field.origin, field.spacing, field.dims):
+        coords = [o + k * s for k in range(d)]
+        where = {c: k for k, c in enumerate(coords)}
+        axes.append([where.get(-c, -1) for c in coords])
+    # a pair needs a mirror on every axis, and another node on some axis
+    if min(max(mirror) for mirror in axes) < 0 or all(
+            k in (j, -1) for mirror in axes for j, k in enumerate(mirror)):
+        return None
+    twins, whole = np.zeros((), dtype=int), np.ones((), dtype=bool)
+    for mirror in map(np.array, axes):
+        twins = np.add.outer(twins * len(mirror), np.maximum(mirror, 0))
+        whole = np.logical_and.outer(whole, mirror >= 0)
+    index = np.arange(twins.size)
+    twins = np.where(whole.ravel(), twins.ravel(), index)
+    rows = np.flatnonzero(index <= twins)
+    return rows, twins[rows]
+
+
 def _raise_first_violation(
-    bases: Sequence[_Basis], bad: dict[str, np.ndarray | None]
+    bases: Sequence[_Basis], bad: dict[str, np.ndarray | None], rows: np.ndarray
 ) -> None:
     """Raise what the direct engine raises first: at the first offending
-    frequency, the first offending kernel in order, its first node."""
+    frequency, the first offending kernel in order, its first node.  The
+    masks' columns are the nodes `rows`, in increasing order."""
     hits = [(int(np.argmax(m.any(axis=1))), i, b.label, m)
             for i, b in enumerate(bases)
             if (m := bad[b.label]) is not None and m.any()]
     if hits:
         first, _, label, m = min(hits, key=lambda h: h[:2])
-        raise NotImaginary.at_sample(label, int(np.argmax(m[first])))
+        raise NotImaginary.at_sample(label, int(rows[np.argmax(m[first])]))
 
 
 def _axis_coords(grid: FreqGrid | SampledField, j: int) -> np.ndarray:
@@ -734,9 +854,13 @@ def _gft_nodes(
     p: Plan, rec: _SpecPlan, spec: GftSpec, field: SampledField, unodes: np.ndarray,
     validate: bool,
 ) -> np.ndarray:
-    if p.engine == "expansion":
-        return _gft_expansion(rec, field, unodes, validate)
-    return gft_direct(spec, field, unodes, validate)
+    # with every sample checked, a value that overflows or turns NaN
+    # raises NotImaginary, so numpy's warnings about it are only noise
+    quiet = np.errstate(over="ignore", invalid="ignore")
+    with quiet if validate else contextlib.nullcontext():
+        if p.engine == "expansion":
+            return _gft_expansion(rec, field, unodes, validate)
+        return gft_direct(spec, field, unodes, validate)
 
 
 def gft_at(

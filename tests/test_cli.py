@@ -164,6 +164,26 @@ def test_transform_refuses_an_overflowing_kernel_square(tmp_path, capsys):
     assert "does not square to a negative real" in capsys.readouterr().err
 
 
+def test_refused_transform_prints_only_its_error(tmp_path):
+    # no numpy RuntimeWarning reaches stderr ahead of the error line
+    from gafourier.fileio import write_freqs
+    from gafourier.transform import FreqGrid
+
+    path, ffile, out = tmp_path / "f.mvf", tmp_path / "big.freqs", tmp_path / "o.mvf"
+    write_field(path, SampledField.random(Signature(0, 3), (3, 3, 3),
+                                          np.random.default_rng(3)))
+    write_freqs(ffile, FreqGrid((2, 2, 2), (1e155,) * 3, (1.0,) * 3))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gafourier", "transform", "--field", str(path),
+         "--preset", "cylindrical:3", "--freqs", str(ffile), "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: left kernel 1: sample 1 does not square to a negative real\n")
+    assert not out.exists()
+
+
 def test_transform_rejects_spectrum_input(tmp_path, field_file, capsys):
     path, field = field_file
     spec_path = tmp_path / "already.mvf"

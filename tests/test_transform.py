@@ -474,6 +474,129 @@ def test_overflowing_blade_square_is_refused_like_direct():
     assert msg == "left kernel 1: sample 1 does not square to a negative real"
 
 
+def test_overflowing_direction_square_is_refused_like_direct():
+    # phases near 1e155 are finite, s^2 |j|^2 is not: the axes engine
+    # refuses the grid and the expansion engine raises the direct one's error
+    spec = parse_preset("clifford:2")
+    field = SampledField.random(spec.sig, (3, 3), np.random.default_rng(65))
+    freqs = FreqGrid((2, 2), (1e155, 1e155), (1.0, 1.0))
+    p = plan(spec, field, freqs)
+    assert (p.engine, p.reason.split("; ")[-1]) == (
+        "expansion", "no axes engine: squared phase bound times max_k |j_k|^2 is not finite")
+    # gft warns of no overflow (pytest would fail on a RuntimeWarning)
+    msg = _not_imaginary_message(gft, spec, field, freqs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert msg == _not_imaginary_message(gft_direct, spec, field, freqs.nodes())
+    assert msg == "right kernel 1: sample 0 does not square to a negative real"
+
+
+def _mirror_kind(field):
+    """"none", or "full" when the nodes pair as on the same extents
+    centred at unit spacing (exact coordinates), else "partial"."""
+    pairs = transform._mirror_pairs(field)
+    if pairs is None:
+        return "none"
+    rows, twins = pairs
+    # every node is a representative or the mirror of one
+    assert len(np.union1d(rows, twins)) == field.node_count
+    exact = SampledField(field.sig, field.dims, tuple(-(d // 2) * 1.0 for d in field.dims),
+                         (1.0,) * field.m, field.values)
+    return "full" if len(rows) == len(transform._mirror_pairs(exact)[0]) else "partial"
+
+
+# extents, origin (None: centred) and spacing, by how the nodes pair up
+MIRROR_GRIDS = {
+    "odd": ((5, 3, 5, 3), None, 1.0, "full"),
+    "even": ((4, 4, 2, 2), None, 0.5, "full"),
+    "spacing-0.197": ((5, 6, 7, 3), None, 0.197, "partial"),
+    "off-centre": ((4, 3, 3, 2), (0.3, -1.0, -1.0, -0.5), 1.0, "none"),
+}
+
+
+def _two_sided_cylindrical():
+    cyl = parse_preset("cylindrical:2").left[0]
+    return GftSpec(cyl.sig, 2, (cyl,), (cyl,))
+
+
+@pytest.mark.parametrize("budget", ["stack", "chunk"])
+@pytest.mark.parametrize("grid", sorted(MIRROR_GRIDS))
+@pytest.mark.parametrize("selector", ["cylindrical:2", "cylindrical:3", "cylindrical:4",
+                                      "two-sided cylindrical:2"])
+def test_expansion_engine_over_mirrored_pairs_matches_direct(selector, grid, budget,
+                                                              monkeypatch):
+    # even and odd terms contract against B(x) + B(-x) and B(x) - B(-x);
+    # with the maps applied to that stack once or to each chunk's output
+    if selector.startswith("two-sided"):
+        spec = _two_sided_cylindrical()
+    else:
+        spec = parse_preset(selector)
+    dims, origin, spacing, kind = MIRROR_GRIDS[grid]
+    dims = dims[:spec.m]
+    origin = tuple(-(d // 2) * spacing for d in dims) if origin is None else origin[:spec.m]
+    rng = np.random.default_rng(66)
+    values = rng.uniform(-1.0, 1.0, (math.prod(dims), spec.sig.dim))
+    field = SampledField(spec.sig, dims, origin, (spacing,) * spec.m, values)
+    assert _mirror_kind(field) == kind
+    folds, fold = [], transform._Basis.fold
+    monkeypatch.setattr(transform._Basis, "fold",
+                        lambda self, y: folds.append(1) or fold(self, y))
+    if budget == "chunk":
+        # the stack of every term (but cylindrical:2's two) then exceeds
+        # the field and spectrum values
+        monkeypatch.setattr(transform, "_AXES_BLOCK", 0)
+    freqs = FreqGrid((2,) * spec.m, tuple(rng.uniform(-1.3, -0.4, spec.m)),
+                     tuple(rng.uniform(0.3, 0.9, spec.m)))
+    unodes = rng.uniform(-1.3, 1.3, (3, spec.m))
+    assert plan(spec, field, freqs).engine == "expansion"
+    for validate in (True, False):
+        _assert_agrees(gft(spec, field, freqs, validate=validate).values,
+                       gft_direct(spec, field, freqs.nodes(), validate=validate))
+        _assert_agrees(gft_at(spec, field, unodes, validate=validate),
+                       gft_direct(spec, field, unodes, validate=validate))
+    if budget == "stack":
+        assert not folds
+    elif selector != "cylindrical:2":
+        assert folds
+
+
+def test_first_offender_is_the_smaller_index_of_its_pair():
+    sig, kern, _ = _two_blade_spec()
+    # centred 5 x 5: node 0 = (-2, -2) offends first, and its mirror
+    # (2, 2) is node 24
+    values = np.random.default_rng(67).uniform(-1.0, 1.0, (25, sig.dim))
+    field = SampledField(sig, (5, 5), (-2.0, -2.0), (1.0, 1.0), values)
+    rows, twins = transform._mirror_pairs(field)
+    assert (rows[0], twins[0]) == (0, 24)
+    unodes = np.array([[0.0, 0.7], [0.3, -0.2]])
+    for spec in (GftSpec(sig, 2, (), (kern,)), GftSpec(sig, 2, (kern,), (kern,))):
+        msg = _not_imaginary_message(gft_at, spec, field, unodes)
+        assert msg == _not_imaginary_message(gft_direct, spec, field, unodes)
+    assert msg == "left kernel 1: sample 0 does not square to a negative real"
+    # f = 2 (x_1 + x_2) u_1 e12 + 1.5 (x_1 - x_2) u_2 e34 is valid on the
+    # diagonals: node 0 = (-2, -2) passes, node 1 = (-2, -1) is the first
+    # offender and its mirror (2, 1) is node 23
+    e12, e34 = Multivector.blade(sig, "e12", 2.0), Multivector.blade(sig, "e34", 1.5)
+    diag = KernelMatrix.sparse(sig, 2, [(0, 0, e12), (1, 0, e12), (0, 1, e34),
+                                        (1, 1, -e34)])
+    spec = GftSpec(sig, 2, (diag,), ())
+    msg = _not_imaginary_message(gft_at, spec, field, unodes)
+    assert msg == _not_imaginary_message(gft_direct, spec, field, unodes)
+    assert msg == "left kernel 1: sample 1 does not square to a negative real"
+
+
+def test_mirror_pairs_found_per_axis():
+    sig = Signature(0, 2)
+    # only the origin mirrors itself: no pairs, as on cylindrical:7's 2^7 grid
+    for dims, origin in [((2,) * 7, (-0.5,) * 7), ((3, 3), (0.25, -1.0))]:
+        field = SampledField(Signature(0, 1), dims, origin, (0.5,) * len(dims),
+                             np.zeros((math.prod(dims), 2)))
+        assert transform._mirror_pairs(field) is None
+    field = SampledField(sig, (3, 2), (-1.0, 0.0), (1.0, 1.0), np.zeros((6, 4)))
+    # nodes (-1, 0) (0, 0) (1, 0) pair as 0 <-> 4, 2 <-> 2; x_2 = 1 has no mirror
+    rows, twins = transform._mirror_pairs(field)
+    assert rows.tolist() == [0, 1, 2, 3, 5] and twins.tolist() == [4, 1, 2, 3, 5]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("validate", [True, False])
 @pytest.mark.parametrize("engine", [gft_at, gft_direct], ids=["gft_at", "gft_direct"])
