@@ -165,6 +165,12 @@ def _verify_lines(args: argparse.Namespace) -> Iterator[tuple[str, bool]]:
     dims = _verify_dims(spec.m, args.size)
     offsets = _shift_offsets(spec.m)
     border = max(abs(t) for t in offsets)
+    selected = THEOREM_NAMES if args.theorem == "all" else (args.theorem,)
+    if "shift" in selected and min(dims) <= 2 * border:  # a PASS would test nothing
+        raise ValueError(
+            f"--size {args.size} leaves the shift check no sample inside its "
+            f"border of {border}; use --size {2 * border + 1} or more"
+        )
     base = SampledField.random(spec.sig, dims, rng)
     second = SampledField.random(spec.sig, dims, rng)
     padded = SampledField.random(spec.sig, dims, rng, border=border)
@@ -190,7 +196,6 @@ def _verify_lines(args: argparse.Namespace) -> Iterator[tuple[str, bool]]:
         "shift": lambda: [check_shift(spec, padded, x0, freqs, **tol)],
         "existence": lambda: [check_existence_bound(spec, base, freqs, **tol)],
     }
-    selected = THEOREM_NAMES if args.theorem == "all" else (args.theorem,)
     for name in selected:
         try:
             reports = checks[name]()

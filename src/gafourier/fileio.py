@@ -359,6 +359,7 @@ def write_kernels(path: str | Path, spec: GftSpec) -> None:
 
 
 @_names_path
+@np.errstate(over="ignore")  # entries that sum past the float range are refused
 def read_kernels(path: str | Path) -> GftSpec:
     text = Path(path).read_text(encoding="ascii")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -384,6 +385,8 @@ def read_kernels(path: str | Path) -> GftSpec:
                 m = int(rest)
             except ValueError:
                 raise FileFormatError(f"bad m {rest!r}") from None
+            if m < 1:
+                raise FileFormatError(f"m must be at least 1, got {m}")
         elif key == "kernel":
             side = rest.strip()
             if side not in ("left", "right"):
@@ -414,12 +417,11 @@ def read_kernels(path: str | Path) -> GftSpec:
     if not sides["left"] and not sides["right"]:
         raise FileFormatError("no kernels declared")
     build = lambda triples: KernelMatrix.sparse(sig, m, triples)
-    return GftSpec(
-        sig,
-        m,
-        tuple(build(t) for t in sides["left"]),
-        tuple(build(t) for t in sides["right"]),
-    )
+    try:
+        return GftSpec(sig, m, tuple(map(build, sides["left"])),
+                       tuple(map(build, sides["right"])))
+    except ValueError as exc:  # "kernel entries must be finite"
+        raise FileFormatError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ per call by `plan`:
   frequency grid whose working set stays within 2 MiB or the size of the
   field plus the spectrum, whichever is larger.
 * expansion: every kernel gets a basis from its factorization, the one
-  rule stated in `kernels`.  A direction kernel s j (j^2 = -1, checked
-  once) has e^{-f} = cos(s) - j sin(s) of a real phase s; a blade kernel
-  is sum_i s_i e_i over its nonzero blades, with
-  e^{-f} = cos(rho) - sum_i s_i sin(rho)/rho e_i, rho^2 = -<f^2>_0.  The
+  rule stated in `kernels`: f = sum_i s_i e_i over one direction j
+  (j^2 = -1, checked once) or over its nonzero blades, and
+  e^{-f} = cos(rho) - sum_i s_i sin(rho)/rho e_i, rho^2 = -<f^2>_0 (for
+  a direction, cos(s) - j sin(s) of the real phase s).  The
   two-sided product expands into prod(1 + r_k) terms (r_k basis elements
   of kernel k), each a real weight times a constant map of B(x): a
   dense product for a direction, a signed permutation for a blade.
@@ -65,15 +65,15 @@ grid is kept.
 
 Validation (validate=True) raises the same NotImaginary as the direct
 engine; `gft` and `gft_at` then turn numpy's overflow and invalid-value
-warnings off.  The axes
+warnings off, and so does `gft_direct`.  The axes
 engine needs no per-sample check: each direction is checked once, and
 it runs only when the phase bound, and its square times max_k |j_k|^2,
-are finite, so every |f|^2 is.  The expansion engine checks that
-s^2 |j|^2 is finite for a direction.  A blade kernel whose
-factorization decided once that it squares to a real <= 0 everywhere
-(`Factors.imaginary`, cylindrical:n for n >= 3) is checked per sample
-only for a finite -sum_i s_i^2; any other blade kernel is checked per
-(node, frequency) with `not_imaginary`, exp_neg_many's test.  f^2 is
+are finite, so every |f|^2 is.  The expansion engine checks a kernel
+whose factorization decided once that it squares to a real <= 0
+everywhere (`Factors.imaginary`: every direction, and cylindrical:n for
+n >= 3) per sample only for a finite |f|^2 = -<f^2>_0 |j|^2 (|j| = 1
+for blades); any other blade kernel is checked per (node, frequency)
+with `not_imaginary`, exp_neg_many's test.  f^2 is
 the same at x and -x, so the expansion engine checks each pair of nodes
 once, at its smaller index, the node the direct engine names.
 
@@ -82,14 +82,13 @@ numpy reduction over row-major node order, so identical inputs give
 bit-identical spectra.  The axes and expansion engines are bit-identical
 for the same input and the same numpy build and BLAS thread count, and
 agree with the direct engine within 1e-12 * max(1, |F(u)|) per
-frequency.  The expansion engine sums each pair of nodes {x, -x} before
-its GEMM and takes cos and sin from one tangent of the half angle, so
-its rounding differs from the direct engine's, not its result.
+frequency: every engine takes cos and sin from `exponential.cos_sin`,
+but the expansion engine sums each pair of nodes {x, -x} before its
+GEMM and the axes engine sums over sign patterns.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -98,7 +97,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Signature, gp_many
-from .exponential import _SMALL_ANGLE, NotImaginary, exp_neg_many, not_imaginary
+from .exponential import NotImaginary, cos_sin, cos_sinc, exp_neg_many, not_imaginary
 from .kernels import GftSpec
 
 __all__ = [
@@ -311,6 +310,12 @@ def gft_direct(
     The reference engine: every other engine is checked against it.
     """
     unodes = _check_inputs(spec, field, unodes)
+    return _gft_nodes("direct", None, spec, field, unodes, validate)
+
+
+def _direct_sum(
+    spec: GftSpec, field: SampledField, unodes: np.ndarray, validate: bool
+) -> np.ndarray:
     sig = spec.sig
     xs = field.nodes()
     vol = field.cell_volume
@@ -371,31 +376,20 @@ class _Basis:
         s = (M, r, N), written into one new array, and the (M, N) mask of
         invalid samples when checked."""
         w = np.empty((len(s), self.terms, s.shape[2]))
-        if self.step is not None:
-            # f = s j with j checked once: only a |f|^2 = s^2 |j|^2 that
-            # is not finite can fail
-            half_sin = _cos_half_sin(s * 0.5, cos=w[:, :1])
-            np.multiply(half_sin, 2.0, out=w[:, 1:])
-            return w, ~np.isfinite(s[:, 0] * s[:, 0] * self.norm2) if validate else None
         if self.imaginary:
-            # every e_i^2 = -1, so rho^2 = -<f^2>_0 = sum_i s_i^2
-            rho2 = np.einsum("min,min->mn", s, s)
+            # every basis element squares to -1: <f^2>_0 = -sum_i s_i^2
+            square = np.einsum("min,min->mn", s, s)
+            np.negative(square, out=square)
         else:
-            square = np.einsum("i,min,min->mn", self.squares, s, s)  # <f^2>_0
-            rho2 = -square
-        # h = r/2 in place, with r = sqrt(rho^2) at least _SMALL_ANGLE as
-        # in `cos_sinc`; h is not finite exactly where rho^2 is not
-        h = np.maximum(rho2, _SMALL_ANGLE * _SMALL_ANGLE, out=rho2)
-        np.sqrt(h, out=h)
-        h *= 0.5
-        sinc = _cos_half_sin(h, cos=w[:, 0])
-        sinc /= h  # sin(r)/r
+            square = np.einsum("i,min,min->mn", self.squares, s, s)
+        _, sinc = cos_sinc(square, cos=w[:, 0])
         np.multiply(s, sinc[:, None], out=w[:, 1:])
         if not validate:
             return w, None
         if self.imaginary:
-            # f^2 = -rho^2 everywhere: only a non-finite one can fail
-            return w, ~np.isfinite(h)
+            # f^2 = <f^2>_0 everywhere, and |f|^2 = -<f^2>_0 |j|^2: only a
+            # non-finite one can fail
+            return w, ~np.isfinite(square * self.norm2)
         a, b, q = self.pairs
         residue = 0.0  # no commuting blade pair: f^2 is a scalar
         if len(q):
@@ -415,28 +409,7 @@ class _Basis:
 
     def fold(self, y: np.ndarray) -> np.ndarray:
         """Sum y (terms, a, b, 2^n) over its terms, each mapped."""
-        if self.step is not None:
-            return y[0] + y[1] @ self.step
         return y[0] + self.mapped(y).sum(axis=0)
-
-
-def _cos_half_sin(h: np.ndarray, cos: np.ndarray) -> np.ndarray:
-    """Write cos(2h) into `cos` and return sin(2h)/2, both from t = tan(h):
-    cos 2h = 2/(1 + t^2) - 1 and sin(2h)/2 = t/(1 + t^2).
-
-    numpy evaluates float64 np.tan with SIMD instructions where the CPU
-    has them, but np.sin and np.cos one value at a time: on a 2-core
-    AVX-512 Xeon, 4000 values take 29 us this way against 120 us for
-    np.cos plus np.sin, and agree with them within 2 ulp.
-    """
-    t = np.tan(h)
-    q = np.multiply(t, t)
-    q += 1.0
-    np.divide(1.0, q, out=q)
-    np.multiply(q, 2.0, out=cos)
-    cos -= 1.0
-    q *= t
-    return q
 
 
 @dataclass(frozen=True)
@@ -615,12 +588,11 @@ def _gft_expansion(
 ) -> np.ndarray:
     """Expanded transform over the kernel bases of `rec`.
 
-    Each e^{-f} is a sum of its basis terms with real weights (cos and
-    sin of the phase for a direction; cos(rho) and s_i sin(rho)/rho for
-    blades), so the integrand expands into prod(1 + r_k) terms
-    w(x, u) G_L B(x) G_R with constant G_L, G_R.  Every f is linear in x,
-    so f(-x, u) = -f(x, u), and a term's weight is even or odd in x as
-    its count of sin factors is.  The weights are computed only at the
+    Each e^{-f} is a sum of its basis terms with real weights, cos(rho)
+    and s_i sin(rho)/rho from `cos_sinc`, so the integrand expands into
+    prod(1 + r_k) terms w(x, u) G_L B(x) G_R with constant G_L, G_R.
+    Every f is linear in x, so f(-x, u) = -f(x, u), and a term's weight
+    is even or odd in x as its count of sin factors is.  The weights are computed only at the
     nodes `_mirror_pairs` keeps, one per pair {x, -x}: even terms
     contract against B(x) + B(-x), odd ones against B(x) - B(-x), and a
     node without a mirror against B(x).  When the stack of these sums,
@@ -749,8 +721,8 @@ def _axes_values(
     # complex intermediate after contracting x_1..x_j (j = 1..m), one key
     steps = [math.prod(tile[:j]) * math.prod(dims[j:]) * dim
              for j in range(1, len(dims) + 1)]
-    return (3 * keys * dims[0] * tile[0]  # first-axis phases, cos and sin
-            + 3 * keys * sum(d * r for d, r in zip(dims[1:], tile[1:]))  # later axes
+    # per axis: phases, three temporaries of `cos_sin` and the complex table
+    return (6 * keys * sum(d * r for d, r in zip(dims, tile))
             + 2 * keys * steps[0]  # first-axis sums of every key
             + 6 * max(steps)  # one later axis: input, its copy, output
             + (2 * keys + 3 * (1 << k)) * count * dim)  # sums, terms, folds
@@ -807,24 +779,20 @@ def _gft_axes(rec: _SpecPlan, field: SampledField, freqs: FreqGrid) -> np.ndarra
     for starts in itertools.product(*(range(0, f, r) for f, r in zip(fdims, tile))):
         u = [us[j][lo:lo + r] for j, (lo, r) in enumerate(zip(starts, tile))]
         count = math.prod(map(len, u))
-        if held.get(0, (None,))[0] != starts[0]:
-            held.pop(0, None)
-            theta = np.multiply.outer(xs[0], np.multiply.outer(keys[:, 0], u[0]))
-            cs = np.empty(theta.shape + (2,))  # (d_1, D, R_1, cos/sin)
-            np.cos(theta, out=cs[..., 0])
-            np.sin(theta, out=cs[..., 1])
-            t = (b0 @ cs.reshape(dims[0], -1)).view(complex)
-            held[0] = (starts[0], t.reshape(len(b0), len(keys), len(u[0])))
-            del theta, cs, t
-        for j in range(1, field.m):
-            if held.get(j, (None,))[0] != starts[j]:
-                held.pop(j, None)
-                theta = np.multiply.outer(keys[:, j], u[j])[:, None] * xs[j][:, None]
-                table = np.empty(theta.shape, dtype=complex)  # (D, d_j, R_j)
-                np.cos(theta, out=table.real)
-                np.sin(theta, out=table.imag)
-                held[j] = (starts[j], table)
-                del theta, table
+        for j in range(field.m):
+            if held.get(j, (None,))[0] == starts[j]:
+                continue
+            held.pop(j, None)
+            theta = np.multiply.outer(xs[j], np.multiply.outer(keys[:, j], u[j]))
+            if j:  # a later axis keeps (D, d_j, R_j)
+                theta = theta.transpose(1, 0, 2)
+            table = np.empty(theta.shape, dtype=complex)  # e^{i theta}
+            table.imag = cos_sin(theta, cos=table.real)
+            if not j:  # the first axis contracts (d_1, D, R_1, cos/sin)
+                table = (b0 @ table.view(float).reshape(dims[0], -1)).view(complex)
+                table = table.reshape(len(b0), len(keys), len(u[0]))
+            held[j] = (starts[j], table)
+            del theta, table
         e = np.empty((len(keys), count, dim), dtype=complex)
         for i in range(len(keys)):
             s = held[0][1][:, i]  # axes 2..m of x, blades, u_1
@@ -851,16 +819,16 @@ def _gft_axes(rec: _SpecPlan, field: SampledField, freqs: FreqGrid) -> np.ndarra
 
 
 def _gft_nodes(
-    p: Plan, rec: _SpecPlan, spec: GftSpec, field: SampledField, unodes: np.ndarray,
-    validate: bool,
+    engine: str, rec: _SpecPlan | None, spec: GftSpec, field: SampledField,
+    unodes: np.ndarray, validate: bool,
 ) -> np.ndarray:
     # with every sample checked, a value that overflows or turns NaN
     # raises NotImaginary, so numpy's warnings about it are only noise
-    quiet = np.errstate(over="ignore", invalid="ignore")
-    with quiet if validate else contextlib.nullcontext():
-        if p.engine == "expansion":
+    ignore = "ignore" if validate else None  # None leaves the setting as it is
+    with np.errstate(over=ignore, invalid=ignore):
+        if engine == "expansion":
             return _gft_expansion(rec, field, unodes, validate)
-        return gft_direct(spec, field, unodes, validate)
+        return _direct_sum(spec, field, unodes, validate)
 
 
 def gft_at(
@@ -873,7 +841,7 @@ def gft_at(
     on the engine `plan` chooses (never the axes engine)."""
     unodes = _check_inputs(spec, field, unodes)
     rec = _spec_plan(spec)
-    return _gft_nodes(_route(rec, field, unodes), rec, spec, field, unodes, validate)
+    return _gft_nodes(_route(rec, field, unodes).engine, rec, spec, field, unodes, validate)
 
 
 def gft(
@@ -891,7 +859,7 @@ def gft(
     if p.engine == "axes":
         values = _gft_axes(rec, field, freqs)
     else:
-        values = _gft_nodes(p, rec, spec, field, freqs.nodes(), validate)
+        values = _gft_nodes(p.engine, rec, spec, field, freqs.nodes(), validate)
     return Spectrum(spec.sig, freqs, values)
 
 

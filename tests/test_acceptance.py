@@ -218,8 +218,8 @@ def test_criterion_7_cli_round_trips(tmp_path, capsys):
         write_kernels(first, parse_preset(name))
         write_kernels(second, read_kernels(first))
         ok &= first.read_text() == second.read_text()
-    ok &= main(["verify", "--preset", "quaternionic", "--size", "6"]) == 0
-    ok &= main(["verify", "--preset", "quaternionic", "--size", "6",
+    ok &= main(["verify", "--preset", "quaternionic", "--size", "7"]) == 0
+    ok &= main(["verify", "--preset", "quaternionic", "--size", "7",
                 "--tol", "1e-30"]) == 1
     capsys.readouterr()
     ppm = tmp_path / "img.ppm"

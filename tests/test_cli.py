@@ -100,7 +100,8 @@ def test_transform_error_exit_codes(tmp_path, field_file, capsys):
 
 _KIND = "kind field\n"
 _FREQS_TWICE = "freqs 1\ndims 6 6\ndims 6 6\norigin 0.0 0.0\nspacing 1.0 1.0\n"
-_BAD_BLADE = "gft-kernels 1\nsignature 0 2\nm 2\nkernel left\nentry 1 1 1*e9\n"
+_KERNEL_HEAD = "gft-kernels 1\nsignature 0 2\n"
+_BAD_BLADE = _KERNEL_HEAD + "m 2\nkernel left\nentry 1 1 1*e9\n"
 
 
 @pytest.mark.parametrize("option, name, content, message", [
@@ -111,9 +112,19 @@ _BAD_BLADE = "gft-kernels 1\nsignature 0 2\nm 2\nkernel left\nentry 1 1 1*e9\n"
     ("--freqs", "twice.freqs", lambda field: _FREQS_TWICE,
      "duplicate header key 'dims'"),
     ("--kernels", "blade.gft", lambda field: _BAD_BLADE,
-     "blade 'e9' is not valid in Cl(0,2)"),
+     "blade 'e9' is not valid in Cl(0,2): basis index 9 not in Cl(0,2) "
+     "(in '1*e9')"),
+    ("--kernels", "negative.gft", lambda field: _KERNEL_HEAD + "m -1\nkernel left\n",
+     "m must be at least 1, got -1"),
+    ("--kernels", "empty.gft", lambda field: _KERNEL_HEAD + "m 0\nkernel left\n",
+     "m must be at least 1, got 0"),
+    ("--kernels", "overflow.gft", lambda field: _KERNEL_HEAD + "m 2\nkernel left\n"
+     + 2 * "entry 1 1 1e308*e1\n", "kernel entries must be finite"),
+    ("--kernels", "sum.gft", lambda field: _KERNEL_HEAD + "m 2\nkernel left\n"
+     "entry 1 1 1e308*e1 + 1e308*e1\n", "kernel entries must be finite"),
 ], ids=["mvf-duplicate-key", "mvf-missing-key", "freqs-duplicate-key",
-        "kernel-bad-blade"])
+        "kernel-bad-blade", "kernel-negative-m", "kernel-zero-m",
+        "kernel-entries-overflow", "kernel-expression-overflows"])
 def test_reader_errors_name_the_file(tmp_path, field_file, capsys, option, name,
                                      content, message):
     path, _ = field_file
@@ -127,7 +138,8 @@ def test_reader_errors_name_the_file(tmp_path, field_file, capsys, option, name,
     rc = main(["transform", *(a for kv in options.items() for a in kv),
                "--out", str(out)])
     assert rc == 2
-    assert f"error: {bad}: {message}" in capsys.readouterr().err
+    # one line, with no numpy warning or message that lacks the path
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not out.exists()
 
 
@@ -234,7 +246,7 @@ def test_argparse_failures_exit_two(capsys):
 
 
 def test_verify_all_passes(capsys):
-    rc = main(["verify", "--preset", "quaternionic", "--seed", "3", "--size", "6"])
+    rc = main(["verify", "--preset", "quaternionic", "--seed", "3", "--size", "7"])
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l.startswith("THEOREM")]
     assert rc == 0
@@ -355,6 +367,25 @@ def test_verify_skip_makes_no_transform(monkeypatch, capsys, theorem):
     assert calls == []
     assert main(argv + ["right-product"]) == 0
     assert "PASS" in capsys.readouterr().out and calls
+
+
+@pytest.mark.parametrize("selector, smallest", [
+    ("quaternionic", 7), ("buelow:2", 7), ("clifford:3", 3), ("spacetime", 3),
+])
+def test_verify_refuses_a_shift_field_with_no_sample(capsys, selector, smallest):
+    # one size less leaves the padded field all zero, and its shift check
+    # would PASS with residual 0 having tested nothing
+    for theorem in ("shift", "all"):
+        argv = ["verify", "--preset", selector, "--theorem", theorem]
+        assert main(argv + ["--size", str(smallest - 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"use --size {smallest} or more" in captured.err
+    assert main(["verify", "--preset", selector, "--theorem", "shift",
+                 "--size", str(smallest)]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.endswith("PASS")
+    assert float(line.split("residual=")[1].split()[0]) > 0.0
 
 
 def test_verify_rejects_bad_invocation(capsys):

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 
 from gafourier.algebra import Multivector, Signature
 from gafourier.commsplit import shift_exponential_terms
-from gafourier.exponential import NotImaginary, exp_imag, exp_neg_many
+from gafourier.exponential import (
+    NotImaginary,
+    cos_sin,
+    cos_sinc,
+    exp_imag,
+    exp_neg_many,
+)
 from gafourier.kernels import GftSpec, KernelMatrix
 from gafourier.transform import SampledField, gft_at, gft_direct, plan
 
@@ -43,6 +49,43 @@ def test_small_angle_branch_is_linear():
     got = exp_imag(f)
     assert got.coeffs[0] == 1.0
     assert got.coeffs[1] == -1e-20
+
+
+def test_cos_sin_matches_numpy():
+    # the half-angle tangent form against np.cos and np.sin, absolute
+    # error within 2 eps, over large angles and at multiples of pi/2
+    rng = np.random.default_rng(12)
+    theta = np.concatenate((rng.uniform(-1e6, 1e6, 20000),
+                            np.arange(-2000, 2001) * (np.pi / 2)))
+    cos = np.empty_like(theta)
+    sin = cos_sin(theta, cos)
+    eps = np.finfo(float).eps
+    assert np.abs(cos - np.cos(theta)).max() <= 2 * eps
+    assert np.abs(sin - np.sin(theta)).max() <= 2 * eps
+    # into a strided view, as the axes engine writes its tables
+    table = np.empty(theta.shape, dtype=complex)
+    table.imag = cos_sin(theta, cos=table.real)
+    assert np.array_equal(table.real, cos) and np.array_equal(table.imag, sin)
+    # 0-d input, and NaN
+    cos = np.empty(())
+    sin = cos_sin(np.array(math.pi / 3), cos)
+    assert sin.shape == () and abs(sin - math.sqrt(3) / 2) <= eps
+    assert abs(cos - 0.5) <= eps
+    cos = np.empty(2)
+    sin = cos_sin(np.array([np.nan, 1.0]), cos)
+    assert np.isnan(sin[0]) and np.isnan(cos[0]) and np.isfinite(sin[1] + cos[1])
+
+
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_cos_sinc_small_angle_rule_is_exact(shape):
+    # a square at or above zero, or of a root below _SMALL_ANGLE, gives
+    # exactly cos = 1 and sin(r)/r = 1
+    for square in (0.0, -0.0, 1.0, -1e-300, -1e-28):
+        cos, sinc = cos_sinc(np.full(shape, square))
+        assert cos.shape == sinc.shape == shape
+        assert (cos == 1.0).all() and (sinc == 1.0).all(), square
+    cos, sinc = cos_sinc(np.full(shape, -(math.pi / 2) ** 2))
+    assert np.allclose(cos, 0.0, atol=5e-16) and np.allclose(sinc, 2 / math.pi)
 
 
 def test_period_two_pi():
