@@ -96,8 +96,8 @@ def cos_sin(theta: np.ndarray, cos: np.ndarray) -> np.ndarray:
 
     numpy runs float64 np.tan with SIMD where the CPU has it, np.sin and
     np.cos one value at a time: on 4096 values of a 2-core AVX-512 Xeon
-    this takes 25 us against 100 to 200 us.  It holds three temporaries
-    the size of theta and writes `cos` once."""
+    this takes about 25 us, np.cos plus np.sin about 170 us.  It holds
+    three temporaries the size of theta and writes `cos` once."""
     t = np.tan(theta * 0.5)
     q = 2.0 / (t * t + 1.0)
     np.subtract(q, 1.0, out=cos)
