@@ -13,14 +13,19 @@ off-lattice frequencies, and `gft` on an off-lattice frequency grid (no
 node at u = 0, spacing unrelated to the field).  The field is centred, so
 the expansion engine pairs each node x with -x; every preset the grid
 plan sends to the expansion engine runs a second time on an off-centre
-field (row "<preset> off-centre"), where no node pairs.  It prints the
-engine planned for each, the worst deviation relative to max(1, |F(u)|),
-the seconds taken and the grid plan's reason; it exits 1 above 1e-12.
+field (row "<preset> off-centre"), where no node pairs.  Every preset
+the grid plan sends to the axes engine gets a row "<preset> sign flips":
+the spectra of every sign flip of its kernels, from one contraction
+(`transform._gft_flips`), against `gft_direct` of each flipped spec on
+the same grid.  It prints the engine planned for each, the worst
+deviation relative to max(1, |F(u)|), the seconds taken and the grid
+plan's reason; it exits 1 above 1e-12.
 
     PYTHONPATH=src python3 scripts/oracle_deviation.py --presets
 """
 
 import argparse
+import itertools
 import math
 import sys
 import time
@@ -28,10 +33,11 @@ import time
 import numpy as np
 
 from gafourier.algebra import Signature
-from gafourier.kernels import parse_preset
+from gafourier.kernels import negate, parse_preset
 from gafourier.transform import (
     FreqGrid,
     SampledField,
+    _gft_flips,
     default_freqs,
     dft_complex_oracle,
     gft,
@@ -91,6 +97,22 @@ def _relative(got: np.ndarray, ref: np.ndarray) -> float:
     return float((err / np.maximum(1.0, np.linalg.norm(ref, axis=1))).max())
 
 
+def _field(selector: str, rng: np.random.Generator, shift: float) -> SampledField:
+    """A random field on the preset's grid, node extent//2 at x = shift."""
+    spec = parse_preset(selector)
+    dims = PRESET_GRIDS[selector]
+    vals = rng.uniform(-1, 1, (math.prod(dims), spec.sig.dim))
+    origin = tuple(shift - (d // 2) for d in dims)
+    return SampledField(spec.sig, dims, origin, (1.0,) * len(dims), vals)
+
+
+def _off_lattice(m: int, rng: np.random.Generator) -> FreqGrid:
+    # at most 3 x 3 x 2 frequencies, so that gft_direct stays quick at m = 7
+    fdims = ((3, 3, 2) + (1,) * m)[:m]
+    return FreqGrid(fdims, tuple(rng.uniform(-1.7, -0.9, m)),
+                    tuple(rng.uniform(0.23, 0.61, m)))
+
+
 def engine_deviation(
     selector: str, rng: np.random.Generator, shift: float = 0.0
 ) -> tuple[str, float, str, float, str]:
@@ -99,20 +121,29 @@ def engine_deviation(
     off-lattice grid, and the grid plan's reason.  The field's node
     extent//2 lies at x = shift on every axis."""
     spec = parse_preset(selector)
-    dims = PRESET_GRIDS[selector]
-    vals = rng.uniform(-1, 1, (math.prod(dims), spec.sig.dim))
-    origin = tuple(shift - (d // 2) for d in dims)
-    field = SampledField(spec.sig, dims, origin, (1.0,) * len(dims), vals)
+    field = _field(selector, rng, shift)
     unodes = rng.uniform(-1.7, 1.7, (16, spec.m))
     at_dev = _relative(gft_at(spec, field, unodes), gft_direct(spec, field, unodes))
-    # at most 3 x 3 x 2 frequencies, so that gft_direct stays quick at m = 7
-    fdims = ((3, 3, 2) + (1,) * spec.m)[:spec.m]
-    freqs = FreqGrid(fdims, tuple(rng.uniform(-1.7, -0.9, spec.m)),
-                     tuple(rng.uniform(0.23, 0.61, spec.m)))
+    freqs = _off_lattice(spec.m, rng)
     p = plan(spec, field, freqs)
     grid_dev = _relative(gft(spec, field, freqs).values,
                          gft_direct(spec, field, freqs.nodes()))
     return plan(spec, field, unodes).engine, at_dev, p.engine, grid_dev, p.reason
+
+
+def flip_deviation(selector: str, rng: np.random.Generator) -> tuple[int, str, float, str]:
+    """The number of sign flips of the preset's kernels, the grid engine,
+    the worst deviation of their spectra from one contraction from
+    `gft_direct` of each flipped spec, and the grid plan's reason."""
+    spec = parse_preset(selector)
+    field = _field(selector, rng, 0.0)
+    freqs = _off_lattice(spec.m, rng)
+    flips = [(j, k) for j in itertools.product((0, 1), repeat=len(spec.left))
+             for k in itertools.product((0, 1), repeat=len(spec.right))]
+    dev = max(_relative(values, gft_direct(negate(spec, j, k), field, freqs.nodes()))
+              for (j, k), values in zip(flips, _gft_flips(spec, field, freqs, flips)))
+    p = plan(spec, field, freqs)
+    return len(flips), p.engine, dev, p.reason
 
 
 def presets_main(rng: np.random.Generator) -> int:
@@ -120,6 +151,7 @@ def presets_main(rng: np.random.Generator) -> int:
           f"{'seconds':>8}  grid reason")
     worst = 0.0
     runs = [(selector, selector, 0.0) for selector in PRESET_GRIDS]
+    flipped = []
     for label, selector, shift in runs:
         t0 = time.perf_counter()
         engine, dev, grid_engine, grid_dev, reason = engine_deviation(selector, rng, shift)
@@ -130,6 +162,15 @@ def presets_main(rng: np.random.Generator) -> int:
         if grid_engine == "expansion" and shift == 0.0:
             # no node of this field has its mirror on the grid
             runs.append((f"{selector} off-centre", selector, 0.31))
+        elif grid_engine == "axes":
+            flipped.append(selector)
+    for selector in flipped:
+        t0 = time.perf_counter()
+        count, grid_engine, grid_dev, reason = flip_deviation(selector, rng)
+        dt = time.perf_counter() - t0
+        worst = max(worst, grid_dev)
+        print(f"{selector + ' sign flips':<25} {f'{count} flips':>20} {grid_engine:>9} "
+              f"{grid_dev:>10.3e} {dt:>8.2f}  {reason}")
     print(f"worst over all presets: {worst:.3e} (limit {ENGINE_TOL:g})")
     return 0 if worst <= ENGINE_TOL else 1
 

@@ -122,6 +122,7 @@ def _tokenize_expr(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+@np.errstate(over="ignore")  # a sum past the float range is refused below
 def parse_multivector_expr(text: str, sig: Signature) -> Multivector:
     """Parse a term sum like '1.5*e12 - 0.25 + e1' for one signature."""
     tokens = _tokenize_expr(text)
@@ -166,6 +167,8 @@ def parse_multivector_expr(text: str, sig: Signature) -> Multivector:
         first = False
     if first:
         raise FileFormatError("empty multivector expression")
+    if not np.isfinite(out.coeffs).all():
+        raise FileFormatError(f"terms of {text!r} sum past the float range")
     return out
 
 

@@ -196,8 +196,10 @@ class Factors:
 
         A direction has `step`, the dense row-form map of x -> (-j) x on
         the left or x (-j) on the right.  Blades have the signed
-        permutations out[:, k] = sign[i, k] * x[:, gather[i, k]] of
-        x -> -e_i x (or x (-e_i)) and the blade squares `squares`.
+        permutations of x -> -e_i x (or x (-e_i)) as one flat gather over
+        the r terms' coefficients side by side, out[:, l] =
+        sign[l] * x[:, gather[l]] with l = i 2^n + k and gather[l] =
+        i 2^n + (k ^ blade_i), and the blade squares `squares`.
         """
         if side not in self._maps:
             self._maps[side] = _side_maps(self, side)
@@ -277,7 +279,8 @@ def _side_maps(f: Factors, side: str) -> dict[str, object]:
         gather = np.arange(sig.dim) ^ col
         sign = -(blade_signs(sig, col, gather) if side == "left"
                  else blade_signs(sig, gather, col))
-        maps = {"gather": gather, "sign": sign,
+        maps = {"gather": (gather + sig.dim * np.arange(len(blades))[:, None]).ravel(),
+                "sign": sign.ravel(),
                 "squares": square_scalar_signs(sig)[blades]}
     for v in maps.values():
         v.setflags(write=False)

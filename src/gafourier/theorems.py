@@ -24,12 +24,13 @@ components.
 The auxiliary transforms a right-hand side assembles (sign-flipped kernel
 sets, rescaled frequencies) skip kernel-value validation: they reuse the
 same bilinear kernels the validated primary transform already exercised,
-up to sign and scale, which preserve squaring to negative reals.
+up to sign and scale, which preserve squaring to negative reals.  A
+check's sign-flipped transforms come from one `transform._gft_flips`
+call, which on the axes engine contracts the field once for all of them.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,8 +40,8 @@ from .algebra import RELATIVE_TOL, STRUCTURAL_TOL, Multivector, gp_many
 from .commsplit import SplitIndex, shift_exponential_terms, split_multi
 from .exponential import exp_neg_many
 from .exponential import exp_imag  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .kernels import GftSpec, negate, side_directions
-from .transform import FreqGrid, SampledField, gft, row_magnitudes
+from .kernels import GftSpec, side_directions
+from .transform import FreqGrid, SampledField, _gft_flips, gft, row_magnitudes
 from .transform import gft_at  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
@@ -231,9 +232,8 @@ def _check_product(
     lhs = gft(spec, product_field, freqs).values
     rhs = np.zeros_like(lhs)
     unflipped = (0,) * len(spec.right if left else spec.left)
-    for bits, comp in comps:
-        flips = (bits, unflipped) if left else (unflipped, bits)
-        spectrum = gft(negate(spec, *flips), b_field, freqs, validate=False).values
+    flips = [(bits, unflipped) if left else (unflipped, bits) for bits, _ in comps]
+    for (_, comp), spectrum in zip(comps, _gft_flips(spec, b_field, freqs, flips)):
         rhs += times_c(comp.coeffs, spectrum)
     return _report(f"{side}-product", lhs, rhs, tol, detail=f"terms={len(comps)}")
 
@@ -337,14 +337,17 @@ def check_shift(
     right_terms = (shift_exponential_terms(right_vals, "upper", right_dirs)
                    if right_vals else one)
 
-    @functools.cache
-    def spectrum(j: SplitIndex, k: SplitIndex) -> np.ndarray:
-        return gft(negate(spec, j, k), b_field, freqs, validate=False).values
+    unflipped = ((0,) * len(spec.left), (0,) * len(spec.right))
+    collapse = _mutually_commutative(left_dirs) and _mutually_commutative(right_dirs)
+    # every sign flip the sum reads, each transformed once
+    flips = list(dict.fromkeys([(j, k) for _, j in left_terms for _, k in right_terms]
+                               + [unflipped] * collapse))
+    spectrum = dict(zip(flips, _gft_flips(spec, b_field, freqs, flips)))
 
     rhs = np.zeros_like(lhs)
     for lf, j in left_terms:
         for rf, k in right_terms:
-            rhs += gp_many(spec.sig, gp_many(spec.sig, lf, spectrum(j, k)), rf)
+            rhs += gp_many(spec.sig, gp_many(spec.sig, lf, spectrum[j, k]), rf)
 
     def most_terms(terms: list[tuple[np.ndarray, SplitIndex]]) -> int:
         # the largest number of terms that survive at any one frequency
@@ -353,8 +356,8 @@ def check_shift(
 
     detail = f"terms={most_terms(left_terms)}x{most_terms(right_terms)}"
     collapse_residual = 0.0
-    if _mutually_commutative(left_dirs) and _mutually_commutative(right_dirs):
-        flat = spectrum((0,) * len(spec.left), (0,) * len(spec.right))
+    if collapse:
+        flat = spectrum[unflipped]
         for f in reversed(left_vals):
             flat = gp_many(spec.sig, exp_neg_many(spec.sig, f, validate=False), flat)
         for f in right_vals:

@@ -18,11 +18,13 @@ per call by `plan`:
   E_c(u) = sum_x e^{i sum_j c_j x_j u_j} A(x) over the phase vectors
   c = sum_k sigma_k a_k of the sign patterns sigma, and each such sum is
   contracted one axis at a time.  Only patterns with sigma_1 = +1 are
-  summed (E_{-c} is the conjugate of E_c), equal phase vectors once, and
-  the sums are recombined into the cos/sin weights one kernel at a time
-  before the expansion engine's constant maps.  It runs in tiles of the
-  frequency grid whose working set stays within 2 MiB or the size of the
-  field plus the spectrum, whichever is larger.
+  summed (E_{-c} is the conjugate of E_c), equal phase vectors once.
+  Everything after the sums is fixed per spec: which sum each pattern
+  reads and whether conjugated, the cos/sin weights, the real part and
+  the expansion engine's constant maps make one real matrix, built with
+  the plan, so a tile's spectrum is one GEMM of its sums.  It runs in
+  tiles of the frequency grid whose working set stays within 2 MiB or
+  the size of the field plus the spectrum, whichever is larger.
 * expansion: every kernel gets a basis from its factorization, the one
   rule stated in `kernels`: f = sum_i s_i e_i over one direction j
   (j^2 = -1, checked once) or over its nonzero blades, and
@@ -58,10 +60,10 @@ Planning: what depends on the spec alone is built on the first `plan` of
 a spec object and kept with it (`_spec_plan`): the kernel bases, the
 reason text up to the term count, the direct-engine and diagonal-form
 verdicts, and the axes engine's layout (fold order, the phase vectors up
-to sign and the unit column).  Each call pays for the rest: the phase
-bound from the grids' origin, spacing and extents, the routing, the
-DEBUG record, the tile sizes and the arithmetic.  No verdict about a
-grid is kept.
+to sign and the matrix from their sums to the spectrum).  Each call pays
+for the rest: the phase bound from the grids' origin, spacing and
+extents, the routing, the DEBUG record, the tile sizes and the
+arithmetic.  No verdict about a grid is kept.
 
 Validation (validate=True) raises the same NotImaginary as the direct
 engine; `gft` and `gft_at` then turn numpy's overflow and invalid-value
@@ -84,7 +86,8 @@ for the same input and the same numpy build and BLAS thread count, and
 agree with the direct engine within 1e-12 * max(1, |F(u)|) per
 frequency: every engine takes cos and sin from `exponential.cos_sin`,
 but the expansion engine sums each pair of nodes {x, -x} before its
-GEMM and the axes engine sums over sign patterns.
+GEMM, and the axes engine sums over phase vectors and applies the
+kernels' maps composed into one matrix.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ import numpy as np
 
 from .algebra import Signature, gp_many
 from .exponential import NotImaginary, cos_sin, cos_sinc, exp_neg_many, not_imaginary
-from .kernels import GftSpec
+from .kernels import GftSpec, negate
 
 __all__ = [
     "FreqGrid",
@@ -124,8 +127,8 @@ _BLOCK = 1 << 14
 # the field plus the spectrum, whichever is larger, unless a single
 # frequency needs more.
 _AXES_BLOCK = 1 << 18
-# (-i)^p for p = 0..3
-_UNITS = np.array([1.0, -1.0j, -1.0, 1.0j])
+# the real part and minus the imaginary part of (-i)^p for p = 0..3
+_UNIT_PARTS = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
 
 
 def _check_geometry(
@@ -354,8 +357,8 @@ class _Basis:
     imaginary: bool
     norm2: float                        # |j|^2 for a direction, else 1
     step: np.ndarray | None = None      # (2^n, 2^n), direction only
-    gather: np.ndarray | None = None    # (r, 2^n)
-    sign: np.ndarray | None = None      # (r, 2^n)
+    gather: np.ndarray | None = None    # (r 2^n,)
+    sign: np.ndarray | None = None      # (r 2^n,)
     squares: np.ndarray | None = None   # (r,) blade squares e_i^2
 
     @property
@@ -403,9 +406,12 @@ class _Basis:
         """Terms 1.. of y (terms, a, b, 2^n), each through its map."""
         if self.step is not None:
             return y[1:] @ self.step
-        moved = np.take_along_axis(y[1:], self.gather[:, None, None], axis=-1)
-        moved *= self.sign[:, None, None]
-        return moved
+        # the terms side by side on the last axis: one flat gather
+        moved = np.moveaxis(y[1:], 0, -2)
+        shape = moved.shape
+        moved = np.take(moved.reshape(shape[:-2] + (-1,)), self.gather, axis=-1)
+        moved *= self.sign
+        return np.moveaxis(moved.reshape(shape), -2, 0)
 
     def fold(self, y: np.ndarray) -> np.ndarray:
         """Sum y (terms, a, b, 2^n) over its terms, each mapped."""
@@ -424,14 +430,15 @@ class Plan:
 class _Axes:
     """The axes engine's layout for one spec, with the kernels in fold
     order: the sign patterns sigma with sigma_1 = +1 (`_sign_patterns`)
-    give the phase vectors c = sigma . a, kept once up to sign."""
+    give the phase vectors c = sigma . a, kept once up to sign, and
+    `matrix` (`_axes_matrix`) takes a tile's sums to its spectrum."""
 
     reach: tuple[float, ...]  # sum_k |a_kj| per axis j
     norm2: float              # max_k |j_k|^2
     keys: np.ndarray          # (D, m) distinct c up to sign, first nonzero > 0
     which: np.ndarray         # (2^(K-1),) the key of each pattern
-    conj: np.ndarray          # (2^(K-1), 1, 1) the pattern's c is minus its key
-    units: np.ndarray         # (2^(K-1), 1, 1) (-i)^p, p = bit count of the index
+    conj: np.ndarray          # (2^(K-1),) the pattern's c is minus its key
+    matrix: np.ndarray        # (2 D 2^n, 2^n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,14 +550,56 @@ def _axes_layout(order: Sequence[_Basis]) -> _Axes:
     first = np.take_along_axis(c, (c != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
     conj = first < 0
     index: dict[tuple[float, ...], int] = {}
-    which = [index.setdefault(key, len(index))
-             for key in map(tuple, (np.where(conj[:, None], -c, c) + 0.0).tolist())]
+    which = np.array([index.setdefault(key, len(index)) for key in
+                      map(tuple, (np.where(conj[:, None], -c, c) + 0.0).tolist())])
     keys = np.array(list(index)).reshape(len(index), a.shape[1])
-    units = _UNITS[np.bitwise_count(np.arange(len(c))) % 4]
-    arrays = keys, np.array(which), conj[:, None, None], units[:, None, None]
+    arrays = keys, which, conj, _axes_matrix(order, len(keys), which, conj, [(False,) * k])
     for v in arrays:
         v.setflags(write=False)
     return _Axes(tuple(np.abs(a).sum(axis=0).tolist()), max(b.norm2 for b in order), *arrays)
+
+
+def _axes_matrix(
+    order: Sequence[_Basis], keys: int, which: np.ndarray, conj: np.ndarray,
+    flips: Sequence[Sequence[bool]],
+) -> np.ndarray:
+    """The real (2 D 2^n, F 2^n) matrix that takes a tile's sums, the
+    float view of a (count, D, 2^n) complex array, to the spectra of the
+    F sign flips, each a tuple of one bool per kernel in fold order.
+
+    The sin/cos term t = (t_1..t_K) of the expansion engine is
+    y_t = 2^(1-K) Re sum_sigma (-i)^|t| prod_{k: t_k = 1} sigma_k E_{sigma.a}
+    over the patterns with sigma_1 = +1 (`_gft_axes`), and the spectrum
+    is sum_t y_t G_t, with G_t the product in fold order of the `step` of
+    every kernel with t_k = 1.  With E = R + i eps I (eps = -1 where the
+    pattern reads its key conjugated) and (-i)^|t| = alpha + i beta, the
+    real part is alpha R - beta eps I.  Negating kernel k negates a_k, so
+    pattern sigma reads the sum of sigma with sigma_k negated, the whole
+    pattern negated, and so conjugated, when that makes sigma_1 = -1.
+    """
+    k, dim = len(order), order[0].step.shape[0]
+    maps = np.eye(dim)[None]  # G_t, the first kernel's bit the most significant
+    for b in order:
+        g = np.empty((len(maps), 2, dim, dim))
+        g[:, 0] = maps
+        np.matmul(maps, b.step, out=g[:, 1])
+        maps = g.reshape(-1, dim, dim)
+    # bit k - 1 - i of a term t or pattern index is kernel i's, so
+    # prod_{i: t_i = 1} sigma_i is -1 for an odd count of common bits
+    t, patterns = np.arange(1 << k), np.arange(1 << (k - 1))
+    chi = 1.0 - 2.0 * (np.bitwise_count(t[:, None] & patterns) % 2)
+    units = _UNIT_PARTS[:, np.bitwise_count(t) % 4, None]  # alpha, -beta
+    coef = np.empty((len(flips), 2, 1 << k, keys))
+    for f, flip in enumerate(flips):
+        # the pattern each pattern of the flipped spec reads
+        src = patterns ^ sum(1 << (k - 1 - i) for i in range(1, k) if flip[i] != flip[0])
+        onehot = (which[src, None] == np.arange(keys)).astype(float)
+        eps = np.where(conj[src, None] != flip[0], -onehot, onehot)
+        np.multiply(units, chi @ np.stack((onehot, eps)), out=coef[f])
+    # (F, 2, D, 2^n, 2^n) -> rows (D, 2^n, 2), columns (F, 2^n)
+    w = np.tensordot(coef, maps, axes=(2, 0)).transpose(2, 3, 1, 0, 4)
+    w *= 0.5 ** (k - 1)
+    return w.reshape(2 * keys * dim, len(flips) * dim)
 
 
 def _phase_refusal(
@@ -712,11 +761,12 @@ def _sign_patterns(k: int) -> np.ndarray:
 
 
 def _axes_values(
-    tile: Sequence[int], dims: Sequence[int], keys: int, k: int, dim: int
+    tile: Sequence[int], dims: Sequence[int], keys: int, cols: int, dim: int
 ) -> int:
     """Float64 values the axes engine holds at once for one tile of
     `tile` frequencies per axis: a field of extents `dims` with `dim`
-    blade coefficients, `keys` distinct phase vectors and k kernels."""
+    blade coefficients, `keys` distinct phase vectors and `cols` output
+    values per frequency."""
     count = math.prod(tile)
     # complex intermediate after contracting x_1..x_j (j = 1..m), one key
     steps = [math.prod(tile[:j]) * math.prod(dims[j:]) * dim
@@ -725,10 +775,10 @@ def _axes_values(
     return (6 * keys * sum(d * r for d, r in zip(dims, tile))
             + 2 * keys * steps[0]  # first-axis sums of every key
             + 6 * max(steps)  # one later axis: input, its copy, output
-            + (2 * keys + 3 * (1 << k)) * count * dim)  # sums, terms, folds
+            + (2 * keys * dim + cols) * count)  # sums and the GEMM output
 
 
-def _axes_tile(dims: Sequence[int], fdims: Sequence[int], keys: int, k: int,
+def _axes_tile(dims: Sequence[int], fdims: Sequence[int], keys: int, cols: int,
                dim: int) -> list[int]:
     """Extents of the frequency tiles: the whole grid, halved along the
     first axis, then the next, until `_axes_values` is within
@@ -738,7 +788,7 @@ def _axes_tile(dims: Sequence[int], fdims: Sequence[int], keys: int, k: int,
     every tile of the first axis."""
     budget = max(_AXES_BLOCK, (math.prod(dims) + math.prod(fdims)) * dim)
     tile, j = list(fdims), 0
-    while j < len(tile) and _axes_values(tile, dims, keys, k, dim) > budget:
+    while j < len(tile) and _axes_values(tile, dims, keys, cols, dim) > budget:
         if tile[j] == 1:
             j += 1
         else:
@@ -746,8 +796,11 @@ def _axes_tile(dims: Sequence[int], fdims: Sequence[int], keys: int, k: int,
     return tile
 
 
-def _gft_axes(rec: _SpecPlan, field: SampledField, freqs: FreqGrid) -> np.ndarray:
-    """Transform on a frequency grid, one axis at a time.
+def _gft_axes(
+    rec: _SpecPlan, field: SampledField, freqs: FreqGrid, matrix: np.ndarray
+) -> np.ndarray:
+    """Transform on a frequency grid, one axis at a time: the
+    (M, `matrix` columns) spectra of `_axes_matrix`.
 
     With every kernel one direction times s_k = sum_j a_kj x_j u_j, the
     expansion engine's GEMM output for the cos/sin term t = (t_1..t_K) is
@@ -762,19 +815,19 @@ def _gft_axes(rec: _SpecPlan, field: SampledField, freqs: FreqGrid) -> np.ndarra
     contracted axis by axis (the first axis as one real GEMM of B against
     cos and sin, the others as complex GEMMs); a tile reuses the first
     axis's sums and the per-axis phase tables of the tile before it when
-    its range on that axis is the same.  M = D H / 2 with D = diag(1, -i)
-    and H the 2x2 Hadamard matrix, so the map to terms is one butterfly
-    per kernel, then one unit (-i)^(sin count) per term and a power of
-    1/2 at the end.  The terms go through the expansion engine's folds.
+    its range on that axis is the same.  Everything after the sums is
+    fixed per spec: the pattern of each key, its conjugation, the weights
+    prod_k M[t_k, sigma_k], the real part and the expansion engine's
+    constant maps, so a tile's spectrum is its sums times `matrix`, one
+    real GEMM.
     """
     dim, dims, fdims = field.sig.dim, field.dims, freqs.dims
-    order, layout = rec.order, rec.axes
-    k, keys = len(order), layout.keys
+    keys, cols = rec.axes.keys, matrix.shape[1]
     xs = [_axis_coords(field, j) for j in range(field.m)]
     us = [_axis_coords(freqs, j) for j in range(field.m)]
     b0 = field.values.reshape(dims[0], -1).T  # (rest of x and blades, d_1)
-    tile = _axes_tile(dims, fdims, len(keys), k, dim)
-    out = np.empty(fdims + (dim,))
+    tile = _axes_tile(dims, fdims, len(keys), cols, dim)
+    out = np.empty(fdims + (cols,))
     held: dict[int, tuple[int, np.ndarray]] = {}  # axis -> (tile start, table)
     for starts in itertools.product(*(range(0, f, r) for f, r in zip(fdims, tile))):
         u = [us[j][lo:lo + r] for j, (lo, r) in enumerate(zip(starts, tile))]
@@ -793,29 +846,43 @@ def _gft_axes(rec: _SpecPlan, field: SampledField, freqs: FreqGrid) -> np.ndarra
                 table = table.reshape(len(b0), len(keys), len(u[0]))
             held[j] = (starts[j], table)
             del theta, table
-        e = np.empty((len(keys), count, dim), dtype=complex)
+        e = np.empty((count, len(keys), dim), dtype=complex)
         for i in range(len(keys)):
             s = held[0][1][:, i]  # axes 2..m of x, blades, u_1
             for j in range(1, field.m):
                 s = s.reshape(dims[j], -1).T @ held[j][1][i]  # ..., blades, u_1..u_j
-            e[i] = s.reshape(dim, count).T
-        z = e[layout.which]
-        np.conjugate(z, out=z, where=layout.conj)
-        for axis in range(k - 1):
-            z = z.reshape(1 << axis, 2, -1)
-            h = np.empty_like(z)
-            np.add(z[:, 0], z[:, 1], out=h[:, 0])
-            np.subtract(z[:, 0], z[:, 1], out=h[:, 1])
-            z = h
-        z = z.reshape(-1, count, dim)
-        z *= layout.units
-        y = np.concatenate((z.real, z.imag))
-        for b in order:
-            y = b.fold(y.reshape(b.terms, -1, count, dim))
+            e[:, i] = s.reshape(dim, count).T
         out[tuple(slice(lo, lo + len(v)) for lo, v in zip(starts, u))] = (
-            y[0].reshape(tuple(map(len, u)) + (dim,)))
-    out *= field.cell_volume * 0.5 ** (k - 1)
-    return out.reshape(-1, dim)
+            (e.view(float).reshape(count, -1) @ matrix).reshape(tuple(map(len, u)) + (cols,)))
+    out *= field.cell_volume
+    return out.reshape(-1, cols)
+
+
+def _gft_flips(
+    spec: GftSpec, field: SampledField, freqs: FreqGrid,
+    flips: Sequence[tuple[Sequence[int], Sequence[int]]],
+) -> list[np.ndarray]:
+    """The unvalidated spectra of `gft(negate(spec, j, k), field, freqs)`
+    for every (j, k) of `flips`.
+
+    Negating kernels only relabels which phase vector's sum each sign
+    pattern reads, and whether conjugated, so on the axes engine the
+    field is contracted once and every flip's `_axes_matrix` applied in
+    one GEMM; any other engine transforms each flipped spec.
+    """
+    rec = _spec_plan(spec)
+    if _route(rec, field, freqs).engine != "axes":
+        return [gft(negate(spec, j, k), field, freqs, validate=False).values
+                for j, k in flips]
+    layout, dim = rec.axes, spec.sig.dim
+    signs = []
+    for j, k in flips:
+        flipped = {f"{side} kernel {pos}" for side, bits in (("left", j), ("right", k))
+                   for pos, bit in enumerate(bits, start=1) if bit}
+        signs.append(tuple(b.label in flipped for b in rec.order))
+    matrix = _axes_matrix(rec.order, len(layout.keys), layout.which, layout.conj, signs)
+    values = _gft_axes(rec, field, freqs, matrix)
+    return [values[:, i * dim:(i + 1) * dim] for i in range(len(flips))]
 
 
 def _gft_nodes(
@@ -857,7 +924,7 @@ def gft(
     rec = _spec_plan(spec)
     p = _route(rec, field, freqs)
     if p.engine == "axes":
-        values = _gft_axes(rec, field, freqs)
+        values = _gft_axes(rec, field, freqs, rec.axes.matrix)
     else:
         values = _gft_nodes(p.engine, rec, spec, field, freqs.nodes(), validate)
     return Spectrum(spec.sig, freqs, values)

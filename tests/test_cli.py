@@ -121,7 +121,8 @@ _BAD_BLADE = _KERNEL_HEAD + "m 2\nkernel left\nentry 1 1 1*e9\n"
     ("--kernels", "overflow.gft", lambda field: _KERNEL_HEAD + "m 2\nkernel left\n"
      + 2 * "entry 1 1 1e308*e1\n", "kernel entries must be finite"),
     ("--kernels", "sum.gft", lambda field: _KERNEL_HEAD + "m 2\nkernel left\n"
-     "entry 1 1 1e308*e1 + 1e308*e1\n", "kernel entries must be finite"),
+     "entry 1 1 1e308*e1 + 1e308*e1\n",
+     "terms of '1e308*e1 + 1e308*e1' sum past the float range"),
 ], ids=["mvf-duplicate-key", "mvf-missing-key", "freqs-duplicate-key",
         "kernel-bad-blade", "kernel-negative-m", "kernel-zero-m",
         "kernel-entries-overflow", "kernel-expression-overflows"])
@@ -428,6 +429,21 @@ def test_image_accepts_bivector_expressions(tmp_path, capsys):
     rc = main(["image", "--input", str(tmp_path / "nope.ppm"), "--out", str(out)])
     assert rc == 3
     capsys.readouterr()
+
+
+def test_image_refuses_a_bivector_that_sums_past_the_float_range(tmp_path):
+    # each number is finite, their sum is not: one error line, no warning
+    img, out = tmp_path / "img.ppm", tmp_path / "img.mvf"
+    _write_ppm(img, 4, 4)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gafourier", "image", "--input", str(img),
+         "--bivector", "1e308*e12 + 1e308*e12", "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: terms of '1e308*e12 + 1e308*e12' sum past the float range\n")
+    assert not out.exists()
 
 
 def test_presets_listing(capsys):

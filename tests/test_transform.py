@@ -1,5 +1,6 @@
 """Grids, sampled fields, and the transform against a complex oracle."""
 
+import itertools
 import logging
 import math
 
@@ -737,6 +738,66 @@ def test_axes_engine_tiles(selector, tile, monkeypatch):
     _assert_grid_agrees(spec, field, freqs)
 
 
+@pytest.mark.parametrize("selector", ["buelow:3", "spacetime", "color_image"])
+def test_axes_engine_tiles_match_one_tile(selector, monkeypatch):
+    # a budget small enough to split the grid: every tile applies the
+    # same matrix, so only the GEMM's row count changes
+    spec = parse_preset(selector)
+    dims = AXES_PRESETS[selector]
+    field = SampledField.random(spec.sig, dims, np.random.default_rng(28))
+    freqs = FreqGrid(tuple(d + 1 for d in dims), (-0.61,) * len(dims), (0.23,) * len(dims))
+    whole = gft(spec, field, freqs).values
+    tiles = []
+    choose = transform._axes_tile
+    monkeypatch.setattr(transform, "_axes_tile",
+                        lambda *args: tiles.append(choose(*args)) or tiles[-1])
+    monkeypatch.setattr(transform, "_AXES_BLOCK", 0)
+    split = gft(spec, field, freqs).values
+    assert math.prod(tiles[-1]) < freqs.node_count // 2
+    err = np.linalg.norm(split - whole, axis=1)
+    assert (err <= 1e-15 * np.maximum(1.0, np.linalg.norm(whole, axis=1))).all()
+
+
+def _sign_flips(spec):
+    return [(j, k) for j in itertools.product((0, 1), repeat=len(spec.left))
+            for k in itertools.product((0, 1), repeat=len(spec.right))]
+
+
+@pytest.mark.parametrize("selector", ["buelow:2", "spacetime", "color_image"])
+def test_sign_flips_from_one_contraction(selector, monkeypatch):
+    # every flip's matrix against the direct engine, and against the
+    # flipped spec's own transform, from one contraction of the field
+    spec = parse_preset(selector)
+    dims = AXES_PRESETS[selector]
+    rng = np.random.default_rng(29)
+    field = SampledField.random(spec.sig, dims, rng)
+    freqs = FreqGrid(tuple(max(2, d - 3) for d in dims),
+                     tuple(rng.uniform(-1.9, -1.1, len(dims))),
+                     tuple(rng.uniform(0.13, 0.41, len(dims))))
+    flips = _sign_flips(spec)
+    calls, run = [], transform._gft_axes
+    monkeypatch.setattr(transform, "_gft_axes", lambda *args: calls.append(1) or run(*args))
+    got = transform._gft_flips(spec, field, freqs, flips)
+    assert len(calls) == 1 and len(got) == len(flips) == 2 ** (len(spec.left) + len(spec.right))
+    for (j, k), values in zip(flips, got):
+        flipped = negate(spec, j, k)
+        _assert_agrees(values, gft_direct(flipped, field, freqs.nodes()))
+        ref = gft(flipped, field, freqs).values
+        err = np.linalg.norm(values - ref, axis=1)
+        assert (err <= 1e-15 * np.maximum(1.0, np.linalg.norm(ref, axis=1))).all(), (j, k)
+
+
+def test_sign_flips_off_the_axes_engine():
+    # the expansion engine transforms each flipped spec
+    spec = parse_preset("cylindrical:2")
+    field = SampledField.random(spec.sig, (4, 4), np.random.default_rng(30))
+    freqs = default_freqs(field)
+    assert plan(spec, field, freqs).engine == "expansion"
+    flips = _sign_flips(spec)
+    for (j, k), values in zip(flips, transform._gft_flips(spec, field, freqs, flips)):
+        assert np.array_equal(values, gft(negate(spec, j, k), field, freqs).values)
+
+
 @pytest.mark.parametrize("selector, dims, fdims", [
     ("buelow:1", (2048,), None),  # long first axis: its phase table is d_1 x M_1
     ("quaternionic", (1024, 2), None),
@@ -798,8 +859,8 @@ def test_axes_tile_bounds_the_traced_working_set(selector, monkeypatch):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            tile, (dims_, _, keys, k, dim) = tiles[-1]
-            counted = 8 * transform._axes_values(tile, dims_, keys, k, dim)
+            tile, (dims_, _, keys, cols, dim) = tiles[-1]
+            counted = 8 * transform._axes_values(tile, dims_, keys, cols, dim)
             assert peak <= counted + 2 * values.nbytes + (1 << 16), (dims, fdims, tile)
 
 
@@ -933,7 +994,7 @@ def test_plan_bases_are_read_only():
                                          *(b.pairs or ())) if v is not None]
     # as are the arrays of the axes layout a spec keeps for every gft
     layout = transform._spec_plan(parse_preset("color_image")).axes
-    arrays += [layout.keys, layout.which, layout.conj, layout.units]
+    arrays += [layout.keys, layout.which, layout.conj, layout.matrix]
     assert len(arrays) == 2 + 4 + 3 + 4
     for v in arrays:
         with pytest.raises(ValueError, match="read-only"):
