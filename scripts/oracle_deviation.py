@@ -52,6 +52,7 @@ PRESET_GRIDS = {
     "clifford:3": (4, 4, 4),
     "buelow:2": (8, 8),
     "buelow:3": (4, 4, 4),
+    "buelow:5": (3,) * 5,  # 16 phase keys, 32 sign flips on the axes engine
     "quaternionic": (8, 8),
     "spacetime": (3, 3, 3, 3),
     "color_image": (8, 8),
@@ -59,6 +60,7 @@ PRESET_GRIDS = {
     "cylindrical:3": (4, 4, 4),
     "cylindrical:4": (3, 3, 3, 3),
     "cylindrical:7": (2,) * 7,
+    "cylindrical:8": (2,) * 8,  # the largest signature with a native product table
 }
 ENGINE_TOL = 1e-12
 

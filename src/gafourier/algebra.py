@@ -12,8 +12,7 @@ use: since e_i e_j = sign(i, j) e_{i^j},
 
 with xor[i, k] = i ^ k.  A constant factor on either side turns into one
 (2**n, 2**n) matrix through that table, so a product is one matrix
-multiply (beyond n = 10, a sum of them over row blocks of the matrix);
-`gp_many` applies the same rule to stacks of rows.  Everything
+multiply; `gp_many` applies the same rule to stacks of rows.  Everything
 here is a pure function on immutable values; nothing mutates shared
 state after a table is built, so the module is safe to use from
 multiple threads.
@@ -39,9 +38,10 @@ __all__ = [
     "square_scalar_signs",
 ]
 
-# Hard cap on p+q.  At n = 12 the product table takes 48 MiB; a product
-# reads it in row blocks (`_ROW_BLOCK`), not as a 128 MiB matrix.
-MAX_DIMENSION = 12
+# Hard cap on p+q.  Up to n = 10 a product matrix has at most 2**20
+# entries (8 MiB); beyond, coefficients are too many to transform in
+# practice (the smallest Cl(11,0) transform takes tens of seconds).
+MAX_DIMENSION = 10
 
 # The package's two tolerances.  The only other numeric bounds are ulp
 # counts, the small-angle switch and the verify checks' default bounds.
@@ -83,7 +83,7 @@ class Signature:
 
     def blade_mask(self, label: str) -> int:
         """Bitmask for a blade label: '1' for the scalar, else 'e' plus
-        strictly ascending basis indices ('e12', 'e134', 'e1_11')."""
+        strictly ascending basis indices ('e12', 'e134', 'e1_10')."""
         if label == "1":
             return 0
         if not label.startswith("e") or len(label) == 1:
@@ -138,11 +138,11 @@ def blade_signs(sig: Signature, a, b) -> np.ndarray:
 
 
 # Sign-table rows are built in blocks of at most this many entries, which
-# bounds the temporaries of blade_signs at n = 12 to a few MiB.
+# bounds the temporaries of blade_signs at n = 10 to a few MiB.
 _BUILD_BLOCK = 1 << 18
 # Tables up to n = 8 (1 MiB) hold intp indices and float64 signs, which
 # gather and multiply about twice as fast as uint16 and int8; larger ones
-# are stored compactly, 48 MiB at n = 12 instead of 256 MiB.
+# are stored compactly, 3 MiB at n = 10 instead of 16 MiB.
 _NATIVE_MAX = 8
 
 
@@ -173,37 +173,26 @@ def _grades(n: int) -> tuple[np.ndarray, np.ndarray]:
     return grades, reverse_sign
 
 
-# Products gather and multiply the table in row blocks of at most this
-# many entries (8 MiB of float64), so that beyond n = 10 no product holds
-# a (2**n, 2**n) index or matrix; up to n = 10 the table is one block.
+# A stack x stack product expands each row of b into a (2**n, 2**n)
+# matrix; rows are taken in chunks of at most this many matrix entries
+# (8 MiB of float64).
 _ROW_BLOCK = 1 << 20
 
 
-def _right_factor(sig: Signature, b: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """Rows `rows` of the matrix M with (x * b) == x @ M for coefficient rows x."""
+def _right_factor(sig: Signature, b: np.ndarray) -> np.ndarray:
+    """The matrix M with (x * b) == x @ M for coefficient rows x."""
     xor, sign = _table(sig.p, sig.q)
-    m = np.take(b, xor[rows])
-    m *= sign[rows]
+    m = np.take(b, xor)
+    m *= sign
     return m
 
 
-def _left_factor(sig: Signature, a: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """Rows `rows` of the matrix M with (a * x) == x @ M for coefficient rows x."""
+def _left_factor(sig: Signature, a: np.ndarray) -> np.ndarray:
+    """The matrix M with (a * x) == x @ M for coefficient rows x."""
     xor, sign = _table(sig.p, sig.q)
-    index = xor[rows]
-    m = np.take(a, index)
-    m *= sign[index, np.arange(sig.dim)]
+    m = np.take(a, xor)
+    m *= sign[xor, np.arange(sig.dim)]
     return m
-
-
-def _blockwise(sig: Signature, product) -> np.ndarray:
-    """x @ M as the sum of product(rows) = x[..., rows] @ M[rows] over the
-    table's row blocks."""
-    step = max(1, _ROW_BLOCK // sig.dim)
-    out = product(slice(0, step))
-    for lo in range(step, sig.dim, step):
-        out += product(slice(lo, lo + step))
-    return out
 
 
 def gp_many(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -211,31 +200,24 @@ def gp_many(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     `a` and `b` are (N, 2**n) or a single (2**n,) row broadcast against the
     other argument.  A constant factor becomes one (2**n, 2**n) matrix and
-    the product one matrix multiply; two stacks are multiplied row by row.
-    Beyond n = 10 both are done in row blocks of the matrix.
+    the product one matrix multiply; two stacks are multiplied in chunks
+    of rows, each row of b expanded into its matrix.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if b.ndim == 1:
-        return _blockwise(sig, lambda r: a[..., r] @ _right_factor(sig, b, r))
+        return a @ _right_factor(sig, b)
     if a.ndim == 1:
-        return _blockwise(sig, lambda r: b[..., r] @ _left_factor(sig, a, r))
+        return b @ _left_factor(sig, a)
     if a.shape != b.shape:
         raise ValueError(f"row stacks of shapes {a.shape} and {b.shape} differ")
     xor, sign = _table(sig.p, sig.q)
     out = np.empty(a.shape)
-    # each row of b expands into a (2**n, 2**n) matrix, so a chunk of rows
-    # stays within one block up to n = 10
     rows = max(1, _ROW_BLOCK // sig.dim ** 2)
     for lo in range(0, len(out), rows):
-        x, y = a[lo:lo + rows, None], b[lo:lo + rows]
-
-        def product(r: slice) -> np.ndarray:
-            m = np.take(y, xor[r], axis=1)
-            m *= sign[r]
-            return (x[..., r] @ m)[:, 0]
-
-        out[lo:lo + rows] = _blockwise(sig, product)
+        m = np.take(b[lo:lo + rows], xor, axis=1)
+        m *= sign
+        out[lo:lo + rows] = (a[lo:lo + rows, None] @ m)[:, 0]
     return out
 
 

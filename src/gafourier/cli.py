@@ -6,15 +6,15 @@ file), ``verify`` (run the identity checks and report one line each),
 ``presets`` (list the built-in configurations).
 
 Exit codes: 0 success (including expected skips), 1 a verify check
-failed its bound, 2 bad invocation or invalid input content, 3 I/O
-failure.
+failed its bound, 2 bad invocation, invalid input content or input too
+large for memory, 3 I/O failure.
 
 The commands check only what is theirs (their own options, and that
 ``transform --field`` holds a field, not a spectrum).  Everything else
 is checked once, where it is defined: file content by `fileio`, grids
 and fields by their constructors, a spec against its field by `gft`.
 Every error the package raises for bad input is a ``ValueError``, so
-`main` maps that one type to exit code 2.
+`main` maps that one type to exit code 2, as it does a ``MemoryError``.
 """
 
 from __future__ import annotations
@@ -293,6 +293,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         # every bad-input error the package raises is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: input too large for memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

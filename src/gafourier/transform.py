@@ -553,7 +553,7 @@ def _axes_layout(order: Sequence[_Basis]) -> _Axes:
     which = np.array([index.setdefault(key, len(index)) for key in
                       map(tuple, (np.where(conj[:, None], -c, c) + 0.0).tolist())])
     keys = np.array(list(index)).reshape(len(index), a.shape[1])
-    arrays = keys, which, conj, _axes_matrix(order, len(keys), which, conj, [(False,) * k])
+    arrays = keys, which, conj, _axes_matrix(order, len(keys), which, conj, [0])
     for v in arrays:
         v.setflags(write=False)
     return _Axes(tuple(np.abs(a).sum(axis=0).tolist()), max(b.norm2 for b in order), *arrays)
@@ -561,11 +561,12 @@ def _axes_layout(order: Sequence[_Basis]) -> _Axes:
 
 def _axes_matrix(
     order: Sequence[_Basis], keys: int, which: np.ndarray, conj: np.ndarray,
-    flips: Sequence[Sequence[bool]],
+    flips: Sequence[int],
 ) -> np.ndarray:
     """The real (2 D 2^n, F 2^n) matrix that takes a tile's sums, the
     float view of a (count, D, 2^n) complex array, to the spectra of the
-    F sign flips, each a tuple of one bool per kernel in fold order.
+    F sign flips, each a bit mask of the negated kernels with the first
+    kernel in fold order the most significant bit.
 
     The sin/cos term t = (t_1..t_K) of the expansion engine is
     y_t = 2^(1-K) Re sum_sigma (-i)^|t| prod_{k: t_k = 1} sigma_k E_{sigma.a}
@@ -573,9 +574,9 @@ def _axes_matrix(
     is sum_t y_t G_t, with G_t the product in fold order of the `step` of
     every kernel with t_k = 1.  With E = R + i eps I (eps = -1 where the
     pattern reads its key conjugated) and (-i)^|t| = alpha + i beta, the
-    real part is alpha R - beta eps I.  Negating kernel k negates a_k, so
-    pattern sigma reads the sum of sigma with sigma_k negated, the whole
-    pattern negated, and so conjugated, when that makes sigma_1 = -1.
+    real part is alpha R - beta eps I.  Negating kernel k turns its
+    e^{-f_k} = cos - j sin into cos + j sin, so a flip multiplies term t
+    by (-1)^(number of flipped kernels whose sine t takes).
     """
     k, dim = len(order), order[0].step.shape[0]
     maps = np.eye(dim)[None]  # G_t, the first kernel's bit the most significant
@@ -589,13 +590,10 @@ def _axes_matrix(
     t, patterns = np.arange(1 << k), np.arange(1 << (k - 1))
     chi = 1.0 - 2.0 * (np.bitwise_count(t[:, None] & patterns) % 2)
     units = _UNIT_PARTS[:, np.bitwise_count(t) % 4, None]  # alpha, -beta
-    coef = np.empty((len(flips), 2, 1 << k, keys))
-    for f, flip in enumerate(flips):
-        # the pattern each pattern of the flipped spec reads
-        src = patterns ^ sum(1 << (k - 1 - i) for i in range(1, k) if flip[i] != flip[0])
-        onehot = (which[src, None] == np.arange(keys)).astype(float)
-        eps = np.where(conj[src, None] != flip[0], -onehot, onehot)
-        np.multiply(units, chi @ np.stack((onehot, eps)), out=coef[f])
+    onehot = (which[:, None] == np.arange(keys)).astype(float)
+    eps = np.where(conj[:, None], -onehot, onehot)
+    flip = 1.0 - 2.0 * (np.bitwise_count(np.array(flips, dtype=np.int64)[:, None] & t) % 2)
+    coef = flip[:, None, :, None] * (units * (chi @ np.stack((onehot, eps))))
     # (F, 2, D, 2^n, 2^n) -> rows (D, 2^n, 2), columns (F, 2^n)
     w = np.tensordot(coef, maps, axes=(2, 0)).transpose(2, 3, 1, 0, 4)
     w *= 0.5 ** (k - 1)
@@ -865,22 +863,22 @@ def _gft_flips(
     """The unvalidated spectra of `gft(negate(spec, j, k), field, freqs)`
     for every (j, k) of `flips`.
 
-    Negating kernels only relabels which phase vector's sum each sign
-    pattern reads, and whether conjugated, so on the axes engine the
-    field is contracted once and every flip's `_axes_matrix` applied in
-    one GEMM; any other engine transforms each flipped spec.
+    Negating kernels only changes the signs of the sine terms, so on the
+    axes engine the field is contracted once and every flip's
+    `_axes_matrix` applied in one GEMM; any other engine transforms each
+    flipped spec.
     """
     rec = _spec_plan(spec)
     if _route(rec, field, freqs).engine != "axes":
         return [gft(negate(spec, j, k), field, freqs, validate=False).values
                 for j, k in flips]
-    layout, dim = rec.axes, spec.sig.dim
-    signs = []
+    layout, dim, top = rec.axes, spec.sig.dim, len(rec.order) - 1
+    masks = []
     for j, k in flips:
         flipped = {f"{side} kernel {pos}" for side, bits in (("left", j), ("right", k))
                    for pos, bit in enumerate(bits, start=1) if bit}
-        signs.append(tuple(b.label in flipped for b in rec.order))
-    matrix = _axes_matrix(rec.order, len(layout.keys), layout.which, layout.conj, signs)
+        masks.append(sum(1 << (top - i) for i, b in enumerate(rec.order) if b.label in flipped))
+    matrix = _axes_matrix(rec.order, len(layout.keys), layout.which, layout.conj, masks)
     values = _gft_axes(rec, field, freqs, matrix)
     return [values[:, i * dim:(i + 1) * dim] for i in range(len(flips))]
 

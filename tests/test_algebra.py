@@ -121,12 +121,14 @@ def test_signature_labels_round_trip():
         sig.blade_mask("e0")
     with pytest.raises(ValueError):
         Signature(-1, 2)
-    with pytest.raises(ValueError):
-        Signature(MAX_DIMENSION, 1)
+    assert MAX_DIMENSION == 10 and Signature(3, 7).dim == 1 << 10
+    for p, q in ((MAX_DIMENSION, 1), (0, 11), (6, 5)):
+        with pytest.raises(ValueError, match="p \\+ q must not exceed 10"):
+            Signature(p, q)
 
 
 def test_multi_digit_labels_use_underscores():
-    sig = Signature(11, 0)
+    sig = Signature(10, 0)
     mask = sig.blade_mask("e1_10")
     assert mask == (1 << 0) | (1 << 9)
     assert sig.blade_mask(sig.blade_label(mask)) == mask
@@ -261,7 +263,7 @@ def test_gp_many_matches_elementwise_products():
     rng = np.random.default_rng(5)
     # atol bounds coefficients near zero; a Cl(9,0) coefficient sums 512 terms
     for sig, atol in ((Signature(0, 2), 1e-14), (Signature(0, 7), 1e-14),
-                      (Signature(9, 0), 1e-13)):
+                      (Signature(9, 0), 1e-13), (Signature(10, 0), 1e-13)):
         sign, mask = pair_table(sig)
 
         def product(x, y):
@@ -310,50 +312,15 @@ def test_dense_product_in_nine_dimensions():
     assert np.allclose(gp_many(sig, a.coeffs[None], b.coeffs[None])[0], ab.coeffs)
 
 
-def test_products_in_twelve_dimensions_hold_no_dense_matrix():
-    # at n = 12 one (2^n, 2^n) float64 matrix takes 128 MiB; products
-    # gather and multiply the table in row blocks of _ROW_BLOCK entries
-    import tracemalloc
-
-    sig = Signature(12, 0)
-    rng = np.random.default_rng(12)
-    a, b = (Multivector(sig, rng.uniform(-1, 1, sig.dim)) for _ in range(2))
-    x, y = rng.uniform(-1, 1, (2, 2, sig.dim))
-    gp_many(sig, a.coeffs[None], b.coeffs[None])  # builds the table outside the trace
-    tracemalloc.start()
-    try:
-        ab, ba = a * b, b * a
-        rows = gp_many(sig, x, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 8 * algebra._ROW_BLOCK, peak
-    # (a b)[k] = sum_i sign(i, i^k) a_i b_{i^k}
-    idx = np.arange(sig.dim)
-    for k in (0, 1, 0b101, sig.dim - 1):
-        assert ab.coeffs[k] == pytest.approx(
-            (blade_signs(sig, idx, idx ^ k) * a.coeffs * b.coeffs[idx ^ k]).sum(), abs=1e-10)
-        assert ba.coeffs[k] == pytest.approx(
-            (blade_signs(sig, idx, idx ^ k) * b.coeffs * a.coeffs[idx ^ k]).sum(), abs=1e-10)
-    for i in range(2):
-        want = (Multivector(sig, x[i]) * Multivector(sig, y[i])).coeffs
-        assert np.allclose(rows[i], want, rtol=0, atol=1e-10)
-
-
-def test_products_in_row_blocks_match_one_block(monkeypatch):
+def test_stack_products_in_row_chunks_match_one_chunk(monkeypatch):
     sig = Signature(2, 3)
     rng = np.random.default_rng(13)
-    a, b = rng.uniform(-1, 1, (2, 6, sig.dim))
-    whole = [gp_many(sig, a, b), gp_many(sig, a[0], b), gp_many(sig, a, b[0]),
-             _left_factor(sig, a[0]), _right_factor(sig, b[0])]
-    monkeypatch.setattr(algebra, "_ROW_BLOCK", 5 * sig.dim)  # blocks of 5, 5, 5, 5, 5, 5, 2 rows
-    rows = [slice(lo, lo + 5) for lo in range(0, sig.dim, 5)]
-    blocked = [gp_many(sig, a, b), gp_many(sig, a[0], b), gp_many(sig, a, b[0]),
-               np.concatenate([_left_factor(sig, a[0], r) for r in rows]),
-               np.concatenate([_right_factor(sig, b[0], r) for r in rows])]
-    for w, v in zip(whole, blocked):
-        assert np.allclose(w, v, rtol=0, atol=1e-14)
-    assert np.array_equal(whole[3], blocked[3]) and np.array_equal(whole[4], blocked[4])
+    a, b = rng.uniform(-1, 1, (2, 7, sig.dim))
+    whole = gp_many(sig, a, b)
+    monkeypatch.setattr(algebra, "_ROW_BLOCK", 2 * sig.dim ** 2)  # chunks of 2, 2, 2, 1 rows
+    assert np.array_equal(gp_many(sig, a, b), whole)
+    for i in range(7):
+        assert np.allclose(whole[i], gp_many(sig, a[i], b[i]), rtol=0, atol=1e-14)
 
 
 def test_scalar_operators_and_division():

@@ -79,6 +79,11 @@ def test_transform_error_exit_codes(tmp_path, field_file, capsys):
                "--out", str(out)])
     assert rc == 2
     assert "error: spec is over Cl(2,0), field over Cl(0,2)" in capsys.readouterr().err
+    # signature above the dimension cap: one line, no traceback
+    rc = main(["transform", "--field", str(path), "--preset", "buelow:11",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: p + q must not exceed 10\n"
     # unsupported preset parameter
     rc = main(["transform", "--field", str(path), "--preset", "clifford:4",
                "--out", str(out)])
@@ -123,9 +128,14 @@ _BAD_BLADE = _KERNEL_HEAD + "m 2\nkernel left\nentry 1 1 1*e9\n"
     ("--kernels", "sum.gft", lambda field: _KERNEL_HEAD + "m 2\nkernel left\n"
      "entry 1 1 1e308*e1 + 1e308*e1\n",
      "terms of '1e308*e1 + 1e308*e1' sum past the float range"),
+    ("--kernels", "eleven.gft", lambda field: "gft-kernels 1\nsignature 11 0\nm 1\n",
+     "bad signature: p + q must not exceed 10"),
+    ("--field", "eleven.mvf", lambda field: field.replace("signature 0 2", "signature 6 5"),
+     "bad header value: p + q must not exceed 10"),
 ], ids=["mvf-duplicate-key", "mvf-missing-key", "freqs-duplicate-key",
         "kernel-bad-blade", "kernel-negative-m", "kernel-zero-m",
-        "kernel-entries-overflow", "kernel-expression-overflows"])
+        "kernel-entries-overflow", "kernel-expression-overflows",
+        "kernel-signature-above-cap", "mvf-signature-above-cap"])
 def test_reader_errors_name_the_file(tmp_path, field_file, capsys, option, name,
                                      content, message):
     path, _ = field_file
@@ -237,6 +247,29 @@ def test_bad_input_errors_exit_two(monkeypatch, capsys, error):
     assert main(["presets"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: bad input\n"
+
+
+@pytest.mark.parametrize("error, detail", [
+    (MemoryError("Unable to allocate 298. GiB"), "Unable to allocate 298. GiB"),
+    (MemoryError(), "allocation failed"),
+])
+def test_input_too_large_for_memory_exits_two(monkeypatch, tmp_path, field_file,
+                                              capsys, error, detail):
+    # the transform's callee fails as numpy does on a 100000 x 100000 grid,
+    # without allocating anything here
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "gft", failing)
+    path, _ = field_file
+    out = tmp_path / "spec.mvf"
+    rc = main(["transform", "--field", str(path), "--preset", "quaternionic",
+               "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: input too large for memory: {detail}\n"
+    assert not out.exists()
 
 
 def test_argparse_failures_exit_two(capsys):
