@@ -14,12 +14,13 @@ node at u = 0, spacing unrelated to the field).  The field is centred, so
 the expansion engine pairs each node x with -x; every preset the grid
 plan sends to the expansion engine runs a second time on an off-centre
 field (row "<preset> off-centre"), where no node pairs.  Every preset
-the grid plan sends to the axes engine gets a row "<preset> sign flips":
-the spectra of every sign flip of its kernels, from one contraction
-(`transform._gft_flips`), against `gft_direct` of each flipped spec on
-the same grid.  It prints the engine planned for each, the worst
-deviation relative to max(1, |F(u)|), the seconds taken and the grid
-plan's reason; it exits 1 above 1e-12.
+gets a row "<preset> sign flips": the spectra of every sign flip of its
+kernels from `transform._gft_flips` against `gft_direct` of each flipped
+spec on the same grid.  On the axes engine the flips come from one
+contraction; on the expansion engine each flipped spec is transformed,
+with its negated kernels factored afresh.  It prints the engine planned
+for each, the worst deviation relative to max(1, |F(u)|), the seconds
+taken and the grid plan's reason; it exits 1 above 1e-12.
 
     PYTHONPATH=src python3 scripts/oracle_deviation.py --presets
 """
@@ -161,11 +162,11 @@ def presets_main(rng: np.random.Generator) -> int:
         worst = max(worst, dev, grid_dev)
         print(f"{label:<25} {engine:>9} {dev:>10.3e} {grid_engine:>9} {grid_dev:>10.3e} "
               f"{dt:>8.2f}  {reason}")
-        if grid_engine == "expansion" and shift == 0.0:
-            # no node of this field has its mirror on the grid
-            runs.append((f"{selector} off-centre", selector, 0.31))
-        elif grid_engine == "axes":
+        if shift == 0.0:
             flipped.append(selector)
+            if grid_engine == "expansion":
+                # no node of this field has its mirror on the grid
+                runs.append((f"{selector} off-centre", selector, 0.31))
     for selector in flipped:
         t0 = time.perf_counter()
         count, grid_engine, grid_dev, reason = flip_deviation(selector, rng)

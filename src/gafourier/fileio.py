@@ -310,9 +310,7 @@ def read_grid_file(path: str | Path) -> SampledField | Spectrum:
         flat = np.frombuffer(payload, dtype="<f8").astype(float)
     else:
         try:
-            flat = np.array(
-                [float(tok) for tok in payload.decode("ascii").split()]
-            )
+            flat = np.array(payload.decode("ascii").split(), dtype=float)
         except (UnicodeDecodeError, ValueError) as exc:
             raise FileFormatError(f"bad text payload: {exc}") from None
         if flat.size != count:

@@ -40,7 +40,7 @@ suite runs and the `presets` listing's note.  `PRESET_NAMES`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -51,7 +51,6 @@ from .algebra import (
     Multivector,
     Signature,
     blade_signs,
-    gp_many,
     pseudoscalar,
     square_scalar_signs,
 )
@@ -150,14 +149,8 @@ class KernelMatrix:
         )
 
     def scaled(self, factor: float) -> "KernelMatrix":
-        """The kernel times a real factor.  For a nonzero factor the
-        result takes this kernel's factorization with its forms scaled,
-        so a sign flip is never factored again."""
-        out = KernelMatrix(self.sig, self.tensor * factor)
-        if factor != 0.0:
-            f = self.factors
-            out.__dict__["factors"] = None if f is None else f.scaled(factor)
-        return out
+        """The kernel times a real factor."""
+        return KernelMatrix(self.sig, self.tensor * factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,41 +162,20 @@ class Factors:
     other kernel has its nonzero `blades` as the e_i, and `pairs` =
     (a, b, q), which gives the non-scalar part of f^2 as q @ (s_a s_b)
     over the commuting blade pairs a < b.  `imaginary` says that f^2 is
-    a real <= 0 at every (x, u): always true for a direction, decided
-    once by `_imaginary` for blades, and kept by scaling.  The transform
-    engines' constant maps for each side are built by `maps` on first
-    use and shared with every scaled copy.
+    a real <= 0 at every (x, u): always true for a direction, and
+    decided once by `_imaginary` for blades.
     """
 
-    sig: Signature
     forms: np.ndarray                 # (r, m, m)
     direction: np.ndarray | None      # (2^n,) j, direction kernels only
     blades: np.ndarray | None         # (r,) blade indices, otherwise
     pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None  # blades only
     imaginary: bool
-    _maps: dict[str, dict[str, object]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         for v in (self.forms, self.direction, self.blades, *(self.pairs or ())):
             if v is not None:
                 v.setflags(write=False)
-
-    def scaled(self, factor: float) -> Factors:
-        return replace(self, forms=self.forms * factor)
-
-    def maps(self, side: str) -> dict[str, object]:
-        """The engines' read-only constant maps on one side, by name.
-
-        A direction has `step`, the dense row-form map of x -> (-j) x on
-        the left or x (-j) on the right.  Blades have the signed
-        permutations of x -> -e_i x (or x (-e_i)) as one flat gather over
-        the r terms' coefficients side by side, out[:, l] =
-        sign[l] * x[:, gather[l]] with l = i 2^n + k and gather[l] =
-        i 2^n + (k ^ blade_i), and the blade squares `squares`.
-        """
-        if side not in self._maps:
-            self._maps[side] = _side_maps(self, side)
-        return self._maps[side]
 
 
 def _factor(sig: Signature, tensor: np.ndarray) -> Factors | None:
@@ -213,17 +185,19 @@ def _factor(sig: Signature, tensor: np.ndarray) -> Factors | None:
     top = np.abs(t).max()
     if top == 0.0:
         return None
-    d = t[np.argmax((t * t).sum(axis=1))] / top
+    # rows scaled into [-1, 1], so their squares cannot overflow
+    unit = t / top
+    d = unit[np.argmax((unit * unit).sum(axis=1))]
     s = t @ d / (d @ d)
     if np.abs(t - np.outer(s, d)).max() <= _FACTOR_ULPS * np.spacing(top):
         fails, sq = check_square(Multivector(sig, d))
         if not fails and sq.scalar_part() < 0.0:
             rho = math.sqrt(-sq.scalar_part())
-            return Factors(sig, (s * rho).reshape(1, m, m), d / rho, None, None, True)
+            return Factors((s * rho).reshape(1, m, m), d / rho, None, None, True)
     blades = np.flatnonzero(np.abs(t).max(axis=0))
     forms = t[:, blades].T.reshape(-1, m, m)
     pairs = _commuting_pairs(sig, blades)
-    return Factors(sig, forms, None, blades, pairs, _imaginary(sig, blades, forms, pairs))
+    return Factors(forms, None, blades, pairs, _imaginary(sig, blades, forms, pairs))
 
 
 def _commuting_pairs(
@@ -264,27 +238,6 @@ def _imaginary(
         if (z + z.transpose(0, 1, 3, 2)).any():
             return False
     return True
-
-
-def _side_maps(f: Factors, side: str) -> dict[str, object]:
-    sig = f.sig
-    if f.direction is not None:
-        eye = np.eye(sig.dim)
-        step = gp_many(sig, -f.direction, eye) if side == "left" else gp_many(
-            sig, eye, -f.direction)
-        maps = {"step": step}
-    else:
-        blades = f.blades
-        col = blades[:, None]
-        gather = np.arange(sig.dim) ^ col
-        sign = -(blade_signs(sig, col, gather) if side == "left"
-                 else blade_signs(sig, gather, col))
-        maps = {"gather": (gather + sig.dim * np.arange(len(blades))[:, None]).ravel(),
-                "sign": sign.ravel(),
-                "squares": square_scalar_signs(sig)[blades]}
-    for v in maps.values():
-        v.setflags(write=False)
-    return maps
 
 
 @dataclass(frozen=True)
@@ -375,9 +328,14 @@ def _color_image(bivector: Multivector | None) -> GftSpec:
     b = bivector if bivector is not None else Multivector.blade(sig, "e12")
     if b.sig != sig:
         raise UnsupportedSignature("color_image preset lives in Cl(4,0)")
-    if (b - b.grade_part(2)).magnitude() > RELATIVE_TOL * max(1.0, b.magnitude()):
+    # a square that overflows gives NaN, which fails, as in `not_imaginary`
+    with np.errstate(over="ignore", invalid="ignore"):
+        impure = (b - b.grade_part(2)).magnitude()
+        size = b.magnitude()
+        off = ((b * b) + 1.0).magnitude()
+    if not impure <= RELATIVE_TOL * max(1.0, size):
         raise ValueError("color_image needs a pure bivector")
-    if ((b * b) + 1.0).magnitude() > RELATIVE_TOL:
+    if not off <= RELATIVE_TOL:
         raise ValueError("color_image needs a unit bivector with square -1")
     ib = pseudoscalar(sig) * b
     half = 0.5

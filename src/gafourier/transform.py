@@ -99,9 +99,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Signature, gp_many
+from .algebra import Signature, blade_signs, gp_many, square_scalar_signs
 from .exponential import NotImaginary, cos_sin, cos_sinc, exp_neg_many, not_imaginary
-from .kernels import GftSpec, negate
+from .kernels import Factors, GftSpec, negate
 
 __all__ = [
     "FreqGrid",
@@ -346,8 +346,7 @@ def _direct_sum(
 class _Basis:
     """One nonzero kernel on one side of a plan: its factorization's
     `forms`, `pairs` and `imaginary` verdict (`kernels.Factors`) and the
-    constant maps `Factors.maps` built for that side, shared by every
-    plan of the kernel.
+    engines' constant maps for that side, built by `_basis`.
     """
 
     side: str
@@ -522,8 +521,7 @@ def _build_spec_plan(spec: GftSpec) -> _SpecPlan:
             if f is None:
                 notes.append(f"{label}: zero")
                 continue
-            norm2 = 1.0 if f.direction is None else float(f.direction @ f.direction)
-            b = _Basis(side, label, f.forms, f.pairs, f.imaginary, norm2, **f.maps(side))
+            b = _basis(sig, f, side, label)
             terms *= b.terms
             if terms > limit:
                 bound = f"2^n = {limit}" if limit == sig.dim else f"2^nu = {limit}"
@@ -540,6 +538,35 @@ def _build_spec_plan(spec: GftSpec) -> _SpecPlan:
         if refusal is None:
             axes = _axes_layout(order)
     return _SpecPlan("; ".join(notes), bases=bases, order=order, refusal=refusal, axes=axes)
+
+
+def _basis(sig: Signature, f: Factors, side: str, label: str) -> _Basis:
+    """The basis of one nonzero kernel on one side, with read-only maps.
+
+    A direction has `step`, the dense row-form map of x -> (-j) x on
+    the left or x (-j) on the right, and `norm2` = |j|^2.  Blades have
+    the signed permutations of x -> -e_i x (or x (-e_i)) as one flat
+    gather over the r terms' coefficients side by side, out[:, l] =
+    sign[l] * x[:, gather[l]] with l = i 2^n + k and gather[l] =
+    i 2^n + (k ^ blade_i), and the blade squares `squares`.
+    """
+    if f.direction is not None:
+        eye = np.eye(sig.dim)
+        step = gp_many(sig, -f.direction, eye) if side == "left" else gp_many(
+            sig, eye, -f.direction)
+        norm2, maps = float(f.direction @ f.direction), {"step": step}
+    else:
+        col = f.blades[:, None]
+        gather = np.arange(sig.dim) ^ col
+        sign = -(blade_signs(sig, col, gather) if side == "left"
+                 else blade_signs(sig, gather, col))
+        norm2, maps = 1.0, {
+            "gather": (gather + sig.dim * np.arange(len(f.blades))[:, None]).ravel(),
+            "sign": sign.ravel(),
+            "squares": square_scalar_signs(sig)[f.blades]}
+    for v in maps.values():
+        v.setflags(write=False)
+    return _Basis(side, label, f.forms, f.pairs, f.imaginary, norm2, **maps)
 
 
 def _axes_layout(order: Sequence[_Basis]) -> _Axes:

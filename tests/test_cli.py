@@ -335,8 +335,10 @@ def test_verify_factors_each_preset_kernel_once(monkeypatch):
         assert not any(bad for _, bad in cli._verify_lines(args))
         spec = parse_preset(sel)
         count += len(spec.left + spec.right)
-    # sign-flipped and rescaled kernels inherit their parent's factorization
-    assert len(calls) == count == 14
+    # flipped kernels are factored afresh only where a check transforms a
+    # negated spec: cylindrical:2's left-product check, the one flip off
+    # the axes engine
+    assert count == 14 and len(calls) == count + 1
 
 
 @pytest.mark.parametrize("selector, engine", [
@@ -476,6 +478,31 @@ def test_image_refuses_a_bivector_that_sums_past_the_float_range(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == (
         "error: terms of '1e308*e12 + 1e308*e12' sum past the float range\n")
+    assert not out.exists()
+
+
+def test_image_refuses_a_bivector_whose_square_overflows(tmp_path, capsys):
+    img, out = tmp_path / "img.ppm", tmp_path / "img.mvf"
+    _write_ppm(img, 4, 4)
+    rc = main(["image", "--input", str(img), "--bivector", "1e200*e12 + 1e200*e13",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: color_image needs a unit bivector with square -1\n")
+    assert not out.exists()
+
+
+def test_transform_refuses_huge_kernel_entries_in_one_line(tmp_path, field_file, capsys):
+    # factoring the kernel squares no entry, so no numpy warning precedes
+    # the error line
+    path, _ = field_file
+    kfile, out = tmp_path / "big.gft", tmp_path / "o.mvf"
+    kfile.write_text(_KERNEL_HEAD + "m 2\nkernel left\nentry 1 1 1e200*e1\n")
+    rc = main(["transform", "--field", str(path), "--kernels", str(kfile),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: left kernel 1: sample 0 does not square to a negative real\n")
     assert not out.exists()
 
 

@@ -95,15 +95,32 @@ def test_direction_extraction():
 
 
 def test_scaled_kernel_keeps_the_factorization():
+    # a scaled kernel is factored afresh and gets the verdict of a kernel
+    # built from the same tensor
     spec = parse_preset("quaternionic")
     kern = spec.right[0]
+    for c in (-1.0, 0.37, TAU):
+        scaled, fresh = kern.scaled(c), KernelMatrix(kern.sig, kern.tensor * c)
+        assert np.array_equal(scaled.tensor, fresh.tensor)
+        assert np.array_equal(scaled.factors.forms, fresh.factors.forms)
+        assert np.array_equal(scaled.factors.direction, fresh.factors.direction)
+        assert scaled.factors.imaginary == fresh.factors.imaginary
+    # -T has direction -j and the same forms
     flipped = kern.scaled(-1.0)
-    assert np.array_equal(flipped.tensor, -kern.tensor)
-    assert flipped.factors.direction is kern.factors.direction
-    assert np.array_equal(flipped.factors.forms, -kern.factors.forms)
-    assert flipped.factors.maps("right") is kern.factors.maps("right")
+    assert np.array_equal(flipped.factors.direction, -kern.factors.direction)
+    assert np.array_equal(flipped.factors.forms, kern.factors.forms)
     assert kern.scaled(0.0).factors is None
     assert KernelMatrix.sparse(spec.sig, 2, []).scaled(2.0).factors is None
+
+
+def test_factoring_huge_entries_does_not_overflow():
+    # squares of entries above about 1.3e154 overflow; the row is chosen
+    # from entries scaled into [-1, 1]
+    sig = Signature(0, 2)
+    kern = KernelMatrix.sparse(sig, 2, [(0, 0, Multivector.blade(sig, "e1", 1e200))])
+    f = kern.factors
+    assert np.array_equal(f.direction, Multivector.blade(sig, "e1").coeffs)
+    assert f.forms[0, 0, 0] == 1e200
 
 
 def test_kernel_tensor_is_read_only_and_checked():
@@ -197,6 +214,10 @@ def test_color_image_preset_entries():
     assert _cell(other.left[0], 0, 0) == Multivector.blade(sig, "e13", 0.5)
     with pytest.raises(ValueError):
         preset("color_image", bivector=Multivector.blade(sig, "e12", 2.0))
+    # its square overflows to NaN: refused, with no numpy warning
+    huge = Multivector.blade(sig, "e12", 1e200) + Multivector.blade(sig, "e13", 1e200)
+    with pytest.raises(ValueError, match="unit bivector with square -1"):
+        preset("color_image", bivector=huge)
     with pytest.raises(ValueError):
         parse_preset("color_image:e1")
 
@@ -322,8 +343,7 @@ def test_cylindrical_blades_are_imaginary_by_construction(n):
     assert f.direction is None and len(f.blades) == n * (n - 1) // 2
     assert f.imaginary
     assert (n == 3) == (len(f.pairs[2]) == 0)  # n = 3: no commuting pair
-    # scaled copies keep the verdict; fresh factorizations of scaled
-    # tensors reach it again
+    # scaled copies are factored afresh and reach the same verdict
     assert negate(spec, [1], []).left[0].factors.imaginary
     for c in (TAU, -0.37):
         assert kern.scaled(c).factors.imaginary
