@@ -15,10 +15,10 @@ the expansion engine pairs each node x with -x; every preset the grid
 plan sends to the expansion engine runs a second time on an off-centre
 field (row "<preset> off-centre"), where no node pairs.  Every preset
 gets a row "<preset> sign flips": the spectra of every sign flip of its
-kernels from `transform._gft_flips` against `gft_direct` of each flipped
-spec on the same grid.  On the axes engine the flips come from one
-contraction; on the expansion engine each flipped spec is transformed,
-with its negated kernels factored afresh.  It prints the engine planned
+kernels from one `transform._gft_many` pass against `gft_direct` of each
+flipped spec on the same grid.  On the axes engine the flips come from
+one contraction; on the expansion engine from one set of weights, with
+the flipped kernels' sine terms negated.  It prints the engine planned
 for each, the worst deviation relative to max(1, |F(u)|), the seconds
 taken and the grid plan's reason; it exits 1 above 1e-12.
 
@@ -38,7 +38,7 @@ from gafourier.kernels import negate, parse_preset
 from gafourier.transform import (
     FreqGrid,
     SampledField,
-    _gft_flips,
+    _gft_many,
     default_freqs,
     dft_complex_oracle,
     gft,
@@ -136,15 +136,16 @@ def engine_deviation(
 
 def flip_deviation(selector: str, rng: np.random.Generator) -> tuple[int, str, float, str]:
     """The number of sign flips of the preset's kernels, the grid engine,
-    the worst deviation of their spectra from one contraction from
+    the worst deviation of their spectra from one `_gft_many` pass from
     `gft_direct` of each flipped spec, and the grid plan's reason."""
     spec = parse_preset(selector)
     field = _field(selector, rng, 0.0)
     freqs = _off_lattice(spec.m, rng)
     flips = [(j, k) for j in itertools.product((0, 1), repeat=len(spec.left))
              for k in itertools.product((0, 1), repeat=len(spec.right))]
+    spectra = _gft_many(spec, [field], freqs, flips)[:, 0].swapaxes(0, 1)
     dev = max(_relative(values, gft_direct(negate(spec, j, k), field, freqs.nodes()))
-              for (j, k), values in zip(flips, _gft_flips(spec, field, freqs, flips)))
+              for (j, k), values in zip(flips, spectra))
     p = plan(spec, field, freqs)
     return len(flips), p.engine, dev, p.reason
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -328,12 +328,15 @@ def _color_image(bivector: Multivector | None) -> GftSpec:
     b = bivector if bivector is not None else Multivector.blade(sig, "e12")
     if b.sig != sig:
         raise UnsupportedSignature("color_image preset lives in Cl(4,0)")
-    # a square that overflows gives NaN, which fails, as in `not_imaginary`
+    # a square that overflows gives NaN, which fails, as in `not_imaginary`;
+    # the purity test scales b into [-1, 1] first, as `_factor` does
     with np.errstate(over="ignore", invalid="ignore"):
-        impure = (b - b.grade_part(2)).magnitude()
-        size = b.magnitude()
+        top = np.abs(b.coeffs).max() or 1.0
+        unit = Multivector(sig, b.coeffs / top)
+        impure = (unit - unit.grade_part(2)).magnitude()
+        size = max(1.0 / top, unit.magnitude())  # max(1, |b|) / top
         off = ((b * b) + 1.0).magnitude()
-    if not impure <= RELATIVE_TOL * max(1.0, size):
+    if not impure <= RELATIVE_TOL * size:
         raise ValueError("color_image needs a pure bivector")
     if not off <= RELATIVE_TOL:
         raise ValueError("color_image needs a unit bivector with square -1")
@@ -417,9 +420,12 @@ def preset(
     return row.build(n if row.param == "n" else bivector)
 
 
+@lru_cache(maxsize=32)
 def parse_preset(text: str) -> GftSpec:
     """Parse a preset selector like 'quaternionic', 'clifford:2' or
-    'color_image:e13'."""
+    'color_image:e13'.  Every parse of one text shares one frozen spec
+    (the last 32 texts are kept), so its factorizations and transform
+    plan are built once."""
     name, sep, param = text.partition(":")
     key, row = _row(name)
     if not sep:
@@ -443,7 +449,8 @@ def negate(
     spec: GftSpec, j: Sequence[int], k: Sequence[int]
 ) -> GftSpec:
     """Flip the signs of the left kernels selected by j and the right
-    kernels selected by k."""
+    kernels selected by k: the reference that the transform's own sign
+    flips (`transform._gft_many`) are tested against."""
     if len(j) != len(spec.left) or len(k) != len(spec.right):
         raise ValueError(
             f"sign vectors must have lengths {len(spec.left)} and "

@@ -6,7 +6,7 @@ per-frequency deviation.  The identities are pointwise-algebraic in the
 integrand, so on shared grids they hold to float roundoff; the reported
 residual is compared against tol * max(1, |LHS|).
 
-Every transform a check makes is `gft` on a frequency grid, so the
+Every transform a check makes is on a frequency grid (`gft`), so the
 checks run the engine `transform` runs for the same spec: the axes
 engine for every separable preset.  The scaling check transforms its
 right-hand side on the grid of the nodes u/a; one rule (`_divided`)
@@ -21,12 +21,11 @@ left and right product checks are one body, mirrored by side: both
 split the constant with the swap lemma and drop the same negligible
 components.
 
-The auxiliary transforms a right-hand side assembles (sign-flipped kernel
-sets, rescaled frequencies) skip kernel-value validation: they reuse the
-same bilinear kernels the validated primary transform already exercised,
-up to sign and scale, which preserve squaring to negative reals.  A
-check's sign-flipped transforms come from one `transform._gft_flips`
-call, which on the axes engine contracts the field once for all of them.
+Linearity, the product checks and shift make one `transform._gft_many`
+call each, for every field and sign-flipped kernel set they read, so
+the engine checks the kernels once and contracts each field once.  The
+scaling check's right-hand side is on another grid and skips the
+kernel-value check: its values are the checked ones, rescaled.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .commsplit import SplitIndex, shift_exponential_terms, split_multi
 from .exponential import exp_neg_many
 from .exponential import exp_imag  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .kernels import GftSpec, side_directions
-from .transform import FreqGrid, SampledField, _gft_flips, gft, row_magnitudes
+from .transform import FreqGrid, SampledField, _gft_many, gft, row_magnitudes
 from .transform import gft_at  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
@@ -116,15 +115,6 @@ def _report(
     )
 
 
-def _same_grid(a: SampledField, b: SampledField) -> bool:
-    return (
-        a.sig == b.sig
-        and a.dims == b.dims
-        and a.origin == b.origin
-        and a.spacing == b.spacing
-    )
-
-
 def check_linearity(
     spec: GftSpec,
     b_field: SampledField,
@@ -135,13 +125,12 @@ def check_linearity(
     tol: float = 1e-12,
 ) -> TheoremReport:
     """Transform of b*B + c*C against the combination of transforms."""
-    if not _same_grid(b_field, c_field):
+    if any(getattr(b_field, a) != getattr(c_field, a)
+           for a in ("sig", "dims", "origin", "spacing")):
         raise ValueError("linearity check needs fields on one shared grid")
     combined = b_field.with_values(b * b_field.values + c * c_field.values)
-    lhs = gft(spec, combined, freqs).values
-    rhs = (b * gft(spec, b_field, freqs, validate=False).values
-           + c * gft(spec, c_field, freqs, validate=False).values)
-    return _report("linearity", lhs, rhs, tol)
+    lhs, fb, fc = _gft_many(spec, [combined, b_field, c_field], freqs)[:, :, 0].swapaxes(0, 1)
+    return _report("linearity", lhs, b * fb + c * fc, tol)
 
 
 def _divided(
@@ -229,12 +218,15 @@ def _check_product(
     comps = _constant_components(c, side_directions(spec, side),
                                  "backward" if left else "forward")
     product_field = b_field.with_values(times_c(c.coeffs, b_field.values))
-    lhs = gft(spec, product_field, freqs).values
+    # F(C B) unflipped, then F(B) under each component's flip, in one pass
+    none = (0,) * len(spec.right if left else spec.left)
+    bits = [(0,) * len(spec.left if left else spec.right)] + [b for b, _ in comps]
+    flips = [(b, none) if left else (none, b) for b in bits]
+    spectra = _gft_many(spec, [product_field, b_field], freqs, flips)
+    lhs = spectra[:, 0, 0]
     rhs = np.zeros_like(lhs)
-    unflipped = (0,) * len(spec.right if left else spec.left)
-    flips = [(bits, unflipped) if left else (unflipped, bits) for bits, _ in comps]
-    for (_, comp), spectrum in zip(comps, _gft_flips(spec, b_field, freqs, flips)):
-        rhs += times_c(comp.coeffs, spectrum)
+    for i, (_, comp) in enumerate(comps, start=1):
+        rhs += times_c(comp.coeffs, spectra[:, 1, i])
     return _report(f"{side}-product", lhs, rhs, tol, detail=f"terms={len(comps)}")
 
 
@@ -325,7 +317,7 @@ def check_shift(
     right_dirs = side_directions(spec, "right")
     x0 = np.asarray(x0, dtype=float)
     unodes = freqs.nodes()
-    lhs = gft(spec, shifted_field(b_field, x0), freqs).values
+    shifted = shifted_field(b_field, x0)
     # kernel values f(x0, u) at every frequency, one (M, 2**n) stack each
     left_vals, right_vals = (
         [unodes @ np.tensordot(x0, k.tensor, axes=1) for k in side]
@@ -339,10 +331,11 @@ def check_shift(
 
     unflipped = ((0,) * len(spec.left), (0,) * len(spec.right))
     collapse = _mutually_commutative(left_dirs) and _mutually_commutative(right_dirs)
-    # every sign flip the sum reads, each transformed once
-    flips = list(dict.fromkeys([(j, k) for _, j in left_terms for _, k in right_terms]
-                               + [unflipped] * collapse))
-    spectrum = dict(zip(flips, _gft_flips(spec, b_field, freqs, flips)))
+    # every sign flip the sum reads, each transformed once, and F(B(. - x0))
+    flips = list(dict.fromkeys([unflipped] + [(j, k) for _, j in left_terms
+                                              for _, k in right_terms]))
+    spectra = _gft_many(spec, [shifted, b_field], freqs, flips)
+    lhs, spectrum = spectra[:, 0, 0], dict(zip(flips, spectra[:, 1].swapaxes(0, 1)))
 
     rhs = np.zeros_like(lhs)
     for lf, j in left_terms:

@@ -6,88 +6,77 @@ The transform of a field A at one frequency u is the Riemann sum
 
 over all grid nodes x, with the kernel products taken in their configured
 order.  The frequency grid is arbitrary and independent of the spatial
-one.  `gft` (on a frequency grid) is the transform the CLI and every
-identity check run; `gft_at` is the entry point for scattered
-frequencies (an (M, m) array).  Both run one of three engines, chosen
-per call by `plan`:
+one.  `gft` (a frequency grid), `gft_at` (an (M, m) array) and
+`gft_direct` are one field under one spec of the one internal entry,
+`_gft_many`: several fields on one grid under a spec and any sign flips
+of its kernels (`kernels.negate`), in one pass of one of three engines,
+chosen per call by `plan`:
 
 * axes: every kernel is one direction j_k with j_k^2 = -1, checked once,
   times a diagonal form s_k = sum_j a_kj x_j u_j, and the frequencies form
   a grid.  With cos s = (e^{is} + e^{-is})/2 and sin s = (e^{is} -
   e^{-is})/2i the expanded integrand becomes complex sums
   E_c(u) = sum_x e^{i sum_j c_j x_j u_j} A(x) over the phase vectors
-  c = sum_k sigma_k a_k of the sign patterns sigma, and each such sum is
-  contracted one axis at a time.  Only patterns with sigma_1 = +1 are
-  summed (E_{-c} is the conjugate of E_c), equal phase vectors once.
-  Everything after the sums is fixed per spec: which sum each pattern
-  reads and whether conjugated, the cos/sin weights, the real part and
-  the expansion engine's constant maps make one real matrix, built with
-  the plan, so a tile's spectrum is one GEMM of its sums.  It runs in
-  tiles of the frequency grid whose working set stays within 2 MiB or
-  the size of the field plus the spectrum, whichever is larger.
-* expansion: every kernel gets a basis from its factorization, the one
-  rule stated in `kernels`: f = sum_i s_i e_i over one direction j
-  (j^2 = -1, checked once) or over its nonzero blades, and
-  e^{-f} = cos(rho) - sum_i s_i sin(rho)/rho e_i, rho^2 = -<f^2>_0 (for
-  a direction, cos(s) - j sin(s) of the real phase s).  The
-  two-sided product expands into prod(1 + r_k) terms (r_k basis elements
-  of kernel k), each a real weight times a constant map of B(x): a
-  dense product for a direction, a signed permutation for a blade.
-  Every kernel is linear in x, so a term's weight is even or odd in x,
-  and the weights are computed once per pair of nodes {x, -x} of the
-  grid, against B(x) + B(-x) or B(x) - B(-x).  The constant maps are
-  applied to that stack of sums once per transform when it fits the
-  axes engine's budget, and then a chunk of frequencies is its weights
-  and one GEMM; otherwise they are applied to each chunk's GEMM outputs.
+  c = sum_k sigma_k a_k of the sign patterns sigma with sigma_1 = +1
+  (E_{-c} is the conjugate of E_c), equal ones once, each contracted one
+  axis at a time, with the fields side by side.  Everything after the
+  sums is fixed per spec and flip set: one real matrix, so a tile's
+  spectra are one GEMM of its sums.  Tiles of the frequency grid keep
+  the working set within 2 MiB or the fields plus the spectra.
+* expansion: every kernel gets a basis from its factorization (`kernels`):
+  f = sum_i s_i e_i over one direction j or over its nonzero blades, and
+  e^{-f} = cos(rho) - sum_i s_i sin(rho)/rho e_i, rho^2 = -<f^2>_0.  The
+  two-sided product expands into prod(1 + r_k) terms, each a real
+  weight times a constant map of B(x) (a dense product for a direction,
+  a signed permutation for a blade).  A term's weight is even or odd in
+  x, so weights are computed once per pair of nodes {x, -x}, against
+  B(x) + B(-x) or B(x) - B(-x), and a flip negates the sine weights of
+  its kernels.  The maps are applied to the stack of sums once per call
+  when it fits the axes engine's budget, and then a chunk of frequencies
+  is its weights and one GEMM; otherwise to each chunk's GEMM outputs.
 * direct (`gft_direct`): per frequency, exponentials of the kernel values
   at every node, two-sided products, and a sum over nodes.  It handles
   every spec and is the reference the other engines are tested against.
 
-Routing: a grid of frequencies whose nonzero kernels (at least one) are
-all direction kernels goes to the axes engine when each of those
-forms is diagonal and the phase bound sum_kj |a_kj| max|x_j| max|u_j| is
-finite, and so is its square times max_k |j_k|^2; otherwise its reason
-ends in "no axes engine: " and the first condition that failed ("right
-kernel 1 form not diagonal", the phase bound "is not finite", or the
-"squared phase bound times max_k |j_k|^2 is not finite").  Everything
-else, and every array of frequencies, runs the expansion engine while
-prod(1 + r_k) <= max(2^nu, 2^n), that is while its GEMM work per pair
-is at most that of 2^nu sign patterns or of one dense product; larger
-specs go to the direct engine.  The validate flag
-never changes which engine runs.
+Routing: a frequency grid whose nonzero kernels (at least one) are all
+direction kernels goes to the axes engine when each form is diagonal and
+the phase bound sum_kj |a_kj| max|x_j| max|u_j| is finite, and so is its
+square times max_k |j_k|^2; otherwise its reason ends in "no axes
+engine: " and the first condition that failed ("right kernel 1 form not
+diagonal", the phase bound "is not finite", or the "squared phase bound
+times max_k |j_k|^2 is not finite").  Everything else, and every array
+of frequencies, runs the expansion engine while prod(1 + r_k) <=
+max(2^nu, 2^n), its GEMM work per pair at most that of 2^nu sign
+patterns or one dense product; larger specs go to the direct engine.
+The validate flag never changes which engine runs.
 
 Planning: what depends on the spec alone is built on the first `plan` of
 a spec object and kept with it (`_spec_plan`): the kernel bases, the
-reason text up to the term count, the direct-engine and diagonal-form
-verdicts, and the axes engine's layout (fold order, the phase vectors up
-to sign and the matrix from their sums to the spectrum).  Each call pays
-for the rest: the phase bound from the grids' origin, spacing and
-extents, the routing, the DEBUG record, the tile sizes and the
-arithmetic.  No verdict about a grid is kept.
+reason up to the term count, the routing verdicts, the axes engine's
+layout and, on first use, the matrix of each flip set.  `parse_preset`
+shares one spec per selector, so all of this is built once per process.
+Each call pays for the phase bound, the routing, the DEBUG record, the
+tiles and the arithmetic.  No verdict about a grid is kept.
 
 Validation (validate=True) raises the same NotImaginary as the direct
-engine; `gft` and `gft_at` then turn numpy's overflow and invalid-value
-warnings off, and so does `gft_direct`.  The axes
+engine, with numpy's overflow and invalid-value warnings off.  The axes
 engine needs no per-sample check: each direction is checked once, and
-it runs only when the phase bound, and its square times max_k |j_k|^2,
-are finite, so every |f|^2 is.  The expansion engine checks a kernel
-whose factorization decided once that it squares to a real <= 0
-everywhere (`Factors.imaginary`: every direction, and cylindrical:n for
-n >= 3) per sample only for a finite |f|^2 = -<f^2>_0 |j|^2 (|j| = 1
-for blades); any other blade kernel is checked per (node, frequency)
-with `not_imaginary`, exp_neg_many's test.  f^2 is
-the same at x and -x, so the expansion engine checks each pair of nodes
-once, at its smaller index, the node the direct engine names.
+the phase bounds are finite, so every |f|^2 is.  The expansion engine
+checks a kernel that squares to a real <= 0 everywhere
+(`Factors.imaginary`) per sample only for a finite |f|^2; any other
+blade kernel per (node, frequency) with `not_imaginary`, exp_neg_many's
+test, once per pair of nodes, at the smaller index the direct engine
+names.  A flip leaves every check as it is.
 
 Determinism: the direct engine sums each frequency's rows with one fixed
 numpy reduction over row-major node order, so identical inputs give
 bit-identical spectra.  The axes and expansion engines are bit-identical
-for the same input and the same numpy build and BLAS thread count, and
-agree with the direct engine within 1e-12 * max(1, |F(u)|) per
-frequency: every engine takes cos and sin from `exponential.cos_sin`,
-but the expansion engine sums each pair of nodes {x, -x} before its
-GEMM, and the axes engine sums over phase vectors and applies the
-kernels' maps composed into one matrix.
+for the same inputs, numpy build and BLAS thread count, and agree with
+the direct engine within 1e-12 * max(1, |F(u)|): they sum over node
+pairs or phase vectors and compose the kernels' maps.  On the axes
+engine a field transformed with others is bit-identical to its own
+transform; flips, and fields on the expansion engine, are further GEMM
+columns, which BLAS may round differently by a few ulps.
 """
 
 from __future__ import annotations
@@ -101,7 +90,7 @@ import numpy as np
 
 from .algebra import Signature, blade_signs, gp_many, square_scalar_signs
 from .exponential import NotImaginary, cos_sin, cos_sinc, exp_neg_many, not_imaginary
-from .kernels import Factors, GftSpec, negate
+from .kernels import Factors, GftSpec
 
 __all__ = [
     "FreqGrid",
@@ -127,6 +116,8 @@ _BLOCK = 1 << 14
 # the field plus the spectrum, whichever is larger, unless a single
 # frequency needs more.
 _AXES_BLOCK = 1 << 18
+# A spec's plan keeps the axes engine's matrices of this many flip sets.
+_FLIP_SETS = 64
 # the real part and minus the imaginary part of (-i)^p for p = 0..3
 _UNIT_PARTS = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
 
@@ -283,18 +274,20 @@ def row_magnitudes(values: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.asarray(values, dtype=float), axis=1)
 
 
-def _check_spec(spec: GftSpec, field: SampledField) -> None:
+def _check_inputs(
+    spec: GftSpec, field: SampledField, freqs: FreqGrid | np.ndarray
+) -> FreqGrid | np.ndarray:
+    """`freqs`, a grid or a float (M, m) array, once it, the spec and the
+    field agree."""
+    if isinstance(freqs, FreqGrid) and freqs.m != field.m:
+        raise ValueError(f"frequency grid has m={freqs.m}, field has m={field.m}")
     if spec.sig != field.sig:
         raise ValueError(f"spec is over {spec.sig}, field over {field.sig}")
     if spec.m != field.m:
         raise ValueError(f"spec has m={spec.m}, field has m={field.m}")
-
-
-def _check_inputs(
-    spec: GftSpec, field: SampledField, unodes: np.ndarray
-) -> np.ndarray:
-    _check_spec(spec, field)
-    unodes = np.asarray(unodes, dtype=float)
+    if isinstance(freqs, FreqGrid):
+        return freqs
+    unodes = np.asarray(freqs, dtype=float)
     if unodes.ndim != 2 or unodes.shape[1] != spec.m:
         raise ValueError(f"frequency nodes must have shape (M, {spec.m})")
     if not np.isfinite(unodes).all():
@@ -312,33 +305,31 @@ def gft_direct(
 
     The reference engine: every other engine is checked against it.
     """
-    unodes = _check_inputs(spec, field, unodes)
-    return _gft_nodes("direct", None, spec, field, unodes, validate)
+    return _gft_many(spec, [field], unodes, validate=validate, direct=True)[:, 0, 0]
 
 
 def _direct_sum(
-    spec: GftSpec, field: SampledField, unodes: np.ndarray, validate: bool
+    spec: GftSpec, fields: Sequence[SampledField], unodes: np.ndarray, validate: bool,
+    flips: Sequence[tuple[Sequence[int], Sequence[int]]],
 ) -> np.ndarray:
-    sig = spec.sig
-    xs = field.nodes()
-    vol = field.cell_volume
-    out = np.empty((unodes.shape[0], sig.dim))
-    for i, u in enumerate(unodes):
-        rows = None
-        for pos, kern in enumerate(spec.left, start=1):
-            e = exp_neg_many(
-                sig, kern.values(xs, u), validate=validate,
-                label=f"left kernel {pos}",
-            )
-            rows = e if rows is None else gp_many(sig, rows, e)
-        rows = field.values if rows is None else gp_many(sig, rows, field.values)
-        for pos, kern in enumerate(spec.right, start=1):
-            e = exp_neg_many(
-                sig, kern.values(xs, u), validate=validate,
-                label=f"right kernel {pos}",
-            )
-            rows = gp_many(sig, rows, e)
-        out[i] = rows.sum(axis=0) * vol
+    sig, xs, vol = spec.sig, fields[0].nodes(), fields[0].cell_volume
+    out = np.empty((len(unodes), len(fields), len(flips), sig.dim))
+    for (i, u), (f, (j, k)) in itertools.product(enumerate(unodes), enumerate(flips)):
+        # e^{-f} of each kernel per side, a flipped kernel's values negated
+        left, right = ([exp_neg_many(sig, -v if bit else v, validate=validate,
+                                     label=f"{side} kernel {pos}")
+                        for pos, (kern, bit) in enumerate(zip(kernels, bits), start=1)
+                        for v in (kern.values(xs, u),)]
+                       for side, kernels, bits in (("left", spec.left, j),
+                                                   ("right", spec.right, k)))
+        lead = left[0] if left else None
+        for e in left[1:]:
+            lead = gp_many(sig, lead, e)
+        for b, field in enumerate(fields):
+            rows = field.values if lead is None else gp_many(sig, lead, field.values)
+            for e in right:
+                rows = gp_many(sig, rows, e)
+            out[i, b, f] = rows.sum(axis=0) * vol
     return out
 
 
@@ -430,14 +421,15 @@ class _Axes:
     """The axes engine's layout for one spec, with the kernels in fold
     order: the sign patterns sigma with sigma_1 = +1 (`_sign_patterns`)
     give the phase vectors c = sigma . a, kept once up to sign, and
-    `matrix` (`_axes_matrix`) takes a tile's sums to its spectrum."""
+    `matrices` (`_axes_matrix`) take a tile's sums to its spectra."""
 
     reach: tuple[float, ...]  # sum_k |a_kj| per axis j
     norm2: float              # max_k |j_k|^2
     keys: np.ndarray          # (D, m) distinct c up to sign, first nonzero > 0
     which: np.ndarray         # (2^(K-1),) the key of each pattern
     conj: np.ndarray          # (2^(K-1),) the pattern's c is minus its key
-    matrix: np.ndarray        # (2 D 2^n, 2^n)
+    # flip masks -> their (2 D 2^n, F 2^n) matrix, built on first use
+    matrices: dict[tuple[int, ...], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,18 +572,15 @@ def _axes_layout(order: Sequence[_Basis]) -> _Axes:
     which = np.array([index.setdefault(key, len(index)) for key in
                       map(tuple, (np.where(conj[:, None], -c, c) + 0.0).tolist())])
     keys = np.array(list(index)).reshape(len(index), a.shape[1])
-    arrays = keys, which, conj, _axes_matrix(order, len(keys), which, conj, [0])
-    for v in arrays:
+    for v in (keys, which, conj):
         v.setflags(write=False)
-    return _Axes(tuple(np.abs(a).sum(axis=0).tolist()), max(b.norm2 for b in order), *arrays)
+    return _Axes(tuple(np.abs(a).sum(axis=0).tolist()), max(b.norm2 for b in order),
+                 keys, which, conj, {})
 
 
-def _axes_matrix(
-    order: Sequence[_Basis], keys: int, which: np.ndarray, conj: np.ndarray,
-    flips: Sequence[int],
-) -> np.ndarray:
-    """The real (2 D 2^n, F 2^n) matrix that takes a tile's sums, the
-    float view of a (count, D, 2^n) complex array, to the spectra of the
+def _axes_matrix(rec: _SpecPlan, flips: Sequence[int]) -> np.ndarray:
+    """The read-only real (2 D 2^n, F 2^n) matrix that takes a tile's sums,
+    the float view of a (count, D, 2^n) complex array, to the spectra of the
     F sign flips, each a bit mask of the negated kernels with the first
     kernel in fold order the most significant bit.
 
@@ -605,6 +594,7 @@ def _axes_matrix(
     e^{-f_k} = cos - j sin into cos + j sin, so a flip multiplies term t
     by (-1)^(number of flipped kernels whose sine t takes).
     """
+    order, layout = rec.order, rec.axes
     k, dim = len(order), order[0].step.shape[0]
     maps = np.eye(dim)[None]  # G_t, the first kernel's bit the most significant
     for b in order:
@@ -617,14 +607,17 @@ def _axes_matrix(
     t, patterns = np.arange(1 << k), np.arange(1 << (k - 1))
     chi = 1.0 - 2.0 * (np.bitwise_count(t[:, None] & patterns) % 2)
     units = _UNIT_PARTS[:, np.bitwise_count(t) % 4, None]  # alpha, -beta
-    onehot = (which[:, None] == np.arange(keys)).astype(float)
-    eps = np.where(conj[:, None], -onehot, onehot)
+    keys = len(layout.keys)
+    onehot = (layout.which[:, None] == np.arange(keys)).astype(float)
+    eps = np.where(layout.conj[:, None], -onehot, onehot)
     flip = 1.0 - 2.0 * (np.bitwise_count(np.array(flips, dtype=np.int64)[:, None] & t) % 2)
     coef = flip[:, None, :, None] * (units * (chi @ np.stack((onehot, eps))))
     # (F, 2, D, 2^n, 2^n) -> rows (D, 2^n, 2), columns (F, 2^n)
     w = np.tensordot(coef, maps, axes=(2, 0)).transpose(2, 3, 1, 0, 4)
     w *= 0.5 ** (k - 1)
-    return w.reshape(2 * keys * dim, len(flips) * dim)
+    w = w.reshape(2 * keys * dim, len(flips) * dim)
+    w.setflags(write=False)
+    return w
 
 
 def _phase_refusal(
@@ -658,32 +651,34 @@ def _fold_order(bases: Sequence[_Basis]) -> list[_Basis]:
 
 
 def _gft_expansion(
-    rec: _SpecPlan, field: SampledField, unodes: np.ndarray, validate: bool
+    rec: _SpecPlan, field: SampledField, values: np.ndarray, unodes: np.ndarray,
+    validate: bool, masks: Sequence[int],
 ) -> np.ndarray:
-    """Expanded transform over the kernel bases of `rec`.
+    """Expanded transform over the kernel bases of `rec` of the fields
+    `values` (N, F, 2^n) on `field`'s grid, under each flip of `masks`
+    (`_gft_many`): an (M, flips, F 2^n) array.
 
-    Each e^{-f} is a sum of its basis terms with real weights, cos(rho)
-    and s_i sin(rho)/rho from `cos_sinc`, so the integrand expands into
-    prod(1 + r_k) terms w(x, u) G_L B(x) G_R with constant G_L, G_R.
-    Every f is linear in x, so f(-x, u) = -f(x, u), and a term's weight
-    is even or odd in x as its count of sin factors is.  The weights are computed only at the
-    nodes `_mirror_pairs` keeps, one per pair {x, -x}: even terms
-    contract against B(x) + B(-x), odd ones against B(x) - B(-x), and a
-    node without a mirror against B(x).  When the stack of these sums,
-    one per term, fits max(`_AXES_BLOCK`, field + spectrum values), each
-    term's constant maps are applied to it once, and a chunk of
-    frequencies is its weights and one GEMM.  Otherwise each chunk's GEMM
-    outputs are mapped and summed one kernel at a time.
+    The integrand expands into prod(1 + r_k) terms w(x, u) G_L B(x) G_R
+    with constant G_L, G_R and weights cos(rho) and s_i sin(rho)/rho from
+    `cos_sinc`, even or odd in x as the term's count of sin factors is.
+    They are computed at the nodes `_mirror_pairs` keeps, one per pair
+    {x, -x}: even terms contract against B(x) + B(-x), odd ones against
+    B(x) - B(-x), a node without a mirror against B(x).  When the stack
+    of these sums fits max(`_AXES_BLOCK`, field + spectrum values), each
+    term's maps are applied to it once, and a chunk of frequencies is its
+    weights and one GEMM; otherwise each chunk's GEMM outputs are mapped
+    and summed one kernel at a time.  Negating a kernel negates its s_i,
+    so a flip negates the weights of its sine terms.
     """
     dim, order = field.sig.dim, rec.order
-    values, xs = field.values, field.nodes()
+    cols, xs = values.shape[1] * dim, field.nodes()
     pairs = _mirror_pairs(field)
     if pairs is None:
         rows, stacks = np.arange(len(xs)), (values,)
     else:
         rows, twins = pairs
         xs, own = xs[rows], values[rows]
-        twin = np.where((twins != rows)[:, None], values[twins], 0.0)
+        twin = np.where((twins != rows)[:, None, None], values[twins], 0.0)
         stacks = (own + twin, own - twin)
     n, terms = len(rows), math.prod(b.terms for b in order)
     # the sum each term contracts against: its count of sin factors mod 2
@@ -691,19 +686,25 @@ def _gft_expansion(
     for b in order:
         parity = (parity[:, None] + (np.arange(b.terms) > 0)).ravel() % 2
     parity *= len(stacks) - 1
+    # each term's sign under each flip: -1 per flipped kernel whose sine it takes
+    signs = np.ones((len(masks), 1))
+    for i, b in enumerate(order if masks != (0,) else ()):  # nothing to sign without flips
+        flipped = (np.array(masks)[:, None] >> (len(order) - 1 - i)) & 1
+        sign = 1 - 2 * (flipped & (np.arange(b.terms) > 0))
+        signs = (signs[:, :, None] * sign[:, None]).reshape(len(masks), -1)
     mapped = None
-    if terms * n * dim <= max(_AXES_BLOCK, (field.node_count + len(unodes)) * dim):
+    if terms * n * cols <= max(_AXES_BLOCK, (field.node_count + len(unodes)) * cols):
         mapped, lead = np.array(stacks)[parity], 1
         for b in order:
             y = mapped.reshape(lead, b.terms, -1, dim).swapaxes(0, 1)
             y[1:] = b.mapped(y)
             lead *= b.terms
-        mapped = mapped.reshape(terms * n, dim)
+        mapped = mapped.reshape(terms * n, cols)
     # consecutive terms that contract against the same sum
     runs = [(len(list(group)), p) for p, group in itertools.groupby(parity.tolist())]
     phases = [(xs @ b.forms).transpose(2, 0, 1).reshape(field.m, -1) for b in order]
-    chunk = max(1, _BLOCK // (terms * n))
-    out = np.empty((len(unodes), dim))
+    chunk = max(1, _BLOCK // (terms * n * len(masks)))
+    out = np.empty((len(unodes), len(masks), cols))
     for lo in range(0, len(unodes), chunk):
         u = unodes[lo:lo + chunk]
         # w[:, terms]: the first kernel's term is the most significant;
@@ -714,16 +715,18 @@ def _gft_expansion(
             blocks, bad[b.label] = b.weights((u @ ph).reshape(len(u), -1, n), validate)
             w = blocks if w is None else (w[:, :, None] * blocks[:, None]).reshape(len(u), -1, n)
         _raise_first_violation(rec.bases, bad, rows)
+        if masks != (0,):  # rows (frequency, flip)
+            w = (w[:, None] * signs[:, :, None]).reshape(-1, terms, n)
         if mapped is not None:
-            out[lo:lo + chunk] = w.reshape(len(u), -1) @ mapped
+            out[lo:lo + chunk] = (w.reshape(len(w), -1) @ mapped).reshape(len(u), -1, cols)
             continue
-        y, t, w = np.empty((terms, len(u), dim)), 0, w.swapaxes(0, 1)
+        y, t, w = np.empty((terms, len(w), cols)), 0, w.swapaxes(0, 1)
         for count, p in runs:
-            np.matmul(w[t:t + count], stacks[p], out=y[t:t + count])
+            np.matmul(w[t:t + count], stacks[p].reshape(n, cols), out=y[t:t + count])
             t += count
         for b in order:
             y = b.fold(y.reshape(b.terms, -1, len(u), dim))
-        out[lo:lo + chunk] = y[0]
+        out[lo:lo + chunk] = y.reshape(len(u), -1, cols)
     out *= field.cell_volume
     return out
 
@@ -822,37 +825,31 @@ def _axes_tile(dims: Sequence[int], fdims: Sequence[int], keys: int, cols: int,
 
 
 def _gft_axes(
-    rec: _SpecPlan, field: SampledField, freqs: FreqGrid, matrix: np.ndarray
+    rec: _SpecPlan, field: SampledField, values: np.ndarray, freqs: FreqGrid,
+    matrix: np.ndarray,
 ) -> np.ndarray:
     """Transform on a frequency grid, one axis at a time: the
-    (M, `matrix` columns) spectra of `_axes_matrix`.
+    (M, F x `matrix` columns) spectra of `_axes_matrix` of the fields
+    `values` (N, F, 2^n) on `field`'s grid.
 
-    With every kernel one direction times s_k = sum_j a_kj x_j u_j, the
-    expansion engine's GEMM output for the cos/sin term t = (t_1..t_K) is
-
-        y_t = sum_sigma prod_k M[t_k, sigma_k] E_{sigma.a},
-        M = [[1/2, 1/2], [-i/2, i/2]],
-        E_c(u) = sum_x e^{i sum_j c_j x_j u_j} B(x),
-
-    over all sign patterns sigma, or 2 Re of the sum over those with
-    sigma_1 = +1, since E_{-c} = conj E_c.  Per tile of the frequency
-    grid (`_axes_tile`), each distinct phase vector up to sign is
-    contracted axis by axis (the first axis as one real GEMM of B against
-    cos and sin, the others as complex GEMMs); a tile reuses the first
-    axis's sums and the per-axis phase tables of the tile before it when
-    its range on that axis is the same.  Everything after the sums is
-    fixed per spec: the pattern of each key, its conjugation, the weights
-    prod_k M[t_k, sigma_k], the real part and the expansion engine's
-    constant maps, so a tile's spectrum is its sums times `matrix`, one
-    real GEMM.
+    The expansion engine's GEMM output for the cos/sin term t is
+    y_t = sum_sigma prod_k M[t_k, sigma_k] E_{sigma.a} over all sign
+    patterns, M = [[1/2, 1/2], [-i/2, i/2]], or 2 Re of the sum over those
+    with sigma_1 = +1.  Per tile of the frequency grid (`_axes_tile`),
+    each distinct phase vector up to sign is contracted axis by axis: the
+    first axis as one real GEMM of B, the fields side by side, against
+    cos and sin, the others as complex GEMMs.  A tile reuses the first
+    axis's sums and the phase tables of the tile before it when its range
+    on that axis is the same.  The rest is fixed per spec and flip set, so
+    a tile's spectra are its sums times `matrix`, one real GEMM.
     """
-    dim, dims, fdims = field.sig.dim, field.dims, freqs.dims
+    dim, dims, fdims, count_f = field.sig.dim, field.dims, freqs.dims, values.shape[1]
     keys, cols = rec.axes.keys, matrix.shape[1]
     xs = [_axis_coords(field, j) for j in range(field.m)]
     us = [_axis_coords(freqs, j) for j in range(field.m)]
-    b0 = field.values.reshape(dims[0], -1).T  # (rest of x and blades, d_1)
-    tile = _axes_tile(dims, fdims, len(keys), cols, dim)
-    out = np.empty(fdims + (cols,))
+    b0 = values.reshape(dims[0], -1).T  # (rest of x, fields and blades, d_1)
+    tile = _axes_tile(dims, fdims, len(keys), count_f * cols, count_f * dim)
+    out = np.empty(fdims + (count_f * cols,))
     held: dict[int, tuple[int, np.ndarray]] = {}  # axis -> (tile start, table)
     for starts in itertools.product(*(range(0, f, r) for f, r in zip(fdims, tile))):
         u = [us[j][lo:lo + r] for j, (lo, r) in enumerate(zip(starts, tile))]
@@ -871,56 +868,66 @@ def _gft_axes(
                 table = table.reshape(len(b0), len(keys), len(u[0]))
             held[j] = (starts[j], table)
             del theta, table
-        e = np.empty((count, len(keys), dim), dtype=complex)
+        e = np.empty((count, count_f, len(keys), dim), dtype=complex)
         for i in range(len(keys)):
-            s = held[0][1][:, i]  # axes 2..m of x, blades, u_1
+            s = held[0][1][:, i]  # axes 2..m of x, fields, blades, u_1
             for j in range(1, field.m):
-                s = s.reshape(dims[j], -1).T @ held[j][1][i]  # ..., blades, u_1..u_j
-            e[:, i] = s.reshape(dim, count).T
+                s = s.reshape(dims[j], -1).T @ held[j][1][i]  # ..., u_1..u_j
+            e[:, :, i] = s.reshape(count_f, dim, count).transpose(2, 0, 1)
         out[tuple(slice(lo, lo + len(v)) for lo, v in zip(starts, u))] = (
-            (e.view(float).reshape(count, -1) @ matrix).reshape(tuple(map(len, u)) + (cols,)))
+            (e.view(float).reshape(count * count_f, -1) @ matrix).reshape(
+                tuple(map(len, u)) + (count_f * cols,)))
     out *= field.cell_volume
-    return out.reshape(-1, cols)
+    return out.reshape(-1, count_f * cols)
 
 
-def _gft_flips(
-    spec: GftSpec, field: SampledField, freqs: FreqGrid,
-    flips: Sequence[tuple[Sequence[int], Sequence[int]]],
-) -> list[np.ndarray]:
-    """The unvalidated spectra of `gft(negate(spec, j, k), field, freqs)`
-    for every (j, k) of `flips`.
-
-    Negating kernels only changes the signs of the sine terms, so on the
-    axes engine the field is contracted once and every flip's
-    `_axes_matrix` applied in one GEMM; any other engine transforms each
-    flipped spec.
-    """
-    rec = _spec_plan(spec)
-    if _route(rec, field, freqs).engine != "axes":
-        return [gft(negate(spec, j, k), field, freqs, validate=False).values
-                for j, k in flips]
-    layout, dim, top = rec.axes, spec.sig.dim, len(rec.order) - 1
-    masks = []
-    for j, k in flips:
-        flipped = {f"{side} kernel {pos}" for side, bits in (("left", j), ("right", k))
-                   for pos, bit in enumerate(bits, start=1) if bit}
-        masks.append(sum(1 << (top - i) for i, b in enumerate(rec.order) if b.label in flipped))
-    matrix = _axes_matrix(rec.order, len(layout.keys), layout.which, layout.conj, masks)
-    values = _gft_axes(rec, field, freqs, matrix)
-    return [values[:, i * dim:(i + 1) * dim] for i in range(len(flips))]
-
-
-def _gft_nodes(
-    engine: str, rec: _SpecPlan | None, spec: GftSpec, field: SampledField,
-    unodes: np.ndarray, validate: bool,
+def _gft_many(
+    spec: GftSpec, fields: Sequence[SampledField], freqs: FreqGrid | np.ndarray,
+    flips: Sequence[tuple[Sequence[int], Sequence[int]]] = (), validate: bool = True,
+    direct: bool = False,
 ) -> np.ndarray:
+    """The transforms of `fields`, which must share one grid, at `freqs`
+    (a frequency grid or an (M, m) array) under `spec` with the kernels
+    of each flip (j, k) negated as `negate(spec, j, k)` negates them, or
+    under `spec` alone without flips: an (M, fields, flips, 2^n) array,
+    from one pass of the engine `plan` chooses (of the direct engine when
+    `direct`).  Each engine does what depends on the spec and the grids
+    once: the axes engine builds its phase tables and applies every
+    flip's matrix in one GEMM, the expansion engine computes and checks
+    its weights, and the direct engine its exponentials per frequency.
+    """
+    field = fields[0]
+    freqs = _check_inputs(spec, field, freqs)
+    rec = None if direct else _spec_plan(spec)
+    engine = "direct" if direct else _route(rec, field, freqs).engine
+    masks = (0,)
+    if flips and rec is not None:  # each flip a bit mask over rec.order, first kernel highest
+        top = len(rec.order) - 1
+        bits = [{f"{side} kernel {pos}": bit for side, v in (("left", j), ("right", k))
+                 for pos, bit in enumerate(v, start=1)} for j, k in flips]
+        masks = tuple(sum(d[b.label] << (top - i) for i, b in enumerate(rec.order))
+                      for d in bits)
+    # fields side by side, (N, F, 2^n); one field's values as they are
+    values = (field.values[:, None] if len(fields) == 1
+              else np.stack([f.values for f in fields], axis=1))
+    if engine == "axes":
+        matrix = rec.axes.matrices.get(masks)
+        if matrix is None:
+            matrix = _axes_matrix(rec, masks)
+            if len(rec.axes.matrices) < _FLIP_SETS:  # kept for this many flip sets
+                rec.axes.matrices[masks] = matrix
+        out = _gft_axes(rec, field, values, freqs, matrix)
+        return out.reshape(len(out), len(fields), len(masks), -1)
+    unodes = freqs.nodes() if isinstance(freqs, FreqGrid) else freqs
     # with every sample checked, a value that overflows or turns NaN
     # raises NotImaginary, so numpy's warnings about it are only noise
     ignore = "ignore" if validate else None  # None leaves the setting as it is
     with np.errstate(over=ignore, invalid=ignore):
         if engine == "expansion":
-            return _gft_expansion(rec, field, unodes, validate)
-        return _direct_sum(spec, field, unodes, validate)
+            out = _gft_expansion(rec, field, values, unodes, validate, masks)
+            return out.reshape(len(out), len(masks), len(fields), -1).swapaxes(1, 2)
+        return _direct_sum(spec, fields, unodes, validate,
+                           flips or [((0,) * spec.mu, (0,) * (spec.nu - spec.mu))])
 
 
 def gft_at(
@@ -931,9 +938,7 @@ def gft_at(
 ) -> np.ndarray:
     """Transform values at an explicit (M, m) array of frequency vectors,
     on the engine `plan` chooses (never the axes engine)."""
-    unodes = _check_inputs(spec, field, unodes)
-    rec = _spec_plan(spec)
-    return _gft_nodes(_route(rec, field, unodes).engine, rec, spec, field, unodes, validate)
+    return _gft_many(spec, [field], unodes, validate=validate)[:, 0, 0]
 
 
 def gft(
@@ -943,16 +948,7 @@ def gft(
     validate: bool = True,
 ) -> Spectrum:
     """Discrete transform of a sampled field on a frequency grid."""
-    if freqs.m != field.m:
-        raise ValueError(f"frequency grid has m={freqs.m}, field has m={field.m}")
-    _check_spec(spec, field)
-    rec = _spec_plan(spec)
-    p = _route(rec, field, freqs)
-    if p.engine == "axes":
-        values = _gft_axes(rec, field, freqs, rec.axes.matrix)
-    else:
-        values = _gft_nodes(p.engine, rec, spec, field, freqs.nodes(), validate)
-    return Spectrum(spec.sig, freqs, values)
+    return Spectrum(spec.sig, freqs, _gft_many(spec, [field], freqs, validate=validate)[:, 0, 0])
 
 
 def default_freqs(field: SampledField, scale: float = 1.0) -> FreqGrid:

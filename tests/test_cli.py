@@ -9,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from gafourier import cli, kernels, theorems
-from gafourier.algebra import Signature
+from gafourier import cli, kernels, theorems, transform
+from gafourier.algebra import Multivector, Signature
 from gafourier.cli import main
 from gafourier.exponential import NotImaginary
 from gafourier.fileio import FileFormatError, read_grid_file, write_field, write_kernels
@@ -329,16 +329,56 @@ def test_verify_factors_each_preset_kernel_once(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(kernels, "_factor", counting)
+    kernels.parse_preset.cache_clear()  # fresh specs, whatever ran before
     count = 0
     for sel in kernels.VERIFY_PRESETS:
         args = argparse.Namespace(theorem="all", preset=sel, seed=3, size=8, tol=None)
         assert not any(bad for _, bad in cli._verify_lines(args))
         spec = parse_preset(sel)
         count += len(spec.left + spec.right)
-    # flipped kernels are factored afresh only where a check transforms a
-    # negated spec: cylindrical:2's left-product check, the one flip off
-    # the axes engine
-    assert count == 14 and len(calls) == count + 1
+    # one factorization per preset kernel; sign flips factor nothing, on
+    # every engine, cylindrical:2's expansion engine included
+    assert count == 14 and len(calls) == count
+
+
+def test_parse_preset_shares_one_spec_per_selector():
+    kernels.parse_preset.cache_clear()
+    spec = parse_preset("quaternionic")
+    assert parse_preset("quaternionic") is spec
+    assert parse_preset("clifford:2") is not spec
+    assert parse_preset("Quaternionic") is not spec
+    # a bivector spec built by `preset` is new on every call
+    e12 = Multivector.blade(Signature(4, 0), "e12")
+    assert kernels.preset("color_image", bivector=e12) is not kernels.preset(
+        "color_image", bivector=e12)
+    size = kernels.parse_preset.cache_info().maxsize
+    assert size is not None
+    for n in range(size + 1):
+        parse_preset(f"buelow:{'0' * n}1")  # distinct texts, one preset
+    assert kernels.parse_preset.cache_info().currsize == size
+    assert parse_preset("quaternionic") is not spec
+
+
+def test_shared_spec_plans_are_read_only():
+    # every array the plan of a shared spec keeps, after each check ran
+    kernels.parse_preset.cache_clear()
+    for sel in kernels.VERIFY_PRESETS:
+        args = argparse.Namespace(theorem="all", preset=sel, seed=3, size=8, tol=None)
+        assert not any(bad for _, bad in cli._verify_lines(args))
+        rec = transform._spec_plan(parse_preset(sel))
+        arrays = [v for b in rec.bases for v in (b.forms, b.step, b.gather, b.sign,
+                                                 b.squares, *(b.pairs or ()))]
+        if rec.axes is not None:
+            assert len(rec.axes.matrices) >= 1
+            arrays += [rec.axes.keys, rec.axes.which, rec.axes.conj,
+                       *rec.axes.matrices.values()]
+        for kern in parse_preset(sel).left + parse_preset(sel).right:
+            arrays += [kern.tensor, kern.factors.forms, kern.factors.direction,
+                       kern.factors.blades]
+        arrays = [v for v in arrays if v is not None]
+        assert arrays
+        for v in arrays:
+            assert not v.flags.writeable, sel
 
 
 @pytest.mark.parametrize("selector, engine", [
@@ -394,9 +434,10 @@ def test_verify_skip_makes_no_transform(monkeypatch, capsys, theorem):
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return gft(*args, **kwargs)
+        return many(*args, **kwargs)
 
-    monkeypatch.setattr(theorems, "gft", counting)
+    many = theorems._gft_many
+    monkeypatch.setattr(theorems, "_gft_many", counting)
     argv = ["verify", "--preset", "cylindrical:3", "--size", "4", "--theorem"]
     assert main(argv + [theorem]) == 0
     assert "SKIP(not separable" in capsys.readouterr().out
@@ -489,6 +530,17 @@ def test_image_refuses_a_bivector_whose_square_overflows(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: color_image needs a unit bivector with square -1\n")
+    assert not out.exists()
+
+
+def test_image_names_an_impure_bivector_whose_norm_overflows(tmp_path, capsys):
+    # |1e200 e1 + e12| overflows unscaled; the purity test scales it first
+    img, out = tmp_path / "img.ppm", tmp_path / "img.mvf"
+    _write_ppm(img, 4, 4)
+    rc = main(["image", "--input", str(img), "--bivector", "1e200*e1 + 1*e12",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: color_image needs a pure bivector\n"
     assert not out.exists()
 
 

@@ -777,25 +777,77 @@ def test_sign_flips_from_one_contraction(selector, monkeypatch):
     flips = _sign_flips(spec)
     calls, run = [], transform._gft_axes
     monkeypatch.setattr(transform, "_gft_axes", lambda *args: calls.append(1) or run(*args))
-    got = transform._gft_flips(spec, field, freqs, flips)
-    assert len(calls) == 1 and len(got) == len(flips) == 2 ** (len(spec.left) + len(spec.right))
-    for (j, k), values in zip(flips, got):
+    got = transform._gft_many(spec, [field], freqs, flips)[:, 0]
+    assert len(calls) == 1 and got.shape[1] == len(flips) == 2 ** spec.nu
+    for i, (j, k) in enumerate(flips):
         flipped = negate(spec, j, k)
-        _assert_agrees(values, gft_direct(flipped, field, freqs.nodes()))
+        _assert_agrees(got[:, i], gft_direct(flipped, field, freqs.nodes()))
         ref = gft(flipped, field, freqs).values
-        err = np.linalg.norm(values - ref, axis=1)
+        err = np.linalg.norm(got[:, i] - ref, axis=1)
         assert (err <= 1e-15 * np.maximum(1.0, np.linalg.norm(ref, axis=1))).all(), (j, k)
 
 
-def test_sign_flips_off_the_axes_engine():
-    # the expansion engine transforms each flipped spec
-    spec = parse_preset("cylindrical:2")
-    field = SampledField.random(spec.sig, (4, 4), np.random.default_rng(30))
+@pytest.mark.parametrize("selector", ["cylindrical:2", "cylindrical:3"])
+@pytest.mark.parametrize("dims", [(4,) * 3, (5,) * 3])  # paired nodes, and one unpaired
+def test_sign_flips_on_the_expansion_engine(selector, dims, monkeypatch):
+    # the weights negated per sine term, against the negated spec's own
+    # transform and the direct engine, with no new spec or factorization
+    spec = parse_preset(selector)
+    field = SampledField.random(spec.sig, dims[:spec.m], np.random.default_rng(30))
     freqs = default_freqs(field)
     assert plan(spec, field, freqs).engine == "expansion"
     flips = _sign_flips(spec)
-    for (j, k), values in zip(flips, transform._gft_flips(spec, field, freqs, flips)):
-        assert np.array_equal(values, gft(negate(spec, j, k), field, freqs).values)
+    monkeypatch.setattr(kernels, "_factor", None)  # any factorization fails
+    got = transform._gft_many(spec, [field, field], freqs, flips)
+    monkeypatch.undo()
+    assert got.shape == (freqs.node_count, 2, len(flips), spec.sig.dim)
+    for i, (j, k) in enumerate(flips):
+        flipped = negate(spec, j, k)
+        ref = gft(flipped, field, freqs).values
+        for values in got[:, :, i].swapaxes(0, 1):
+            err = np.linalg.norm(values - ref, axis=1)
+            assert (err <= 1e-15 * np.maximum(1.0, np.linalg.norm(ref, axis=1))).all(), (j, k)
+            _assert_agrees(values, gft_direct(flipped, field, freqs.nodes()))
+
+
+@pytest.mark.parametrize("selector", kernels.VERIFY_PRESETS)
+def test_many_fields_match_one_field(selector):
+    # fields side by side as rows of the axes engine's GEMMs give each
+    # field's own spectrum bit for bit; the expansion engine has them as
+    # columns of its GEMM, which BLAS may round differently
+    spec = parse_preset(selector)
+    rng = np.random.default_rng(31)
+    dims = ((8, 8, 6, 4)[spec.m - 1],) * spec.m
+    fields = [SampledField.random(spec.sig, dims, rng) for _ in range(3)]
+    freqs = default_freqs(fields[0])
+    got = transform._gft_many(spec, fields, freqs)
+    assert got.shape == (freqs.node_count, 3, 1, spec.sig.dim)
+    axes = plan(spec, fields[0], freqs).engine == "axes"
+    assert axes == (selector in AXES_PRESETS)
+    for field, values in zip(fields, got[:, :, 0].swapaxes(0, 1)):
+        ref = gft(spec, field, freqs).values
+        if axes:
+            assert np.array_equal(values, ref)
+        err = np.linalg.norm(values - ref, axis=1)
+        assert (err <= 1e-14 * np.maximum(1.0, np.linalg.norm(ref, axis=1))).all()
+
+
+def test_many_fields_on_the_direct_engine():
+    # per-sample kernels past the term limit: fields and flips on the
+    # direct engine, each as its own transform
+    sig = Signature(0, 3)
+    kern = KernelMatrix.sparse(sig, 2, [(0, 0, Multivector.blade(sig, "e1")),
+                                        (1, 1, Multivector.blade(sig, "e2"))])
+    spec = GftSpec(sig, 2, (kern, kern), (kern,))
+    rng = np.random.default_rng(32)
+    fields = [SampledField.random(sig, (3, 3), rng) for _ in range(2)]
+    freqs = FreqGrid((2, 2), (-0.3, -0.2), (0.25, 0.25))
+    assert plan(spec, fields[0], freqs).engine == "direct"
+    flips = _sign_flips(spec)
+    got = transform._gft_many(spec, fields, freqs, flips)
+    for (b, field), (i, (j, k)) in itertools.product(enumerate(fields), enumerate(flips)):
+        want = gft_direct(negate(spec, j, k), field, freqs.nodes())
+        assert np.array_equal(got[:, b, i], want), (b, j, k)
 
 
 @pytest.mark.parametrize("selector, dims, fdims", [
@@ -953,7 +1005,7 @@ def test_second_plan_builds_no_basis(monkeypatch):
         return build_plan(spec)
 
     monkeypatch.setattr(transform, "_build_spec_plan", counting_plan)
-    spec = parse_preset("color_image")
+    spec = kernels.preset("color_image")  # not the shared spec of parse_preset
     field = SampledField.random(spec.sig, (4, 4), np.random.default_rng(33))
     freqs = default_freqs(field)
     first = plan(spec, field, freqs)
@@ -984,8 +1036,11 @@ def test_plan_bases_are_read_only():
     arrays = [v for b in bases for v in (b.forms, b.step, b.gather, b.sign, b.squares,
                                          *(b.pairs or ())) if v is not None]
     # as are the arrays of the axes layout a spec keeps for every gft
-    layout = transform._spec_plan(parse_preset("color_image")).axes
-    arrays += [layout.keys, layout.which, layout.conj, layout.matrix]
+    color = kernels.preset("color_image")
+    field = SampledField.random(color.sig, (4, 4), np.random.default_rng(34))
+    gft(color, field, default_freqs(field))
+    layout = transform._spec_plan(color).axes
+    arrays += [layout.keys, layout.which, layout.conj, *layout.matrices.values()]
     assert len(arrays) == 2 + 4 + 3 + 4
     for v in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -996,7 +1051,7 @@ def test_spec_plan_dies_with_its_spec():
     import gc
     import weakref
 
-    spec = parse_preset("quaternionic")
+    spec = kernels.preset("quaternionic")  # parse_preset would share it
     field = SampledField.random(spec.sig, (4, 4), np.random.default_rng(35))
     gft(spec, field, default_freqs(field))
     refs = weakref.ref(spec), weakref.ref(transform._spec_plan(spec))
