@@ -14,17 +14,13 @@ gives that grid and the grid of `scaled_field`.  For a < 0 the division
 mirrors a grid, so its rows are read back reversed along every axis.
 
 Every split (`commsplit`) is against a kernel's constant direction, so
-it is the same projector pair at every frequency: the shift check splits
-the exponentials of all frequencies as (M, 2**n) stacks and assembles
-its right-hand side with `gp_many`, with no loop over frequencies.  The
-left and right product checks are one body, mirrored by side: both
-split the constant with the swap lemma and drop the same negligible
-components.
-
-Linearity, the product checks and shift make one `transform._gft_many`
-call each, for every field and sign-flipped kernel set they read, so
-the engine checks the kernels once and contracts each field once.  The
-scaling check's right-hand side is on another grid and skips the
+it is the same projector pair at every frequency.  The product and
+shift checks build their right-hand sides with one swap-lemma sum,
+`_split_sum`: split factors (C's components, or the shift's
+exponentials as (M, 2**n) stacks) times sign-flipped transforms of B,
+with no loop over frequencies.  Linearity and that sum make one
+`transform._gft_many` call each, for every field and flip they read.
+The scaling check's right-hand side is on another grid and skips the
 kernel-value check: its values are the checked ones, rescaled.
 """
 
@@ -125,10 +121,8 @@ def check_linearity(
     tol: float = 1e-12,
 ) -> TheoremReport:
     """Transform of b*B + c*C against the combination of transforms."""
-    if any(getattr(b_field, a) != getattr(c_field, a)
-           for a in ("sig", "dims", "origin", "spacing")):
-        raise ValueError("linearity check needs fields on one shared grid")
-    combined = b_field.with_values(b * b_field.values + c * c_field.values)
+    with np.errstate(over="ignore", invalid="ignore"):  # with_values refuses inf and NaN
+        combined = b_field.with_values(b * b_field.values + c * c_field.values)
     lhs, fb, fc = _gft_many(spec, [combined, b_field, c_field], freqs)[:, :, 0].swapaxes(0, 1)
     return _report("linearity", lhs, b * fb + c * fc, tol)
 
@@ -185,16 +179,40 @@ def check_scaling(
 
 def _constant_components(
     c: Multivector, dirs: Sequence[Multivector], direction: str
-) -> list[tuple[SplitIndex, Multivector]]:
-    """C's split components against `dirs`, in sign-vector order, without
-    those of norm at most STRUCTURAL_TOL * max(1, |C|)."""
+) -> list[tuple[np.ndarray, SplitIndex]]:
+    """C's split components against `dirs` as (coefficients, sign vector)
+    terms in sign-vector order, without those of norm at most
+    STRUCTURAL_TOL * max(1, |C|)."""
     comps = split_multi(c, list(dirs), direction)
     scale = max(1.0, c.magnitude())
     return [
-        (bits, comp)
+        (comp.coeffs, bits)
         for bits, comp in sorted(comps.items())
         if comp.magnitude() > STRUCTURAL_TOL * scale
     ]
+
+
+def _split_sum(
+    spec: GftSpec, field: SampledField, b_field: SampledField, freqs: FreqGrid,
+    left_terms: Sequence[tuple[np.ndarray | None, SplitIndex]],
+    right_terms: Sequence[tuple[np.ndarray | None, SplitIndex]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F(field), the swap lemma's sum of lf . F_{j,k}(B) . rf over every
+    left term (lf, j) and right term (rf, k), and F(B), from one
+    `_gft_many` pass that transforms B once per distinct flip.  A factor
+    is a coefficient row or an (M, 2**n) stack; a side without factors
+    has the one term (None, zeros) and is not multiplied."""
+    unflipped = ((0,) * len(spec.left), (0,) * len(spec.right))
+    flips = list(dict.fromkeys([unflipped] + [(j, k) for _, j in left_terms
+                                              for _, k in right_terms]))
+    spectra = _gft_many(spec, [field, b_field], freqs, flips)
+    spectrum = dict(zip(flips, spectra[:, 1].swapaxes(0, 1)))
+    rhs = np.zeros_like(spectra[:, 0, 0])
+    for lf, j in left_terms:
+        for rf, k in right_terms:
+            term = spectrum[j, k] if lf is None else gp_many(spec.sig, lf, spectrum[j, k])
+            rhs += term if rf is None else gp_many(spec.sig, term, rf)
+    return spectra[:, 0, 0], rhs, spectrum[unflipped]
 
 
 def _check_product(
@@ -210,23 +228,16 @@ def _check_product(
     the left, forward on the right) times transforms of B with those
     kernels flipped where the component anticommutes."""
     left = side == "left"
-
-    def times_c(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return gp_many(spec.sig, x, rows) if left else gp_many(spec.sig, rows, x)
-
     # NotSeparable, if the side has no directions, before any transform
     comps = _constant_components(c, side_directions(spec, side),
                                  "backward" if left else "forward")
-    product_field = b_field.with_values(times_c(c.coeffs, b_field.values))
-    # F(C B) unflipped, then F(B) under each component's flip, in one pass
-    none = (0,) * len(spec.right if left else spec.left)
-    bits = [(0,) * len(spec.left if left else spec.right)] + [b for b, _ in comps]
-    flips = [(b, none) if left else (none, b) for b in bits]
-    spectra = _gft_many(spec, [product_field, b_field], freqs, flips)
-    lhs = spectra[:, 0, 0]
-    rhs = np.zeros_like(lhs)
-    for i, (_, comp) in enumerate(comps, start=1):
-        rhs += times_c(comp.coeffs, spectra[:, 1, i])
+    # the other side keeps its kernels unflipped and has no factor
+    other = [(None, (0,) * len(spec.right if left else spec.left))]
+    if left:
+        product, terms = gp_many(spec.sig, c.coeffs, b_field.values), (comps, other)
+    else:
+        product, terms = gp_many(spec.sig, b_field.values, c.coeffs), (other, comps)
+    lhs, rhs, _ = _split_sum(spec, b_field.with_values(product), b_field, freqs, *terms)
     return _report(f"{side}-product", lhs, rhs, tol, detail=f"terms={len(comps)}")
 
 
@@ -259,8 +270,11 @@ def shifted_field(field: SampledField, x0: Sequence[float]) -> SampledField:
     x0 must be an integer multiple of the spacing per axis, and every
     nonzero sample must stay on the grid after the index shift.
     """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (field.m,):
+        raise OffGridShift(f"shift vector has length {x0.size}, field has m={field.m}")
     offs = []
-    for k, (v, s) in enumerate(zip(np.asarray(x0, dtype=float), field.spacing)):
+    for k, (v, s) in enumerate(zip(x0, field.spacing)):
         t = v / s
         if not np.isfinite(t) or abs(t - round(t)) > RELATIVE_TOL * max(1.0, abs(t)):
             raise OffGridShift(
@@ -270,8 +284,7 @@ def shifted_field(field: SampledField, x0: Sequence[float]) -> SampledField:
         offs.append(int(round(t)))
     shaped = field.values.reshape(field.dims + (field.sig.dim,))
     out = np.zeros_like(shaped)
-    src = []
-    dst = []
+    src, dst = [], []
     for d, t in zip(field.dims, offs):
         if abs(t) >= d:
             src.append(slice(0, 0))
@@ -288,11 +301,8 @@ def shifted_field(field: SampledField, x0: Sequence[float]) -> SampledField:
 
 
 def _mutually_commutative(dirs: Sequence[Multivector]) -> bool:
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            if (dirs[i] * dirs[j] - dirs[j] * dirs[i]).magnitude() > STRUCTURAL_TOL:
-                return False
-    return True
+    return not any((a * b - b * a).magnitude() > STRUCTURAL_TOL
+                   for i, a in enumerate(dirs) for b in dirs[i + 1:])
 
 
 def check_shift(
@@ -313,8 +323,7 @@ def check_shift(
     prod e^{-f(x0,u)};  the collapsed form is then also evaluated and
     folded into the residual.
     """
-    left_dirs = side_directions(spec, "left")
-    right_dirs = side_directions(spec, "right")
+    left_dirs, right_dirs = side_directions(spec, "left"), side_directions(spec, "right")
     x0 = np.asarray(x0, dtype=float)
     unodes = freqs.nodes()
     shifted = shifted_field(b_field, x0)
@@ -323,34 +332,20 @@ def check_shift(
         [unodes @ np.tensordot(x0, k.tensor, axes=1) for k in side]
         for side in (spec.left, spec.right)
     )
-    one = [(np.tile(np.eye(1, spec.sig.dim), (len(unodes), 1)), ())]
     left_terms = (shift_exponential_terms(left_vals, "lower", left_dirs)
-                  if left_vals else one)
+                  if left_vals else [(None, ())])
     right_terms = (shift_exponential_terms(right_vals, "upper", right_dirs)
-                   if right_vals else one)
+                   if right_vals else [(None, ())])
+    lhs, rhs, flat = _split_sum(spec, shifted, b_field, freqs, left_terms, right_terms)
 
-    unflipped = ((0,) * len(spec.left), (0,) * len(spec.right))
-    collapse = _mutually_commutative(left_dirs) and _mutually_commutative(right_dirs)
-    # every sign flip the sum reads, each transformed once, and F(B(. - x0))
-    flips = list(dict.fromkeys([unflipped] + [(j, k) for _, j in left_terms
-                                              for _, k in right_terms]))
-    spectra = _gft_many(spec, [shifted, b_field], freqs, flips)
-    lhs, spectrum = spectra[:, 0, 0], dict(zip(flips, spectra[:, 1].swapaxes(0, 1)))
-
-    rhs = np.zeros_like(lhs)
-    for lf, j in left_terms:
-        for rf, k in right_terms:
-            rhs += gp_many(spec.sig, gp_many(spec.sig, lf, spectrum[j, k]), rf)
-
-    def most_terms(terms: list[tuple[np.ndarray, SplitIndex]]) -> int:
+    def most_terms(terms: list[tuple[np.ndarray | None, SplitIndex]]) -> int:
         # the largest number of terms that survive at any one frequency
-        alive = sum(factor.any(axis=1).astype(int) for factor, _ in terms)
+        alive = sum(1 if f is None else f.any(axis=1).astype(int) for f, _ in terms)
         return int(np.max(alive, initial=0))
 
     detail = f"terms={most_terms(left_terms)}x{most_terms(right_terms)}"
     collapse_residual = 0.0
-    if collapse:
-        flat = spectrum[unflipped]
+    if _mutually_commutative(left_dirs) and _mutually_commutative(right_dirs):
         for f in reversed(left_vals):
             flat = gp_many(spec.sig, exp_neg_many(spec.sig, f, validate=False), flat)
         for f in right_vals:

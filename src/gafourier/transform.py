@@ -6,11 +6,11 @@ The transform of a field A at one frequency u is the Riemann sum
 
 over all grid nodes x, with the kernel products taken in their configured
 order.  The frequency grid is arbitrary and independent of the spatial
-one.  `gft` (a frequency grid), `gft_at` (an (M, m) array) and
-`gft_direct` are one field under one spec of the one internal entry,
-`_gft_many`: several fields on one grid under a spec and any sign flips
-of its kernels (`kernels.negate`), in one pass of one of three engines,
-chosen per call by `plan`:
+one.  `gft` (a frequency grid) and `gft_at` (an (M, m) array) are one
+field under one spec of the one internal entry, `_gft_many`: several
+fields on one grid under a spec and any sign flips of its kernels
+(`kernels.negate`), in one pass of one of three engines, chosen per
+call by `plan`:
 
 * axes: every kernel is one direction j_k with j_k^2 = -1, checked once,
   times a diagonal form s_k = sum_j a_kj x_j u_j, and the frequencies form
@@ -34,9 +34,10 @@ chosen per call by `plan`:
   its kernels.  The maps are applied to the stack of sums once per call
   when it fits the axes engine's budget, and then a chunk of frequencies
   is its weights and one GEMM; otherwise to each chunk's GEMM outputs.
-* direct (`gft_direct`): per frequency, exponentials of the kernel values
-  at every node, two-sided products, and a sum over nodes.  It handles
-  every spec and is the reference the other engines are tested against.
+* direct (`gft_direct`): one field under one spec; per frequency,
+  exponentials of the kernel values at every node, two-sided products,
+  and a sum over nodes.  It handles every spec and is the reference the
+  other engines are tested against; flips go through `negate`.
 
 Routing: a frequency grid whose nonzero kernels (at least one) are all
 direction kernels goes to the axes engine when each form is diagonal and
@@ -56,7 +57,8 @@ reason up to the term count, the routing verdicts, the axes engine's
 layout and, on first use, the matrix of each flip set.  `parse_preset`
 shares one spec per selector, so all of this is built once per process.
 Each call pays for the phase bound, the routing, the DEBUG record, the
-tiles and the arithmetic.  No verdict about a grid is kept.
+tiles and the arithmetic.  A grid keeps its axis coordinates
+(`_axis_coords`) but no verdict.
 
 Validation (validate=True) raises the same NotImaginary as the direct
 engine, with numpy's overflow and invalid-value warnings off.  The axes
@@ -90,7 +92,7 @@ import numpy as np
 
 from .algebra import Signature, blade_signs, gp_many, square_scalar_signs
 from .exponential import NotImaginary, cos_sin, cos_sinc, exp_neg_many, not_imaginary
-from .kernels import Factors, GftSpec
+from .kernels import Factors, GftSpec, negate
 
 __all__ = [
     "FreqGrid",
@@ -305,31 +307,31 @@ def gft_direct(
 
     The reference engine: every other engine is checked against it.
     """
-    return _gft_many(spec, [field], unodes, validate=validate, direct=True)[:, 0, 0]
+    freqs = _check_inputs(spec, field, unodes)
+    unodes = freqs.nodes() if isinstance(freqs, FreqGrid) else freqs
+    return _direct_sum(spec, field, unodes, validate)
 
 
 def _direct_sum(
-    spec: GftSpec, fields: Sequence[SampledField], unodes: np.ndarray, validate: bool,
-    flips: Sequence[tuple[Sequence[int], Sequence[int]]],
+    spec: GftSpec, field: SampledField, unodes: np.ndarray, validate: bool
 ) -> np.ndarray:
-    sig, xs, vol = spec.sig, fields[0].nodes(), fields[0].cell_volume
-    out = np.empty((len(unodes), len(fields), len(flips), sig.dim))
-    for (i, u), (f, (j, k)) in itertools.product(enumerate(unodes), enumerate(flips)):
-        # e^{-f} of each kernel per side, a flipped kernel's values negated
-        left, right = ([exp_neg_many(sig, -v if bit else v, validate=validate,
-                                     label=f"{side} kernel {pos}")
-                        for pos, (kern, bit) in enumerate(zip(kernels, bits), start=1)
-                        for v in (kern.values(xs, u),)]
-                       for side, kernels, bits in (("left", spec.left, j),
-                                                   ("right", spec.right, k)))
-        lead = left[0] if left else None
-        for e in left[1:]:
-            lead = gp_many(sig, lead, e)
-        for b, field in enumerate(fields):
-            rows = field.values if lead is None else gp_many(sig, lead, field.values)
-            for e in right:
-                rows = gp_many(sig, rows, e)
-            out[i, b, f] = rows.sum(axis=0) * vol
+    sig, xs = spec.sig, field.nodes()
+    out = np.empty((len(unodes), sig.dim))
+    # with every sample checked, a value that overflows or turns NaN
+    # raises NotImaginary, so numpy's warnings about it are only noise
+    ignore = "ignore" if validate else None  # None leaves the setting as it is
+    with np.errstate(over=ignore, invalid=ignore):
+        for i, u in enumerate(unodes):
+            rows = None
+            for pos, kern in enumerate(spec.left, start=1):
+                e = exp_neg_many(sig, kern.values(xs, u), validate=validate,
+                                 label=f"left kernel {pos}")
+                rows = e if rows is None else gp_many(sig, rows, e)
+            rows = field.values if rows is None else gp_many(sig, rows, field.values)
+            for pos, kern in enumerate(spec.right, start=1):
+                rows = gp_many(sig, rows, exp_neg_many(sig, kern.values(xs, u), validate=validate,
+                                                       label=f"right kernel {pos}"))
+            out[i] = rows.sum(axis=0) * field.cell_volume
     return out
 
 
@@ -342,6 +344,7 @@ class _Basis:
 
     side: str
     label: str
+    index: int                          # position in spec.left + spec.right
     forms: np.ndarray                   # (r, m, m)
     pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     imaginary: bool
@@ -446,8 +449,7 @@ class _SpecPlan:
 
     reason: str
     direct: bool = False
-    bases: tuple[_Basis, ...] = ()
-    order: tuple[_Basis, ...] = ()  # `_fold_order` of the bases
+    order: tuple[_Basis, ...] = ()  # the kernel bases, in `_fold_order`
     refusal: str | None = None
     axes: _Axes | None = None
 
@@ -506,14 +508,14 @@ def _build_spec_plan(spec: GftSpec) -> _SpecPlan:
     sig = spec.sig
     limit = max(1 << spec.nu, sig.dim)
     bases, notes, terms = [], [], 1
-    for side, kernels in (("left", spec.left), ("right", spec.right)):
-        for pos, kern in enumerate(kernels, start=1):
-            label = f"{side} kernel {pos}"
+    for side, kernels, first in (("left", spec.left, 0), ("right", spec.right, spec.mu)):
+        for index, kern in enumerate(kernels, start=first):
+            label = f"{side} kernel {index - first + 1}"
             f = kern.factors
             if f is None:
                 notes.append(f"{label}: zero")
                 continue
-            b = _basis(sig, f, side, label)
+            b = _basis(sig, f, side, label, index)
             terms *= b.terms
             if terms > limit:
                 bound = f"2^n = {limit}" if limit == sig.dim else f"2^nu = {limit}"
@@ -521,18 +523,17 @@ def _build_spec_plan(spec: GftSpec) -> _SpecPlan:
             bases.append(b)
             notes.append(b.describe())
     notes.append(f"{terms} term{'s' if terms > 1 else ''}")
-    bases, order = tuple(bases), tuple(_fold_order(bases))
-    refusal = axes = None
+    order, refusal, axes = tuple(_fold_order(bases)), None, None
     if bases and all(b.step is not None for b in bases):
         refusal = next((f"{b.label} form not diagonal" for b in bases
                         if np.count_nonzero(b.forms[0])
                         > np.count_nonzero(np.diagonal(b.forms[0]))), None)
         if refusal is None:
             axes = _axes_layout(order)
-    return _SpecPlan("; ".join(notes), bases=bases, order=order, refusal=refusal, axes=axes)
+    return _SpecPlan("; ".join(notes), order=order, refusal=refusal, axes=axes)
 
 
-def _basis(sig: Signature, f: Factors, side: str, label: str) -> _Basis:
+def _basis(sig: Signature, f: Factors, side: str, label: str, index: int) -> _Basis:
     """The basis of one nonzero kernel on one side, with read-only maps.
 
     A direction has `step`, the dense row-form map of x -> (-j) x on
@@ -558,7 +559,7 @@ def _basis(sig: Signature, f: Factors, side: str, label: str) -> _Basis:
             "squares": square_scalar_signs(sig)[f.blades]}
     for v in maps.values():
         v.setflags(write=False)
-    return _Basis(side, label, f.forms, f.pairs, f.imaginary, norm2, **maps)
+    return _Basis(side, label, index, f.forms, f.pairs, f.imaginary, norm2, **maps)
 
 
 def _axes_layout(order: Sequence[_Basis]) -> _Axes:
@@ -638,8 +639,8 @@ def _phase_refusal(
 
 def _axis_max(grid: FreqGrid | SampledField, j: int) -> float:
     """Largest |coordinate| along axis j of a regular grid."""
-    origin = grid.origin[j]
-    return max(abs(origin), abs(origin + (grid.dims[j] - 1) * grid.spacing[j]))
+    coords = _axis_coords(grid, j)  # increasing, so an end is the largest
+    return float(max(-coords[0], coords[-1]))
 
 
 def _fold_order(bases: Sequence[_Basis]) -> list[_Basis]:
@@ -656,7 +657,7 @@ def _gft_expansion(
 ) -> np.ndarray:
     """Expanded transform over the kernel bases of `rec` of the fields
     `values` (N, F, 2^n) on `field`'s grid, under each flip of `masks`
-    (`_gft_many`): an (M, flips, F 2^n) array.
+    (`_gft_many`): an (M, F, flips, 2^n) array.
 
     The integrand expands into prod(1 + r_k) terms w(x, u) G_L B(x) G_R
     with constant G_L, G_R and weights cos(rho) and s_i sin(rho)/rho from
@@ -710,11 +711,12 @@ def _gft_expansion(
         # w[:, terms]: the first kernel's term is the most significant;
         # with only zero kernels, one term of weight 1
         w = None if order else np.ones((len(u), 1, n))
-        bad = {}
+        bad = []
         for b, ph in zip(order, phases):
-            blocks, bad[b.label] = b.weights((u @ ph).reshape(len(u), -1, n), validate)
+            blocks, mask = b.weights((u @ ph).reshape(len(u), -1, n), validate)
             w = blocks if w is None else (w[:, :, None] * blocks[:, None]).reshape(len(u), -1, n)
-        _raise_first_violation(rec.bases, bad, rows)
+            bad.append(mask)
+        _raise_first_violation(order, bad, rows)
         if masks != (0,):  # rows (frequency, flip)
             w = (w[:, None] * signs[:, :, None]).reshape(-1, terms, n)
         if mapped is not None:
@@ -728,7 +730,7 @@ def _gft_expansion(
             y = b.fold(y.reshape(b.terms, -1, len(u), dim))
         out[lo:lo + chunk] = y.reshape(len(u), -1, cols)
     out *= field.cell_volume
-    return out
+    return out.reshape(len(unodes), len(masks), values.shape[1], dim).swapaxes(1, 2)
 
 
 def _mirror_pairs(field: SampledField) -> tuple[np.ndarray, np.ndarray] | None:
@@ -738,14 +740,13 @@ def _mirror_pairs(field: SampledField) -> tuple[np.ndarray, np.ndarray] | None:
     pairs with another.
 
     Node k on axis j mirrors node k' when coordinate k' is exactly minus
-    coordinate k, computed as `grid_nodes` computes it; a node mirrors
-    the node of the axes' mirrors, and the pair is kept at its smaller
-    index.  The per-axis search runs first, so a grid with no pairs costs
-    no O(N) work.
+    coordinate k (`_axis_coords`); a node mirrors the node of the axes'
+    mirrors, and the pair is kept at its smaller index.  The per-axis
+    search runs first, so a grid with no pairs costs no O(N) work.
     """
     axes = []  # per axis, the index of each node's mirror, or -1
-    for o, s, d in zip(field.origin, field.spacing, field.dims):
-        coords = [o + k * s for k in range(d)]
+    for j in range(field.m):
+        coords = _axis_coords(field, j).tolist()
         where = {c: k for k, c in enumerate(coords)}
         axes.append([where.get(-c, -1) for c in coords])
     # a pair needs a mirror on every axis, and another node on some axis
@@ -763,22 +764,30 @@ def _mirror_pairs(field: SampledField) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _raise_first_violation(
-    bases: Sequence[_Basis], bad: dict[str, np.ndarray | None], rows: np.ndarray
+    order: Sequence[_Basis], bad: Sequence[np.ndarray | None], rows: np.ndarray
 ) -> None:
     """Raise what the direct engine raises first: at the first offending
-    frequency, the first offending kernel in order, its first node.  The
-    masks' columns are the nodes `rows`, in increasing order."""
-    hits = [(int(np.argmax(m.any(axis=1))), i, b.label, m)
-            for i, b in enumerate(bases)
-            if (m := bad[b.label]) is not None and m.any()]
+    frequency, the first offending kernel in spec order, its first node.
+    `bad` has each basis's mask or None, columns the nodes `rows`, sorted."""
+    hits = [(int(np.argmax(m.any(axis=1))), b.index, b.label, m)
+            for b, m in zip(order, bad) if m is not None and m.any()]
     if hits:
         first, _, label, m = min(hits, key=lambda h: h[:2])
         raise NotImaginary.at_sample(label, int(rows[np.argmax(m[first])]))
 
 
 def _axis_coords(grid: FreqGrid | SampledField, j: int) -> np.ndarray:
-    """Coordinates of axis j's nodes, as `grid_nodes` computes them."""
-    return grid.origin[j] + np.arange(grid.dims[j]) * grid.spacing[j]
+    """Coordinates of axis j's nodes, bit for bit as `grid_nodes` computes
+    them: the exact mirror test of `_mirror_pairs` needs exactly these.
+    Built on first use and kept in the grid object's instance dictionary,
+    as `_spec_plan` keeps a spec's plan, so every call on it shares them."""
+    coords = grid.__dict__.get("_coords")
+    if coords is None:
+        coords = grid.__dict__["_coords"] = tuple(
+            o + np.arange(d) * s for d, o, s in zip(grid.dims, grid.origin, grid.spacing))
+        for c in coords:
+            c.setflags(write=False)
+    return coords[j]
 
 
 def _sign_patterns(k: int) -> np.ndarray:
@@ -829,8 +838,8 @@ def _gft_axes(
     matrix: np.ndarray,
 ) -> np.ndarray:
     """Transform on a frequency grid, one axis at a time: the
-    (M, F x `matrix` columns) spectra of `_axes_matrix` of the fields
-    `values` (N, F, 2^n) on `field`'s grid.
+    (M, F, flips, 2^n) spectra of `_axes_matrix` of the fields `values`
+    (N, F, 2^n) on `field`'s grid.
 
     The expansion engine's GEMM output for the cos/sin term t is
     y_t = sum_sigma prod_k M[t_k, sigma_k] E_{sigma.a} over all sign
@@ -878,35 +887,32 @@ def _gft_axes(
             (e.view(float).reshape(count * count_f, -1) @ matrix).reshape(
                 tuple(map(len, u)) + (count_f * cols,)))
     out *= field.cell_volume
-    return out.reshape(-1, count_f * cols)
+    return out.reshape(freqs.node_count, count_f, cols // dim, dim)
 
 
 def _gft_many(
     spec: GftSpec, fields: Sequence[SampledField], freqs: FreqGrid | np.ndarray,
     flips: Sequence[tuple[Sequence[int], Sequence[int]]] = (), validate: bool = True,
-    direct: bool = False,
 ) -> np.ndarray:
-    """The transforms of `fields`, which must share one grid, at `freqs`
-    (a frequency grid or an (M, m) array) under `spec` with the kernels
-    of each flip (j, k) negated as `negate(spec, j, k)` negates them, or
-    under `spec` alone without flips: an (M, fields, flips, 2^n) array,
-    from one pass of the engine `plan` chooses (of the direct engine when
-    `direct`).  Each engine does what depends on the spec and the grids
-    once: the axes engine builds its phase tables and applies every
-    flip's matrix in one GEMM, the expansion engine computes and checks
-    its weights, and the direct engine its exponentials per frequency.
-    """
+    """The transforms of `fields`, on one grid, at `freqs` (a frequency
+    grid or an (M, m) array) under `spec` with the kernels of each flip
+    (j, k) negated as `negate(spec, j, k)` negates them, or under `spec`
+    alone without flips: an (M, fields, flips, 2^n) array, from one pass
+    of the engine `plan` chooses.  The axes engine builds its phase
+    tables once and applies every flip's matrix in one GEMM, and the
+    expansion engine computes and checks its weights once; the direct
+    engine transforms each field under each `negate`d spec."""
     field = fields[0]
+    if len({(f.sig, f.dims, f.origin, f.spacing) for f in fields}) > 1:
+        raise ValueError("fields must share one signature and grid")
     freqs = _check_inputs(spec, field, freqs)
-    rec = None if direct else _spec_plan(spec)
-    engine = "direct" if direct else _route(rec, field, freqs).engine
+    rec = _spec_plan(spec)
+    engine = _route(rec, field, freqs).engine
     masks = (0,)
-    if flips and rec is not None:  # each flip a bit mask over rec.order, first kernel highest
+    if flips:  # each flip a bit mask over rec.order, its first kernel the highest bit
         top = len(rec.order) - 1
-        bits = [{f"{side} kernel {pos}": bit for side, v in (("left", j), ("right", k))
-                 for pos, bit in enumerate(v, start=1)} for j, k in flips]
-        masks = tuple(sum(d[b.label] << (top - i) for i, b in enumerate(rec.order))
-                      for d in bits)
+        masks = tuple(sum(bits[b.index] << (top - i) for i, b in enumerate(rec.order))
+                      for bits in (tuple(j) + tuple(k) for j, k in flips))
     # fields side by side, (N, F, 2^n); one field's values as they are
     values = (field.values[:, None] if len(fields) == 1
               else np.stack([f.values for f in fields], axis=1))
@@ -916,18 +922,15 @@ def _gft_many(
             matrix = _axes_matrix(rec, masks)
             if len(rec.axes.matrices) < _FLIP_SETS:  # kept for this many flip sets
                 rec.axes.matrices[masks] = matrix
-        out = _gft_axes(rec, field, values, freqs, matrix)
-        return out.reshape(len(out), len(fields), len(masks), -1)
+        return _gft_axes(rec, field, values, freqs, matrix)
     unodes = freqs.nodes() if isinstance(freqs, FreqGrid) else freqs
-    # with every sample checked, a value that overflows or turns NaN
-    # raises NotImaginary, so numpy's warnings about it are only noise
-    ignore = "ignore" if validate else None  # None leaves the setting as it is
+    if engine == "direct":
+        specs = [negate(spec, j, k) for j, k in flips] or [spec]
+        out = [[_direct_sum(s, f, unodes, validate) for s in specs] for f in fields]
+        return np.moveaxis(np.array(out), 2, 0)
+    ignore = "ignore" if validate else None  # as in `_direct_sum`
     with np.errstate(over=ignore, invalid=ignore):
-        if engine == "expansion":
-            out = _gft_expansion(rec, field, values, unodes, validate, masks)
-            return out.reshape(len(out), len(masks), len(fields), -1).swapaxes(1, 2)
-        return _direct_sum(spec, fields, unodes, validate,
-                           flips or [((0,) * spec.mu, (0,) * (spec.nu - spec.mu))])
+        return _gft_expansion(rec, field, values, unodes, validate, masks)
 
 
 def gft_at(
@@ -957,8 +960,8 @@ def default_freqs(field: SampledField, scale: float = 1.0) -> FreqGrid:
     Spacing du = scale/(extent * dx) per axis; the origin is chosen so
     that u = 0 falls on the node at index extent//2.
     """
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
     spacing = tuple(
         scale / (d * s) for d, s in zip(field.dims, field.spacing)
     )

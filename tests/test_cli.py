@@ -96,6 +96,13 @@ def test_transform_error_exit_codes(tmp_path, field_file, capsys):
     rc = main(["transform", "--field", str(path), "--preset", "quaternionic",
                "--freqs", "auto:x", "--out", str(out)])
     assert rc == 2
+    assert "bad frequency scale in 'auto:x'" in capsys.readouterr().err
+    # a scale that is not a positive finite number
+    for scale in ("nan", "inf", "-1"):
+        rc = main(["transform", "--field", str(path), "--preset", "quaternionic",
+                   "--freqs", f"auto:{scale}", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: scale must be positive and finite\n"
     # unwritable output location
     rc = main(["transform", "--field", str(path), "--preset", "quaternionic",
                "--out", str(tmp_path / "nodir" / "x.mvf")])
@@ -366,7 +373,7 @@ def test_shared_spec_plans_are_read_only():
         args = argparse.Namespace(theorem="all", preset=sel, seed=3, size=8, tol=None)
         assert not any(bad for _, bad in cli._verify_lines(args))
         rec = transform._spec_plan(parse_preset(sel))
-        arrays = [v for b in rec.bases for v in (b.forms, b.step, b.gather, b.sign,
+        arrays = [v for b in rec.order for v in (b.forms, b.step, b.gather, b.sign,
                                                  b.squares, *(b.pairs or ()))]
         if rec.axes is not None:
             assert len(rec.axes.matrices) >= 1

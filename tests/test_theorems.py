@@ -52,6 +52,9 @@ def test_linearity_holds_and_reports():
     shrunk = SampledField.random(spec.sig, (3, 3), rng)
     with pytest.raises(ValueError):
         check_linearity(spec, field, shrunk, 1.0, 1.0, freqs)
+    moved = SampledField(spec.sig, field.dims, (0.0, 0.0), field.spacing, other.values)
+    with pytest.raises(ValueError, match="fields must share one signature and grid"):
+        check_linearity(spec, field, moved, 1.0, 1.0, freqs)
 
 
 def test_scaled_field_geometry():
@@ -165,6 +168,23 @@ def test_shift_rejects_non_finite_shift(bad):
         shifted_field(field, (bad, 0.0))
     with pytest.raises(OffGridShift):
         check_shift(spec, field, (bad, 0.0), freqs)
+
+
+@pytest.mark.parametrize("x0", [(1.0,), (1.0, 0.0, 0.0)])
+def test_shift_rejects_a_shift_vector_of_the_wrong_length(x0):
+    spec, field, freqs, _ = _setup("quaternionic", dims=(8, 8), border=2)
+    match = f"shift vector has length {len(x0)}, field has m=2"
+    with pytest.raises(OffGridShift, match=match):
+        shifted_field(field, x0)
+    with pytest.raises(OffGridShift, match=match):
+        check_shift(spec, field, x0, freqs)
+
+
+def test_linearity_refuses_an_overflowing_combination():
+    # bB + cC overflows: the field is refused, with no numpy warning
+    spec, field, freqs, _ = _setup("quaternionic")
+    with pytest.raises(ValueError, match="field values must be finite"):
+        check_linearity(spec, field, field, 1e308, 1e308, freqs)
 
 
 def test_existence_bound_point_mass():

@@ -597,6 +597,22 @@ def test_mirror_pairs_found_per_axis():
     assert rows.tolist() == [0, 1, 2, 3, 5] and twins.tolist() == [4, 1, 2, 3, 5]
 
 
+def test_axis_coordinates_are_the_grid_nodes():
+    # one rule: each axis's coordinates are bit for bit those of
+    # grid_nodes, kept read-only with the grid object
+    field = SampledField(Signature(0, 1), (3, 5, 2), (-0.3, 0.1, -7.0), (0.1, 0.7, 13.0),
+                         np.zeros((30, 2)))
+    freqs = FreqGrid((4, 1), (-1.1, 0.2), (0.3, 0.9))
+    for grid in (field, freqs):
+        nodes = grid.nodes().reshape(grid.dims + (grid.m,))
+        for j in range(grid.m):
+            coords = transform._axis_coords(grid, j)
+            line = nodes[(0,) * j + (slice(None),) + (0,) * (grid.m - j - 1) + (j,)]
+            assert np.array_equal(coords, line) and not coords.flags.writeable
+            assert np.shares_memory(coords, transform._axis_coords(grid, j))
+            assert transform._axis_max(grid, j) == np.abs(line).max()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("validate", [True, False])
 @pytest.mark.parametrize("engine", [gft_at, gft_direct], ids=["gft_at", "gft_direct"])
@@ -850,6 +866,40 @@ def test_many_fields_on_the_direct_engine():
         assert np.array_equal(got[:, b, i], want), (b, j, k)
 
 
+def _direct_routed_spec():
+    # per-sample kernels past the term limit
+    sig = Signature(0, 3)
+    kern = KernelMatrix.sparse(sig, 2, [(0, 0, Multivector.blade(sig, "e1")),
+                                        (1, 1, Multivector.blade(sig, "e2"))])
+    return GftSpec(sig, 2, (kern, kern), (kern,))
+
+
+@pytest.mark.parametrize("selector", ["quaternionic", "cylindrical:3", None])
+def test_empty_frequency_arrays(selector):
+    # an axes preset and an expansion preset (both on the expansion
+    # engine for arrays), and a direct-routed spec, with and without flips
+    spec = _direct_routed_spec() if selector is None else parse_preset(selector)
+    field = SampledField.random(spec.sig, (3,) * spec.m, np.random.default_rng(35))
+    empty = np.empty((0, spec.m))
+    assert plan(spec, field, empty).engine == ("direct" if selector is None else "expansion")
+    assert gft_at(spec, field, empty).shape == (0, spec.sig.dim)
+    assert gft_direct(spec, field, empty).shape == (0, spec.sig.dim)
+    flips = _sign_flips(spec)
+    got = transform._gft_many(spec, [field, field], empty, flips)
+    assert got.shape == (0, 2, len(flips), spec.sig.dim)
+
+
+def test_many_fields_need_one_grid():
+    spec = parse_preset("quaternionic")
+    field = SampledField.random(spec.sig, (4, 4), np.random.default_rng(36))
+    moved = SampledField(spec.sig, (4, 4), (0.0, -2.0), field.spacing, field.values)
+    flat = SampledField(spec.sig, (2, 8), field.origin, field.spacing, field.values)
+    for other in (moved, flat):
+        for freqs in (default_freqs(field), default_freqs(field).nodes()):
+            with pytest.raises(ValueError, match="fields must share one signature and grid"):
+                transform._gft_many(spec, [field, other], freqs)
+
+
 @pytest.mark.parametrize("selector, dims, fdims", [
     ("buelow:1", (2048,), None),  # long first axis: its phase table is d_1 x M_1
     ("quaternionic", (1024, 2), None),
@@ -1010,7 +1060,7 @@ def test_second_plan_builds_no_basis(monkeypatch):
     freqs = default_freqs(field)
     first = plan(spec, field, freqs)
     assert len(calls) == 4
-    bases = transform._spec_plan(spec).bases
+    bases = transform._spec_plan(spec).order
     plan(spec, field, freqs.nodes())
     assert len(calls) == 4
     # the spec's plan record is built once and serves every later call
@@ -1020,9 +1070,11 @@ def test_second_plan_builds_no_basis(monkeypatch):
                           gft_at(spec, field, freqs.nodes()[:3]))
     assert records == [spec]
     assert plan(spec, field, freqs) == first
-    assert transform._spec_plan(spec).bases is bases
+    assert transform._spec_plan(spec).order is bases
+    # fold order: left kernels last to first, then right kernels in order
     assert [b.label for b in bases] == [
-        "left kernel 1", "left kernel 2", "right kernel 1", "right kernel 2"]
+        "left kernel 2", "left kernel 1", "right kernel 1", "right kernel 2"]
+    assert [b.index for b in bases] == [1, 0, 2, 3]
 
 
 def test_plan_bases_are_read_only():
@@ -1032,7 +1084,7 @@ def test_plan_bases_are_read_only():
                                           (1, 1, Multivector.blade(sig, "e12"))])
     direction = KernelMatrix.sparse(sig, 2, [(0, 0, Multivector.blade(sig, "e123"))])
     spec = GftSpec(sig, 2, (direction,), (blades,))
-    bases = transform._spec_plan(spec).bases
+    bases = transform._spec_plan(spec).order
     arrays = [v for b in bases for v in (b.forms, b.step, b.gather, b.sign, b.squares,
                                          *(b.pairs or ())) if v is not None]
     # as are the arrays of the axes layout a spec keeps for every gft
