@@ -137,27 +137,16 @@ def blade_signs(sig: Signature, a, b) -> np.ndarray:
     return np.where((swaps + negatives) % 2 == 0, 1.0, -1.0)
 
 
-# Sign-table rows are built in blocks of at most this many entries, which
-# bounds the temporaries of blade_signs at n = 10 to a few MiB.
-_BUILD_BLOCK = 1 << 18
-# Tables up to n = 8 (1 MiB) hold intp indices and float64 signs, which
-# gather and multiply about twice as fast as uint16 and int8; larger ones
-# are stored compactly, 3 MiB at n = 10 instead of 16 MiB.
-_NATIVE_MAX = 8
-
-
 @lru_cache(maxsize=None)
 def _table(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """The product table of Cl(p,q): xor[i, k] = i ^ k and sign[i, k] =
-    the sign of e_i e_{i^k}, so that (a b)[k] = sum_i sign[i, k] a_i b_{i^k}."""
+    the sign of e_i e_{i^k}, so that (a b)[k] = sum_i sign[i, k] a_i b_{i^k}.
+    Column 0 holds the blade squares e_i e_i.  Both are intp and float64,
+    which gather and multiply without conversion: 16 MiB at n = 10."""
     sig = Signature(p, q)
-    native = sig.n <= _NATIVE_MAX
-    idx = np.arange(sig.dim, dtype=np.intp if native else np.uint16)
-    xor = idx[:, None] ^ idx[None, :]
-    sign = np.empty((sig.dim, sig.dim), dtype=np.float64 if native else np.int8)
-    rows = max(1, _BUILD_BLOCK // sig.dim)
-    for lo in range(0, sig.dim, rows):
-        sign[lo:lo + rows] = blade_signs(sig, idx[lo:lo + rows, None], xor[lo:lo + rows])
+    idx = np.arange(sig.dim)
+    xor = idx[:, None] ^ idx
+    sign = blade_signs(sig, idx[:, None], xor)
     xor.setflags(write=False)
     sign.setflags(write=False)
     return xor, sign
@@ -385,10 +374,7 @@ def pseudoscalar(sig: Signature) -> Multivector:
     return Multivector.blade(sig, sig.dim - 1)
 
 
-@lru_cache(maxsize=None)
 def square_scalar_signs(sig: Signature) -> np.ndarray:
-    """Per-blade squares e_J * e_J as a (2**n,) sign array."""
-    idx = np.arange(sig.dim)
-    squares = blade_signs(sig, idx, idx)
-    squares.setflags(write=False)
-    return squares
+    """Per-blade squares e_J * e_J as a read-only (2**n,) sign array,
+    column 0 of the product table."""
+    return _table(sig.p, sig.q)[1][:, 0]

@@ -36,7 +36,7 @@ from .commsplit import SplitIndex, shift_exponential_terms, split_multi
 from .exponential import exp_neg_many
 from .exponential import exp_imag  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .kernels import GftSpec, side_directions
-from .transform import FreqGrid, SampledField, _gft_many, gft, row_magnitudes
+from .transform import FreqGrid, SampledField, _gft_many, _one_grid, gft, row_magnitudes
 from .transform import gft_at  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
@@ -121,6 +121,7 @@ def check_linearity(
     tol: float = 1e-12,
 ) -> TheoremReport:
     """Transform of b*B + c*C against the combination of transforms."""
+    _one_grid([b_field, c_field])
     with np.errstate(over="ignore", invalid="ignore"):  # with_values refuses inf and NaN
         combined = b_field.with_values(b * b_field.values + c * c_field.values)
     lhs, fb, fc = _gft_many(spec, [combined, b_field, c_field], freqs)[:, :, 0].swapaxes(0, 1)

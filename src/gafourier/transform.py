@@ -31,9 +31,10 @@ call by `plan`:
   a signed permutation for a blade).  A term's weight is even or odd in
   x, so weights are computed once per pair of nodes {x, -x}, against
   B(x) + B(-x) or B(x) - B(-x), and a flip negates the sine weights of
-  its kernels.  The maps are applied to the stack of sums once per call
-  when it fits the axes engine's budget, and then a chunk of frequencies
-  is its weights and one GEMM; otherwise to each chunk's GEMM outputs.
+  its kernels.  One routine (`_compose`) takes each term through its
+  composite map: the stack of sums once per call when it fits the axes
+  engine's budget, and then a chunk of frequencies is its weights and
+  one GEMM; otherwise each chunk's GEMM outputs, then summed over terms.
 * direct (`gft_direct`): one field under one spec; per frequency,
   exponentials of the kernel values at every node, two-sided products,
   and a sum over nodes.  It handles every spec and is the reference the
@@ -90,7 +91,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Signature, blade_signs, gp_many, square_scalar_signs
+from .algebra import (Signature, _left_factor, _right_factor, blade_signs, gp_many,
+                      square_scalar_signs)
 from .exponential import NotImaginary, cos_sin, cos_sinc, exp_neg_many, not_imaginary
 from .kernels import Factors, GftSpec, negate
 
@@ -297,6 +299,13 @@ def _check_inputs(
     return unodes
 
 
+def _one_grid(fields: Sequence[SampledField]) -> SampledField:
+    """The first of `fields` once all share its signature and grid."""
+    if len({(f.sig, f.dims, f.origin, f.spacing) for f in fields}) > 1:
+        raise ValueError("fields must share one signature and grid")
+    return fields[0]
+
+
 def gft_direct(
     spec: GftSpec,
     field: SampledField,
@@ -395,21 +404,6 @@ class _Basis:
             residue = np.sqrt(np.einsum("t...,t...->...", rest, rest))
         return w, not_imaginary(square, residue, np.einsum("min,min->mn", s, s))
 
-    def mapped(self, y: np.ndarray) -> np.ndarray:
-        """Terms 1.. of y (terms, a, b, 2^n), each through its map."""
-        if self.step is not None:
-            return y[1:] @ self.step
-        # the terms side by side on the last axis: one flat gather
-        moved = np.moveaxis(y[1:], 0, -2)
-        shape = moved.shape
-        moved = np.take(moved.reshape(shape[:-2] + (-1,)), self.gather, axis=-1)
-        moved *= self.sign
-        return np.moveaxis(moved.reshape(shape), -2, 0)
-
-    def fold(self, y: np.ndarray) -> np.ndarray:
-        """Sum y (terms, a, b, 2^n) over its terms, each mapped."""
-        return y[0] + self.mapped(y).sum(axis=0)
-
 
 @dataclass(frozen=True)
 class Plan:
@@ -466,9 +460,10 @@ def plan(spec: GftSpec, field: SampledField, freqs: FreqGrid | np.ndarray) -> Pl
     the kernels stays within max(2^nu, 2^n), so its GEMM work per pair is
     at most that of 2^nu sign patterns or of one dense product; larger
     specs go to the direct engine.  Everything but the phase bound is
-    decided once per spec object; see `_spec_plan`.
+    decided once per spec object; see `_spec_plan`.  Inputs that `gft`
+    and `gft_at` refuse raise the same ValueError here.
     """
-    return _route(_spec_plan(spec), field, freqs)
+    return _route(_spec_plan(spec), field, _check_inputs(spec, field, freqs))
 
 
 def _route(rec: _SpecPlan, field: SampledField, freqs: FreqGrid | np.ndarray) -> Plan:
@@ -544,9 +539,7 @@ def _basis(sig: Signature, f: Factors, side: str, label: str, index: int) -> _Ba
     i 2^n + (k ^ blade_i), and the blade squares `squares`.
     """
     if f.direction is not None:
-        eye = np.eye(sig.dim)
-        step = gp_many(sig, -f.direction, eye) if side == "left" else gp_many(
-            sig, eye, -f.direction)
+        step = (_left_factor if side == "left" else _right_factor)(sig, -f.direction)
         norm2, maps = float(f.direction @ f.direction), {"step": step}
     else:
         col = f.blades[:, None]
@@ -589,20 +582,16 @@ def _axes_matrix(rec: _SpecPlan, flips: Sequence[int]) -> np.ndarray:
     y_t = 2^(1-K) Re sum_sigma (-i)^|t| prod_{k: t_k = 1} sigma_k E_{sigma.a}
     over the patterns with sigma_1 = +1 (`_gft_axes`), and the spectrum
     is sum_t y_t G_t, with G_t the product in fold order of the `step` of
-    every kernel with t_k = 1.  With E = R + i eps I (eps = -1 where the
-    pattern reads its key conjugated) and (-i)^|t| = alpha + i beta, the
-    real part is alpha R - beta eps I.  Negating kernel k turns its
-    e^{-f_k} = cos - j sin into cos + j sin, so a flip multiplies term t
-    by (-1)^(number of flipped kernels whose sine t takes).
+    every kernel with t_k = 1 (`_compose` of 2^K identities).  With
+    E = R + i eps I (eps = -1 where the pattern reads its key conjugated)
+    and (-i)^|t| = alpha + i beta, the real part is alpha R - beta eps I.
+    Negating kernel k turns its e^{-f_k} = cos - j sin into cos + j sin,
+    so a flip multiplies term t by (-1)^(number of flipped kernels whose
+    sine t takes).
     """
     order, layout = rec.order, rec.axes
     k, dim = len(order), order[0].step.shape[0]
-    maps = np.eye(dim)[None]  # G_t, the first kernel's bit the most significant
-    for b in order:
-        g = np.empty((len(maps), 2, dim, dim))
-        g[:, 0] = maps
-        np.matmul(maps, b.step, out=g[:, 1])
-        maps = g.reshape(-1, dim, dim)
+    maps = _compose(order, np.tile(np.eye(dim), (1 << k, 1, 1)))  # G_t
     # bit k - 1 - i of a term t or pattern index is kernel i's, so
     # prod_{i: t_i = 1} sigma_i is -1 for an odd count of common bits
     t, patterns = np.arange(1 << k), np.arange(1 << (k - 1))
@@ -651,6 +640,25 @@ def _fold_order(bases: Sequence[_Basis]) -> list[_Basis]:
     ]
 
 
+def _compose(order: Sequence[_Basis], y: np.ndarray) -> np.ndarray:
+    """Map each term t of the C-contiguous stack y (terms, ..., 2^n)
+    through G_t in place, and return y.  G_t is the product, in fold
+    order, of the maps of the kernels with t_k > 0; the first kernel's
+    term is the most significant."""
+    lead, dim = 1, y.shape[-1]
+    for b in order:
+        z = y.reshape(lead, b.terms, -1, dim).swapaxes(0, 1)[1:]  # terms t_k > 0
+        if b.step is not None:
+            z[...] = z @ b.step
+        else:  # the blades' terms side by side on the last axis: one flat gather
+            z = np.moveaxis(z, 0, -2)
+            flat = np.take(z.reshape(z.shape[:-2] + (-1,)), b.gather, axis=-1)
+            flat *= b.sign
+            z[...] = flat.reshape(z.shape)
+        lead *= b.terms
+    return y
+
+
 def _gft_expansion(
     rec: _SpecPlan, field: SampledField, values: np.ndarray, unodes: np.ndarray,
     validate: bool, masks: Sequence[int],
@@ -666,10 +674,11 @@ def _gft_expansion(
     {x, -x}: even terms contract against B(x) + B(-x), odd ones against
     B(x) - B(-x), a node without a mirror against B(x).  When the stack
     of these sums fits max(`_AXES_BLOCK`, field + spectrum values), each
-    term's maps are applied to it once, and a chunk of frequencies is its
-    weights and one GEMM; otherwise each chunk's GEMM outputs are mapped
-    and summed one kernel at a time.  Negating a kernel negates its s_i,
-    so a flip negates the weights of its sine terms.
+    term's maps are applied to it once (`_compose`), and a chunk of
+    frequencies is its weights and one GEMM; otherwise `_compose` maps
+    each chunk's GEMM outputs, which are then summed over the terms.
+    Negating a kernel negates its s_i, so a flip negates the weights of
+    its sine terms.
     """
     dim, order = field.sig.dim, rec.order
     cols, xs = values.shape[1] * dim, field.nodes()
@@ -695,12 +704,7 @@ def _gft_expansion(
         signs = (signs[:, :, None] * sign[:, None]).reshape(len(masks), -1)
     mapped = None
     if terms * n * cols <= max(_AXES_BLOCK, (field.node_count + len(unodes)) * cols):
-        mapped, lead = np.array(stacks)[parity], 1
-        for b in order:
-            y = mapped.reshape(lead, b.terms, -1, dim).swapaxes(0, 1)
-            y[1:] = b.mapped(y)
-            lead *= b.terms
-        mapped = mapped.reshape(terms * n, cols)
+        mapped = _compose(order, np.array(stacks)[parity]).reshape(terms * n, cols)
     # consecutive terms that contract against the same sum
     runs = [(len(list(group)), p) for p, group in itertools.groupby(parity.tolist())]
     phases = [(xs @ b.forms).transpose(2, 0, 1).reshape(field.m, -1) for b in order]
@@ -726,9 +730,7 @@ def _gft_expansion(
         for count, p in runs:
             np.matmul(w[t:t + count], stacks[p].reshape(n, cols), out=y[t:t + count])
             t += count
-        for b in order:
-            y = b.fold(y.reshape(b.terms, -1, len(u), dim))
-        out[lo:lo + chunk] = y.reshape(len(u), -1, cols)
+        out[lo:lo + chunk] = _compose(order, y).sum(axis=0).reshape(len(u), -1, cols)
     out *= field.cell_volume
     return out.reshape(len(unodes), len(masks), values.shape[1], dim).swapaxes(1, 2)
 
@@ -902,9 +904,7 @@ def _gft_many(
     tables once and applies every flip's matrix in one GEMM, and the
     expansion engine computes and checks its weights once; the direct
     engine transforms each field under each `negate`d spec."""
-    field = fields[0]
-    if len({(f.sig, f.dims, f.origin, f.spacing) for f in fields}) > 1:
-        raise ValueError("fields must share one signature and grid")
+    field = _one_grid(fields)
     freqs = _check_inputs(spec, field, freqs)
     rec = _spec_plan(spec)
     engine = _route(rec, field, freqs).engine

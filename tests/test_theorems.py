@@ -49,9 +49,12 @@ def test_linearity_holds_and_reports():
     assert rep.name == "linearity"
     forced = check_linearity(spec, field, other, 2.0, -3.0, freqs, tol=1e-30)
     assert not forced.passed and forced.line().endswith("FAIL")
+    # refused before b*B + c*C is formed, whatever the shapes of the values
     shrunk = SampledField.random(spec.sig, (3, 3), rng)
-    with pytest.raises(ValueError):
-        check_linearity(spec, field, shrunk, 1.0, 1.0, freqs)
+    wider = SampledField.random(Signature(0, 3), field.dims, rng)
+    for c_field in (shrunk, wider):
+        with pytest.raises(ValueError, match="fields must share one signature and grid"):
+            check_linearity(spec, field, c_field, 1.0, 1.0, freqs)
     moved = SampledField(spec.sig, field.dims, (0.0, 0.0), field.spacing, other.values)
     with pytest.raises(ValueError, match="fields must share one signature and grid"):
         check_linearity(spec, field, moved, 1.0, 1.0, freqs)

@@ -3,6 +3,7 @@
 import itertools
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,20 @@ def test_gft_rejects_mismatched_inputs():
     good = SampledField.random(Signature(0, 2), (4, 4), rng)
     with pytest.raises(NotImaginary, match="left kernel 1"):
         gft(bad_spec, good, default_freqs(good))
+
+
+def test_plan_refuses_what_gft_refuses():
+    spec = parse_preset("quaternionic")
+    rng = np.random.default_rng(6)
+    wider = SampledField.random(Signature(0, 3), (4, 4), rng)
+    flat = SampledField.random(Signature(0, 2), (4, 4), rng)
+    cases = ((wider, default_freqs(wider), "spec is over Cl(0,2), field over Cl(0,3)"),
+             (flat, FreqGrid((2, 2, 2), (0.0,) * 3, (1.0,) * 3),
+              "frequency grid has m=3, field has m=2"))
+    for field, freqs, message in cases:
+        for call in (plan, gft):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(spec, field, freqs)
 
 
 def test_spectrum_accessors():
@@ -537,9 +552,11 @@ def test_expansion_engine_over_mirrored_pairs_matches_direct(selector, grid, bud
     values = rng.uniform(-1.0, 1.0, (math.prod(dims), spec.sig.dim))
     field = SampledField(spec.sig, dims, origin, (spacing,) * spec.m, values)
     assert _mirror_kind(field) == kind
-    folds, fold = [], transform._Basis.fold
-    monkeypatch.setattr(transform._Basis, "fold",
-                        lambda self, y: folds.append(1) or fold(self, y))
+    # `_compose` calls on chunk outputs, which hold one row per frequency;
+    # the stack's rows are the kept nodes, never 3 or 2^m here
+    folds, compose = [], transform._compose
+    monkeypatch.setattr(transform, "_compose", lambda order, y: folds.append(
+        y.shape[1] in (3, 2 ** spec.m)) or compose(order, y))
     if budget == "chunk":
         # the stack of every term (but cylindrical:2's two) then exceeds
         # the field and spectrum values
@@ -554,9 +571,9 @@ def test_expansion_engine_over_mirrored_pairs_matches_direct(selector, grid, bud
         _assert_agrees(gft_at(spec, field, unodes, validate=validate),
                        gft_direct(spec, field, unodes, validate=validate))
     if budget == "stack":
-        assert not folds
+        assert not any(folds)
     elif selector != "cylindrical:2":
-        assert folds
+        assert any(folds)
 
 
 def test_first_offender_is_the_smaller_index_of_its_pair():
@@ -799,6 +816,24 @@ def test_sign_flips_from_one_contraction(selector, monkeypatch):
         flipped = negate(spec, j, k)
         _assert_agrees(got[:, i], gft_direct(flipped, field, freqs.nodes()))
         ref = gft(flipped, field, freqs).values
+        err = np.linalg.norm(got[:, i] - ref, axis=1)
+        assert (err <= 1e-15 * np.maximum(1.0, np.linalg.norm(ref, axis=1))).all(), (j, k)
+
+
+def test_axes_engine_keeps_the_first_flip_sets():
+    # 65 distinct flip sets of color_image's 16 flips: the plan keeps the
+    # first _FLIP_SETS matrices, and the next call still builds its own
+    spec = kernels.preset("color_image")  # parse_preset would share its plan
+    field = SampledField.random(spec.sig, (4, 4), np.random.default_rng(37))
+    freqs = default_freqs(field)
+    assert plan(spec, field, freqs).engine == "axes"
+    flips = _sign_flips(spec)
+    sets = [list(pair) for pair in itertools.combinations(flips, 2)][:64] + [flips]
+    for flip_set in sets:
+        got = transform._gft_many(spec, [field], freqs, flip_set)[:, 0]
+    assert len(transform._spec_plan(spec).axes.matrices) == transform._FLIP_SETS
+    for i, (j, k) in enumerate(flips):
+        ref = gft(negate(spec, j, k), field, freqs).values
         err = np.linalg.norm(got[:, i] - ref, axis=1)
         assert (err <= 1e-15 * np.maximum(1.0, np.linalg.norm(ref, axis=1))).all(), (j, k)
 
