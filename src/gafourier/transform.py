@@ -31,10 +31,10 @@ call by `plan`:
   a signed permutation for a blade).  A term's weight is even or odd in
   x, so weights are computed once per pair of nodes {x, -x}, against
   B(x) + B(-x) or B(x) - B(-x), and a flip negates the sine weights of
-  its kernels.  One routine (`_compose`) takes each term through its
-  composite map: the stack of sums once per call when it fits the axes
-  engine's budget, and then a chunk of frequencies is its weights and
-  one GEMM; otherwise each chunk's GEMM outputs, then summed over terms.
+  its kernels.  A chunk of frequencies is its weights and their GEMMs
+  against those sums; one routine (`_compose`) takes each term of a
+  block of chunks' GEMM outputs through its composite map, and the
+  block is summed over terms.
 * direct (`gft_direct`): one field under one spec; per frequency,
   exponentials of the kernel values at every node, two-sided products,
   and a sum over nodes.  It handles every spec and is the reference the
@@ -116,9 +116,9 @@ __all__ = [
 # worth on larger grids.  Larger blocks raise peak RSS and gain no speed.
 _BLOCK = 1 << 14
 # The axes engine's working set for one tile of the frequency grid
-# (`_axes_values`) stays within this many values (2 MiB) or the size of
-# the field plus the spectrum, whichever is larger, unless a single
-# frequency needs more.
+# (`_axes_values`), and the expansion engine's GEMM outputs for a block
+# of chunks, stay within this many values (2 MiB), unless one frequency
+# or chunk needs more; a tile may also take the field plus the spectrum.
 _AXES_BLOCK = 1 << 18
 # A spec's plan keeps the axes engine's matrices of this many flip sets.
 _FLIP_SETS = 64
@@ -672,13 +672,14 @@ def _gft_expansion(
     `cos_sinc`, even or odd in x as the term's count of sin factors is.
     They are computed at the nodes `_mirror_pairs` keeps, one per pair
     {x, -x}: even terms contract against B(x) + B(-x), odd ones against
-    B(x) - B(-x), a node without a mirror against B(x).  When the stack
-    of these sums fits max(`_AXES_BLOCK`, field + spectrum values), each
-    term's maps are applied to it once (`_compose`), and a chunk of
-    frequencies is its weights and one GEMM; otherwise `_compose` maps
-    each chunk's GEMM outputs, which are then summed over the terms.
-    Negating a kernel negates its s_i, so a flip negates the weights of
-    its sine terms.
+    B(x) - B(-x), a node without a mirror against B(x).  A chunk of
+    frequencies (`_BLOCK`) is its weights, checked, and one GEMM per run
+    of terms against the same sum, written into the block's outputs y
+    (terms, frequencies x flips, fields x 2^n).  A block is the most
+    whole chunks whose y fits `_AXES_BLOCK` values, or one chunk; once
+    per block `_compose` maps each term of y through its G_t, and the
+    terms are summed.  Negating a kernel negates its s_i, so a flip
+    negates the weights of its sine terms.
     """
     dim, order = field.sig.dim, rec.order
     cols, xs = values.shape[1] * dim, field.nodes()
@@ -702,35 +703,34 @@ def _gft_expansion(
         flipped = (np.array(masks)[:, None] >> (len(order) - 1 - i)) & 1
         sign = 1 - 2 * (flipped & (np.arange(b.terms) > 0))
         signs = (signs[:, :, None] * sign[:, None]).reshape(len(masks), -1)
-    mapped = None
-    if terms * n * cols <= max(_AXES_BLOCK, (field.node_count + len(unodes)) * cols):
-        mapped = _compose(order, np.array(stacks)[parity]).reshape(terms * n, cols)
     # consecutive terms that contract against the same sum
     runs = [(len(list(group)), p) for p, group in itertools.groupby(parity.tolist())]
     phases = [(xs @ b.forms).transpose(2, 0, 1).reshape(field.m, -1) for b in order]
     chunk = max(1, _BLOCK // (terms * n * len(masks)))
-    out = np.empty((len(unodes), len(masks), cols))
-    for lo in range(0, len(unodes), chunk):
-        u = unodes[lo:lo + chunk]
-        # w[:, terms]: the first kernel's term is the most significant;
-        # with only zero kernels, one term of weight 1
-        w = None if order else np.ones((len(u), 1, n))
-        bad = []
-        for b, ph in zip(order, phases):
-            blocks, mask = b.weights((u @ ph).reshape(len(u), -1, n), validate)
-            w = blocks if w is None else (w[:, :, None] * blocks[:, None]).reshape(len(u), -1, n)
-            bad.append(mask)
-        _raise_first_violation(order, bad, rows)
-        if masks != (0,):  # rows (frequency, flip)
-            w = (w[:, None] * signs[:, :, None]).reshape(-1, terms, n)
-        if mapped is not None:
-            out[lo:lo + chunk] = (w.reshape(len(w), -1) @ mapped).reshape(len(u), -1, cols)
-            continue
-        y, t, w = np.empty((terms, len(w), cols)), 0, w.swapaxes(0, 1)
-        for count, p in runs:
-            np.matmul(w[t:t + count], stacks[p].reshape(n, cols), out=y[t:t + count])
-            t += count
-        out[lo:lo + chunk] = _compose(order, y).sum(axis=0).reshape(len(u), -1, cols)
+    # whole chunks whose GEMM outputs fit the budget, or one chunk
+    block = chunk * max(1, _AXES_BLOCK // (terms * chunk * len(masks) * cols))
+    out = np.empty((len(unodes), len(masks) * values.shape[1], dim))
+    for start in range(0, len(unodes), block):
+        ub = unodes[start:start + block]
+        y = np.empty((terms, len(ub) * len(masks), cols))
+        for lo in range(0, len(ub), chunk):
+            u = ub[lo:lo + chunk]
+            # w[:, terms]: the first kernel's term is the most significant;
+            # with only zero kernels, one term of weight 1
+            w = None if order else np.ones((len(u), 1, n))
+            bad = []
+            for b, ph in zip(order, phases):
+                wb, mask = b.weights((u @ ph).reshape(len(u), -1, n), validate)
+                w = wb if w is None else (w[:, :, None] * wb[:, None]).reshape(len(u), -1, n)
+                bad.append(mask)
+            _raise_first_violation(order, bad, rows)
+            if masks != (0,):  # rows (frequency, flip)
+                w = (w[:, None] * signs[:, :, None]).reshape(-1, terms, n)
+            t, w, at = 0, w.swapaxes(0, 1), lo * len(masks)
+            for count, p in runs:
+                y[t:t + count, at:at + w.shape[1]] = w[t:t + count] @ stacks[p].reshape(n, cols)
+                t += count
+        out[start:start + block] = _compose(order, y.reshape(terms, len(ub), -1, dim)).sum(axis=0)
     out *= field.cell_volume
     return out.reshape(len(unodes), len(masks), values.shape[1], dim).swapaxes(1, 2)
 

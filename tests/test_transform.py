@@ -533,14 +533,16 @@ def _two_sided_cylindrical():
     return GftSpec(cyl.sig, 2, (cyl,), (cyl,))
 
 
-@pytest.mark.parametrize("budget", ["stack", "chunk"])
+@pytest.mark.parametrize("count", [1, 3])
 @pytest.mark.parametrize("grid", sorted(MIRROR_GRIDS))
 @pytest.mark.parametrize("selector", ["cylindrical:2", "cylindrical:3", "cylindrical:4",
                                       "two-sided cylindrical:2"])
-def test_expansion_engine_over_mirrored_pairs_matches_direct(selector, grid, budget,
+def test_expansion_engine_over_mirrored_pairs_matches_direct(selector, grid, count,
                                                               monkeypatch):
-    # even and odd terms contract against B(x) + B(-x) and B(x) - B(-x);
-    # with the maps applied to that stack once or to each chunk's output
+    # even and odd terms contract against B(x) + B(-x) and B(x) - B(-x),
+    # and the maps compose each block's GEMM outputs: `count` fields under
+    # no flip or every flip, at the default budgets and with every
+    # frequency its own block
     if selector.startswith("two-sided"):
         spec = _two_sided_cylindrical()
     else:
@@ -549,31 +551,61 @@ def test_expansion_engine_over_mirrored_pairs_matches_direct(selector, grid, bud
     dims = dims[:spec.m]
     origin = tuple(-(d // 2) * spacing for d in dims) if origin is None else origin[:spec.m]
     rng = np.random.default_rng(66)
-    values = rng.uniform(-1.0, 1.0, (math.prod(dims), spec.sig.dim))
-    field = SampledField(spec.sig, dims, origin, (spacing,) * spec.m, values)
-    assert _mirror_kind(field) == kind
-    # `_compose` calls on chunk outputs, which hold one row per frequency;
-    # the stack's rows are the kept nodes, never 3 or 2^m here
-    folds, compose = [], transform._compose
-    monkeypatch.setattr(transform, "_compose", lambda order, y: folds.append(
-        y.shape[1] in (3, 2 ** spec.m)) or compose(order, y))
-    if budget == "chunk":
-        # the stack of every term (but cylindrical:2's two) then exceeds
-        # the field and spectrum values
-        monkeypatch.setattr(transform, "_AXES_BLOCK", 0)
+    fields = [SampledField(spec.sig, dims, origin, (spacing,) * spec.m,
+                           rng.uniform(-1.0, 1.0, (math.prod(dims), spec.sig.dim)))
+              for _ in range(count)]
+    assert _mirror_kind(fields[0]) == kind
     freqs = FreqGrid((2,) * spec.m, tuple(rng.uniform(-1.3, -0.4, spec.m)),
                      tuple(rng.uniform(0.3, 0.9, spec.m)))
     unodes = rng.uniform(-1.3, 1.3, (3, spec.m))
-    assert plan(spec, field, freqs).engine == "expansion"
-    for validate in (True, False):
-        _assert_agrees(gft(spec, field, freqs, validate=validate).values,
-                       gft_direct(spec, field, freqs.nodes(), validate=validate))
-        _assert_agrees(gft_at(spec, field, unodes, validate=validate),
-                       gft_direct(spec, field, unodes, validate=validate))
-    if budget == "stack":
-        assert not any(folds)
-    elif selector != "cylindrical:2":
-        assert any(folds)
+    assert plan(spec, fields[0], freqs).engine == "expansion"
+    pairs = transform._mirror_pairs(fields[0])
+    kept = fields[0].node_count if pairs is None else len(pairs[0])
+    terms = math.prod(b.terms for b in transform._spec_plan(spec).order)
+    sizes, compose = [], transform._compose
+    monkeypatch.setattr(transform, "_compose", lambda order, y: sizes.append(y.size) or
+                        compose(order, y))
+    for small in (False, True):
+        if small:  # one frequency per chunk, and one chunk per block
+            monkeypatch.setattr(transform, "_BLOCK", 0)
+            monkeypatch.setattr(transform, "_AXES_BLOCK", 0)
+        for flips in ((), _sign_flips(spec)):
+            specs = [negate(spec, j, k) for j, k in flips] or [spec]
+            sizes.clear()
+            for nodes, at in ((freqs, freqs.nodes()), (unodes, unodes)):
+                refs = [[gft_direct(s, f, at) for f in fields] for s in specs]
+                for validate in (True, False):
+                    got = transform._gft_many(spec, fields, nodes, flips, validate=validate)
+                    for i, by_field in enumerate(refs):
+                        for values, ref in zip(got[:, :, i].swapaxes(0, 1), by_field):
+                            _assert_agrees(values, ref)
+            # every block's outputs fit the budget, or are one chunk's
+            chunk = max(1, transform._BLOCK // (terms * kept * len(specs)))
+            outputs = terms * chunk * len(specs) * count * spec.sig.dim
+            assert max(sizes) <= max(transform._AXES_BLOCK, outputs)
+            blocks = freqs.node_count + len(unodes) if small else 2
+            assert len(sizes) == 2 * blocks
+
+
+def test_first_offender_across_blocks(monkeypatch):
+    # f = 2 x_1 u_1 e12 + 1.5 x_2 u_2 e34 squares to a real only where
+    # x_1 u_1 or x_2 u_2 is zero: the first two frequencies pass at every
+    # node and the third is the first to fail, two blocks after the first
+    sig, kern, field = _two_blade_spec()
+    spec = GftSpec(sig, 2, (kern,), ())
+    unodes = np.array([[0.7, 0.0], [0.0, 0.4], [0.3, -0.2], [0.5, 0.5]])
+    monkeypatch.setattr(transform, "_BLOCK", 0)
+    monkeypatch.setattr(transform, "_AXES_BLOCK", 0)
+    blocks, compose = [], transform._compose
+    monkeypatch.setattr(transform, "_compose", lambda order, y: blocks.append(y.shape) or
+                        compose(order, y))
+    _assert_agrees(gft_at(spec, field, unodes[:2]), gft_direct(spec, field, unodes[:2]))
+    assert len(blocks) == 2
+    blocks.clear()
+    msg = _not_imaginary_message(gft_at, spec, field, unodes)
+    assert len(blocks) == 2
+    assert msg == _not_imaginary_message(gft_direct, spec, field, unodes)
+    assert msg == "left kernel 1: sample 5 does not square to a negative real"
 
 
 def test_first_offender_is_the_smaller_index_of_its_pair():
