@@ -385,27 +385,34 @@ def test_one_separability_rule_for_theorems_and_engines(off):
             check_right_product(spec, c, field, freqs)
 
 
-def test_invalid_two_blade_kernel_raises_like_direct():
+def test_invalid_two_blade_kernel_raises_like_direct(monkeypatch):
     sig, kern, field = _two_blade_spec()
-    # no offender at the first frequency (u_1 = 0); at the second, node
-    # 5 = (1, 1) is the first with both coordinates nonzero
-    unodes = np.array([[0.0, 0.7], [0.3, -0.2], [0.5, 0.5]])
+    # no offender at the first two frequencies (u_1 = 0, then u_2 = 0); at
+    # the third, node 5 = (1, 1) is the first with both coordinates nonzero
+    unodes = np.array([[0.0, 0.7], [0.4, 0.0], [0.3, -0.2]])
     spec = GftSpec(sig, 2, (), (kern,))
     assert plan(spec, field, unodes).reason == \
         "right kernel 1: 2 blades, per-sample check; 3 terms"
-    msg = _not_imaginary_message(gft_at, spec, field, unodes)
-    assert msg == "right kernel 1: sample 5 does not square to a negative real"
-    assert msg == _not_imaginary_message(gft_direct, spec, field, unodes)
     # left kernel e12 x_1 u_1 + e34 x_2 (u_1 - u_2) is valid where u_1 = u_2,
     # so at u = (0.5, 0.5) only the right kernel offends: the first
     # offending frequency decides before the kernel order
     e12, e34 = Multivector.blade(sig, "e12"), Multivector.blade(sig, "e34")
     left = KernelMatrix.sparse(sig, 2, [(0, 0, e12), (1, 0, e34), (1, 1, -e34)])
-    spec = GftSpec(sig, 2, (left,), (kern,))
-    unodes = np.array([[0.0, 0.0], [0.5, 0.5], [0.4, 0.0]])
-    msg = _not_imaginary_message(gft_at, spec, field, unodes)
-    assert msg == "right kernel 1: sample 5 does not square to a negative real"
-    assert msg == _not_imaginary_message(gft_direct, spec, field, unodes)
+    both = np.array([[0.0, 0.0], [0.5, 0.5], [0.4, 0.0]])
+    cases = ((spec, unodes, 2), (GftSpec(sig, 2, (left,), (kern,)), both, 1))
+    blocks, compose = [], transform._compose
+    monkeypatch.setattr(transform, "_compose", lambda order, y: blocks.append(y.shape) or
+                        compose(order, y))
+    for small in (False, True):
+        if small:  # every frequency its own block: the blocks before the offender run
+            monkeypatch.setattr(transform, "_BLOCK", 0)
+            monkeypatch.setattr(transform, "_AXES_BLOCK", 0)
+        for spec, unodes, passing in cases:
+            blocks.clear()
+            msg = _not_imaginary_message(gft_at, spec, field, unodes)
+            assert len(blocks) == (passing if small else 0)
+            assert msg == "right kernel 1: sample 5 does not square to a negative real"
+            assert msg == _not_imaginary_message(gft_direct, spec, field, unodes)
 
 
 def test_engines_name_the_offending_kernel():
@@ -585,27 +592,6 @@ def test_expansion_engine_over_mirrored_pairs_matches_direct(selector, grid, cou
             assert max(sizes) <= max(transform._AXES_BLOCK, outputs)
             blocks = freqs.node_count + len(unodes) if small else 2
             assert len(sizes) == 2 * blocks
-
-
-def test_first_offender_across_blocks(monkeypatch):
-    # f = 2 x_1 u_1 e12 + 1.5 x_2 u_2 e34 squares to a real only where
-    # x_1 u_1 or x_2 u_2 is zero: the first two frequencies pass at every
-    # node and the third is the first to fail, two blocks after the first
-    sig, kern, field = _two_blade_spec()
-    spec = GftSpec(sig, 2, (kern,), ())
-    unodes = np.array([[0.7, 0.0], [0.0, 0.4], [0.3, -0.2], [0.5, 0.5]])
-    monkeypatch.setattr(transform, "_BLOCK", 0)
-    monkeypatch.setattr(transform, "_AXES_BLOCK", 0)
-    blocks, compose = [], transform._compose
-    monkeypatch.setattr(transform, "_compose", lambda order, y: blocks.append(y.shape) or
-                        compose(order, y))
-    _assert_agrees(gft_at(spec, field, unodes[:2]), gft_direct(spec, field, unodes[:2]))
-    assert len(blocks) == 2
-    blocks.clear()
-    msg = _not_imaginary_message(gft_at, spec, field, unodes)
-    assert len(blocks) == 2
-    assert msg == _not_imaginary_message(gft_direct, spec, field, unodes)
-    assert msg == "left kernel 1: sample 5 does not square to a negative real"
 
 
 def test_first_offender_is_the_smaller_index_of_its_pair():
