@@ -28,13 +28,17 @@ call by `plan`:
   e^{-f} = cos(rho) - sum_i s_i sin(rho)/rho e_i, rho^2 = -<f^2>_0.  The
   two-sided product expands into prod(1 + r_k) terms, each a real
   weight times a constant map of B(x) (a dense product for a direction,
-  a signed permutation for a blade).  A term's weight is even or odd in
-  x, so weights are computed once per pair of nodes {x, -x}, against
-  B(x) + B(-x) or B(x) - B(-x), and a flip negates the sine weights of
-  its kernels.  A chunk of frequencies is its weights and their GEMMs
-  against those sums; one routine (`_compose`) takes each term of a
-  block of chunks' GEMM outputs through its composite map, and the
-  block is summed over terms.
+  a signed permutation for a blade).  A blade basis with r >= m is
+  folded: s_i = x^T A_i u, so sum_i s_i e_i = sum_a x_a sum_i (A_i u)_a e_i
+  and it takes 1 + m weights, cos(rho) and x_a sin(rho)/rho, with
+  <f^2>_0 = u^T Q(x) u one GEMM of the monomials of u.  A weight is even
+  or odd in x, so weights are computed once per pair of nodes {x, -x},
+  against B(x) + B(-x) or B(x) - B(-x), and a flip negates the sine
+  weights of its kernels.  A chunk of frequencies is its weights and
+  their GEMMs against those sums; per block of chunks, the per-frequency
+  matrix (A_i u)_a of each folded basis maps its m sine outputs to its r
+  blade terms (`_unfold`), one routine (`_compose`) takes each term
+  through its composite map, and the block is summed over terms.
 * direct (`gft_direct`): one field under one spec; per frequency,
   exponentials of the kernel values at every node, two-sided products,
   and a sum over nodes.  It handles every spec and is the reference the
@@ -57,6 +61,14 @@ a spec object and kept with it (`_spec_plan`): the kernel bases, the
 reason up to the term count, the routing verdicts, the axes engine's
 layout and, on first use, the matrix of each flip set.  `parse_preset`
 shares one spec per selector, so all of this is built once per process.
+What the expansion engine derives from the spec and a field grid alone
+is one read-only record (`_FieldGrid`): the kept nodes and their
+mirrors, their coordinates, and each basis's phase matrix or Q.  The
+spec's plan keeps the records of the first `_FIELD_GRIDS` grids, keyed
+by value (dims, origin, spacing), so fresh fields on one grid share
+one; a later grid's record is built for its call, by the same
+arithmetic, and dropped.  A record holds 8 (3 + m + sum_k w_k) bytes per
+kept node, w_k = m(m+1)/2 for a folded basis and r_k m otherwise.
 Each call pays for the phase bound, the routing, the DEBUG record, the
 tiles and the arithmetic.  A grid keeps its axis coordinates
 (`_axis_coords`) but no verdict.
@@ -66,17 +78,21 @@ engine, with numpy's overflow and invalid-value warnings off.  The axes
 engine needs no per-sample check: each direction is checked once, and
 the phase bounds are finite, so every |f|^2 is.  The expansion engine
 checks a kernel that squares to a real <= 0 everywhere
-(`Factors.imaginary`) per sample only for a finite |f|^2; any other
-blade kernel per (node, frequency) with `not_imaginary`, exp_neg_many's
-test, once per pair of nodes, at the smaller index the direct engine
-names.  A flip leaves every check as it is.
+(`Factors.imaginary`) per sample only for a finite |f|^2, and a folded
+one not at all while its square comes from Q (`_Q_REACH`), whose bound
+keeps every |f|^2 finite; any other blade kernel
+per (node, frequency) with `not_imaginary`, exp_neg_many's test on s,
+once per pair of nodes, at the smaller index the direct engine names.
+A flip leaves every check as it is.
 
 Determinism: the direct engine sums each frequency's rows with one fixed
 numpy reduction over row-major node order, so identical inputs give
 bit-identical spectra.  The axes and expansion engines are bit-identical
-for the same inputs, numpy build and BLAS thread count, and agree with
-the direct engine within 1e-12 * max(1, |F(u)|): they sum over node
-pairs or phase vectors and compose the kernels' maps.  On the axes
+for the same inputs, numpy build and BLAS thread count (a call that
+builds a field grid's record and one that reads it run the same
+arithmetic), and agree with the direct engine within
+1e-12 * max(1, |F(u)|): they sum over node pairs or phase vectors and
+compose the kernels' maps.  On the axes
 engine a field transformed with others is bit-identical to its own
 transform; flips, and fields on the expansion engine, are further GEMM
 columns, which BLAS may round differently by a few ulps.
@@ -84,6 +100,7 @@ columns, which BLAS may round differently by a few ulps.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -112,16 +129,24 @@ __all__ = [
 ]
 
 # The expansion engine's weights for one frequency chunk, over all
-# terms, hold at most this many values (128 KiB), or one frequency's
-# worth on larger grids.  Larger blocks raise peak RSS and gain no speed.
+# kernels (`_Basis.slots`), hold at most this many values (128 KiB), or
+# one frequency's worth on larger grids.  Larger chunks raise peak RSS.
 _BLOCK = 1 << 14
 # The axes engine's working set for one tile of the frequency grid
-# (`_axes_values`), and the expansion engine's GEMM outputs for a block
-# of chunks, stay within this many values (2 MiB), unless one frequency
-# or chunk needs more; a tile may also take the field plus the spectrum.
+# (`_axes_values`), and the expansion engine's terms for a block of
+# chunks, stay within this many values (2 MiB), unless one frequency or
+# chunk needs more; a tile may also take the field plus the spectrum.
 _AXES_BLOCK = 1 << 18
-# A spec's plan keeps the axes engine's matrices of this many flip sets.
+# A spec's plan keeps the axes engine's matrices of this many flip sets,
+# and the expansion engine's records (`_FieldGrid`) of this many field grids.
 _FLIP_SETS = 64
+_FIELD_GRIDS = 8
+# A folded basis takes <f^2>_0 = u^T Q(x) u from Q while max|u|^2 times
+# the record's reach is at most this, and from s past it.  Q's rounding
+# is about eps max|u|^2 reach, absolute: where x is nearly parallel to u
+# it does not shrink with <f^2>_0 as the square of s does, so a grid far
+# off-centre would lose digits (1e-12 of max(1, |F|) near 1e6).
+_Q_REACH = 2.0 ** 12
 # the real part and minus the imaginary part of (-i)^p for p = 0..3
 _UNIT_PARTS = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
 
@@ -349,6 +374,11 @@ class _Basis:
     """One nonzero kernel on one side of a plan: its factorization's
     `forms`, `pairs` and `imaginary` verdict (`kernels.Factors`) and the
     engines' constant maps for that side, built by `_basis`.
+
+    A blade basis with r >= m is folded: the expansion engine weighs its
+    sine terms by the m coordinates x_a instead of the r coordinates s_i,
+    since sum_i s_i e_i = sum_a x_a sum_i (A_i u)_a e_i, and takes
+    <f^2>_0 = u^T Q(x) u over the monomials u_l u_k, l <= k (`upper`).
     """
 
     side: str
@@ -362,10 +392,21 @@ class _Basis:
     gather: np.ndarray | None = None    # (r 2^n,)
     sign: np.ndarray | None = None      # (r 2^n,)
     squares: np.ndarray | None = None   # (r,) blade squares e_i^2
+    upper: np.ndarray | None = None     # (2, p) (l, k), l <= k, folded bases only
+    quad: np.ndarray | None = None      # (p, p) monomials x_a x_b -> rows of Q
 
     @property
     def terms(self) -> int:
         return 1 + len(self.forms)
+
+    @property
+    def folded(self) -> bool:
+        return self.upper is not None
+
+    @property
+    def slots(self) -> int:
+        """Weights per node and frequency: 1 + m when folded, else terms."""
+        return 1 + self.forms.shape[1] if self.folded else self.terms
 
     def describe(self) -> str:
         check = "checked once" if self.imaginary else "per-sample check"
@@ -374,27 +415,40 @@ class _Basis:
         r = len(self.forms)
         return f"{self.label}: {r} blade{'s' if r > 1 else ''}, {check}"
 
+    def maps(self, u: np.ndarray) -> np.ndarray:
+        """(A_i u)_a at the frequencies u (M, m): an (M, r, m) array."""
+        r, m = self.forms.shape[:2]
+        return (self.forms.reshape(r * m, m) @ u.T).reshape(r, m, -1).transpose(2, 0, 1)
+
     def weights(
-        self, s: np.ndarray, validate: bool
+        self, u: np.ndarray, table: np.ndarray | None, coords: np.ndarray, validate: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Weights (M, terms, N) of e^{-f} from the coordinates
-        s = (M, r, N), written into one new array, and the (M, N) mask of
-        invalid samples when checked."""
-        w = np.empty((len(s), self.terms, s.shape[2]))
-        if self.imaginary:
-            # every basis element squares to -1: <f^2>_0 = -sum_i s_i^2
-            square = np.einsum("min,min->mn", s, s)
-            np.negative(square, out=square)
+        """Weights (M, slots, N) of e^{-f} at the frequencies u (M, m) and
+        the nodes `coords` (m, N), written into one new array, and the
+        (M, N) mask of invalid samples when checked.  `table` is the
+        basis's entry of `_FieldGrid.tables`, or None for a folded basis
+        whose Q could overflow at u: its square then comes from s."""
+        n, s = coords.shape[1], None
+        w = np.empty((len(u), self.slots, n))
+        if self.folded and table is not None:
+            square = u[:, self.upper].prod(axis=1) @ table  # u^T Q(x) u
         else:
-            square = np.einsum("i,min,min->mn", self.squares, s, s)
+            # s_i = x^T A_i u = sum_a x_a (A_i u)_a
+            s = self.maps(u) @ coords if self.folded else (u @ table).reshape(len(u), -1, n)
+            square = self._square(s)
         _, sinc = cos_sinc(square, cos=w[:, 0])
-        np.multiply(s, sinc[:, None], out=w[:, 1:])
+        np.multiply(coords if self.folded else s, sinc[:, None], out=w[:, 1:])
         if not validate:
             return w, None
         if self.imaginary:
             # f^2 = <f^2>_0 everywhere, and |f|^2 = -<f^2>_0 |j|^2: only a
-            # non-finite one can fail
+            # non-finite one can fail, and none can where Q's bound holds
+            if s is None:
+                return w, None
             return w, ~np.isfinite(square * self.norm2)
+        if s is None:
+            s = self.maps(u) @ coords
+            square = self._square(s)
         a, b, q = self.pairs
         residue = 0.0  # no commuting blade pair: f^2 is a scalar
         if len(q):
@@ -403,6 +457,13 @@ class _Basis:
             rest = np.tensordot(q, cross, axes=(1, 1))  # non-scalar part of f^2
             residue = np.sqrt(np.einsum("t...,t...->...", rest, rest))
         return w, not_imaginary(square, residue, np.einsum("min,min->mn", s, s))
+
+    def _square(self, s: np.ndarray) -> np.ndarray:
+        """<f^2>_0 = sum_i e_i^2 s_i^2 from s (M, r, N)."""
+        if self.imaginary:  # every basis element squares to -1
+            square = np.einsum("min,min->mn", s, s)
+            return np.negative(square, out=square)
+        return np.einsum("i,min,min->mn", self.squares, s, s)
 
 
 @dataclass(frozen=True)
@@ -438,7 +499,8 @@ class _SpecPlan:
     when `direct`).  `refusal` says why one-direction bases cannot run on
     the axes engine on any grid, and `axes` is set when they can on grids
     whose phase bound is finite; both are None when there is no basis or
-    some basis is not one direction.
+    some basis is not one direction.  `grids` keeps the expansion
+    engine's `_FieldGrid` of the first `_FIELD_GRIDS` field grids.
     """
 
     reason: str
@@ -446,6 +508,12 @@ class _SpecPlan:
     order: tuple[_Basis, ...] = ()  # the kernel bases, in `_fold_order`
     refusal: str | None = None
     axes: _Axes | None = None
+    # the expansion engine's runs of consecutive weights (`_Basis.slots`,
+    # first kernel most significant) with the same count of sin factors
+    # mod 2: (count, parity)
+    runs: tuple[tuple[int, int], ...] = ()
+    # (dims, origin, spacing) -> its record, built on first use
+    grids: dict[tuple, _FieldGrid] = dataclasses.field(default_factory=dict)
 
 
 def plan(spec: GftSpec, field: SampledField, freqs: FreqGrid | np.ndarray) -> Plan:
@@ -519,13 +587,18 @@ def _build_spec_plan(spec: GftSpec) -> _SpecPlan:
             notes.append(b.describe())
     notes.append(f"{terms} term{'s' if terms > 1 else ''}")
     order, refusal, axes = tuple(_fold_order(bases)), None, None
+    # the sum each weight contracts against: its count of sin factors mod 2
+    odd = np.zeros(1, dtype=int)
+    for b in order:
+        odd = (odd[:, None] + (np.arange(b.slots) > 0)).ravel() % 2
+    runs = tuple((len(list(group)), p) for p, group in itertools.groupby(odd.tolist()))
     if bases and all(b.step is not None for b in bases):
         refusal = next((f"{b.label} form not diagonal" for b in bases
                         if np.count_nonzero(b.forms[0])
                         > np.count_nonzero(np.diagonal(b.forms[0]))), None)
         if refusal is None:
             axes = _axes_layout(order)
-    return _SpecPlan("; ".join(notes), order=order, refusal=refusal, axes=axes)
+    return _SpecPlan("; ".join(notes), order=order, refusal=refusal, axes=axes, runs=runs)
 
 
 def _basis(sig: Signature, f: Factors, side: str, label: str, index: int) -> _Basis:
@@ -536,7 +609,9 @@ def _basis(sig: Signature, f: Factors, side: str, label: str, index: int) -> _Ba
     the signed permutations of x -> -e_i x (or x (-e_i)) as one flat
     gather over the r terms' coefficients side by side, out[:, l] =
     sign[l] * x[:, gather[l]] with l = i 2^n + k and gather[l] =
-    i 2^n + (k ^ blade_i), and the blade squares `squares`.
+    i 2^n + (k ^ blade_i), and the blade squares `squares`.  Blades
+    with r >= m are folded (`_Basis`): `upper` lists the p = m(m+1)/2
+    monomials, and `quad` takes those of x to Q(x) (`_FieldGrid`).
     """
     if f.direction is not None:
         step = (_left_factor if side == "left" else _right_factor)(sig, -f.direction)
@@ -550,6 +625,16 @@ def _basis(sig: Signature, f: Factors, side: str, label: str, index: int) -> _Ba
             "gather": (gather + sig.dim * np.arange(len(f.blades))[:, None]).ravel(),
             "sign": sign.ravel(),
             "squares": square_scalar_signs(sig)[f.blades]}
+        m = f.forms.shape[1]
+        if len(f.blades) >= m:
+            # Q(x)_lk = sum_ab x_a x_b sum_i e_i^2 A_i[a, l] A_i[b, k], summed
+            # over both orders of a != b and of l != k
+            l, k = maps["upper"] = np.array(np.triu_indices(m))
+            z = np.einsum("i,ial,ibk->ablk", maps["squares"], f.forms, f.forms)
+            z += z.transpose(1, 0, 2, 3)
+            z += z.transpose(0, 1, 3, 2)
+            half = np.where(l == k, 0.5, 1.0)
+            maps["quad"] = (z[:, :, l, k][l, k] * half[:, None] * half).T
     for v in maps.values():
         v.setflags(write=False)
     return _Basis(side, label, index, f.forms, f.pairs, f.imaginary, norm2, **maps)
@@ -670,69 +755,152 @@ def _gft_expansion(
     The integrand expands into prod(1 + r_k) terms w(x, u) G_L B(x) G_R
     with constant G_L, G_R and weights cos(rho) and s_i sin(rho)/rho from
     `cos_sinc`, even or odd in x as the term's count of sin factors is.
-    They are computed at the nodes `_mirror_pairs` keeps, one per pair
-    {x, -x}: even terms contract against B(x) + B(-x), odd ones against
-    B(x) - B(-x), a node without a mirror against B(x).  A chunk of
-    frequencies (`_BLOCK`) is its weights, checked, and one GEMM per run
-    of terms against the same sum, written into the block's outputs y
-    (terms, frequencies x flips, fields x 2^n).  A block is the most
-    whole chunks whose y fits `_AXES_BLOCK` values, or one chunk; once
-    per block `_compose` maps each term of y through its G_t, and the
-    terms are summed.  Negating a kernel negates its s_i, so a flip
-    negates the weights of its sine terms.
+    A folded basis (`_Basis`) has 1 + m weights instead, cos(rho) and
+    x_a sin(rho)/rho, and rho^2 from its Q (`_FieldGrid`) in one GEMM.
+    The weights are computed at the nodes of the grid's record, one per
+    pair {x, -x}: even terms contract against B(x) + B(-x), odd ones
+    against B(x) - B(-x), a node without a mirror against B(x).  A chunk
+    of frequencies (`_BLOCK`) is its weights, checked, and one GEMM per
+    run of weights against the same sum, written into the block's outputs
+    (weights, frequencies x flips, fields x 2^n).  A block is the most
+    whole chunks whose terms fit `_AXES_BLOCK` values, or one chunk; once
+    per block `_unfold` takes each folded basis's m sine outputs to its r
+    blade terms, `_compose` maps each term through its G_t, and the terms
+    are summed.  Negating a kernel negates its s_i, so a flip negates the
+    weights of its sine terms.
     """
-    dim, order = field.sig.dim, rec.order
-    cols, xs = values.shape[1] * dim, field.nodes()
-    pairs = _mirror_pairs(field)
-    if pairs is None:
-        rows, stacks = np.arange(len(xs)), (values,)
+    dim, order, grid = field.sig.dim, rec.order, _field_grid(rec, field)
+    cols, rows, n = values.shape[1] * dim, grid.rows, grid.coords.shape[1]
+    if grid.twins is None:
+        stacks = (values,)
     else:
-        rows, twins = pairs
-        xs, own = xs[rows], values[rows]
-        twin = np.where((twins != rows)[:, None, None], values[twins], 0.0)
+        own, twin = values.take(rows, axis=0), values.take(grid.twins, axis=0)
+        twin[grid.lone] = 0.0
         stacks = (own + twin, own - twin)
-    n, terms = len(rows), math.prod(b.terms for b in order)
-    # the sum each term contracts against: its count of sin factors mod 2
-    parity = np.zeros(1, dtype=int)
-    for b in order:
-        parity = (parity[:, None] + (np.arange(b.terms) > 0)).ravel() % 2
-    parity *= len(stacks) - 1
-    # each term's sign under each flip: -1 per flipped kernel whose sine it takes
+    terms, slots = math.prod(b.terms for b in order), math.prod(b.slots for b in order)
+    runs = rec.runs if len(stacks) == 2 else ((slots, 0),)
+    # each weight's sign under each flip: -1 per flipped kernel whose sine it takes
     signs = np.ones((len(masks), 1))
     for i, b in enumerate(order if masks != (0,) else ()):  # nothing to sign without flips
         flipped = (np.array(masks)[:, None] >> (len(order) - 1 - i)) & 1
-        sign = 1 - 2 * (flipped & (np.arange(b.terms) > 0))
+        sign = 1 - 2 * (flipped & (np.arange(b.slots) > 0))
         signs = (signs[:, :, None] * sign[:, None]).reshape(len(masks), -1)
-    # consecutive terms that contract against the same sum
-    runs = [(len(list(group)), p) for p, group in itertools.groupby(parity.tolist())]
-    phases = [(xs @ b.forms).transpose(2, 0, 1).reshape(field.m, -1) for b in order]
-    chunk = max(1, _BLOCK // (terms * n * len(masks)))
-    # whole chunks whose GEMM outputs fit the budget, or one chunk
+    # u^T Q u rounds by about eps max|u|^2 reach (`_Q_REACH`), and cannot
+    # overflow within that bound; past it folded bases take it from s
+    top = float(np.abs(unodes).max(initial=0.0))
+    safe = top * top * grid.reach <= _Q_REACH
+    tables = [None if b.folded and not safe else t for b, t in zip(order, grid.tables)]
+    chunk = max(1, _BLOCK // (slots * n * len(masks)))
+    # whole chunks whose terms fit the budget, or one chunk
     block = chunk * max(1, _AXES_BLOCK // (terms * chunk * len(masks) * cols))
     out = np.empty((len(unodes), len(masks) * values.shape[1], dim))
     for start in range(0, len(unodes), block):
         ub = unodes[start:start + block]
-        y = np.empty((terms, len(ub) * len(masks), cols))
+        y = np.empty((slots, len(ub) * len(masks), cols))
         for lo in range(0, len(ub), chunk):
             u = ub[lo:lo + chunk]
-            # w[:, terms]: the first kernel's term is the most significant;
-            # with only zero kernels, one term of weight 1
+            # w[:, slots]: the first kernel's weight is the most significant;
+            # with only zero kernels, one weight of 1
             w = None if order else np.ones((len(u), 1, n))
             bad = []
-            for b, ph in zip(order, phases):
-                wb, mask = b.weights((u @ ph).reshape(len(u), -1, n), validate)
+            for b, table in zip(order, tables):
+                wb, mask = b.weights(u, table, grid.coords, validate)
                 w = wb if w is None else (w[:, :, None] * wb[:, None]).reshape(len(u), -1, n)
                 bad.append(mask)
             _raise_first_violation(order, bad, rows)
             if masks != (0,):  # rows (frequency, flip)
-                w = (w[:, None] * signs[:, :, None]).reshape(-1, terms, n)
+                w = (w[:, None] * signs[:, :, None]).reshape(-1, slots, n)
             t, w, at = 0, w.swapaxes(0, 1), lo * len(masks)
             for count, p in runs:
-                y[t:t + count, at:at + w.shape[1]] = w[t:t + count] @ stacks[p].reshape(n, cols)
+                np.matmul(w[t:t + count], stacks[p].reshape(n, cols),
+                          out=y[t:t + count, at:at + w.shape[1]])
                 t += count
+        y = _unfold(order, y, ub)
         out[start:start + block] = _compose(order, y.reshape(terms, len(ub), -1, dim)).sum(axis=0)
     out *= field.cell_volume
     return out.reshape(len(unodes), len(masks), values.shape[1], dim).swapaxes(1, 2)
+
+
+def _unfold(order: Sequence[_Basis], y: np.ndarray, unodes: np.ndarray) -> np.ndarray:
+    """The terms of the GEMM outputs y (slots, frequencies x flips, cols)
+    at `unodes` (M, m): each folded basis's m sine outputs
+    y_a = sum_x x_a sinc(rho) B become its r blade terms
+    y_i = sum_a (A_i u)_a y_a, frequency by frequency; y itself when no
+    basis is folded."""
+    lead, rest = 1, len(y)
+    for b in order:
+        rest //= b.slots
+        if b.folded:
+            z = y.reshape(lead, b.slots, rest, len(unodes), -1)
+            y = np.empty((lead, b.terms) + z.shape[2:])
+            y[:, 0] = z[:, 0]
+            # per frequency, (r, m) @ (m, cols), into y's terms 1..r
+            np.matmul(b.maps(unodes), z[:, 1:].transpose(0, 2, 3, 1, 4),
+                      out=y[:, 1:].transpose(0, 2, 3, 1, 4))
+        lead *= b.terms
+    return y
+
+
+@dataclass(frozen=True, eq=False)
+class _FieldGrid:
+    """What the expansion engine derives from a spec and a field grid
+    alone, read-only: built and kept on the `_SpecPlan` by `_field_grid`,
+    so every call on that grid shares it.
+
+    The kept nodes are the rows `_mirror_pairs` keeps, or every node.
+    Per basis in fold order, `tables` holds the phase matrix (m, r N) that
+    takes u to s_i(x, u) = x^T A_i u at every kept node, or for a folded
+    basis Q (m(m+1)/2, N), whose product with the monomials u_l u_k
+    (l <= k) is <f^2>_0 = u^T Q(x) u, Q(x) = sum_i e_i^2 (A_i^T x)(A_i^T x)^T.
+    `reach` sums over folded bases p max_x sum_p |Q_p(x)|, with each
+    |Q_p(x)| bounded as if nothing in it cancelled: max|u|^2 reach bounds
+    |<f^2>_0| and, times eps, the rounding of u^T Q u (not finite where Q
+    overflowed).
+    """
+
+    rows: np.ndarray           # (N,) kept nodes, increasing
+    twins: np.ndarray | None   # (N,) the node at minus each; None when none pairs
+    lone: np.ndarray | None    # positions in rows of the nodes that mirror no other
+    coords: np.ndarray         # (m, N) kept node coordinates, one row per axis
+    tables: tuple[np.ndarray, ...]
+    reach: float
+
+
+def _field_grid(rec: _SpecPlan, field: SampledField) -> _FieldGrid:
+    """The record of `field`'s grid under `rec`, keyed by the grid's value
+    (dims, origin, spacing), so fresh fields on one grid share it.  The
+    first `_FIELD_GRIDS` grids are kept; a later grid's record is built
+    for the call and dropped, with the same arithmetic."""
+    key = (field.dims, field.origin, field.spacing)
+    grid = rec.grids.get(key)
+    if grid is not None:
+        return grid
+    xs, pairs = field.nodes(), _mirror_pairs(field)
+    if pairs is None:
+        rows, twins, lone = np.arange(len(xs)), None, None
+    else:
+        rows, twins = pairs
+        xs, lone = xs[rows], np.flatnonzero(twins == rows)
+    tables, reach = [], 0.0
+    # coordinates that overflow Q leave `reach` not finite, and the engine
+    # then takes the square from s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in rec.order:
+            if b.folded:
+                l, k = b.upper
+                x2 = (xs[:, l] * xs[:, k]).T
+                tables.append(b.quad @ x2)
+                # p sum_p |Q_p(x)|, with no cancellation inside Q_p either
+                reach += len(l) * float((np.abs(b.quad) @ np.abs(x2)).sum(axis=0).max())
+            else:
+                tables.append((xs @ b.forms).transpose(2, 0, 1).reshape(field.m, -1))
+    grid = _FieldGrid(rows, twins, lone, np.ascontiguousarray(xs.T), tuple(tables), reach)
+    for v in (rows, twins, lone, grid.coords, *tables):
+        if v is not None:
+            v.setflags(write=False)
+    if len(rec.grids) < _FIELD_GRIDS:
+        rec.grids[key] = grid
+    return grid
 
 
 def _mirror_pairs(field: SampledField) -> tuple[np.ndarray, np.ndarray] | None:

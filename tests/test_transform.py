@@ -497,6 +497,23 @@ def test_overflowing_blade_square_is_refused_like_direct():
     assert msg == "left kernel 1: sample 1 does not square to a negative real"
 
 
+@pytest.mark.parametrize("origin", [100.0, 300.0])
+def test_far_off_centre_grids_keep_their_digits(origin):
+    # every node nearly parallel to u: <f^2>_0 = |x|^2 |u|^2 - (x.u)^2
+    # cancels, and u^T Q u would lose it (8e-12 and 6e-11 of max(1, |F|)
+    # here); past `_Q_REACH` the square comes from s
+    spec = parse_preset("cylindrical:3")
+    rng = np.random.default_rng(68)
+    field = SampledField(spec.sig, (4, 4, 4), (origin,) * 3, (1.0,) * 3,
+                         rng.uniform(-1.0, 1.0, (64, spec.sig.dim)))
+    unodes = 1.0 + rng.normal(size=(6, 3)) * 1e-3
+    grid = transform._field_grid(transform._spec_plan(spec), field)
+    assert np.abs(unodes).max() ** 2 * grid.reach > transform._Q_REACH
+    for validate in (True, False):
+        _assert_agrees(gft_at(spec, field, unodes, validate=validate),
+                       gft_direct(spec, field, unodes, validate=validate))
+
+
 def test_overflowing_direction_square_is_refused_like_direct():
     # phases near 1e155 are finite, s^2 |j|^2 is not: the axes engine
     # refuses the grid and the expansion engine raises the direct one's error
@@ -528,10 +545,10 @@ def _mirror_kind(field):
 
 # extents, origin (None: centred) and spacing, by how the nodes pair up
 MIRROR_GRIDS = {
-    "odd": ((5, 3, 5, 3), None, 1.0, "full"),
-    "even": ((4, 4, 2, 2), None, 0.5, "full"),
-    "spacing-0.197": ((5, 6, 7, 3), None, 0.197, "partial"),
-    "off-centre": ((4, 3, 3, 2), (0.3, -1.0, -1.0, -0.5), 1.0, "none"),
+    "odd": ((5, 3, 5, 3, 1), None, 1.0, "full"),
+    "even": ((4, 4, 2, 2, 2), None, 0.5, "full"),
+    "spacing-0.197": ((5, 6, 7, 3, 1), None, 0.197, "partial"),
+    "off-centre": ((4, 3, 3, 2, 2), (0.3, -1.0, -1.0, -0.5, -0.5), 1.0, "none"),
 }
 
 
@@ -540,20 +557,38 @@ def _two_sided_cylindrical():
     return GftSpec(cyl.sig, 2, (cyl,), (cyl,))
 
 
+def _folded_and_direction(swap=False):
+    """cylindrical:3's left kernel, folded (3 blades on m = 3), and a right
+    diagonal kernel of one direction: 4 x 2 = 8 terms on 1 + 3 and 2
+    weights; with `swap`, the direction on the left and the folded kernel
+    on the right.  Cl(0,3)'s pseudoscalar squares to +1, so the direction
+    is the bivector e12."""
+    cyl = parse_preset("cylindrical:3")
+    e12 = Multivector.blade(cyl.sig, "e12", 0.75)
+    diag = KernelMatrix.sparse(cyl.sig, 3, [(j, j, e12 * (1.0 + j)) for j in range(3)])
+    if swap:
+        return GftSpec(cyl.sig, 3, (diag,), cyl.left)
+    return GftSpec(cyl.sig, 3, cyl.left, (diag,))
+
+
+MIRROR_SPECS = {
+    "two-sided cylindrical:2": _two_sided_cylindrical,
+    "folded and direction": _folded_and_direction,
+    "direction and folded": lambda: _folded_and_direction(swap=True),
+}
+
+
 @pytest.mark.parametrize("count", [1, 3])
 @pytest.mark.parametrize("grid", sorted(MIRROR_GRIDS))
 @pytest.mark.parametrize("selector", ["cylindrical:2", "cylindrical:3", "cylindrical:4",
-                                      "two-sided cylindrical:2"])
+                                      "cylindrical:5", *MIRROR_SPECS])
 def test_expansion_engine_over_mirrored_pairs_matches_direct(selector, grid, count,
                                                               monkeypatch):
     # even and odd terms contract against B(x) + B(-x) and B(x) - B(-x),
-    # and the maps compose each block's GEMM outputs: `count` fields under
-    # no flip or every flip, at the default budgets and with every
-    # frequency its own block
-    if selector.startswith("two-sided"):
-        spec = _two_sided_cylindrical()
-    else:
-        spec = parse_preset(selector)
+    # folded bases weigh by x_a and unfold per block, and the maps compose
+    # each block's terms: `count` fields under no flip or every flip, at
+    # the default budgets and with every frequency its own block
+    spec = MIRROR_SPECS[selector]() if selector in MIRROR_SPECS else parse_preset(selector)
     dims, origin, spacing, kind = MIRROR_GRIDS[grid]
     dims = dims[:spec.m]
     origin = tuple(-(d // 2) * spacing for d in dims) if origin is None else origin[:spec.m]
@@ -568,10 +603,19 @@ def test_expansion_engine_over_mirrored_pairs_matches_direct(selector, grid, cou
     assert plan(spec, fields[0], freqs).engine == "expansion"
     pairs = transform._mirror_pairs(fields[0])
     kept = fields[0].node_count if pairs is None else len(pairs[0])
-    terms = math.prod(b.terms for b in transform._spec_plan(spec).order)
-    sizes, compose = [], transform._compose
+    order = transform._spec_plan(spec).order
+    terms = math.prod(b.terms for b in order)
+    # blades with r >= m are folded: 1 + m weights instead of 1 + r
+    folded = [b.step is None and b.terms > spec.m for b in order]
+    assert any(folded) == (selector not in ("cylindrical:2", "two-sided cylindrical:2"))
+    slots = math.prod(1 + spec.m if f else b.terms for b, f in zip(order, folded))
+    weights, sizes = [], []
+    unfold, compose = transform._unfold, transform._compose
+    monkeypatch.setattr(transform, "_unfold", lambda order, y, u: weights.append(len(y)) or
+                        unfold(order, y, u))
     monkeypatch.setattr(transform, "_compose", lambda order, y: sizes.append(y.size) or
                         compose(order, y))
+    refs = {}  # (flips, frequencies) -> the direct engine's spectra
     for small in (False, True):
         if small:  # one frequency per chunk, and one chunk per block
             monkeypatch.setattr(transform, "_BLOCK", 0)
@@ -580,18 +624,23 @@ def test_expansion_engine_over_mirrored_pairs_matches_direct(selector, grid, cou
             specs = [negate(spec, j, k) for j, k in flips] or [spec]
             sizes.clear()
             for nodes, at in ((freqs, freqs.nodes()), (unodes, unodes)):
-                refs = [[gft_direct(s, f, at) for f in fields] for s in specs]
+                key = (len(flips), nodes is unodes)
+                if key not in refs:
+                    refs[key] = [[gft_direct(s, f, at) for f in fields] for s in specs]
                 for validate in (True, False):
                     got = transform._gft_many(spec, fields, nodes, flips, validate=validate)
-                    for i, by_field in enumerate(refs):
+                    for i, by_field in enumerate(refs[key]):
                         for values, ref in zip(got[:, :, i].swapaxes(0, 1), by_field):
                             _assert_agrees(values, ref)
-            # every block's outputs fit the budget, or are one chunk's
-            chunk = max(1, transform._BLOCK // (terms * kept * len(specs)))
+            # a chunk's weights fit _BLOCK, or are one frequency's; every
+            # block's terms, mapped by _compose, fit _AXES_BLOCK, or are one
+            # chunk's
+            chunk = max(1, transform._BLOCK // (slots * kept * len(specs)))
             outputs = terms * chunk * len(specs) * count * spec.sig.dim
             assert max(sizes) <= max(transform._AXES_BLOCK, outputs)
             blocks = freqs.node_count + len(unodes) if small else 2
             assert len(sizes) == 2 * blocks
+    assert set(weights) == {slots}
 
 
 def test_first_offender_is_the_smaller_index_of_its_pair():
@@ -879,6 +928,34 @@ def test_sign_flips_on_the_expansion_engine(selector, dims, monkeypatch):
             _assert_agrees(values, gft_direct(flipped, field, freqs.nodes()))
 
 
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("selector", ["quaternionic", "spacetime"])
+def test_three_engines_agree_cell_by_cell(selector, count):
+    # every (frequency, field, flip) cell from the axes engine on a grid,
+    # the expansion engine on the grid's nodes as an array (centred
+    # fields: mirrored pairs) and gft_direct of each negated spec
+    spec = parse_preset(selector)
+    dims = AXES_PRESETS[selector]
+    rng = np.random.default_rng(38)
+    fields = [SampledField.random(spec.sig, dims, rng) for _ in range(count)]
+    freqs = FreqGrid(tuple(max(2, d - 3) for d in dims),
+                     tuple(rng.uniform(-1.9, -1.1, len(dims))),
+                     tuple(rng.uniform(0.13, 0.41, len(dims))))
+    nodes = freqs.nodes()
+    assert plan(spec, fields[0], freqs).engine == "axes"
+    assert plan(spec, fields[0], nodes).engine == "expansion"
+    assert transform._mirror_pairs(fields[0]) is not None
+    for flips in ([], _sign_flips(spec)):
+        axes = transform._gft_many(spec, fields, freqs, flips)
+        expansion = transform._gft_many(spec, fields, nodes, flips)
+        for i, (j, k) in enumerate(flips or [((0,) * spec.mu, (0,) * (spec.nu - spec.mu))]):
+            flipped = negate(spec, j, k)
+            for b, field in enumerate(fields):
+                direct = gft_direct(flipped, field, nodes)
+                _assert_agrees(axes[:, b, i], direct)
+                _assert_agrees(expansion[:, b, i], direct)
+
+
 @pytest.mark.parametrize("selector", kernels.VERIFY_PRESETS)
 def test_many_fields_match_one_field(selector):
     # fields side by side as rows of the axes engine's GEMMs give each
@@ -1139,14 +1216,14 @@ def test_plan_bases_are_read_only():
     spec = GftSpec(sig, 2, (direction,), (blades,))
     bases = transform._spec_plan(spec).order
     arrays = [v for b in bases for v in (b.forms, b.step, b.gather, b.sign, b.squares,
-                                         *(b.pairs or ())) if v is not None]
+                                         b.upper, b.quad, *(b.pairs or ())) if v is not None]
     # as are the arrays of the axes layout a spec keeps for every gft
     color = kernels.preset("color_image")
     field = SampledField.random(color.sig, (4, 4), np.random.default_rng(34))
     gft(color, field, default_freqs(field))
     layout = transform._spec_plan(color).axes
     arrays += [layout.keys, layout.which, layout.conj, *layout.matrices.values()]
-    assert len(arrays) == 2 + 4 + 3 + 4
+    assert len(arrays) == 2 + 6 + 3 + 4  # the blades (r = m = 2) are folded
     for v in arrays:
         with pytest.raises(ValueError, match="read-only"):
             v[(0,) * v.ndim] = 1
@@ -1163,3 +1240,98 @@ def test_spec_plan_dies_with_its_spec():
     del spec
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+def _record_case(spec, dims=(6, 5, 4), seed=70):
+    """A centred field of spacing 0.5 (its nodes pair up) and an off-lattice
+    frequency grid for `spec`, with m = 3."""
+    rng = np.random.default_rng(seed)
+    field = SampledField(spec.sig, dims, tuple(-(d // 2) * 0.5 for d in dims), (0.5,) * 3,
+                         rng.uniform(-1.0, 1.0, (math.prod(dims), spec.sig.dim)))
+    freqs = FreqGrid((3, 2, 3), (-0.61, -0.37, -0.52), (0.29, 0.41, 0.23))
+    return field, freqs, rng
+
+
+def _counting_builds(monkeypatch):
+    # a record is built with one mirror search of its grid
+    builds, search = [], transform._mirror_pairs
+    monkeypatch.setattr(transform, "_mirror_pairs",
+                        lambda field: builds.append(field.origin) or search(field))
+    return builds
+
+
+def test_fresh_fields_on_one_grid_share_one_record(monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    spec = kernels.preset("cylindrical", 3)  # parse_preset would share its plan
+    field, freqs, rng = _record_case(spec)
+    first = gft(spec, field, freqs).values
+    assert len(builds) == 1
+    # fresh fields on the same grid, as a verify pass builds for each check:
+    # no grid work at all, and the same spectrum bit for bit
+    fresh = SampledField(spec.sig, field.dims, field.origin, field.spacing, field.values)
+    other = fresh.with_values(rng.uniform(-1.0, 1.0, field.values.shape))
+    monkeypatch.setattr(SampledField, "nodes", None)
+    assert np.array_equal(gft(spec, fresh, freqs).values, first)
+    unodes = rng.uniform(-1.3, 1.3, (4, 3))
+    gft_at(spec, other, unodes)
+    transform._gft_many(spec, [other, fresh], unodes, _sign_flips(spec))
+    assert len(builds) == 1
+    assert list(transform._spec_plan(spec).grids) == [(field.dims, field.origin, field.spacing)]
+
+
+def test_grids_past_the_bound_are_built_per_call(monkeypatch):
+    # the first _FIELD_GRIDS grids are kept; a later one is built for each
+    # call and dropped, and gives the spectrum a kept record gives
+    monkeypatch.setattr(transform, "_FIELD_GRIDS", 2)
+    builds = _counting_builds(monkeypatch)
+    spec = kernels.preset("cylindrical", 3)
+    field, freqs, _ = _record_case(spec)
+    moved = [SampledField(spec.sig, field.dims, tuple(o + shift for o in field.origin),
+                          field.spacing, field.values) for shift in (0.0, 0.5, 1.0)]
+    spectra = [[gft(spec, f, freqs).values for _ in range(2)] for f in moved]
+    assert builds == [f.origin for f in moved] + [moved[2].origin]
+    assert list(transform._spec_plan(spec).grids) == [
+        (f.dims, f.origin, f.spacing) for f in moved[:2]]
+    for (once, again), f in zip(spectra, moved):
+        assert np.array_equal(once, again)
+        _assert_agrees(once, gft_direct(spec, f, freqs.nodes()))
+    # the third grid kept by a spec of its own: the same arithmetic
+    kept = kernels.preset("cylindrical", 3)
+    assert np.array_equal(gft(kept, moved[2], freqs).values, spectra[2][0])
+    assert list(transform._spec_plan(kept).grids) == [
+        (moved[2].dims, moved[2].origin, moved[2].spacing)]
+
+
+def _record_widths(order, m):
+    """Values per kept node of each basis's table: Q's m(m+1)/2 rows for a
+    folded basis, else r m phases."""
+    return [m * (m + 1) // 2 if b.folded else (b.terms - 1) * m for b in order]
+
+
+def test_field_grid_records_are_read_only_and_bounded():
+    # a folded basis and a direction, on a grid whose nodes pair up: a
+    # record keeps 8 (3 + m + sum of widths) bytes per kept node
+    import tracemalloc
+
+    spec = _folded_and_direction()
+    field, freqs, _ = _record_case(spec)
+    plan(spec, field, freqs)  # the spec's own plan, outside the trace
+    gft(_folded_and_direction(), field, freqs)  # and numpy's first-use state
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        first = gft(spec, field, freqs).values.copy()
+        kept = tracemalloc.get_traced_memory()[0] - before - first.nbytes
+    finally:
+        tracemalloc.stop()
+    rec = transform._spec_plan(spec)
+    (grid,) = rec.grids.values()
+    n = len(grid.rows)
+    assert grid.twins is not None and n < field.node_count
+    assert [t.shape for t in grid.tables] == [(6, n), (3, n)]
+    assert kept <= 8 * n * (3 + spec.m + sum(_record_widths(rec.order, spec.m))) + 4096, kept
+    for v in (grid.rows, grid.twins, grid.lone, grid.coords, *grid.tables):
+        with pytest.raises(ValueError, match="read-only"):
+            v[(0,) * v.ndim] = 1
+    # a later call reads the record: bit for bit the first call's spectrum
+    assert np.array_equal(gft(spec, field, freqs).values, first)
