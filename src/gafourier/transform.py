@@ -427,7 +427,7 @@ class _Basis:
         the nodes `coords` (m, N), written into one new array, and the
         (M, N) mask of invalid samples when checked.  `table` is the
         basis's entry of `_FieldGrid.tables`, or None for a folded basis
-        whose Q could overflow at u: its square then comes from s."""
+        past `_Q_REACH` at u: its square then comes from s."""
         n, s = coords.shape[1], None
         w = np.empty((len(u), self.slots, n))
         if self.folded and table is not None:
