@@ -34,8 +34,9 @@ call by `plan`:
   <f^2>_0 = u^T Q(x) u one GEMM of the monomials of u.  A weight is even
   or odd in x, so weights are computed once per pair of nodes {x, -x},
   against B(x) + B(-x) or B(x) - B(-x), and a flip negates the sine
-  weights of its kernels.  A chunk of frequencies is its weights and
-  their GEMMs against those sums; per block of chunks, the per-frequency
+  weights of its kernels.  A chunk of frequencies is its weights, laid
+  out (slots, M, N) in buffers allocated once per call, and their GEMMs
+  against those sums; per block of chunks, the per-frequency
   matrix (A_i u)_a of each folded basis maps its m sine outputs to its r
   blade terms (`_unfold`), one routine (`_compose`) takes each term
   through its composite map, and the block is summed over terms.
@@ -129,9 +130,13 @@ __all__ = [
 ]
 
 # The expansion engine's weights for one frequency chunk, over all
-# kernels (`_Basis.slots`), hold at most this many values (128 KiB), or
-# one frequency's worth on larger grids.  Larger chunks raise peak RSS.
-_BLOCK = 1 << 14
+# kernels (`_Basis.slots`) and flips, hold at most this many values
+# (512 KiB), or one frequency's worth on larger grids.  A call allocates
+# its weight buffers once, for its largest chunk, and every chunk writes
+# into them: fresh arrays this size per chunk, above glibc's 128 KiB mmap
+# threshold, would fault in new zeroed pages every time.  At 2^17
+# cylindrical:3's working set leaves L2 and runs slower.
+_BLOCK = 1 << 16
 # The axes engine's working set for one tile of the frequency grid
 # (`_axes_values`), and the expansion engine's terms for a block of
 # chunks, stay within this many values (2 MiB), unless one frequency or
@@ -265,8 +270,15 @@ class SampledField:
         with x = 0 at index extent//2 on every axis, zeroed within
         `border` nodes of every face."""
         dims = tuple(dims)
-        count = math.prod(dims)
-        vals = rng.uniform(-1.0, 1.0, size=(count, sig.dim))
+        vals = rng.uniform(-1.0, 1.0, size=(math.prod(dims), sig.dim))
+        return cls._on_unit_grid(sig, dims, vals, border)
+
+    @classmethod
+    def _on_unit_grid(
+        cls, sig: Signature, dims: tuple[int, ...], vals: np.ndarray, border: int = 0
+    ) -> "SampledField":
+        """The field of `random`'s grid with the coefficients `vals`, which
+        are zeroed in place within `border` nodes of every face."""
         if border:
             shaped = vals.reshape(dims + (sig.dim,))
             keep = np.zeros(dims, dtype=bool)
@@ -421,31 +433,31 @@ class _Basis:
         return (self.forms.reshape(r * m, m) @ u.T).reshape(r, m, -1).transpose(2, 0, 1)
 
     def weights(
-        self, u: np.ndarray, table: np.ndarray | None, coords: np.ndarray, validate: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Weights (M, slots, N) of e^{-f} at the frequencies u (M, m) and
-        the nodes `coords` (m, N), written into one new array, and the
-        (M, N) mask of invalid samples when checked.  `table` is the
-        basis's entry of `_FieldGrid.tables`, or None for a folded basis
-        past `_Q_REACH` at u: its square then comes from s."""
+        self, u: np.ndarray, table: np.ndarray | None, coords: np.ndarray, validate: bool,
+        w: np.ndarray,
+    ) -> np.ndarray | None:
+        """Write the weights of e^{-f} at the frequencies u (M, m) and the
+        nodes `coords` (m, N) into w (slots, M, N): cos(rho) into w[0] and
+        the sine weights, x_a sin(rho)/rho when folded and s_i sin(rho)/rho
+        otherwise, into w[1:].  Return the (M, N) mask of invalid samples
+        when checked, else None.  `table` is the basis's entry of
+        `_FieldGrid.tables`, or None for a folded basis past `_Q_REACH` at
+        u: its square then comes from s."""
         n, s = coords.shape[1], None
-        w = np.empty((len(u), self.slots, n))
         if self.folded and table is not None:
             square = u[:, self.upper].prod(axis=1) @ table  # u^T Q(x) u
         else:
             # s_i = x^T A_i u = sum_a x_a (A_i u)_a
             s = self.maps(u) @ coords if self.folded else (u @ table).reshape(len(u), -1, n)
             square = self._square(s)
-        _, sinc = cos_sinc(square, cos=w[:, 0])
-        np.multiply(coords if self.folded else s, sinc[:, None], out=w[:, 1:])
+        _, sinc = cos_sinc(square, cos=w[0])
+        np.multiply(coords[:, None] if self.folded else s.swapaxes(0, 1), sinc, out=w[1:])
         if not validate:
-            return w, None
+            return None
         if self.imaginary:
             # f^2 = <f^2>_0 everywhere, and |f|^2 = -<f^2>_0 |j|^2: only a
             # non-finite one can fail, and none can where Q's bound holds
-            if s is None:
-                return w, None
-            return w, ~np.isfinite(square * self.norm2)
+            return None if s is None else ~np.isfinite(square * self.norm2)
         if s is None:
             s = self.maps(u) @ coords
             square = self._square(s)
@@ -456,7 +468,7 @@ class _Basis:
             cross *= s[:, b]
             rest = np.tensordot(q, cross, axes=(1, 1))  # non-scalar part of f^2
             residue = np.sqrt(np.einsum("t...,t...->...", rest, rest))
-        return w, not_imaginary(square, residue, np.einsum("min,min->mn", s, s))
+        return not_imaginary(square, residue, np.einsum("min,min->mn", s, s))
 
     def _square(self, s: np.ndarray) -> np.ndarray:
         """<f^2>_0 = sum_i e_i^2 s_i^2 from s (M, r, N)."""
@@ -760,9 +772,13 @@ def _gft_expansion(
     The weights are computed at the nodes of the grid's record, one per
     pair {x, -x}: even terms contract against B(x) + B(-x), odd ones
     against B(x) - B(-x), a node without a mirror against B(x).  A chunk
-    of frequencies (`_BLOCK`) is its weights, checked, and one GEMM per
-    run of weights against the same sum, written into the block's outputs
-    (weights, frequencies x flips, fields x 2^n).  A block is the most
+    of frequencies (`_BLOCK`) is its weights, checked, laid out (slots,
+    M x flips, N) so that each run of weights against the same sum is one
+    contiguous GEMM operand, and one GEMM per run, written into the
+    block's outputs (weights, frequencies x flips, fields x 2^n).  Every
+    array a chunk writes (each basis's weights, their products, the
+    flip-signed rows) is allocated once per call, for the largest chunk,
+    and each chunk writes into its leading values.  A block is the most
     whole chunks whose terms fit `_AXES_BLOCK` values, or one chunk; once
     per block `_unfold` takes each folded basis's m sine outputs to its r
     blade terms, `_compose` maps each term through its G_t, and the terms
@@ -780,11 +796,11 @@ def _gft_expansion(
     terms, slots = math.prod(b.terms for b in order), math.prod(b.slots for b in order)
     runs = rec.runs if len(stacks) == 2 else ((slots, 0),)
     # each weight's sign under each flip: -1 per flipped kernel whose sine it takes
-    signs = np.ones((len(masks), 1))
+    signs = np.ones((1, len(masks)))  # (slots, flips)
     for i, b in enumerate(order if masks != (0,) else ()):  # nothing to sign without flips
-        flipped = (np.array(masks)[:, None] >> (len(order) - 1 - i)) & 1
-        sign = 1 - 2 * (flipped & (np.arange(b.slots) > 0))
-        signs = (signs[:, :, None] * sign[:, None]).reshape(len(masks), -1)
+        flipped = (np.array(masks) >> (len(order) - 1 - i)) & 1
+        sign = 1 - 2 * (flipped & (np.arange(b.slots) > 0)[:, None])
+        signs = (signs[:, None] * sign).reshape(-1, len(masks))
     # u^T Q u rounds by about eps max|u|^2 reach (`_Q_REACH`), and cannot
     # overflow within that bound; past it folded bases take it from s
     top = float(np.abs(unodes).max(initial=0.0))
@@ -793,24 +809,36 @@ def _gft_expansion(
     chunk = max(1, _BLOCK // (slots * n * len(masks)))
     # whole chunks whose terms fit the budget, or one chunk
     block = chunk * max(1, _AXES_BLOCK // (terms * chunk * len(masks) * cols))
+    # each basis's weights, their products over the first 2, 3, ... bases
+    # and the flip-signed rows, for the largest chunk; a chunk of M
+    # frequencies writes the leading values, so its views are contiguous
+    size = min(chunk, len(unodes)) * n
+    bufs, products = [np.empty(b.slots * size) for b in order], [None]
+    for k in range(2, len(order) + 1):
+        products.append(np.empty(math.prod(b.slots for b in order[:k]) * size))
+    signed = None if masks == (0,) else np.empty(slots * len(masks) * size)
     out = np.empty((len(unodes), len(masks) * values.shape[1], dim))
     for start in range(0, len(unodes), block):
         ub = unodes[start:start + block]
         y = np.empty((slots, len(ub) * len(masks), cols))
         for lo in range(0, len(ub), chunk):
             u = ub[lo:lo + chunk]
-            # w[:, slots]: the first kernel's weight is the most significant;
+            # w (slots, M, N): the first kernel's weight is the most significant;
             # with only zero kernels, one weight of 1
-            w = None if order else np.ones((len(u), 1, n))
-            bad = []
-            for b, table in zip(order, tables):
-                wb, mask = b.weights(u, table, grid.coords, validate)
-                w = wb if w is None else (w[:, :, None] * wb[:, None]).reshape(len(u), -1, n)
-                bad.append(mask)
+            w, bad = None if order else np.ones((1, len(u), n)), []
+            for b, table, buf, held in zip(order, tables, bufs, products):
+                wb = buf[:b.slots * len(u) * n].reshape(b.slots, len(u), n)
+                bad.append(b.weights(u, table, grid.coords, validate, wb))
+                if held is not None:  # (weights so far, b.slots, M, N)
+                    both = held[:len(w) * wb.size].reshape((len(w),) + wb.shape)
+                    wb = np.multiply(w[:, None], wb, out=both).reshape(-1, len(u), n)
+                w = wb
             _raise_first_violation(order, bad, rows)
-            if masks != (0,):  # rows (frequency, flip)
-                w = (w[:, None] * signs[:, :, None]).reshape(-1, slots, n)
-            t, w, at = 0, w.swapaxes(0, 1), lo * len(masks)
+            if signed is not None:  # rows (frequency, flip)
+                both = signed[:w.size * len(masks)].reshape(slots, len(u), len(masks), n)
+                w = np.multiply(w[:, :, None], signs[:, None, :, None], out=both)
+                w = w.reshape(slots, -1, n)
+            t, at = 0, lo * len(masks)
             for count, p in runs:
                 np.matmul(w[t:t + count], stacks[p].reshape(n, cols),
                           out=y[t:t + count, at:at + w.shape[1]])

@@ -348,6 +348,39 @@ def test_verify_factors_each_preset_kernel_once(monkeypatch):
     assert count == 14 and len(calls) == count
 
 
+def test_each_theorem_prints_its_lines_of_all_and_builds_only_its_fields(monkeypatch):
+    # every value is drawn in one order whichever checks run, so `--theorem
+    # T` prints the lines `--theorem all` prints for T; a field is built
+    # only for a check that reads it: linearity two, shift the padded
+    # field, every other check the base field
+    built = []
+    build = SampledField._on_unit_grid
+    monkeypatch.setattr(SampledField, "_on_unit_grid",
+                        classmethod(lambda cls, *args: built.append(args) or build(*args)))
+    for sel in kernels.VERIFY_PRESETS:
+        args = argparse.Namespace(theorem="all", preset=sel, seed=5, size=8, tol=None)
+        built.clear()
+        lines = [line for line, _ in cli._verify_lines(args)]
+        assert [edge > 0 for *_, edge in built] == [False, False, True]
+        each = []
+        for name in cli.THEOREM_NAMES:
+            built.clear()
+            args.theorem = name
+            each += [line for line, _ in cli._verify_lines(args)]
+            edges = {"linearity": [False, False], "shift": [True]}.get(name, [False])
+            assert [edge > 0 for *_, edge in built] == edges, (sel, name)
+        assert each == lines, sel
+
+
+def test_importing_the_package_leaves_logging_unimported():
+    # `transform._route` imports logging when it first plans: importing it
+    # with the package would add about 9 ms to every start
+    code = "import sys, gafourier, gafourier.cli; print('logging' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_parse_preset_shares_one_spec_per_selector():
     kernels.parse_preset.cache_clear()
     spec = parse_preset("quaternionic")

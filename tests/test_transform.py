@@ -643,6 +643,75 @@ def test_expansion_engine_over_mirrored_pairs_matches_direct(selector, grid, cou
     assert set(weights) == {slots}
 
 
+@pytest.mark.parametrize("flipped", [False, True])
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("selector", ["cylindrical:3", "two-sided cylindrical:2"])
+def test_expansion_chunks_write_into_buffers_allocated_once_per_call(selector, count, flipped,
+                                                                     monkeypatch):
+    # every chunk of one call writes each basis's weights, (slots, M, N)
+    # and contiguous, into one buffer of that basis: `count` fields under
+    # no flip or every flip, one folded basis or two bases
+    spec = MIRROR_SPECS[selector]() if selector in MIRROR_SPECS else parse_preset(selector)
+    dims = (5, 3, 5)[:spec.m]
+    rng = np.random.default_rng(68)
+    fields = [SampledField(spec.sig, dims, tuple(-(d // 2) * 1.0 for d in dims), (1.0,) * spec.m,
+                           rng.uniform(-1.0, 1.0, (math.prod(dims), spec.sig.dim)))
+              for _ in range(count)]
+    freqs = FreqGrid((3,) * spec.m, tuple(rng.uniform(-1.3, -0.4, spec.m)),
+                     tuple(rng.uniform(0.3, 0.9, spec.m)))
+    flips = _sign_flips(spec) if flipped else []
+    order = transform._spec_plan(spec).order
+    slots = math.prod(b.slots for b in order)
+    kept = len(transform._mirror_pairs(fields[0])[0])
+    # two frequencies per chunk: 5 chunks on 3 x 3, 14 on 3 x 3 x 3
+    monkeypatch.setattr(transform, "_BLOCK", 2 * slots * kept * max(1, len(flips)))
+    writes = []
+    weights = transform._Basis.weights
+
+    def spy(self, u, table, coords, validate, w):
+        writes.append((self.index, len(u), w))
+        return weights(self, u, table, coords, validate, w)
+
+    monkeypatch.setattr(transform._Basis, "weights", spy)
+    got = transform._gft_many(spec, fields, freqs, flips)
+    assert len(order) == (2 if selector in MIRROR_SPECS else 1)
+    heads = []
+    for b in order:
+        ws = [(size, w) for index, size, w in writes if index == b.index]
+        assert len(ws) == (freqs.node_count + 1) // 2 >= 3
+        for size, w in ws:
+            assert w.shape == (b.slots, size, kept) and w.flags.c_contiguous
+            assert np.shares_memory(w, ws[0][1])
+        heads.append(ws[0][1])
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(heads, 2))
+    unodes = freqs.nodes()
+    for i, (j, k) in enumerate(flips or [((0,) * len(spec.left), (0,) * len(spec.right))]):
+        for f, field in enumerate(fields):
+            _assert_agrees(got[:, f, i], gft_direct(negate(spec, j, k), field, unodes))
+
+
+def test_expansion_engine_peak_memory():
+    # nonseparable's cylindrical:3 call, once its records are built: the
+    # weight buffers of a 25-frequency chunk (508 KiB) and the chunk's
+    # temporaries
+    import tracemalloc
+
+    spec = parse_preset("cylindrical:3")
+    values = np.random.default_rng(69).uniform(-1.0, 1.0, (1000, spec.sig.dim))
+    field = SampledField(spec.sig, (10,) * 3, (-2.5,) * 3, (0.5,) * 3, values)
+    freqs = FreqGrid((5,) * 3, (-0.613,) * 3, (0.197,) * 3)
+    assert plan(spec, field, freqs).engine == "expansion"
+    first = gft(spec, field, freqs).values
+    tracemalloc.start()
+    try:
+        again = gft(spec, field, freqs).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again, first)
+    assert peak <= 4 * 8 * transform._BLOCK, peak
+
+
 def test_first_offender_is_the_smaller_index_of_its_pair():
     sig, kern, _ = _two_blade_spec()
     # centred 5 x 5: node 0 = (-2, -2) offends first, and its mirror
