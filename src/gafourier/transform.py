@@ -69,10 +69,18 @@ spec's plan keeps the records of the first `_FIELD_GRIDS` grids, keyed
 by value (dims, origin, spacing), so fresh fields on one grid share
 one; a later grid's record is built for its call, by the same
 arithmetic, and dropped.  A record holds 8 (3 + m + sum_k w_k) bytes per
-kept node, w_k = m(m+1)/2 for a folded basis and r_k m otherwise.
-Each call pays for the phase bound, the routing, the DEBUG record, the
-tiles and the arithmetic.  A grid keeps its axis coordinates
-(`_axis_coords`) but no verdict.
+kept node, w_k = m(m+1)/2 for a folded basis and r_k m otherwise.  The
+axes engine keeps, the same way, one read-only record per (field grid,
+frequency grid) pair for the first `_FIELD_GRIDS` pairs, keyed by both
+grids' values: each axis's table e^{i theta} (`_phase_table`), built by
+a call whose frequency grid is one tile and kept while the record stays
+within `_BLOCK` values, 16 D sum_j d_j M_j bytes for D phase vectors (at
+most 512 KiB per record, 4 MiB per spec).  A stack of fields or a verify
+pass on one grid pair thus builds its tables once; a call whose tile
+splits the grid, or on a later pair, builds them per tile, by the same
+arithmetic.  Each call pays for the phase bound, the routing, the DEBUG
+record, the tile search and the arithmetic.  A grid keeps its axis
+coordinates (`_axis_coords`) but no verdict.
 
 Validation (validate=True) raises the same NotImaginary as the direct
 engine, with numpy's overflow and invalid-value warnings off.  The axes
@@ -90,8 +98,8 @@ Determinism: the direct engine sums each frequency's rows with one fixed
 numpy reduction over row-major node order, so identical inputs give
 bit-identical spectra.  The axes and expansion engines are bit-identical
 for the same inputs, numpy build and BLAS thread count (a call that
-builds a field grid's record and one that reads it run the same
-arithmetic), and agree with the direct engine within
+builds a grid's or grid pair's record and one that reads it run the
+same arithmetic), and agree with the direct engine within
 1e-12 * max(1, |F(u)|): they sum over node pairs or phase vectors and
 compose the kernels' maps.  On the axes
 engine a field transformed with others is bit-identical to its own
@@ -500,6 +508,9 @@ class _Axes:
     conj: np.ndarray          # (2^(K-1),) the pattern's c is minus its key
     # flip masks -> their (2 D 2^n, F 2^n) matrix, built on first use
     matrices: dict[tuple[int, ...], np.ndarray]
+    # (field grid, frequency grid) -> its whole axes' phase tables
+    # (`_phase_table`), for the first `_FIELD_GRIDS` pairs
+    tables: dict[tuple, dict[int, np.ndarray]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,7 +523,8 @@ class _SpecPlan:
     the axes engine on any grid, and `axes` is set when they can on grids
     whose phase bound is finite; both are None when there is no basis or
     some basis is not one direction.  `grids` keeps the expansion
-    engine's `_FieldGrid` of the first `_FIELD_GRIDS` field grids.
+    engine's `_FieldGrid` of the first `_FIELD_GRIDS` field grids, and
+    `axes.tables` the axes engine's phase tables of as many grid pairs.
     """
 
     reason: str
@@ -666,7 +678,7 @@ def _axes_layout(order: Sequence[_Basis]) -> _Axes:
     for v in (keys, which, conj):
         v.setflags(write=False)
     return _Axes(tuple(np.abs(a).sum(axis=0).tolist()), max(b.norm2 for b in order),
-                 keys, which, conj, {})
+                 keys, which, conj, {}, {})
 
 
 def _axes_matrix(rec: _SpecPlan, flips: Sequence[int]) -> np.ndarray:
@@ -1031,6 +1043,29 @@ def _axes_tile(dims: Sequence[int], fdims: Sequence[int], keys: int, cols: int,
     return tile
 
 
+def _phase_table(
+    kept: dict[int, np.ndarray] | None, j: int, x: np.ndarray, c: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """The table e^{i theta} of axis j, theta = x c u over its nodes x,
+    the keys' entries c and the tile's frequencies u: (d_1, D, R_1) on
+    the first axis, (D, d_j, R_j) on a later one.  With a grid pair's
+    record `kept` (whole axes only) it is read from there, or built and
+    kept read-only while the record's tables stay within `_BLOCK` values;
+    with None it is built for the call."""
+    table = None if kept is None else kept.get(j)
+    if table is not None:
+        return table
+    theta = np.multiply.outer(x, np.multiply.outer(c, u))
+    if j:
+        theta = theta.transpose(1, 0, 2)
+    table = np.empty(theta.shape, dtype=complex)
+    table.imag = cos_sin(theta, cos=table.real)
+    if kept is not None and table.nbytes + sum(t.nbytes for t in kept.values()) <= 8 * _BLOCK:
+        table.setflags(write=False)
+        kept[j] = table
+    return table
+
+
 def _gft_axes(
     rec: _SpecPlan, field: SampledField, values: np.ndarray, freqs: FreqGrid,
     matrix: np.ndarray,
@@ -1047,8 +1082,12 @@ def _gft_axes(
     first axis as one real GEMM of B, the fields side by side, against
     cos and sin, the others as complex GEMMs.  A tile reuses the first
     axis's sums and the phase tables of the tile before it when its range
-    on that axis is the same.  The rest is fixed per spec and flip set, so
-    a tile's spectra are its sums times `matrix`, one real GEMM.
+    on that axis is the same.  When the grid is one tile, each axis's
+    table comes from the grid pair's record (`_Axes.tables`), built on the
+    pair's first such call; split tiles build theirs per call, so no
+    call holds more tables than its tile (`_axes_values`).  The rest is
+    fixed per spec and flip set, so a tile's spectra are its sums times
+    `matrix`, one real GEMM.
     """
     dim, dims, fdims, count_f = field.sig.dim, field.dims, freqs.dims, values.shape[1]
     keys, cols = rec.axes.keys, matrix.shape[1]
@@ -1056,6 +1095,12 @@ def _gft_axes(
     us = [_axis_coords(freqs, j) for j in range(field.m)]
     b0 = values.reshape(dims[0], -1).T  # (rest of x, fields and blades, d_1)
     tile = _axes_tile(dims, fdims, len(keys), count_f * cols, count_f * dim)
+    kept = None
+    if tile == list(fdims):  # one tile, whose tables are the whole axes'
+        pair = (field.dims, field.origin, field.spacing, fdims, freqs.origin, freqs.spacing)
+        kept = rec.axes.tables.get(pair)
+        if kept is None and len(rec.axes.tables) < _FIELD_GRIDS:
+            kept = rec.axes.tables[pair] = {}
     out = np.empty(fdims + (count_f * cols,))
     held: dict[int, tuple[int, np.ndarray]] = {}  # axis -> (tile start, table)
     for starts in itertools.product(*(range(0, f, r) for f, r in zip(fdims, tile))):
@@ -1065,16 +1110,12 @@ def _gft_axes(
             if held.get(j, (None,))[0] == starts[j]:
                 continue
             held.pop(j, None)
-            theta = np.multiply.outer(xs[j], np.multiply.outer(keys[:, j], u[j]))
-            if j:  # a later axis keeps (D, d_j, R_j)
-                theta = theta.transpose(1, 0, 2)
-            table = np.empty(theta.shape, dtype=complex)  # e^{i theta}
-            table.imag = cos_sin(theta, cos=table.real)
+            table = _phase_table(kept, j, xs[j], keys[:, j], u[j])
             if not j:  # the first axis contracts (d_1, D, R_1, cos/sin)
                 table = (b0 @ table.view(float).reshape(dims[0], -1)).view(complex)
                 table = table.reshape(len(b0), len(keys), len(u[0]))
             held[j] = (starts[j], table)
-            del theta, table
+            del table
         e = np.empty((count, count_f, len(keys), dim), dtype=complex)
         for i in range(len(keys)):
             s = held[0][1][:, i]  # axes 2..m of x, fields, blades, u_1

@@ -1404,3 +1404,120 @@ def test_field_grid_records_are_read_only_and_bounded():
             v[(0,) * v.ndim] = 1
     # a later call reads the record: bit for bit the first call's spectrum
     assert np.array_equal(gft(spec, field, freqs).values, first)
+
+
+def _pair_key(field, freqs):
+    return (field.dims, field.origin, field.spacing, freqs.dims, freqs.origin, freqs.spacing)
+
+
+def _counting_tables(monkeypatch):
+    # the axes engine builds each phase table with one cos_sin call
+    shapes, trig = [], transform.cos_sin
+    monkeypatch.setattr(transform, "cos_sin",
+                        lambda theta, cos: shapes.append(theta.shape) or trig(theta, cos))
+    return shapes
+
+
+def test_fresh_grids_share_one_phase_record(monkeypatch):
+    shapes = _counting_tables(monkeypatch)
+    spec = kernels.preset("quaternionic")  # parse_preset would share its plan
+    rng = np.random.default_rng(71)
+    field = SampledField.random(spec.sig, (6, 5), rng)
+    freqs = FreqGrid((4, 3), (-0.61, -0.37), (0.29, 0.41))
+    first = gft(spec, field, freqs).values
+    assert len(shapes) == 2  # one table per axis
+    # fresh objects of the same geometry, as a verify pass builds for each
+    # check: no trigonometry at all, and the same spectrum bit for bit
+    fresh = SampledField(spec.sig, field.dims, field.origin, field.spacing, field.values)
+    again = FreqGrid(freqs.dims, freqs.origin, freqs.spacing)
+    assert np.array_equal(gft(spec, fresh, again).values, first)
+    other = fresh.with_values(rng.uniform(-1.0, 1.0, field.values.shape))
+    both = transform._gft_many(spec, [other, fresh], again)[:, :, 0]
+    assert len(shapes) == 2
+    assert np.array_equal(both[:, 1], first)
+    monkeypatch.undo()
+    assert np.array_equal(both[:, 0], gft(spec, other, freqs).values)
+    # a spec of its own has no record yet: the same arithmetic builds it
+    assert np.array_equal(gft(kernels.preset("quaternionic"), fresh, again).values, first)
+    assert list(transform._spec_plan(spec).axes.tables) == [_pair_key(field, freqs)]
+
+
+@pytest.mark.parametrize("split_first", [False, True])
+def test_phase_records_serve_every_tile(split_first, monkeypatch):
+    # 1 and 3 fields on one grid pair, on one tile and on split tiles, in
+    # both orders: a split call neither reads nor keeps the whole axes'
+    # tables, and every spectrum agrees with the direct engine
+    spec = kernels.preset("buelow", 3)
+    rng = np.random.default_rng(72)
+    fields = [SampledField.random(spec.sig, (4, 4, 4), rng) for _ in range(3)]
+    freqs = FreqGrid((5, 5, 5), (-0.77,) * 3, (0.29,) * 3)
+    tiles, choose = [], transform._axes_tile
+    monkeypatch.setattr(transform, "_axes_tile",
+                        lambda *args: tiles.append(choose(*args)) or tiles[-1])
+    runs = [(block, count) for block in (transform._AXES_BLOCK, 0) for count in (1, 3)]
+    for block, count in runs[::-1] if split_first else runs:
+        monkeypatch.setattr(transform, "_AXES_BLOCK", block)
+        got = transform._gft_many(spec, fields[:count], freqs)[:, :, 0]
+        assert (tiles[-1] == list(freqs.dims)) == bool(block), tiles[-1]
+        for values, field in zip(got.swapaxes(0, 1), fields):
+            _assert_agrees(values, gft_direct(spec, field, freqs.nodes()))
+    (kept,) = transform._spec_plan(spec).axes.tables.values()
+    assert [t.shape for t in kept.values()] == [(4, 4, 5), (4, 4, 5), (4, 4, 5)]
+
+
+def test_phase_records_are_read_only_and_bounded(monkeypatch):
+    # a record keeps whole-axis tables while they fit _BLOCK values, in
+    # read-only arrays, and its traced bytes are those tables
+    import tracemalloc
+
+    spec = kernels.preset("color_image")
+    field = SampledField.random(spec.sig, (12, 9), np.random.default_rng(73))
+    freqs = FreqGrid((7, 10), (-0.52, -0.83), (0.21, 0.17))
+    # the spec's plan and matrix, on another grid pair, outside the trace
+    gft(spec, field, FreqGrid((2, 2), (0.1, 0.2), (0.3, 0.4)))
+    gft(kernels.preset("color_image"), field, freqs)  # and numpy's first-use state
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        first = gft(spec, field, freqs).values.copy()
+        traced = tracemalloc.get_traced_memory()[0] - before - first.nbytes
+    finally:
+        tracemalloc.stop()
+    layout = transform._spec_plan(spec).axes
+    kept = layout.tables[_pair_key(field, freqs)]
+    keys = len(layout.keys)
+    assert [t.shape for t in kept.values()] == [(12, keys, 7), (keys, 9, 10)]
+    size = sum(t.nbytes for t in kept.values())
+    assert size <= 8 * transform._BLOCK and traced <= size + 4096, (size, traced)
+    for v in kept.values():
+        with pytest.raises(ValueError, match="read-only"):
+            v[(0,) * v.ndim] = 1
+    # a later call reads the record: bit for bit the first call's spectrum
+    assert np.array_equal(gft(spec, field, freqs).values, first)
+    # with room for the first axis's table only, the second is built per call
+    monkeypatch.setattr(transform, "_BLOCK", kept[0].nbytes // 8)
+    small = kernels.preset("color_image")
+    assert np.array_equal(gft(small, field, freqs).values, first)
+    assert list(transform._spec_plan(small).axes.tables[_pair_key(field, freqs)]) == [0]
+    assert np.array_equal(gft(small, field, freqs).values, first)
+
+
+def test_grid_pairs_past_the_bound_are_built_per_call(monkeypatch):
+    # the first _FIELD_GRIDS pairs keep their tables; a later pair builds
+    # its tables for each call and gives the spectrum a kept record gives
+    spec = kernels.preset("clifford", 2)
+    field = SampledField.random(spec.sig, (5, 4), np.random.default_rng(74))
+    grids = [FreqGrid((3, 4), (-0.5 - 0.1 * i, -0.4), (0.3, 0.2))
+             for i in range(transform._FIELD_GRIDS + 1)]
+    spectra = [gft(spec, field, freqs).values for freqs in grids]
+    tables = transform._spec_plan(spec).axes.tables
+    assert list(tables) == [_pair_key(field, freqs) for freqs in grids[:-1]]
+    shapes = _counting_tables(monkeypatch)
+    assert np.array_equal(gft(spec, field, grids[-1]).values, spectra[-1])
+    assert len(shapes) == 2 and len(tables) == transform._FIELD_GRIDS
+    monkeypatch.undo()
+    # the last pair kept by a spec of its own: the same arithmetic
+    kept = kernels.preset("clifford", 2)
+    assert np.array_equal(gft(kept, field, grids[-1]).values, spectra[-1])
+    assert list(transform._spec_plan(kept).axes.tables) == [_pair_key(field, grids[-1])]
+    _assert_agrees(spectra[-1], gft_direct(spec, field, grids[-1].nodes()))
