@@ -59,28 +59,28 @@ The validate flag never changes which engine runs.
 
 Planning: what depends on the spec alone is built on the first `plan` of
 a spec object and kept with it (`_spec_plan`): the kernel bases, the
-reason up to the term count, the routing verdicts, the axes engine's
-layout and, on first use, the matrix of each flip set.  `parse_preset`
-shares one spec per selector, so all of this is built once per process.
-What the expansion engine derives from the spec and a field grid alone
-is one read-only record (`_FieldGrid`): the kept nodes and their
-mirrors, their coordinates, and each basis's phase matrix or Q.  The
-spec's plan keeps the records of the first `_FIELD_GRIDS` grids, keyed
-by value (dims, origin, spacing), so fresh fields on one grid share
-one; a later grid's record is built for its call, by the same
-arithmetic, and dropped.  A record holds 8 (3 + m + sum_k w_k) bytes per
-kept node, w_k = m(m+1)/2 for a folded basis and r_k m otherwise.  The
-axes engine keeps, the same way, one read-only record per (field grid,
-frequency grid) pair for the first `_FIELD_GRIDS` pairs, keyed by both
-grids' values: each axis's table e^{i theta} (`_phase_table`), built by
-a call whose frequency grid is one tile and kept while the record stays
-within `_BLOCK` values, 16 D sum_j d_j M_j bytes for D phase vectors (at
-most 512 KiB per record, 4 MiB per spec).  A stack of fields or a verify
-pass on one grid pair thus builds its tables once; a call whose tile
-splits the grid, or on a later pair, builds them per tile, by the same
-arithmetic.  Each call pays for the phase bound, the routing, the DEBUG
-record, the tile search and the arithmetic.  A grid keeps its axis
-coordinates (`_axis_coords`) but no verdict.
+reason up to the term count, the routing verdicts and the axes engine's
+layout.  `parse_preset` shares one spec per selector, so all of this is
+built once per process.  What the engines derive from the spec and a
+grid goes through the plan's one store (`_keep`), keyed by the grids'
+values (dims, origin, spacing), so fresh objects of one geometry share
+it: the expansion engine's record of a field grid (`_FieldGrid`), 8 (3 +
+m + sum_k w_k) bytes per kept node, w_k = m(m+1)/2 for a folded basis and
+r_k m otherwise; the axes engine's tables e^{i theta} of a (field grid,
+frequency grid) pair (`_phase_table`), every axis's, built whole by a
+call whose frequency grid is one tile, 16 D sum_j d_j M_j bytes for D
+phase vectors; and its matrix of each flip set (`_axes_matrix`).  The
+store freezes every array of a record it builds and keeps the record
+while the spec holds at most `_KEPT` records of at most `_KEPT_BYTES`
+bytes together; past either bound, and for a tile that splits the grid,
+records are built for their call, by the same arithmetic, and dropped.
+Each call pays for the phase bound, the routing, the DEBUG record, the
+tile search and the arithmetic.  A grid keeps its axis coordinates
+(`_axis_coords`) but no verdict.
+
+Threads may share a spec: two may build one record at once, and one
+copy is kept.  A record is stored only once built and frozen, so no
+reader sees it partly built, and the bounds hold under any interleaving.
 
 Validation (validate=True) raises the same NotImaginary as the direct
 engine, with numpy's overflow and invalid-value warnings off.  The axes
@@ -112,8 +112,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -150,10 +151,11 @@ _BLOCK = 1 << 16
 # chunks, stay within this many values (2 MiB), unless one frequency or
 # chunk needs more; a tile may also take the field plus the spectrum.
 _AXES_BLOCK = 1 << 18
-# A spec's plan keeps the axes engine's matrices of this many flip sets,
-# and the expansion engine's records (`_FieldGrid`) of this many field grids.
-_FLIP_SETS = 64
-_FIELD_GRIDS = 8
+# A spec's plan keeps at most this many records (`_keep`) of at most this
+# many bytes together: buelow:7's axes matrix (16 MiB) is kept, buelow:8's
+# (128 MiB) is built for each call.
+_KEPT = 64
+_KEPT_BYTES = 32 << 20
 # A folded basis takes <f^2>_0 = u^T Q(x) u from Q while max|u|^2 times
 # the record's reach is at most this, and from s past it.  Q's rounding
 # is about eps max|u|^2 reach, absolute: where x is nearly parallel to u
@@ -498,19 +500,15 @@ class Plan:
 class _Axes:
     """The axes engine's layout for one spec, with the kernels in fold
     order: the sign patterns sigma with sigma_1 = +1 (`_sign_patterns`)
-    give the phase vectors c = sigma . a, kept once up to sign, and
-    `matrices` (`_axes_matrix`) take a tile's sums to its spectra."""
+    give the phase vectors c = sigma . a, kept once up to sign.  The
+    matrix of each flip set (`_axes_matrix`) and the phase tables of each
+    grid pair are records in the spec's store (`_keep`)."""
 
     reach: tuple[float, ...]  # sum_k |a_kj| per axis j
     norm2: float              # max_k |j_k|^2
     keys: np.ndarray          # (D, m) distinct c up to sign, first nonzero > 0
     which: np.ndarray         # (2^(K-1),) the key of each pattern
     conj: np.ndarray          # (2^(K-1),) the pattern's c is minus its key
-    # flip masks -> their (2 D 2^n, F 2^n) matrix, built on first use
-    matrices: dict[tuple[int, ...], np.ndarray]
-    # (field grid, frequency grid) -> its whole axes' phase tables
-    # (`_phase_table`), for the first `_FIELD_GRIDS` pairs
-    tables: dict[tuple, dict[int, np.ndarray]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -522,9 +520,8 @@ class _SpecPlan:
     when `direct`).  `refusal` says why one-direction bases cannot run on
     the axes engine on any grid, and `axes` is set when they can on grids
     whose phase bound is finite; both are None when there is no basis or
-    some basis is not one direction.  `grids` keeps the expansion
-    engine's `_FieldGrid` of the first `_FIELD_GRIDS` field grids, and
-    `axes.tables` the axes engine's phase tables of as many grid pairs.
+    some basis is not one direction.  `kept` is the spec's one store of
+    records derived from it and its grids (`_keep`).
     """
 
     reason: str
@@ -536,8 +533,8 @@ class _SpecPlan:
     # first kernel most significant) with the same count of sin factors
     # mod 2: (count, parity)
     runs: tuple[tuple[int, int], ...] = ()
-    # (dims, origin, spacing) -> its record, built on first use
-    grids: dict[tuple, _FieldGrid] = dataclasses.field(default_factory=dict)
+    # key -> (record, bytes of its arrays), filled by `_keep`
+    kept: dict[tuple, tuple[object, int]] = dataclasses.field(default_factory=dict)
 
 
 def plan(spec: GftSpec, field: SampledField, freqs: FreqGrid | np.ndarray) -> Plan:
@@ -576,8 +573,10 @@ def _route(rec: _SpecPlan, field: SampledField, freqs: FreqGrid | np.ndarray) ->
     log = logging.getLogger("gafourier")
     if log.isEnabledFor(logging.DEBUG):
         count = freqs.node_count if isinstance(freqs, FreqGrid) else len(freqs)
-        log.debug("plan: %s engine (%s), %d nodes x %d frequencies",
-                  p.engine, p.reason, field.node_count, count)
+        with _KEEPING:
+            kept = len(rec.kept), sum(size for _, size in rec.kept.values())
+        log.debug("plan: %s engine (%s), %d nodes x %d frequencies; %d records kept, %d bytes",
+                  p.engine, p.reason, field.node_count, count, *kept)
     return p
 
 
@@ -586,9 +585,39 @@ def _spec_plan(spec: GftSpec) -> _SpecPlan:
     object's instance dictionary (as `KernelMatrix.factors` is kept with
     its kernel), so it lives exactly as long as the spec."""
     rec = spec.__dict__.get("_plan")
-    if rec is None:
-        rec = spec.__dict__["_plan"] = _build_spec_plan(spec)
+    if rec is None:  # one copy is kept when two threads build it
+        rec = spec.__dict__.setdefault("_plan", _build_spec_plan(spec))
     return rec
+
+
+_KEEPING = threading.Lock()  # admission to every spec's store
+_Record = TypeVar("_Record")
+
+
+def _keep(rec: _SpecPlan, key: tuple, build: Callable[[], _Record]) -> _Record:
+    """The record `key` of the spec's store, or the one `build` returns,
+    with every array read-only.  A built record is kept while the store
+    stays within `_KEPT` records and `_KEPT_BYTES` bytes of arrays;
+    otherwise it serves its call and is dropped."""
+    hit = rec.kept.get(key)
+    if hit is not None:
+        return hit[0]
+    value = build()
+    size = _freeze(value)
+    with _KEEPING:
+        if (len(rec.kept) < _KEPT
+                and size + sum(s for _, s in rec.kept.values()) <= _KEPT_BYTES):
+            return rec.kept.setdefault(key, (value, size))[0]
+    return value
+
+
+def _freeze(value: object) -> int:
+    """Make `value`, an array, or the arrays among a tuple's items and
+    theirs, read-only, and return their bytes."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+        return value.nbytes
+    return sum(map(_freeze, value)) if isinstance(value, tuple) else 0
 
 
 def _build_spec_plan(spec: GftSpec) -> _SpecPlan:
@@ -659,8 +688,7 @@ def _basis(sig: Signature, f: Factors, side: str, label: str, index: int) -> _Ba
             z += z.transpose(0, 1, 3, 2)
             half = np.where(l == k, 0.5, 1.0)
             maps["quad"] = (z[:, :, l, k][l, k] * half[:, None] * half).T
-    for v in maps.values():
-        v.setflags(write=False)
+    _freeze(tuple(maps.values()))
     return _Basis(side, label, index, f.forms, f.pairs, f.imaginary, norm2, **maps)
 
 
@@ -675,14 +703,13 @@ def _axes_layout(order: Sequence[_Basis]) -> _Axes:
     which = np.array([index.setdefault(key, len(index)) for key in
                       map(tuple, (np.where(conj[:, None], -c, c) + 0.0).tolist())])
     keys = np.array(list(index)).reshape(len(index), a.shape[1])
-    for v in (keys, which, conj):
-        v.setflags(write=False)
+    _freeze((keys, which, conj))
     return _Axes(tuple(np.abs(a).sum(axis=0).tolist()), max(b.norm2 for b in order),
-                 keys, which, conj, {}, {})
+                 keys, which, conj)
 
 
 def _axes_matrix(rec: _SpecPlan, flips: Sequence[int]) -> np.ndarray:
-    """The read-only real (2 D 2^n, F 2^n) matrix that takes a tile's sums,
+    """The real (2 D 2^n, F 2^n) matrix that takes a tile's sums,
     the float view of a (count, D, 2^n) complex array, to the spectra of the
     F sign flips, each a bit mask of the negated kernels with the first
     kernel in fold order the most significant bit.
@@ -714,9 +741,7 @@ def _axes_matrix(rec: _SpecPlan, flips: Sequence[int]) -> np.ndarray:
     # (F, 2, D, 2^n, 2^n) -> rows (D, 2^n, 2), columns (F, 2^n)
     w = np.tensordot(coef, maps, axes=(2, 0)).transpose(2, 3, 1, 0, 4)
     w *= 0.5 ** (k - 1)
-    w = w.reshape(2 * keys * dim, len(flips) * dim)
-    w.setflags(write=False)
-    return w
+    return w.reshape(2 * keys * dim, len(flips) * dim)
 
 
 def _phase_refusal(
@@ -797,7 +822,8 @@ def _gft_expansion(
     are summed.  Negating a kernel negates its s_i, so a flip negates the
     weights of its sine terms.
     """
-    dim, order, grid = field.sig.dim, rec.order, _field_grid(rec, field)
+    key = ("grid", field.dims, field.origin, field.spacing)
+    dim, order, grid = field.sig.dim, rec.order, _keep(rec, key, lambda: _field_grid(rec, field))
     cols, rows, n = values.shape[1] * dim, grid.rows, grid.coords.shape[1]
     if grid.twins is None:
         stacks = (values,)
@@ -881,11 +907,9 @@ def _unfold(order: Sequence[_Basis], y: np.ndarray, unodes: np.ndarray) -> np.nd
     return y
 
 
-@dataclass(frozen=True, eq=False)
-class _FieldGrid:
+class _FieldGrid(NamedTuple):
     """What the expansion engine derives from a spec and a field grid
-    alone, read-only: built and kept on the `_SpecPlan` by `_field_grid`,
-    so every call on that grid shares it.
+    alone: built by `_field_grid`, and kept in the spec's store.
 
     The kept nodes are the rows `_mirror_pairs` keeps, or every node.
     Per basis in fold order, `tables` holds the phase matrix (m, r N) that
@@ -907,14 +931,7 @@ class _FieldGrid:
 
 
 def _field_grid(rec: _SpecPlan, field: SampledField) -> _FieldGrid:
-    """The record of `field`'s grid under `rec`, keyed by the grid's value
-    (dims, origin, spacing), so fresh fields on one grid share it.  The
-    first `_FIELD_GRIDS` grids are kept; a later grid's record is built
-    for the call and dropped, with the same arithmetic."""
-    key = (field.dims, field.origin, field.spacing)
-    grid = rec.grids.get(key)
-    if grid is not None:
-        return grid
+    """The record of `field`'s grid under `rec`."""
     xs, pairs = field.nodes(), _mirror_pairs(field)
     if pairs is None:
         rows, twins, lone = np.arange(len(xs)), None, None
@@ -934,13 +951,7 @@ def _field_grid(rec: _SpecPlan, field: SampledField) -> _FieldGrid:
                 reach += len(l) * float((np.abs(b.quad) @ np.abs(x2)).sum(axis=0).max())
             else:
                 tables.append((xs @ b.forms).transpose(2, 0, 1).reshape(field.m, -1))
-    grid = _FieldGrid(rows, twins, lone, np.ascontiguousarray(xs.T), tuple(tables), reach)
-    for v in (rows, twins, lone, grid.coords, *tables):
-        if v is not None:
-            v.setflags(write=False)
-    if len(rec.grids) < _FIELD_GRIDS:
-        rec.grids[key] = grid
-    return grid
+    return _FieldGrid(rows, twins, lone, np.ascontiguousarray(xs.T), tuple(tables), reach)
 
 
 def _mirror_pairs(field: SampledField) -> tuple[np.ndarray, np.ndarray] | None:
@@ -995,8 +1006,7 @@ def _axis_coords(grid: FreqGrid | SampledField, j: int) -> np.ndarray:
     if coords is None:
         coords = grid.__dict__["_coords"] = tuple(
             o + np.arange(d) * s for d, o, s in zip(grid.dims, grid.origin, grid.spacing))
-        for c in coords:
-            c.setflags(write=False)
+        _freeze(coords)
     return coords[j]
 
 
@@ -1043,26 +1053,15 @@ def _axes_tile(dims: Sequence[int], fdims: Sequence[int], keys: int, cols: int,
     return tile
 
 
-def _phase_table(
-    kept: dict[int, np.ndarray] | None, j: int, x: np.ndarray, c: np.ndarray, u: np.ndarray
-) -> np.ndarray:
+def _phase_table(j: int, x: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The table e^{i theta} of axis j, theta = x c u over its nodes x,
     the keys' entries c and the tile's frequencies u: (d_1, D, R_1) on
-    the first axis, (D, d_j, R_j) on a later one.  With a grid pair's
-    record `kept` (whole axes only) it is read from there, or built and
-    kept read-only while the record's tables stay within `_BLOCK` values;
-    with None it is built for the call."""
-    table = None if kept is None else kept.get(j)
-    if table is not None:
-        return table
+    the first axis, (D, d_j, R_j) on a later one."""
     theta = np.multiply.outer(x, np.multiply.outer(c, u))
     if j:
         theta = theta.transpose(1, 0, 2)
     table = np.empty(theta.shape, dtype=complex)
     table.imag = cos_sin(theta, cos=table.real)
-    if kept is not None and table.nbytes + sum(t.nbytes for t in kept.values()) <= 8 * _BLOCK:
-        table.setflags(write=False)
-        kept[j] = table
     return table
 
 
@@ -1082,10 +1081,10 @@ def _gft_axes(
     first axis as one real GEMM of B, the fields side by side, against
     cos and sin, the others as complex GEMMs.  A tile reuses the first
     axis's sums and the phase tables of the tile before it when its range
-    on that axis is the same.  When the grid is one tile, each axis's
-    table comes from the grid pair's record (`_Axes.tables`), built on the
-    pair's first such call; split tiles build theirs per call, so no
-    call holds more tables than its tile (`_axes_values`).  The rest is
+    on that axis is the same.  When the grid is one tile, every axis's
+    table comes from the grid pair's record in the spec's store (`_keep`),
+    one tuple built whole; split tiles build theirs per call, so no call
+    holds more tables than its tile (`_axes_values`).  The rest is
     fixed per spec and flip set, so a tile's spectra are its sums times
     `matrix`, one real GEMM.
     """
@@ -1095,12 +1094,11 @@ def _gft_axes(
     us = [_axis_coords(freqs, j) for j in range(field.m)]
     b0 = values.reshape(dims[0], -1).T  # (rest of x, fields and blades, d_1)
     tile = _axes_tile(dims, fdims, len(keys), count_f * cols, count_f * dim)
-    kept = None
+    tables = None
     if tile == list(fdims):  # one tile, whose tables are the whole axes'
-        pair = (field.dims, field.origin, field.spacing, fdims, freqs.origin, freqs.spacing)
-        kept = rec.axes.tables.get(pair)
-        if kept is None and len(rec.axes.tables) < _FIELD_GRIDS:
-            kept = rec.axes.tables[pair] = {}
+        pair = ("tables", dims, field.origin, field.spacing, fdims, freqs.origin, freqs.spacing)
+        tables = _keep(rec, pair, lambda: tuple(
+            _phase_table(j, xs[j], keys[:, j], us[j]) for j in range(field.m)))
     out = np.empty(fdims + (count_f * cols,))
     held: dict[int, tuple[int, np.ndarray]] = {}  # axis -> (tile start, table)
     for starts in itertools.product(*(range(0, f, r) for f, r in zip(fdims, tile))):
@@ -1110,7 +1108,7 @@ def _gft_axes(
             if held.get(j, (None,))[0] == starts[j]:
                 continue
             held.pop(j, None)
-            table = _phase_table(kept, j, xs[j], keys[:, j], u[j])
+            table = tables[j] if tables else _phase_table(j, xs[j], keys[:, j], u[j])
             if not j:  # the first axis contracts (d_1, D, R_1, cos/sin)
                 table = (b0 @ table.view(float).reshape(dims[0], -1)).view(complex)
                 table = table.reshape(len(b0), len(keys), len(u[0]))
@@ -1154,11 +1152,7 @@ def _gft_many(
     values = (field.values[:, None] if len(fields) == 1
               else np.stack([f.values for f in fields], axis=1))
     if engine == "axes":
-        matrix = rec.axes.matrices.get(masks)
-        if matrix is None:
-            matrix = _axes_matrix(rec, masks)
-            if len(rec.axes.matrices) < _FLIP_SETS:  # kept for this many flip sets
-                rec.axes.matrices[masks] = matrix
+        matrix = _keep(rec, ("matrix", masks), lambda: _axes_matrix(rec, masks))
         return _gft_axes(rec, field, values, freqs, matrix)
     unodes = freqs.nodes() if isinstance(freqs, FreqGrid) else freqs
     if engine == "direct":

@@ -399,19 +399,35 @@ def test_parse_preset_shares_one_spec_per_selector():
     assert parse_preset("quaternionic") is not spec
 
 
+def _arrays(value):
+    """The arrays of a kept record: itself, or those of a tuple's items."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    return [a for v in value for a in _arrays(v)] if isinstance(value, tuple) else []
+
+
 def test_shared_spec_plans_are_read_only():
-    # every array the plan of a shared spec keeps, after each check ran
+    # every array the plan of a shared spec keeps, after each check ran:
+    # its bases and axes layout, and every record of its store (the
+    # expansion engine's field grids, the axes engine's phase tables and
+    # flip-set matrices)
     kernels.parse_preset.cache_clear()
     for sel in kernels.VERIFY_PRESETS:
         args = argparse.Namespace(theorem="all", preset=sel, seed=3, size=8, tol=None)
         assert not any(bad for _, bad in cli._verify_lines(args))
         rec = transform._spec_plan(parse_preset(sel))
         arrays = [v for b in rec.order for v in (b.forms, b.step, b.gather, b.sign,
-                                                 b.squares, *(b.pairs or ()))]
+                                                 b.squares, b.upper, b.quad, *(b.pairs or ()))]
+        kinds = {key[0] for key in rec.kept}
         if rec.axes is not None:
-            assert len(rec.axes.matrices) >= 1
-            arrays += [rec.axes.keys, rec.axes.which, rec.axes.conj,
-                       *rec.axes.matrices.values()]
+            assert kinds == {"matrix", "tables"}, sel
+            arrays += [rec.axes.keys, rec.axes.which, rec.axes.conj]
+        else:
+            assert kinds == {"grid"}, sel
+        for record, size in rec.kept.values():
+            kept = _arrays(record)
+            assert kept and size == sum(v.nbytes for v in kept)
+            arrays += kept
         for kern in parse_preset(sel).left + parse_preset(sel).right:
             arrays += [kern.tensor, kern.factors.forms, kern.factors.direction,
                        kern.factors.blades]
@@ -419,6 +435,8 @@ def test_shared_spec_plans_are_read_only():
         assert arrays
         for v in arrays:
             assert not v.flags.writeable, sel
+        assert len(rec.kept) <= transform._KEPT
+        assert sum(size for _, size in rec.kept.values()) <= transform._KEPT_BYTES
 
 
 @pytest.mark.parametrize("selector, engine", [

@@ -823,15 +823,21 @@ def test_plan_reasons():
 
 
 def test_plan_decision_is_logged(caplog):
-    spec = parse_preset("quaternionic")
+    # with what the spec's store holds when the call starts: nothing, then
+    # the first call's flip-set matrix and phase tables
+    spec = kernels.preset("quaternionic")  # parse_preset would share its store
     field = SampledField.random(spec.sig, (4, 4), np.random.default_rng(9))
     with caplog.at_level(logging.DEBUG, logger="gafourier"):
-        gft(spec, field, default_freqs(field))
+        for _ in range(2):
+            gft(spec, field, default_freqs(field))
+    kept = transform._spec_plan(spec).kept
+    (matrix, _), (tables, _) = kept.values()
+    size = matrix.nbytes + sum(t.nbytes for t in tables)
+    line = ("plan: axes engine (left kernel 1: 1 direction, checked once; "
+            "right kernel 1: 1 direction, checked once; 4 terms; diagonal forms), "
+            "16 nodes x 16 frequencies")
     assert [r.getMessage() for r in caplog.records] == [
-        "plan: axes engine (left kernel 1: 1 direction, checked once; "
-        "right kernel 1: 1 direction, checked once; 4 terms; diagonal forms), "
-        "16 nodes x 16 frequencies"
-    ]
+        f"{line}; 0 records kept, 0 bytes", f"{line}; 2 records kept, {size} bytes"]
 
 
 def _assert_grid_agrees(spec, field, freqs):
@@ -957,8 +963,9 @@ def test_sign_flips_from_one_contraction(selector, monkeypatch):
 
 
 def test_axes_engine_keeps_the_first_flip_sets():
-    # 65 distinct flip sets of color_image's 16 flips: the plan keeps the
-    # first _FLIP_SETS matrices, and the next call still builds its own
+    # 65 distinct flip sets of color_image's 16 flips: the store keeps
+    # _KEPT records, the grid pair's tables and the first matrices, and a
+    # later flip set still builds its own
     spec = kernels.preset("color_image")  # parse_preset would share its plan
     field = SampledField.random(spec.sig, (4, 4), np.random.default_rng(37))
     freqs = default_freqs(field)
@@ -967,7 +974,9 @@ def test_axes_engine_keeps_the_first_flip_sets():
     sets = [list(pair) for pair in itertools.combinations(flips, 2)][:64] + [flips]
     for flip_set in sets:
         got = transform._gft_many(spec, [field], freqs, flip_set)[:, 0]
-    assert len(transform._spec_plan(spec).axes.matrices) == transform._FLIP_SETS
+    kept = transform._spec_plan(spec).kept
+    assert len(kept) == transform._KEPT
+    assert sum(key[0] == "matrix" for key in kept) == transform._KEPT - 1
     for i, (j, k) in enumerate(flips):
         ref = gft(negate(spec, j, k), field, freqs).values
         err = np.linalg.norm(got[:, i] - ref, axis=1)
@@ -1286,13 +1295,11 @@ def test_plan_bases_are_read_only():
     bases = transform._spec_plan(spec).order
     arrays = [v for b in bases for v in (b.forms, b.step, b.gather, b.sign, b.squares,
                                          b.upper, b.quad, *(b.pairs or ())) if v is not None]
-    # as are the arrays of the axes layout a spec keeps for every gft
-    color = kernels.preset("color_image")
-    field = SampledField.random(color.sig, (4, 4), np.random.default_rng(34))
-    gft(color, field, default_freqs(field))
-    layout = transform._spec_plan(color).axes
-    arrays += [layout.keys, layout.which, layout.conj, *layout.matrices.values()]
-    assert len(arrays) == 2 + 6 + 3 + 4  # the blades (r = m = 2) are folded
+    # as are the arrays of the axes layout; the records of a spec's store
+    # are walked in test_cli.py::test_shared_spec_plans_are_read_only
+    layout = transform._spec_plan(kernels.preset("color_image")).axes
+    arrays += [layout.keys, layout.which, layout.conj]
+    assert len(arrays) == 2 + 6 + 3 + 3  # the blades (r = m = 2) are folded
     for v in arrays:
         with pytest.raises(ValueError, match="read-only"):
             v[(0,) * v.ndim] = 1
@@ -1345,13 +1352,18 @@ def test_fresh_fields_on_one_grid_share_one_record(monkeypatch):
     gft_at(spec, other, unodes)
     transform._gft_many(spec, [other, fresh], unodes, _sign_flips(spec))
     assert len(builds) == 1
-    assert list(transform._spec_plan(spec).grids) == [(field.dims, field.origin, field.spacing)]
+    assert list(transform._spec_plan(spec).kept) == [_grid_key(field)]
+
+
+def _grid_key(field):
+    return ("grid", field.dims, field.origin, field.spacing)
 
 
 def test_grids_past_the_bound_are_built_per_call(monkeypatch):
-    # the first _FIELD_GRIDS grids are kept; a later one is built for each
-    # call and dropped, and gives the spectrum a kept record gives
-    monkeypatch.setattr(transform, "_FIELD_GRIDS", 2)
+    # the store keeps _KEPT records, here the first 2 grids; a later one is
+    # built for each call and dropped, and gives the spectrum a kept record
+    # gives
+    monkeypatch.setattr(transform, "_KEPT", 2)
     builds = _counting_builds(monkeypatch)
     spec = kernels.preset("cylindrical", 3)
     field, freqs, _ = _record_case(spec)
@@ -1359,16 +1371,14 @@ def test_grids_past_the_bound_are_built_per_call(monkeypatch):
                           field.spacing, field.values) for shift in (0.0, 0.5, 1.0)]
     spectra = [[gft(spec, f, freqs).values for _ in range(2)] for f in moved]
     assert builds == [f.origin for f in moved] + [moved[2].origin]
-    assert list(transform._spec_plan(spec).grids) == [
-        (f.dims, f.origin, f.spacing) for f in moved[:2]]
+    assert list(transform._spec_plan(spec).kept) == [_grid_key(f) for f in moved[:2]]
     for (once, again), f in zip(spectra, moved):
         assert np.array_equal(once, again)
         _assert_agrees(once, gft_direct(spec, f, freqs.nodes()))
     # the third grid kept by a spec of its own: the same arithmetic
     kept = kernels.preset("cylindrical", 3)
     assert np.array_equal(gft(kept, moved[2], freqs).values, spectra[2][0])
-    assert list(transform._spec_plan(kept).grids) == [
-        (moved[2].dims, moved[2].origin, moved[2].spacing)]
+    assert list(transform._spec_plan(kept).kept) == [_grid_key(moved[2])]
 
 
 def _record_widths(order, m):
@@ -1377,9 +1387,10 @@ def _record_widths(order, m):
     return [m * (m + 1) // 2 if b.folded else (b.terms - 1) * m for b in order]
 
 
-def test_field_grid_records_are_read_only_and_bounded():
+def test_field_grid_records_are_bounded():
     # a folded basis and a direction, on a grid whose nodes pair up: a
-    # record keeps 8 (3 + m + sum of widths) bytes per kept node
+    # record keeps 8 (3 + m + sum of widths) bytes per kept node, and the
+    # store counts them
     import tracemalloc
 
     spec = _folded_and_direction()
@@ -1394,20 +1405,23 @@ def test_field_grid_records_are_read_only_and_bounded():
     finally:
         tracemalloc.stop()
     rec = transform._spec_plan(spec)
-    (grid,) = rec.grids.values()
+    ((grid, size),) = rec.kept.values()
     n = len(grid.rows)
     assert grid.twins is not None and n < field.node_count
     assert [t.shape for t in grid.tables] == [(6, n), (3, n)]
-    assert kept <= 8 * n * (3 + spec.m + sum(_record_widths(rec.order, spec.m))) + 4096, kept
-    for v in (grid.rows, grid.twins, grid.lone, grid.coords, *grid.tables):
-        with pytest.raises(ValueError, match="read-only"):
-            v[(0,) * v.ndim] = 1
+    assert size <= 8 * n * (3 + spec.m + sum(_record_widths(rec.order, spec.m)))
+    assert kept <= size + 4096, (kept, size)
     # a later call reads the record: bit for bit the first call's spectrum
     assert np.array_equal(gft(spec, field, freqs).values, first)
 
 
 def _pair_key(field, freqs):
-    return (field.dims, field.origin, field.spacing, freqs.dims, freqs.origin, freqs.spacing)
+    return ("tables", field.dims, field.origin, field.spacing,
+            freqs.dims, freqs.origin, freqs.spacing)
+
+
+def _pair_keys(spec):
+    return [key for key in transform._spec_plan(spec).kept if key[0] == "tables"]
 
 
 def _counting_tables(monkeypatch):
@@ -1439,7 +1453,7 @@ def test_fresh_grids_share_one_phase_record(monkeypatch):
     assert np.array_equal(both[:, 0], gft(spec, other, freqs).values)
     # a spec of its own has no record yet: the same arithmetic builds it
     assert np.array_equal(gft(kernels.preset("quaternionic"), fresh, again).values, first)
-    assert list(transform._spec_plan(spec).axes.tables) == [_pair_key(field, freqs)]
+    assert _pair_keys(spec) == [_pair_key(field, freqs)]
 
 
 @pytest.mark.parametrize("split_first", [False, True])
@@ -1461,13 +1475,14 @@ def test_phase_records_serve_every_tile(split_first, monkeypatch):
         assert (tiles[-1] == list(freqs.dims)) == bool(block), tiles[-1]
         for values, field in zip(got.swapaxes(0, 1), fields):
             _assert_agrees(values, gft_direct(spec, field, freqs.nodes()))
-    (kept,) = transform._spec_plan(spec).axes.tables.values()
-    assert [t.shape for t in kept.values()] == [(4, 4, 5), (4, 4, 5), (4, 4, 5)]
+    assert _pair_keys(spec) == [_pair_key(fields[0], freqs)]
+    kept, _ = transform._spec_plan(spec).kept[_pair_key(fields[0], freqs)]
+    assert [t.shape for t in kept] == [(4, 4, 5), (4, 4, 5), (4, 4, 5)]
 
 
-def test_phase_records_are_read_only_and_bounded(monkeypatch):
-    # a record keeps whole-axis tables while they fit _BLOCK values, in
-    # read-only arrays, and its traced bytes are those tables
+def test_phase_records_are_bounded(monkeypatch):
+    # a record keeps every axis's whole table, and its traced bytes are
+    # those tables; a record past the budget keeps none of them
     import tracemalloc
 
     spec = kernels.preset("color_image")
@@ -1483,41 +1498,148 @@ def test_phase_records_are_read_only_and_bounded(monkeypatch):
         traced = tracemalloc.get_traced_memory()[0] - before - first.nbytes
     finally:
         tracemalloc.stop()
-    layout = transform._spec_plan(spec).axes
-    kept = layout.tables[_pair_key(field, freqs)]
-    keys = len(layout.keys)
-    assert [t.shape for t in kept.values()] == [(12, keys, 7), (keys, 9, 10)]
-    size = sum(t.nbytes for t in kept.values())
-    assert size <= 8 * transform._BLOCK and traced <= size + 4096, (size, traced)
-    for v in kept.values():
-        with pytest.raises(ValueError, match="read-only"):
-            v[(0,) * v.ndim] = 1
+    kept, size = transform._spec_plan(spec).kept[_pair_key(field, freqs)]
+    keys = len(transform._spec_plan(spec).axes.keys)
+    assert [t.shape for t in kept] == [(12, keys, 7), (keys, 9, 10)]
+    assert size == sum(t.nbytes for t in kept) and traced <= size + 4096, (size, traced)
     # a later call reads the record: bit for bit the first call's spectrum
     assert np.array_equal(gft(spec, field, freqs).values, first)
-    # with room for the first axis's table only, the second is built per call
-    monkeypatch.setattr(transform, "_BLOCK", kept[0].nbytes // 8)
+    # with room for the matrix and the first axis's table only, the pair's
+    # tables are built per call, all of them, by the same arithmetic
     small = kernels.preset("color_image")
-    assert np.array_equal(gft(small, field, freqs).values, first)
-    assert list(transform._spec_plan(small).axes.tables[_pair_key(field, freqs)]) == [0]
-    assert np.array_equal(gft(small, field, freqs).values, first)
+    matrix, _ = transform._spec_plan(spec).kept[("matrix", (0,))]
+    monkeypatch.setattr(transform, "_KEPT_BYTES", matrix.nbytes + kept[0].nbytes)
+    shapes = _counting_tables(monkeypatch)
+    for calls in (2, 4):
+        assert np.array_equal(gft(small, field, freqs).values, first)
+        assert list(transform._spec_plan(small).kept) == [("matrix", (0,))]
+        assert len(shapes) == calls
 
 
 def test_grid_pairs_past_the_bound_are_built_per_call(monkeypatch):
-    # the first _FIELD_GRIDS pairs keep their tables; a later pair builds
-    # its tables for each call and gives the spectrum a kept record gives
+    # the store keeps _KEPT records, here the matrix and the first 2 pairs'
+    # tables; a later pair builds its tables for each call and gives the
+    # spectrum a kept record gives
+    monkeypatch.setattr(transform, "_KEPT", 3)
     spec = kernels.preset("clifford", 2)
     field = SampledField.random(spec.sig, (5, 4), np.random.default_rng(74))
-    grids = [FreqGrid((3, 4), (-0.5 - 0.1 * i, -0.4), (0.3, 0.2))
-             for i in range(transform._FIELD_GRIDS + 1)]
+    grids = [FreqGrid((3, 4), (-0.5 - 0.1 * i, -0.4), (0.3, 0.2)) for i in range(3)]
     spectra = [gft(spec, field, freqs).values for freqs in grids]
-    tables = transform._spec_plan(spec).axes.tables
-    assert list(tables) == [_pair_key(field, freqs) for freqs in grids[:-1]]
+    assert _pair_keys(spec) == [_pair_key(field, freqs) for freqs in grids[:-1]]
     shapes = _counting_tables(monkeypatch)
     assert np.array_equal(gft(spec, field, grids[-1]).values, spectra[-1])
-    assert len(shapes) == 2 and len(tables) == transform._FIELD_GRIDS
-    monkeypatch.undo()
+    assert len(shapes) == 2 and len(transform._spec_plan(spec).kept) == 3
     # the last pair kept by a spec of its own: the same arithmetic
     kept = kernels.preset("clifford", 2)
     assert np.array_equal(gft(kept, field, grids[-1]).values, spectra[-1])
-    assert list(transform._spec_plan(kept).axes.tables) == [_pair_key(field, grids[-1])]
+    assert _pair_keys(kept) == [_pair_key(field, grids[-1])]
     _assert_agrees(spectra[-1], gft_direct(spec, field, grids[-1].nodes()))
+
+
+def test_kept_bytes_stay_within_the_budget(monkeypatch):
+    # field grids, grid pairs and flip sets through one spec's store, with
+    # a budget they overfill (records of 0.5 to 63 KiB): after every call
+    # the store's records stay within the budget, the bytes traced since
+    # the first call are theirs (and the spectra's), and every spectrum is
+    # bit for bit that of a spec that keeps all of them
+    import tracemalloc
+
+    rng = np.random.default_rng(75)
+    sig = parse_preset("quaternionic").sig
+    fields = [SampledField.random(sig, (d, d - 1), rng) for d in (12, 20, 28, 36)]
+    grids = [FreqGrid((d, d + 1), (-0.5, -0.4), (0.11, 0.13)) for d in (10, 16, 22, 28)]
+    unodes = rng.uniform(-1.0, 1.0, (7, 2))
+    flips = _sign_flips(parse_preset("quaternionic"))
+
+    def calls(spec):
+        for i, (field, freqs) in enumerate(zip(fields, grids)):
+            yield gft(spec, field, freqs).values  # a grid pair, no flip
+            yield gft_at(spec, field, unodes)  # a field grid
+            yield transform._gft_many(spec, [field], freqs, flips[:i + 1])  # a flip set
+
+    whole = kernels.preset("quaternionic")  # parse_preset would share its store
+    want = [v.copy() for v in calls(whole)]
+    every = transform._spec_plan(whole).kept
+    assert {key[0] for key in every} == {"grid", "tables", "matrix"}
+    budget = sum(size for _, size in every.values()) // 2
+    monkeypatch.setattr(transform, "_KEPT_BYTES", budget)
+    spec = kernels.preset("quaternionic")
+    plan(spec, fields[0], grids[0])  # the spec's own plan, outside the trace
+    got = []
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for values in calls(spec):
+            got.append(values.copy())
+            del values
+            kept = transform._spec_plan(spec).kept
+            size = sum(size for _, size in kept.values())
+            traced = (tracemalloc.get_traced_memory()[0] - before
+                      - sum(v.nbytes for v in got))
+            assert size <= budget and len(kept) <= transform._KEPT
+            assert traced <= size + 16384, (traced, size, budget)
+    finally:
+        tracemalloc.stop()
+    assert len(kept) < len(every)
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_a_matrix_past_the_budget_is_built_per_call(monkeypatch):
+    # in place of buelow:8's 128 MiB matrix, which the budget refuses (and
+    # buelow:7's 16 MiB one fits): with the budget below one matrix, each
+    # call builds its own and none is kept, with a kept matrix's spectrum
+    for n, fits in ((7, True), (8, False)):
+        layout = transform._spec_plan(parse_preset(f"buelow:{n}")).axes
+        size = 2 * len(layout.keys) * 2 ** n * 2 ** n * 8
+        assert (size <= transform._KEPT_BYTES) == fits, n
+    whole = kernels.preset("buelow", 3)  # parse_preset would share its store
+    field = SampledField.random(whole.sig, (4, 4, 4), np.random.default_rng(76))
+    freqs = default_freqs(field)
+    want = gft(whole, field, freqs).values
+    matrix, _ = transform._spec_plan(whole).kept[("matrix", (0,))]
+    monkeypatch.setattr(transform, "_KEPT_BYTES", matrix.nbytes - 1)
+    builds, build = [], transform._axes_matrix
+    monkeypatch.setattr(transform, "_axes_matrix", lambda *args: builds.append(1) or build(*args))
+    spec = kernels.preset("buelow", 3)
+    for calls in (1, 2):
+        assert np.array_equal(gft(spec, field, freqs).values, want)
+        assert len(builds) == calls
+    assert _pair_keys(spec) == list(transform._spec_plan(spec).kept)
+
+
+@pytest.mark.parametrize("name, args", [("color_image", ()), ("cylindrical", (3,))])
+def test_threads_share_one_fresh_spec(name, args):
+    # 4 threads make their first gft call together on one fresh spec, 3
+    # times, switching often: each gets the single-threaded spectrum bit
+    # for bit, and the store keeps one copy of each record, within its bounds
+    import sys
+    import threading
+
+    spec = kernels.preset(name, *args)  # parse_preset would share its store
+    field = SampledField.random(spec.sig, (6,) * spec.m, np.random.default_rng(77))
+    freqs = default_freqs(field)
+    want = gft(spec, field, freqs).values
+    records = len(transform._spec_plan(spec).kept)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            spec, got, start = kernels.preset(name, *args), [None] * 4, threading.Barrier(4)
+
+            def run(i, spec=spec, got=got, start=start):
+                start.wait(timeout=60)
+                got[i] = gft(spec, field, freqs).values
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert all(g is not None and np.array_equal(g, want) for g in got)
+            kept = transform._spec_plan(spec).kept
+            assert len(kept) == records <= transform._KEPT
+            assert sum(size for _, size in kept.values()) <= transform._KEPT_BYTES
+    finally:
+        sys.setswitchinterval(interval)
