@@ -66,17 +66,17 @@ grid goes through the plan's one store (`_keep`), keyed by the grids'
 values (dims, origin, spacing), so fresh objects of one geometry share
 it: the expansion engine's record of a field grid (`_FieldGrid`), 8 (3 +
 m + sum_k w_k) bytes per kept node, w_k = m(m+1)/2 for a folded basis and
-r_k m otherwise; the axes engine's tables e^{i theta} of a (field grid,
-frequency grid) pair (`_phase_table`), every axis's, built whole by a
-call whose frequency grid is one tile, 16 D sum_j d_j M_j bytes for D
-phase vectors; and its matrix of each flip set (`_axes_matrix`).  The
-store freezes every array of a record it builds and keeps the record
-while the spec holds at most `_KEPT` records of at most `_KEPT_BYTES`
-bytes together; past either bound, and for a tile that splits the grid,
-records are built for their call, by the same arithmetic, and dropped.
-Each call pays for the phase bound, the routing, the DEBUG record, the
-tile search and the arithmetic.  A grid keeps its axis coordinates
-(`_axis_coords`) but no verdict.
+r_k m otherwise; for a spec the axes engine may run, the plan of a (field
+grid, frequency grid) pair (`_GridPlan`): route, phase bound, one
+field's tile and, if that is the whole grid, every axis's e^{i theta}
+(`_phase_table`), 16 D sum_j d_j M_j bytes for D phase vectors; and the
+axes engine's matrix of each flip set (`_axes_matrix`).  The store
+freezes every array of a record it builds and keeps the record while
+the spec holds at most `_KEPT` records of at most `_KEPT_BYTES` bytes
+together; past either bound records are built for their call, by the
+same arithmetic, and dropped.  So a call on a kept grid pair checks its
+inputs, looks up its plan and runs its arithmetic, on one tile without
+reading `_axis_coords`; several fields or flips choose their own tile.
 
 Threads may share a spec: two may build one record at once, and one
 copy is kept.  A record is stored only once built and frozen, so no
@@ -110,6 +110,7 @@ columns, which BLAS may round differently by a few ulps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import threading
@@ -501,8 +502,8 @@ class _Axes:
     """The axes engine's layout for one spec, with the kernels in fold
     order: the sign patterns sigma with sigma_1 = +1 (`_sign_patterns`)
     give the phase vectors c = sigma . a, kept once up to sign.  The
-    matrix of each flip set (`_axes_matrix`) and the phase tables of each
-    grid pair are records in the spec's store (`_keep`)."""
+    matrix of each flip set (`_axes_matrix`) and the plan of each grid
+    pair (`_GridPlan`) are records in the spec's store (`_keep`)."""
 
     reach: tuple[float, ...]  # sum_k |a_kj| per axis j
     norm2: float              # max_k |j_k|^2
@@ -537,6 +538,17 @@ class _SpecPlan:
     kept: dict[tuple, tuple[object, int]] = dataclasses.field(default_factory=dict)
 
 
+class _GridPlan(NamedTuple):
+    """A grid pair's plan under a spec the axes engine may run, built by
+    `_grid_plan` and kept in the spec's store: the engine and whole
+    reason, and on the axes engine `_axes_tile`'s tile for one field and
+    every axis's table when that tile is the whole grid."""
+
+    plan: Plan
+    tile: tuple[int, ...] | None = None
+    tables: tuple[np.ndarray, ...] | None = None
+
+
 def plan(spec: GftSpec, field: SampledField, freqs: FreqGrid | np.ndarray) -> Plan:
     """Choose the engine for transforming `field` at `freqs`, a frequency
     grid or an (M, m) array of frequency vectors, under `spec`.
@@ -548,36 +560,53 @@ def plan(spec: GftSpec, field: SampledField, freqs: FreqGrid | np.ndarray) -> Pl
     Otherwise the expansion engine runs while the product of (1 + r) over
     the kernels stays within max(2^nu, 2^n), so its GEMM work per pair is
     at most that of 2^nu sign patterns or of one dense product; larger
-    specs go to the direct engine.  Everything but the phase bound is
-    decided once per spec object; see `_spec_plan`.  Inputs that `gft`
-    and `gft_at` refuse raise the same ValueError here.
+    specs go to the direct engine.  This is decided once per spec object
+    (`_spec_plan`) and grid pair (`_GridPlan`).  Inputs that `gft` and
+    `gft_at` refuse raise the same ValueError here.
     """
-    return _route(_spec_plan(spec), field, _check_inputs(spec, field, freqs))
+    return _route(_spec_plan(spec), field, _check_inputs(spec, field, freqs)).plan
 
 
-def _route(rec: _SpecPlan, field: SampledField, freqs: FreqGrid | np.ndarray) -> Plan:
-    if rec.direct:
-        p = Plan("direct", rec.reason)
-    elif isinstance(freqs, FreqGrid) and (rec.axes is not None or rec.refusal):
-        refusal = rec.refusal or _phase_refusal(rec.axes, field, freqs)
-        if refusal is None:
-            p = Plan("axes", f"{rec.reason}; diagonal forms")
-        else:
-            p = Plan("expansion", f"{rec.reason}; no axes engine: {refusal}")
-    else:
-        p = Plan("expansion", rec.reason)
-    # imported here, not at module level: importing logging would add
-    # about 9 ms to every start of the package
+@functools.cache  # on the first plan: importing logging at start costs about 9 ms
+def _logger():
     import logging
 
-    log = logging.getLogger("gafourier")
-    if log.isEnabledFor(logging.DEBUG):
+    return logging.getLogger("gafourier")
+
+
+def _route(rec: _SpecPlan, field: SampledField, freqs: FreqGrid | np.ndarray) -> _GridPlan:
+    log, note = _logger(), ""
+    debug = log.isEnabledFor(10)  # logging.DEBUG
+    if rec.direct:
+        grid = _GridPlan(Plan("direct", rec.reason))
+    elif isinstance(freqs, FreqGrid) and rec.axes is not None:
+        key = ("plan", field.dims, field.origin, field.spacing,
+               freqs.dims, freqs.origin, freqs.spacing)
+        if debug:
+            note = "; grid plan reused" if key in rec.kept else "; grid plan built"
+        grid = _keep(rec, key, lambda: _grid_plan(rec, field, freqs))
+    elif isinstance(freqs, FreqGrid) and rec.refusal:
+        grid = _GridPlan(Plan("expansion", f"{rec.reason}; no axes engine: {rec.refusal}"))
+    else:
+        grid = _GridPlan(Plan("expansion", rec.reason))
+    if debug:
         count = freqs.node_count if isinstance(freqs, FreqGrid) else len(freqs)
         with _KEEPING:
             kept = len(rec.kept), sum(size for _, size in rec.kept.values())
-        log.debug("plan: %s engine (%s), %d nodes x %d frequencies; %d records kept, %d bytes",
-                  p.engine, p.reason, field.node_count, count, *kept)
-    return p
+        log.debug("plan: %s engine (%s), %d nodes x %d frequencies%s; %d records kept, %d bytes",
+                  grid.plan.engine, grid.plan.reason, field.node_count, count, note, *kept)
+    return grid
+
+
+def _grid_plan(rec: _SpecPlan, field: SampledField, freqs: FreqGrid) -> _GridPlan:
+    refusal = _phase_refusal(rec.axes, field, freqs)
+    if refusal is not None:
+        return _GridPlan(Plan("expansion", f"{rec.reason}; no axes engine: {refusal}"))
+    keys, dim = rec.axes.keys, field.sig.dim
+    tile = _axes_tile(field.dims, freqs.dims, len(keys), dim, dim)
+    tables = tuple(_phase_table(j, _axis_coords(field, j), keys[:, j], _axis_coords(freqs, j))
+                   for j in range(field.m)) if tile == freqs.dims else None
+    return _GridPlan(Plan("axes", f"{rec.reason}; diagonal forms"), tile, tables)
 
 
 def _spec_plan(spec: GftSpec) -> _SpecPlan:
@@ -1036,7 +1065,7 @@ def _axes_values(
 
 
 def _axes_tile(dims: Sequence[int], fdims: Sequence[int], keys: int, cols: int,
-               dim: int) -> list[int]:
+               dim: int) -> tuple[int, ...]:
     """Extents of the frequency tiles: the whole grid, halved along the
     first axis, then the next, until `_axes_values` is within
     max(`_AXES_BLOCK`, field values + spectrum values) or the tile is
@@ -1050,7 +1079,7 @@ def _axes_tile(dims: Sequence[int], fdims: Sequence[int], keys: int, cols: int,
             j += 1
         else:
             tile[j] = (tile[j] + 1) // 2
-    return tile
+    return tuple(tile)
 
 
 def _phase_table(j: int, x: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -1067,7 +1096,7 @@ def _phase_table(j: int, x: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndar
 
 def _gft_axes(
     rec: _SpecPlan, field: SampledField, values: np.ndarray, freqs: FreqGrid,
-    matrix: np.ndarray,
+    matrix: np.ndarray, grid: _GridPlan,
 ) -> np.ndarray:
     """Transform on a frequency grid, one axis at a time: the
     (M, F, flips, 2^n) spectra of `_axes_matrix` of the fields `values`
@@ -1081,37 +1110,35 @@ def _gft_axes(
     first axis as one real GEMM of B, the fields side by side, against
     cos and sin, the others as complex GEMMs.  A tile reuses the first
     axis's sums and the phase tables of the tile before it when its range
-    on that axis is the same.  When the grid is one tile, every axis's
-    table comes from the grid pair's record in the spec's store (`_keep`),
-    one tuple built whole; split tiles build theirs per call, so no call
-    holds more tables than its tile (`_axes_values`).  The rest is
-    fixed per spec and flip set, so a tile's spectra are its sums times
-    `matrix`, one real GEMM.
+    on that axis is the same.  One field under one flip takes the tile
+    and tables of the grid pair's plan `grid`; other calls choose a tile
+    and read those tables only for the whole grid.  Split tiles build
+    their own, so no call holds more tables than its tile (`_axes_values`).
+    The rest is fixed per spec and flip set: a tile's spectra are its sums
+    times `matrix`, one real GEMM, into the output itself for one tile.
     """
     dim, dims, fdims, count_f = field.sig.dim, field.dims, freqs.dims, values.shape[1]
     keys, cols = rec.axes.keys, matrix.shape[1]
-    xs = [_axis_coords(field, j) for j in range(field.m)]
-    us = [_axis_coords(freqs, j) for j in range(field.m)]
+    tile, tables = grid.tile, grid.tables
+    if count_f * cols > dim:  # several fields or flips: a tile of their own
+        tile = _axes_tile(dims, fdims, len(keys), count_f * cols, count_f * dim)
+        tables = tables if tile == fdims else None
     b0 = values.reshape(dims[0], -1).T  # (rest of x, fields and blades, d_1)
-    tile = _axes_tile(dims, fdims, len(keys), count_f * cols, count_f * dim)
-    tables = None
-    if tile == list(fdims):  # one tile, whose tables are the whole axes'
-        pair = ("tables", dims, field.origin, field.spacing, fdims, freqs.origin, freqs.spacing)
-        tables = _keep(rec, pair, lambda: tuple(
-            _phase_table(j, xs[j], keys[:, j], us[j]) for j in range(field.m)))
     out = np.empty(fdims + (count_f * cols,))
     held: dict[int, tuple[int, np.ndarray]] = {}  # axis -> (tile start, table)
     for starts in itertools.product(*(range(0, f, r) for f, r in zip(fdims, tile))):
-        u = [us[j][lo:lo + r] for j, (lo, r) in enumerate(zip(starts, tile))]
-        count = math.prod(map(len, u))
+        ext = [min(r, f - lo) for f, r, lo in zip(fdims, tile, starts)]
+        count = math.prod(ext)
         for j in range(field.m):
             if held.get(j, (None,))[0] == starts[j]:
                 continue
             held.pop(j, None)
-            table = tables[j] if tables else _phase_table(j, xs[j], keys[:, j], u[j])
+            table = tables[j] if tables is not None else _phase_table(
+                j, _axis_coords(field, j), keys[:, j],
+                _axis_coords(freqs, j)[starts[j]:starts[j] + ext[j]])
             if not j:  # the first axis contracts (d_1, D, R_1, cos/sin)
                 table = (b0 @ table.view(float).reshape(dims[0], -1)).view(complex)
-                table = table.reshape(len(b0), len(keys), len(u[0]))
+                table = table.reshape(len(b0), len(keys), ext[0])
             held[j] = (starts[j], table)
             del table
         e = np.empty((count, count_f, len(keys), dim), dtype=complex)
@@ -1120,9 +1147,12 @@ def _gft_axes(
             for j in range(1, field.m):
                 s = s.reshape(dims[j], -1).T @ held[j][1][i]  # ..., u_1..u_j
             e[:, :, i] = s.reshape(count_f, dim, count).transpose(2, 0, 1)
-        out[tuple(slice(lo, lo + len(v)) for lo, v in zip(starts, u))] = (
-            (e.view(float).reshape(count * count_f, -1) @ matrix).reshape(
-                tuple(map(len, u)) + (count_f * cols,)))
+        sums = e.view(float).reshape(count * count_f, -1)
+        if count == freqs.node_count:
+            np.matmul(sums, matrix, out=out.reshape(len(sums), cols))
+        else:
+            out[tuple(slice(lo, lo + r) for lo, r in zip(starts, ext))] = (
+                (sums @ matrix).reshape(tuple(ext) + (count_f * cols,)))
     out *= field.cell_volume
     return out.reshape(freqs.node_count, count_f, cols // dim, dim)
 
@@ -1135,14 +1165,14 @@ def _gft_many(
     grid or an (M, m) array) under `spec` with the kernels of each flip
     (j, k) negated as `negate(spec, j, k)` negates them, or under `spec`
     alone without flips: an (M, fields, flips, 2^n) array, from one pass
-    of the engine `plan` chooses.  The axes engine builds its phase
-    tables once and applies every flip's matrix in one GEMM, and the
+    of the engine `plan` chooses.  The axes engine contracts the fields
+    once and applies every flip's matrix in one GEMM, and the
     expansion engine computes and checks its weights once; the direct
     engine transforms each field under each `negate`d spec."""
     field = _one_grid(fields)
     freqs = _check_inputs(spec, field, freqs)
     rec = _spec_plan(spec)
-    engine = _route(rec, field, freqs).engine
+    grid = _route(rec, field, freqs)
     masks = (0,)
     if flips:  # each flip a bit mask over rec.order, its first kernel the highest bit
         top = len(rec.order) - 1
@@ -1151,11 +1181,11 @@ def _gft_many(
     # fields side by side, (N, F, 2^n); one field's values as they are
     values = (field.values[:, None] if len(fields) == 1
               else np.stack([f.values for f in fields], axis=1))
-    if engine == "axes":
+    if grid.plan.engine == "axes":
         matrix = _keep(rec, ("matrix", masks), lambda: _axes_matrix(rec, masks))
-        return _gft_axes(rec, field, values, freqs, matrix)
+        return _gft_axes(rec, field, values, freqs, matrix, grid)
     unodes = freqs.nodes() if isinstance(freqs, FreqGrid) else freqs
-    if engine == "direct":
+    if grid.plan.engine == "direct":
         specs = [negate(spec, j, k) for j, k in flips] or [spec]
         out = [[_direct_sum(s, f, unodes, validate) for s in specs] for f in fields]
         return np.moveaxis(np.array(out), 2, 0)

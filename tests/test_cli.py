@@ -373,7 +373,7 @@ def test_each_theorem_prints_its_lines_of_all_and_builds_only_its_fields(monkeyp
 
 
 def test_importing_the_package_leaves_logging_unimported():
-    # `transform._route` imports logging when it first plans: importing it
+    # `transform._logger` imports logging on the first plan: importing it
     # with the package would add about 9 ms to every start
     code = "import sys, gafourier, gafourier.cli; print('logging' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -409,8 +409,8 @@ def _arrays(value):
 def test_shared_spec_plans_are_read_only():
     # every array the plan of a shared spec keeps, after each check ran:
     # its bases and axes layout, and every record of its store (the
-    # expansion engine's field grids, the axes engine's phase tables and
-    # flip-set matrices)
+    # expansion engine's field grids, the axes engine's grid plans with
+    # their phase tables, and its flip-set matrices)
     kernels.parse_preset.cache_clear()
     for sel in kernels.VERIFY_PRESETS:
         args = argparse.Namespace(theorem="all", preset=sel, seed=3, size=8, tol=None)
@@ -420,7 +420,7 @@ def test_shared_spec_plans_are_read_only():
                                                  b.squares, b.upper, b.quad, *(b.pairs or ()))]
         kinds = {key[0] for key in rec.kept}
         if rec.axes is not None:
-            assert kinds == {"matrix", "tables"}, sel
+            assert kinds == {"matrix", "plan"}, sel
             arrays += [rec.axes.keys, rec.axes.which, rec.axes.conj]
         else:
             assert kinds == {"grid"}, sel

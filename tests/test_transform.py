@@ -823,21 +823,33 @@ def test_plan_reasons():
 
 
 def test_plan_decision_is_logged(caplog):
-    # with what the spec's store holds when the call starts: nothing, then
-    # the first call's flip-set matrix and phase tables
+    # with what the spec's store holds once the grid plan is looked up:
+    # the plan the first call built, then also the first call's matrix
     spec = kernels.preset("quaternionic")  # parse_preset would share its store
     field = SampledField.random(spec.sig, (4, 4), np.random.default_rng(9))
     with caplog.at_level(logging.DEBUG, logger="gafourier"):
         for _ in range(2):
             gft(spec, field, default_freqs(field))
     kept = transform._spec_plan(spec).kept
-    (matrix, _), (tables, _) = kept.values()
-    size = matrix.nbytes + sum(t.nbytes for t in tables)
+    (grid, _), (matrix, _) = kept.values()
+    size = sum(t.nbytes for t in grid.tables)
     line = ("plan: axes engine (left kernel 1: 1 direction, checked once; "
             "right kernel 1: 1 direction, checked once; 4 terms; diagonal forms), "
-            "16 nodes x 16 frequencies")
+            "16 nodes x 16 frequencies; grid plan")
     assert [r.getMessage() for r in caplog.records] == [
-        f"{line}; 0 records kept, 0 bytes", f"{line}; 2 records kept, {size} bytes"]
+        f"{line} built; 1 records kept, {size} bytes",
+        f"{line} reused; 2 records kept, {size + matrix.nbytes} bytes"]
+
+
+def _own_spec(selector):
+    """A new spec for `selector`, with a store of its own: `parse_preset`
+    shares one spec per selector."""
+    return kernels.parse_preset.__wrapped__(selector)
+
+
+def _grid_plans(spec):
+    return [grid for key, (grid, _) in transform._spec_plan(spec).kept.items()
+            if key[0] == "plan"]
 
 
 def _assert_grid_agrees(spec, field, freqs):
@@ -903,14 +915,17 @@ def test_axes_engine_matches_direct_on_divided_grids(selector, a):
 ])
 def test_axes_engine_tiles(selector, tile, monkeypatch):
     # single frequencies, and uneven tiles split along the first axis,
-    # later axes or both (the last tile on an axis is shorter)
-    monkeypatch.setattr(transform, "_axes_tile", lambda *args: list(tile))
-    spec = parse_preset(selector)
+    # later axes or both (the last tile on an axis is shorter); a spec of
+    # its own, since a grid plan keeps the tile it was built with
+    monkeypatch.setattr(transform, "_axes_tile", lambda *args: tile)
+    spec = _own_spec(selector)
     dims = AXES_PRESETS[selector]
     field = SampledField.random(spec.sig, dims, np.random.default_rng(24))
     freqs = FreqGrid(tuple(d + 1 for d in dims), (-0.77,) * len(dims), (0.29,) * len(dims))
     assert plan(spec, field, freqs).engine == "axes"
     _assert_grid_agrees(spec, field, freqs)
+    (grid,) = _grid_plans(spec)
+    assert grid.tile == tile and grid.tables is None
 
 
 @pytest.mark.parametrize("selector", ["buelow:3", "spacetime", "color_image"])
@@ -927,7 +942,8 @@ def test_axes_engine_tiles_match_one_tile(selector, monkeypatch):
     monkeypatch.setattr(transform, "_axes_tile",
                         lambda *args: tiles.append(choose(*args)) or tiles[-1])
     monkeypatch.setattr(transform, "_AXES_BLOCK", 0)
-    split = gft(spec, field, freqs).values
+    # a spec of its own plans the grid pair again, under the small budget
+    split = gft(_own_spec(selector), field, freqs).values
     assert math.prod(tiles[-1]) < freqs.node_count // 2
     err = np.linalg.norm(split - whole, axis=1)
     assert (err <= 1e-15 * np.maximum(1.0, np.linalg.norm(whole, axis=1))).all()
@@ -1231,7 +1247,7 @@ def test_axes_routing_refusals():
     assert plan(quat, field, freqs).engine == "axes"
     gft(quat, field, freqs)
     # phases that overflow go to the expansion engine, which raises what
-    # the direct engine raises; the spec's record keeps no grid's verdict
+    # the direct engine raises; each grid pair's plan has its own verdict
     huge = SampledField(sig, (4, 4), (0.0, 0.0), (1e200, 1e200), field.values)
     wide = FreqGrid((3, 3), (0.0, 0.0), (1e200, 1e200))
     p = plan(quat, huge, wide)
@@ -1416,12 +1432,12 @@ def test_field_grid_records_are_bounded():
 
 
 def _pair_key(field, freqs):
-    return ("tables", field.dims, field.origin, field.spacing,
+    return ("plan", field.dims, field.origin, field.spacing,
             freqs.dims, freqs.origin, freqs.spacing)
 
 
 def _pair_keys(spec):
-    return [key for key in transform._spec_plan(spec).kept if key[0] == "tables"]
+    return [key for key in transform._spec_plan(spec).kept if key[0] == "plan"]
 
 
 def _counting_tables(monkeypatch):
@@ -1456,28 +1472,123 @@ def test_fresh_grids_share_one_phase_record(monkeypatch):
     assert _pair_keys(spec) == [_pair_key(field, freqs)]
 
 
+@pytest.mark.parametrize("selector", sorted(AXES_PRESETS))
+def test_kept_grid_plan_runs_only_the_arithmetic(selector, monkeypatch):
+    # after one call, a call on fresh objects of the same geometry finds
+    # its route, phase bound, tile and tables in the grid plan: it runs no
+    # planning step, reads no axis coordinates, and gives the first
+    # call's spectrum bit for bit
+    spec = _own_spec(selector)
+    field = SampledField.random(spec.sig, AXES_PRESETS[selector], np.random.default_rng(78))
+    first = gft(spec, field, default_freqs(field)).values
+    calls = []
+    for name in ("_phase_refusal", "_axes_tile", "_phase_table", "_axis_coords", "_axis_max"):
+        run = getattr(transform, name)
+        monkeypatch.setattr(transform, name,
+                            lambda *args, name=name, run=run: calls.append(name) or run(*args))
+    fresh = SampledField(spec.sig, field.dims, field.origin, field.spacing, field.values)
+    again = gft(spec, fresh, default_freqs(fresh)).values
+    assert calls == [] and np.array_equal(again, first)
+    assert plan(spec, fresh, default_freqs(fresh)).engine == "axes" and calls == []
+    (grid,) = _grid_plans(spec)
+    assert grid.tile == field.dims and len(grid.tables) == spec.m
+
+
+@pytest.mark.parametrize("many_first", [False, True])
+@pytest.mark.parametrize("selector", ["quaternionic", "buelow:3"])
+def test_fields_and_flips_match_one_field(selector, many_first):
+    # 1 and 3 fields, with and without flips, whichever call plans the
+    # grid pair: without flips each field's spectrum is its own `gft` bit
+    # for bit; each flip agrees with the flipped spec's own transform
+    spec = _own_spec(selector)
+    rng = np.random.default_rng(79)
+    fields = [SampledField.random(spec.sig, AXES_PRESETS[selector], rng) for _ in range(3)]
+    freqs = default_freqs(fields[0])
+    flips = _sign_flips(spec)
+    runs = [(count, fl) for count in (3, 1) for fl in ((), flips)]
+    got = {(count, bool(fl)): transform._gft_many(spec, fields[:count], freqs, fl)
+           for count, fl in (runs if many_first else runs[::-1])}
+    for i, field in enumerate(fields):
+        own = gft(spec, field, freqs).values
+        for count, flipped in got:
+            if i >= count:
+                continue
+            values = got[count, flipped][:, i]
+            if not flipped:
+                assert np.array_equal(values[:, 0], own), (count, i)
+                continue
+            for k, (j, kk) in enumerate(flips):
+                _assert_agrees(values[:, k], gft(negate(spec, j, kk), field, freqs).values)
+    assert len(_grid_plans(spec)) == 1
+
+
+def test_grid_plan_is_logged_built_and_reused(caplog):
+    # the DEBUG line on every call: built on a grid pair's first call,
+    # reused on fresh objects of its geometry, with the same reason also
+    # where the phase bound is not finite and the expansion engine runs
+    spec = kernels.preset("quaternionic")  # parse_preset would share its store
+    sig = spec.sig
+    rng = np.random.default_rng(80)
+    values = rng.uniform(-1.0, 1.0, (16, sig.dim))
+
+    def grids(spacing):
+        return (SampledField(sig, (4, 4), (0.0, 0.0), (spacing,) * 2, values),
+                FreqGrid((3, 3), (0.0, 0.0), (spacing,) * 2))
+
+    with caplog.at_level(logging.DEBUG, logger="gafourier"):
+        for _ in range(2):
+            gft(spec, *grids(0.5))
+        for _ in range(2):
+            with pytest.raises(NotImaginary), np.errstate(over="ignore", invalid="ignore"):
+                gft(spec, *grids(1e200))
+    lines = [r.getMessage() for r in caplog.records]
+    assert [re.search(r"grid plan (\w+)", m).group(1) for m in lines] == [
+        "built", "reused", "built", "reused"]
+    reasons = [m.split("), 16 nodes")[0] for m in lines]
+    assert reasons[0] == reasons[1] and reasons[0].startswith("plan: axes engine (")
+    assert reasons[2] == reasons[3] == (
+        "plan: expansion engine (left kernel 1: 1 direction, checked once; "
+        "right kernel 1: 1 direction, checked once; 4 terms; no axes engine: "
+        "phase bound sum_kj |a_kj| max|x_j| max|u_j| is not finite")
+    assert [grid.plan.engine for grid in _grid_plans(spec)] == ["axes", "expansion"]
+
+
 @pytest.mark.parametrize("split_first", [False, True])
 def test_phase_records_serve_every_tile(split_first, monkeypatch):
     # 1 and 3 fields on one grid pair, on one tile and on split tiles, in
-    # both orders: a split call neither reads nor keeps the whole axes'
-    # tables, and every spectrum agrees with the direct engine
-    spec = kernels.preset("buelow", 3)
+    # both orders: the tile is the grid plan's for one field and the
+    # call's own for three; a split tile neither reads nor keeps the whole
+    # axes' tables, and every spectrum agrees with the direct engine.  A
+    # grid plan keeps the tile of the budget it was built under, so each
+    # budget has a spec of its own.
+    whole = transform._AXES_BLOCK
+    specs = {block: kernels.preset("buelow", 3) for block in (whole, 0)}
     rng = np.random.default_rng(72)
-    fields = [SampledField.random(spec.sig, (4, 4, 4), rng) for _ in range(3)]
+    fields = [SampledField.random(specs[0].sig, (4, 4, 4), rng) for _ in range(3)]
     freqs = FreqGrid((5, 5, 5), (-0.77,) * 3, (0.29,) * 3)
     tiles, choose = [], transform._axes_tile
     monkeypatch.setattr(transform, "_axes_tile",
-                        lambda *args: tiles.append(choose(*args)) or tiles[-1])
-    runs = [(block, count) for block in (transform._AXES_BLOCK, 0) for count in (1, 3)]
-    for block, count in runs[::-1] if split_first else runs:
+                        lambda *args: tiles.append((choose(*args), args)) or tiles[-1][0])
+    runs = [(block, count) for block in specs for count in (1, 3)]
+    runs = runs[::-1] if split_first else runs
+    # last, 3 fields under the small budget on the pair whose plan has the
+    # whole tables: the call's own split tiles build theirs
+    for block, count, spec in [(b, c, specs[b]) for b, c in runs] + [(0, 3, specs[whole])]:
         monkeypatch.setattr(transform, "_AXES_BLOCK", block)
         got = transform._gft_many(spec, fields[:count], freqs)[:, :, 0]
-        assert (tiles[-1] == list(freqs.dims)) == bool(block), tiles[-1]
+        if count > 1:  # its own tile, for its fields' columns
+            tile, args = tiles[-1]
+            assert args[4] == count * spec.sig.dim
+        else:
+            tile = transform._spec_plan(spec).kept[_pair_key(fields[0], freqs)][0].tile
+        assert (tile == freqs.dims) == bool(block), tile
         for values, field in zip(got.swapaxes(0, 1), fields):
             _assert_agrees(values, gft_direct(spec, field, freqs.nodes()))
-    assert _pair_keys(spec) == [_pair_key(fields[0], freqs)]
-    kept, _ = transform._spec_plan(spec).kept[_pair_key(fields[0], freqs)]
-    assert [t.shape for t in kept] == [(4, 4, 5), (4, 4, 5), (4, 4, 5)]
+    for block, spec in specs.items():
+        assert _pair_keys(spec) == [_pair_key(fields[0], freqs)]
+        (grid,) = _grid_plans(spec)
+        shapes = [(4, 4, 5), (4, 4, 5), (4, 4, 5)] if block else None
+        assert (grid.tables and [t.shape for t in grid.tables]) == shapes
 
 
 def test_phase_records_are_bounded(monkeypatch):
@@ -1498,21 +1609,23 @@ def test_phase_records_are_bounded(monkeypatch):
         traced = tracemalloc.get_traced_memory()[0] - before - first.nbytes
     finally:
         tracemalloc.stop()
-    kept, size = transform._spec_plan(spec).kept[_pair_key(field, freqs)]
+    grid, size = transform._spec_plan(spec).kept[_pair_key(field, freqs)]
+    kept = grid.tables
     keys = len(transform._spec_plan(spec).axes.keys)
     assert [t.shape for t in kept] == [(12, keys, 7), (keys, 9, 10)]
     assert size == sum(t.nbytes for t in kept) and traced <= size + 4096, (size, traced)
     # a later call reads the record: bit for bit the first call's spectrum
     assert np.array_equal(gft(spec, field, freqs).values, first)
-    # with room for the matrix and the first axis's table only, the pair's
-    # tables are built per call, all of them, by the same arithmetic
+    # with room for the first axis's table only, the pair's plan, all its
+    # tables, and the matrix are built per call, by the same arithmetic
     small = kernels.preset("color_image")
     matrix, _ = transform._spec_plan(spec).kept[("matrix", (0,))]
-    monkeypatch.setattr(transform, "_KEPT_BYTES", matrix.nbytes + kept[0].nbytes)
+    assert matrix.nbytes > size - 1
+    monkeypatch.setattr(transform, "_KEPT_BYTES", size - 1)
     shapes = _counting_tables(monkeypatch)
     for calls in (2, 4):
         assert np.array_equal(gft(small, field, freqs).values, first)
-        assert list(transform._spec_plan(small).kept) == [("matrix", (0,))]
+        assert not transform._spec_plan(small).kept
         assert len(shapes) == calls
 
 
@@ -1560,7 +1673,7 @@ def test_kept_bytes_stay_within_the_budget(monkeypatch):
     whole = kernels.preset("quaternionic")  # parse_preset would share its store
     want = [v.copy() for v in calls(whole)]
     every = transform._spec_plan(whole).kept
-    assert {key[0] for key in every} == {"grid", "tables", "matrix"}
+    assert {key[0] for key in every} == {"grid", "plan", "matrix"}
     budget = sum(size for _, size in every.values()) // 2
     monkeypatch.setattr(transform, "_KEPT_BYTES", budget)
     spec = kernels.preset("quaternionic")
