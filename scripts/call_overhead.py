@@ -1,15 +1,26 @@
 #!/usr/bin/env python3
-"""Time one `gft` call per case of the `spectra` benchmark workload.
+"""Time one call per operation of the `spectra` or `cli_files` benchmark workload.
 
-For each case it prints one JSON line: the best of N calls of `gft` on
-the same field and frequency grid objects (`gft_reused_us`), the best of
-N calls each on a fresh `SampledField` and `FreqGrid` of the same
-geometry, built just before the timed call (`gft_fresh_us`), and the
-best of N calls of `plan` on the reused objects (`plan_us`).  The three
-are interleaved case by case, so drift in the machine's speed reaches
-them alike.  BLAS runs one thread, as in the benchmark.
+For each `spectra` case it prints one JSON line: the best of N calls of
+`gft` on the same field and frequency grid objects (`gft_reused_us`),
+the best of N calls each on a fresh `SampledField` and `FreqGrid` of the
+same geometry, built just before the timed call (`gft_fresh_us`), and
+the best of N calls of `plan` on the reused objects (`plan_us`).  The
+three are interleaved case by case, so drift in the machine's speed
+reaches them alike.
+
+For each `cli_files` command (`cli.main` on the workload's files, in a
+temporary directory) it prints one JSON line with the best of N calls of
+each layer: the `fileio` readers (`read_us`: the field or PPM file and
+the frequency grid file), `gft` with its planning (`gft_us`),
+`fileio.write_spectrum` (`write_us`) and the whole command (`total_us`).
+Each layer's best is taken on its own, so the layers need not sum to the
+total; the rest of the total is argument parsing and command glue.
+
+BLAS runs one thread, as in the benchmark.
 
     PYTHONPATH=src python3 scripts/call_overhead.py --repeat 200
+    PYTHONPATH=src python3 scripts/call_overhead.py --workload cli_files --repeat 20
 """
 
 import os
@@ -18,17 +29,28 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
+from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from gafourier import FreqGrid, SampledField, gft, parse_preset, plan  # noqa: E402
+from gafourier import FreqGrid, SampledField, cli, fileio, gft, parse_preset, plan  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import Spectra, dft_dual  # noqa: E402
+from workloads import CliFiles, Spectra, dft_dual  # noqa: E402
+
+# (layer, module, name): each function whose calls a layer sums in one command
+_CLI_LAYERS = (
+    *(("read", fileio, name) for name in ("read_grid_file", "read_ppm", "read_freqs",
+                                          "read_kernels")),
+    ("gft", cli, "gft"),
+    ("write", fileio, "write_spectrum"),
+)
 
 
 def _timed(call) -> float:
@@ -37,14 +59,7 @@ def _timed(call) -> float:
     return time.perf_counter() - start
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=200,
-                        help="calls per case and measure (default 200)")
-    parser.add_argument("--seed", type=int, default=0, help="field values' seed")
-    args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
+def _spectra(args) -> None:
     rng = np.random.default_rng(args.seed)
     cases = []
     for sel, grid, freqs in Spectra.CASES:
@@ -70,6 +85,62 @@ def main(argv=None) -> int:
                           "gft_reused_us": round(reused * 1e6, 1),
                           "gft_fresh_us": round(fresh * 1e6, 1),
                           "plan_us": round(planned * 1e6, 2)}))
+
+
+@contextlib.contextmanager
+def _layer_clocks(spent: dict[str, float]):
+    """Wrap every function of `_CLI_LAYERS` so that its calls add their
+    time to `spent[layer]`; the originals are restored on exit."""
+
+    def clocked(layer, func):
+        def call(*a, **kw):
+            start = time.perf_counter()
+            try:
+                return func(*a, **kw)
+            finally:
+                spent[layer] += time.perf_counter() - start
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for layer, module, name in _CLI_LAYERS:
+            stack.enter_context(
+                mock.patch.object(module, name, clocked(layer, getattr(module, name))))
+        yield
+
+
+def _no_span(name: str):
+    return contextlib.nullcontext()
+
+
+def _cli_files(args) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        ops = CliFiles(args.seed, Path(tmp)).ops
+        spent = {layer: 0.0 for layer, *_ in _CLI_LAYERS}
+        best = {op.label: dict.fromkeys((*spent, "total"), float("inf")) for op in ops}
+        with _layer_clocks(spent):
+            for _ in range(args.repeat):
+                for op in ops:
+                    spent.update(dict.fromkeys(spent, 0.0))
+                    total = _timed(lambda: op.run(_no_span))
+                    for key, value in (*spent.items(), ("total", total)):
+                        best[op.label][key] = min(best[op.label][key], value)
+    for op in ops:
+        print(json.dumps({"command": op.label, "pairs": op.pairs,
+                          **{f"{key}_us": round(value * 1e6, 1)
+                             for key, value in best[op.label].items()}}))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=("spectra", "cli_files"), default="spectra",
+                        help="which benchmark workload's operations to time (default spectra)")
+    parser.add_argument("--repeat", type=int, default=200,
+                        help="calls per operation and measure (default 200)")
+    parser.add_argument("--seed", type=int, default=0, help="input values' seed")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    (_spectra if args.workload == "spectra" else _cli_files)(args)
     return 0
 
 

@@ -56,6 +56,9 @@ THEOREM_NAMES = (
 )
 
 
+_IMAGE_BIVECTOR = "e12"  # image's default, the one parse_preset("color_image") takes
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gafourier",
@@ -99,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_img = sub.add_parser("image", help="transform a binary PPM color image")
     p_img.add_argument("--input", required=True, help="PPM (P6, 8-bit) file")
     p_img.add_argument(
-        "--bivector", default="e12",
-        help="unit bivector for the color transform (default e12)",
+        "--bivector", default=_IMAGE_BIVECTOR,
+        help=f"unit bivector for the color transform (default {_IMAGE_BIVECTOR})",
     )
     p_img.add_argument("--freqs", default="auto", help="as for transform")
     p_img.add_argument("--out", required=True, help="output spectrum file")
@@ -227,8 +230,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_image(args: argparse.Namespace) -> int:
     pixels = fileio.read_ppm(args.input)
     sig = Signature(4, 0)
-    bivector = fileio.parse_multivector_expr(args.bivector, sig)
-    spec = preset("color_image", bivector=bivector)
+    if args.bivector == _IMAGE_BIVECTOR:  # the shared spec, planned once
+        spec = parse_preset("color_image")
+    else:
+        bivector = fileio.parse_multivector_expr(args.bivector, sig)
+        spec = preset("color_image", bivector=bivector)
     height, width = pixels.shape[0], pixels.shape[1]
     values = np.zeros((height * width, sig.dim))
     rgb = pixels.reshape(-1, 3).astype(float) / 255.0
@@ -288,10 +294,14 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first `main`
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    _parser = _parser or build_parser()  # parsing leaves no state in it
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

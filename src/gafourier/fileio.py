@@ -6,9 +6,11 @@ Three line-oriented text formats plus PPM ingestion:
   as a header (kind, signature, m, dims, origin, spacing) followed by a
   ``data`` line and, per node in row-major order, the 2**n blade
   coefficients.  Numbers are written with ``repr`` so text round-trips
-  exactly; a binary variant stores the same payload as little-endian
-  float64.  `read_grid_file` returns the library's own type: a
-  `SampledField` for ``kind field``, a `Spectrum` for ``kind spectrum``.
+  exactly, and a text payload is parsed in one numpy call
+  (``np.fromstring``) on its bytes, held once; a binary variant stores
+  the same payload as little-endian float64.  `read_grid_file` returns
+  the library's own type: a `SampledField` for ``kind field``, a
+  `Spectrum` for ``kind spectrum``.
 * kernel configuration files list the signature, m, and each kernel's
   side and nonzero matrix entries as 1-based (row, col, expression)
   lines, in kernel order.
@@ -30,7 +32,9 @@ as a blade term.  Basis indices above 9 are underscore-separated
 from __future__ import annotations
 
 import functools
+import os
 import re
+import warnings
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -268,20 +272,40 @@ def _need(fields: dict[str, str], key: str) -> str:
     return fields[key]
 
 
+def _text_numbers(payload: bytes) -> np.ndarray:
+    """The whitespace-separated decimal numbers of a text payload."""
+    if not payload.isascii():
+        raise FileFormatError("bad text payload: non-ascii bytes")
+    if payload.isspace():  # numpy reads blank text as [-1.0]
+        return np.empty(0)
+    with warnings.catch_warnings():  # older numpy warns and returns a prefix
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.fromstring(payload, dtype=float, sep=" ")
+        except (ValueError, DeprecationWarning) as exc:
+            raise FileFormatError(f"bad text payload: {exc}") from None
+
+
 @_names_path
 def read_grid_file(path: str | Path) -> SampledField | Spectrum:
     """The field (`kind field`) or spectrum (`kind spectrum`) in an .mvf
     file; bad content raises `FileFormatError`."""
-    buf = Path(path).read_bytes()
-    marker = b"\ndata\n"
-    cut = buf.find(marker)
-    if cut < 0:
-        raise FileFormatError("no 'data' line found")
+    with open(path, "rb") as fh:
+        lines = [fh.readline()]  # the first line is never the data line
+        for line in fh:
+            if line == b"data\n":
+                break
+            lines.append(line)
+        else:
+            raise FileFormatError("no 'data' line found")
+        header = b"".join(lines)
+        # one read of the stated size, as read() alone would copy the payload twice
+        stated = os.fstat(fh.fileno()).st_size - len(header) - len(line)
+        payload = fh.read(max(stated, 0)) + fh.read()
     try:
-        header = buf[:cut].decode("ascii")
+        header = header.decode("ascii")
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"non-ascii header: {exc}") from None
-    payload = buf[cut + len(marker):]
     fields = _header_dict(header, _MVF_MAGIC)
     head = fields["__head__"].split()
     if len(head) != 3 or head[2] not in ("text", "binary"):
@@ -309,10 +333,7 @@ def read_grid_file(path: str | Path) -> SampledField | Spectrum:
             )
         flat = np.frombuffer(payload, dtype="<f8").astype(float)
     else:
-        try:
-            flat = np.array(payload.decode("ascii").split(), dtype=float)
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise FileFormatError(f"bad text payload: {exc}") from None
+        flat = _text_numbers(payload)
         if flat.size != count:
             raise FileFormatError(f"expected {count} numbers, got {flat.size}")
     if not np.isfinite(flat).all():

@@ -13,7 +13,13 @@ from gafourier import cli, kernels, theorems, transform
 from gafourier.algebra import Multivector, Signature
 from gafourier.cli import main
 from gafourier.exponential import NotImaginary
-from gafourier.fileio import FileFormatError, read_grid_file, write_field, write_kernels
+from gafourier.fileio import (
+    FileFormatError,
+    read_grid_file,
+    write_field,
+    write_kernels,
+    write_spectrum,
+)
 from gafourier.kernels import NotSeparable, UnsupportedSignature, parse_preset
 from gafourier.theorems import OffGridShift, UnsupportedScale
 from gafourier.transform import SampledField, Spectrum, default_freqs, gft, plan
@@ -286,6 +292,25 @@ def test_argparse_failures_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_main_builds_its_parser_once(monkeypatch, tmp_path, field_file, capsys):
+    # one parser serves every call, and each call starts from its defaults:
+    # neither an earlier --binary nor a failed parse carries over
+    built = []
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda build=cli.build_parser: built.append(1) or build())
+    path, _ = field_file
+    out = tmp_path / "spec.mvf"
+    argv = ["transform", "--field", str(path), "--preset", "quaternionic", "--out", str(out)]
+    assert main(argv + ["--binary"]) == 0
+    assert out.read_bytes().startswith(b"mvf 1 binary\n")
+    assert main(argv + ["--bogus"]) == 2
+    assert main(argv) == 0
+    assert out.read_bytes().startswith(b"mvf 1 text\n")
+    assert built == [1]
+    capsys.readouterr()
+
+
 def test_verify_all_passes(capsys):
     rc = main(["verify", "--preset", "quaternionic", "--seed", "3", "--size", "7"])
     out = capsys.readouterr().out
@@ -535,31 +560,74 @@ def _write_ppm(path, width, height):
     path.write_bytes(f"P6\n{width} {height}\n255\n".encode() + payload.tobytes())
 
 
-def test_image_transform(tmp_path):
+def _spy_on_gft(monkeypatch):
+    """The (spec, field, freqs) of every `gft` call the CLI makes."""
+    calls = []
+
+    def spy(spec, field, freqs, **kw):
+        calls.append((spec, field, freqs))
+        return gft(spec, field, freqs, **kw)
+
+    monkeypatch.setattr(cli, "gft", spy)
+    return calls
+
+
+def _color_image_bytes(path, calls):
+    # the spectrum each call's input gives through color_image's builder
+    e12 = Multivector.blade(Signature(4, 0), "e12")
+    spec = kernels.preset("color_image", bivector=e12)
+    for _, field, freqs in calls:
+        write_spectrum(path, gft(spec, field, freqs, validate=True))
+        yield path.read_bytes()
+
+
+def test_image_transform(tmp_path, monkeypatch, caplog):
+    # the default bivector's spec is the shared color_image spec, so a
+    # second image of one size reuses its grid plan
     img = tmp_path / "img.ppm"
     _write_ppm(img, 8, 8)
     out = tmp_path / "img.mvf"
-    rc = main(["image", "--input", str(img), "--out", str(out)])
-    assert rc == 0
+    calls = _spy_on_gft(monkeypatch)
+    written, plans = [], []
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="gafourier"):
+            assert main(["image", "--input", str(img), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+        plans += [r.getMessage() for r in caplog.records if r.getMessage().startswith("plan:")]
     got = read_grid_file(out)
     assert isinstance(got, Spectrum)
     assert got.sig == Signature(4, 0) and got.dims == (8, 8)
+    assert len(plans) == 2 and "; grid plan reused;" in plans[1], plans
+    assert calls[0][0] is calls[1][0] is parse_preset("color_image")
+    assert written == list(_color_image_bytes(tmp_path / "want.mvf", calls))
 
 
-def test_image_accepts_bivector_expressions(tmp_path, capsys):
+def test_image_accepts_bivector_expressions(tmp_path, monkeypatch, capsys):
     img = tmp_path / "img.ppm"
     _write_ppm(img, 4, 4)
     out = tmp_path / "img.mvf"
+    calls = _spy_on_gft(monkeypatch)
+    # e12 in other words builds its own spec, which gives the same bytes
+    rc = main(["image", "--input", str(img), "--out", str(out), "--bivector", "1*e12"])
+    assert rc == 0
+    assert calls[0][0] is not parse_preset("color_image")
+    assert [out.read_bytes()] == list(_color_image_bytes(tmp_path / "want.mvf", calls))
     root_half = repr(2.0 ** -0.5)
     rc = main(["image", "--input", str(img), "--out", str(out),
                "--bivector", f"{root_half}*e12 + {root_half}*e13"])
     assert rc == 0
+    capsys.readouterr()
     rc = main(["image", "--input", str(img), "--out", str(out),
                "--bivector", "e12 + e34"])   # squares to -2 + 2 e1234
     assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: color_image needs a unit bivector with square -1\n")
     rc = main(["image", "--input", str(img), "--out", str(out),
                "--bivector", "garbage"])
     assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: bad character 'g' in expression 'garbage'\n")
     rc = main(["image", "--input", str(tmp_path / "nope.ppm"), "--out", str(out)])
     assert rc == 3
     capsys.readouterr()

@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,15 +81,22 @@ def test_expression_round_trip_is_exact(coeffs):
 
 @pytest.mark.parametrize("binary", [False, True])
 def test_field_file_round_trip(tmp_path, binary):
+    # 10^4 values from random bit patterns: every binary exponent, from
+    # subnormals through 1e-308 to 1e308, and both signs; the few
+    # non-finite patterns become -0.0, and the extremes are set too
     rng = np.random.default_rng(4)
-    field = SampledField.random(SIG, (3, 4), rng)
+    values = rng.integers(0, 2**64, (50 * 50, SIG.dim), dtype=np.uint64).view(float)
+    values[~np.isfinite(values)] = -0.0
+    values[0] = [-0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308]
+    field = SampledField(SIG, (50, 50), (-1.5, 0.25), (0.5, 2.0), values)
+    assert np.count_nonzero((np.abs(values) < 2.2250738585072014e-308) & (values != 0)) > 4
     path = tmp_path / "field.mvf"
     write_field(path, field, binary=binary)
     back = read_grid_file(path)
     assert isinstance(back, SampledField)
     assert back.sig == field.sig and back.dims == field.dims
     assert back.origin == field.origin and back.spacing == field.spacing
-    assert np.array_equal(back.values, field.values)
+    assert np.array_equal(back.values.view(np.uint64), field.values.view(np.uint64))
 
 
 @pytest.mark.parametrize("binary", [False, True])
@@ -121,17 +129,17 @@ def test_text_writer_bytes_match_per_value_repr(tmp_path):
     assert np.array_equal(read_grid_file(path).values.view(np.uint64), rows.view(np.uint64))
 
 
-def test_grid_file_rejects_corruption(tmp_path):
+def test_grid_file_rejects_corruption(tmp_path, monkeypatch):
     rng = np.random.default_rng(6)
     field = SampledField.random(SIG, (2, 2), rng)
     path = tmp_path / "field.mvf"
     write_field(path, field)
     good = path.read_text()
 
-    def expect_reject(mangled, name):
+    def expect_reject(mangled, name, match=None):
         p = tmp_path / f"{name}.mvf"
-        p.write_text(mangled)
-        with pytest.raises(FileFormatError):
+        p.write_text(mangled, encoding="utf-8")
+        with pytest.raises(FileFormatError, match=match):
             read_grid_file(p)
 
     expect_reject(good.replace("mvf 1", "mvf 9"), "version")
@@ -142,6 +150,36 @@ def test_grid_file_rejects_corruption(tmp_path):
     expect_reject(good + "0 0 0 0\n", "long")
     expect_reject(good.replace("dims 2 2", "dims 2 3"), "count")
     expect_reject(good.replace("m 2", "m 1"), "rank")
+    # the right count of numbers and a stray token after them, a non-ascii
+    # byte, and a digit separator (Python's float takes `1_0`, the writer
+    # never emits it)
+    head, _, data = good.partition("data\n")
+    parse = np.fromstring
+
+    def older_numpy(text, dtype, sep):
+        # numpy 2.x releases before the deprecation expired warn, and
+        # return the numbers before the stray token
+        warnings.warn("string or file could not be read to its end",
+                      DeprecationWarning)
+        return parse(text.rsplit(None, 1)[0], dtype=dtype, sep=sep)
+
+    for stray in ("x", "-", "1.0.0"):
+        expect_reject(good + stray + "\n", "stray")
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "fromstring", older_numpy)
+            with pytest.warns(DeprecationWarning):
+                assert older_numpy((data + stray).encode(), float, " ").size == 16
+            expect_reject(good + stray + "\n", "stray")
+    expect_reject(head + "data\n" + data.replace(" ", " \u00e9", 1), "accent",
+                  match="payload: non-ascii")
+    expect_reject(head + "data\n" + data.replace(data.split()[0], "1_0", 1), "separator")
+    # numpy reads a blank payload as [-1.0]: for a one-value Cl(0,0)
+    # field that would be the right count
+    one = tmp_path / "one.mvf"
+    write_field(one, SampledField(Signature(0, 0), (1,), (0.0,), (1.0,), np.array([[0.5]])))
+    one.write_text(one.read_text().replace("data\n0.5\n", "data\n \n\t\n"))
+    with pytest.raises(FileFormatError, match="expected 1 numbers, got 0"):
+        read_grid_file(one)
 
     binpath = tmp_path / "bin.mvf"
     write_field(binpath, field, binary=True)
