@@ -3,11 +3,12 @@
 
 For each `spectra` case it prints one JSON line: the best of N calls of
 `gft` on the same field and frequency grid objects (`gft_reused_us`),
-the best of N calls each on a fresh `SampledField` and `FreqGrid` of the
-same geometry, built just before the timed call (`gft_fresh_us`), and
-the best of N calls of `plan` on the reused objects (`plan_us`).  The
-three are interleaved case by case, so drift in the machine's speed
-reaches them alike.
+of the axes engine alone (`_gft_axes`) as that `gft` calls it, on the
+grid pair's kept plan and matrix (`axes_us`; null on another engine),
+of `gft` on a fresh `SampledField` and `FreqGrid` of the same geometry,
+built just before the timed call (`gft_fresh_us`), and of `plan` on
+the reused objects (`plan_us`).  The four are interleaved case by
+case, so drift in the machine's speed reaches them alike.
 
 For each `cli_files` command (`cli.main` on the workload's files, in a
 temporary directory) it prints one JSON line with the best of N calls of
@@ -40,6 +41,7 @@ from unittest import mock  # noqa: E402
 import numpy as np  # noqa: E402
 
 from gafourier import FreqGrid, SampledField, cli, fileio, gft, parse_preset, plan  # noqa: E402
+from gafourier import transform  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import CliFiles, Spectra, dft_dual  # noqa: E402
@@ -68,23 +70,39 @@ def _spectra(args) -> None:
         values = rng.uniform(-1.0, 1.0, (grid.count, spec.sig.dim))
         geometry = (grid.dims, grid.origin, grid.spacing), (freqs.dims, freqs.origin,
                                                             freqs.spacing)
-        field = SampledField(spec.sig, *geometry[0], values)
-        cases.append((sel, spec, field, FreqGrid(*geometry[1]), geometry, values))
-    best = {sel: [float("inf")] * 3 for sel, *_ in cases}
+        field, fgrid = SampledField(spec.sig, *geometry[0], values), FreqGrid(*geometry[1])
+        cases.append((sel, spec, field, fgrid, geometry, values, _axes_call(spec, field, fgrid)))
+    best = {sel: [float("inf")] * 4 for sel, *_ in cases}
     for _ in range(args.repeat):
-        for sel, spec, field, fgrid, (fg, ug), values in cases:
+        for sel, spec, field, fgrid, (fg, ug), values, axes in cases:
             fresh, again = SampledField(spec.sig, *fg, values), FreqGrid(*ug)
             times = (_timed(lambda: gft(spec, field, fgrid)),
                      _timed(lambda: gft(spec, fresh, again)),
-                     _timed(lambda: plan(spec, field, fgrid)))
+                     _timed(lambda: plan(spec, field, fgrid)),
+                     _timed(axes) if axes else float("inf"))
             best[sel] = [min(a, b) for a, b in zip(best[sel], times)]
-    for sel, spec, field, fgrid, *_ in cases:
-        reused, fresh, planned = best[sel]
+    for sel, spec, field, fgrid, *_, axes in cases:
+        reused, fresh, planned, engine = best[sel]
         print(json.dumps({"case": sel, "engine": plan(spec, field, fgrid).engine,
                           "pairs": field.node_count * fgrid.node_count,
                           "gft_reused_us": round(reused * 1e6, 1),
+                          "axes_us": round(engine * 1e6, 1) if axes else None,
                           "gft_fresh_us": round(fresh * 1e6, 1),
                           "plan_us": round(planned * 1e6, 2)}))
+
+
+def _axes_call(spec, field, fgrid):
+    """The axes engine's call that `gft` makes, on the grid pair's kept
+    plan and matrix (built here by one `gft`), or None on another engine."""
+    gft(spec, field, fgrid)
+    rec = transform._spec_plan(spec)
+    grid, _ = rec.kept[("plan", field.dims, field.origin, field.spacing,
+                        fgrid.dims, fgrid.origin, fgrid.spacing)]
+    if grid.plan.engine != "axes":
+        return None
+    matrix, _ = rec.kept[("matrix", (0,))]
+    values = field.values[:, None]
+    return lambda: transform._gft_axes(rec, field, values, fgrid, matrix, grid)
 
 
 @contextlib.contextmanager

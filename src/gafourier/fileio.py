@@ -42,7 +42,7 @@ import numpy as np
 
 from .algebra import Multivector, Signature
 from .kernels import GftSpec, KernelMatrix
-from .transform import FreqGrid, SampledField, Spectrum
+from .transform import FreqGrid, SampledField, Spectrum, _adopt
 
 __all__ = [
     "FileFormatError",
@@ -340,8 +340,9 @@ def read_grid_file(path: str | Path) -> SampledField | Spectrum:
         raise FileFormatError("payload holds NaN or infinite values")
     values = flat.reshape(-1, sig.dim)
     if kind == "field":
-        return SampledField(sig, grid.dims, grid.origin, grid.spacing, values)
-    return Spectrum(sig, grid, values)
+        return _adopt(SampledField, sig=sig, dims=grid.dims, origin=grid.origin,
+                      spacing=grid.spacing, values=values)
+    return _adopt(Spectrum, sig=sig, grid=grid, values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ call by `plan`:
   e^{-is})/2i the expanded integrand becomes complex sums
   E_c(u) = sum_x e^{i sum_j c_j x_j u_j} A(x) over the phase vectors
   c = sum_k sigma_k a_k of the sign patterns sigma with sigma_1 = +1
-  (E_{-c} is the conjugate of E_c), equal ones once, each contracted one
-  axis at a time, with the fields side by side.  Everything after the
+  (E_{-c} is the conjugate of E_c), equal ones once, contracted one axis
+  at a time with the fields side by side, a block of keys per batched
+  GEMM.  Everything after the
   sums is fixed per spec and flip set: one real matrix, so a tile's
   spectra are one GEMM of its sums.  Tiles of the frequency grid keep
   the working set within 2 MiB or the fields plus the spectra.
@@ -322,6 +323,17 @@ class Spectrum:
         return self.grid.dims
 
 
+def _adopt(cls: type, **fields: object):
+    """A `SampledField` or `Spectrum` holding `fields` as they are, its
+    `values` made read-only, without the constructor's copy and checks:
+    for an array an engine or reader has just allocated and checked."""
+    fields["values"].setflags(write=False)
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def row_magnitudes(values: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.asarray(values, dtype=float), axis=1)
 
@@ -541,11 +553,12 @@ class _SpecPlan:
 class _GridPlan(NamedTuple):
     """A grid pair's plan under a spec the axes engine may run, built by
     `_grid_plan` and kept in the spec's store: the engine and whole
-    reason, and on the axes engine `_axes_tile`'s tile for one field and
-    every axis's table when that tile is the whole grid."""
+    reason, and on the axes engine `_axes_tile`'s tile and key block for
+    one field and every axis's table when that tile is the whole grid."""
 
     plan: Plan
     tile: tuple[int, ...] | None = None
+    block: int | None = None
     tables: tuple[np.ndarray, ...] | None = None
 
 
@@ -603,10 +616,10 @@ def _grid_plan(rec: _SpecPlan, field: SampledField, freqs: FreqGrid) -> _GridPla
     if refusal is not None:
         return _GridPlan(Plan("expansion", f"{rec.reason}; no axes engine: {refusal}"))
     keys, dim = rec.axes.keys, field.sig.dim
-    tile = _axes_tile(field.dims, freqs.dims, len(keys), dim, dim)
-    tables = tuple(_phase_table(j, _axis_coords(field, j), keys[:, j], _axis_coords(freqs, j))
+    tile, block = _axes_tile(field.dims, freqs.dims, len(keys), dim, dim)
+    tables = tuple(_phase_table(_axis_coords(field, j), keys[:, j], _axis_coords(freqs, j))
                    for j in range(field.m)) if tile == freqs.dims else None
-    return _GridPlan(Plan("axes", f"{rec.reason}; diagonal forms"), tile, tables)
+    return _GridPlan(Plan("axes", f"{rec.reason}; diagonal forms"), tile, block, tables)
 
 
 def _spec_plan(spec: GftSpec) -> _SpecPlan:
@@ -1047,12 +1060,13 @@ def _sign_patterns(k: int) -> np.ndarray:
 
 
 def _axes_values(
-    tile: Sequence[int], dims: Sequence[int], keys: int, cols: int, dim: int
+    tile: Sequence[int], dims: Sequence[int], keys: int, cols: int, dim: int, block: int
 ) -> int:
     """Float64 values the axes engine holds at once for one tile of
-    `tile` frequencies per axis: a field of extents `dims` with `dim`
-    blade coefficients, `keys` distinct phase vectors and `cols` output
-    values per frequency."""
+    `tile` frequencies per axis and a block of `block` of its `keys`
+    distinct phase vectors: a field of extents `dims` with `dim` blade
+    coefficients and `cols` output values per frequency.  A block of one
+    key counts a key-by-key contraction."""
     count = math.prod(tile)
     # complex intermediate after contracting x_1..x_j (j = 1..m), one key
     steps = [math.prod(tile[:j]) * math.prod(dims[j:]) * dim
@@ -1060,35 +1074,41 @@ def _axes_values(
     # per axis: phases, three temporaries of `cos_sin` and the complex table
     return (6 * keys * sum(d * r for d, r in zip(dims, tile))
             + 2 * keys * steps[0]  # first-axis sums of every key
-            + 6 * max(steps)  # one later axis: input, its copy, output
+            + 6 * block * max(steps)  # a later axis over the block: input and output
             + (2 * keys * dim + cols) * count)  # sums and the GEMM output
 
 
 def _axes_tile(dims: Sequence[int], fdims: Sequence[int], keys: int, cols: int,
-               dim: int) -> tuple[int, ...]:
-    """Extents of the frequency tiles: the whole grid, halved along the
-    first axis, then the next, until `_axes_values` is within
-    max(`_AXES_BLOCK`, field values + spectrum values) or the tile is
-    one frequency.  Later axes are split only when a row of the first
-    axis does not fit, since their phase tables are then rebuilt for
-    every tile of the first axis."""
+               dim: int) -> tuple[tuple[int, ...], int]:
+    """Extents of the frequency tiles and the key block.  The tile is the
+    whole grid, halved along the first axis, then the next, until
+    `_axes_values` of one key is within max(`_AXES_BLOCK`, field values +
+    spectrum values) or the tile is one frequency.  Later axes are split
+    only when a row of the first axis does not fit, since their phase
+    tables are then rebuilt for every tile of the first axis.  The key
+    block is all keys, halved until its count fits that budget; where
+    one key's does not (a tile of one frequency), until its count is at
+    most twice one key's."""
     budget = max(_AXES_BLOCK, (math.prod(dims) + math.prod(fdims)) * dim)
     tile, j = list(fdims), 0
-    while j < len(tile) and _axes_values(tile, dims, keys, cols, dim) > budget:
+    if _axes_values(tile, dims, keys, cols, dim, keys) <= budget:
+        return tuple(tile), keys
+    while (one := _axes_values(tile, dims, keys, cols, dim, 1)) > budget and j < len(tile):
         if tile[j] == 1:
             j += 1
         else:
             tile[j] = (tile[j] + 1) // 2
-    return tuple(tile)
+    limit, block = budget if one <= budget else 2 * one, keys
+    while block > 1 and _axes_values(tile, dims, keys, cols, dim, block) > limit:
+        block = (block + 1) // 2
+    return tuple(tile), block
 
 
-def _phase_table(j: int, x: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The table e^{i theta} of axis j, theta = x c u over its nodes x,
-    the keys' entries c and the tile's frequencies u: (d_1, D, R_1) on
-    the first axis, (D, d_j, R_j) on a later one."""
-    theta = np.multiply.outer(x, np.multiply.outer(c, u))
-    if j:
-        theta = theta.transpose(1, 0, 2)
+def _phase_table(x: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The table e^{i theta} of one axis, theta = x c u over its nodes x,
+    the keys' entries c and the tile's frequencies u, key-leading:
+    (D, d_j, R_j)."""
+    theta = np.multiply.outer(x, np.multiply.outer(c, u)).transpose(1, 0, 2)
     table = np.empty(theta.shape, dtype=complex)
     table.imag = cos_sin(theta, cos=table.real)
     return table
@@ -1106,22 +1126,24 @@ def _gft_axes(
     y_t = sum_sigma prod_k M[t_k, sigma_k] E_{sigma.a} over all sign
     patterns, M = [[1/2, 1/2], [-i/2, i/2]], or 2 Re of the sum over those
     with sigma_1 = +1.  Per tile of the frequency grid (`_axes_tile`),
-    each distinct phase vector up to sign is contracted axis by axis: the
-    first axis as one real GEMM of B, the fields side by side, against
-    cos and sin, the others as complex GEMMs.  A tile reuses the first
-    axis's sums and the phase tables of the tile before it when its range
-    on that axis is the same.  One field under one flip takes the tile
-    and tables of the grid pair's plan `grid`; other calls choose a tile
-    and read those tables only for the whole grid.  Split tiles build
-    their own, so no call holds more tables than its tile (`_axes_values`).
-    The rest is fixed per spec and flip set: a tile's spectra are its sums
-    times `matrix`, one real GEMM, into the output itself for one tile.
+    the distinct phase vectors up to sign (keys) are contracted axis by
+    axis against key-leading tables (`_phase_table`): the first axis for
+    every key as real GEMMs of B, the fields side by side, against cos
+    and sin, each later axis as one batched complex GEMM per key block.
+    A tile reuses the first axis's sums and the phase tables of the tile
+    before it when its range on that axis is the same.  One field under
+    one flip takes the tile, key block and tables of the grid pair's
+    plan `grid`; other calls choose their own and read those tables only
+    for the whole grid.  Split tiles build their own, so no call holds
+    more tables than its tile (`_axes_values`).  The rest is fixed per
+    spec and flip set: a tile's spectra are its sums times `matrix`, one
+    real GEMM, into the output itself for one tile.
     """
     dim, dims, fdims, count_f = field.sig.dim, field.dims, freqs.dims, values.shape[1]
     keys, cols = rec.axes.keys, matrix.shape[1]
-    tile, tables = grid.tile, grid.tables
+    tile, block, tables = grid.tile, grid.block, grid.tables
     if count_f * cols > dim:  # several fields or flips: a tile of their own
-        tile = _axes_tile(dims, fdims, len(keys), count_f * cols, count_f * dim)
+        tile, block = _axes_tile(dims, fdims, len(keys), count_f * cols, count_f * dim)
         tables = tables if tile == fdims else None
     b0 = values.reshape(dims[0], -1).T  # (rest of x, fields and blades, d_1)
     out = np.empty(fdims + (count_f * cols,))
@@ -1134,19 +1156,18 @@ def _gft_axes(
                 continue
             held.pop(j, None)
             table = tables[j] if tables is not None else _phase_table(
-                j, _axis_coords(field, j), keys[:, j],
+                _axis_coords(field, j), keys[:, j],
                 _axis_coords(freqs, j)[starts[j]:starts[j] + ext[j]])
-            if not j:  # the first axis contracts (d_1, D, R_1, cos/sin)
-                table = (b0 @ table.view(float).reshape(dims[0], -1)).view(complex)
-                table = table.reshape(len(b0), len(keys), ext[0])
+            if not j:  # (D, d_1, R_1 cos/sin) -> (D, rest of x, fields and blades, R_1)
+                table = (b0 @ table.view(float)).view(complex)
             held[j] = (starts[j], table)
             del table
         e = np.empty((count, count_f, len(keys), dim), dtype=complex)
-        for i in range(len(keys)):
-            s = held[0][1][:, i]  # axes 2..m of x, fields, blades, u_1
-            for j in range(1, field.m):
-                s = s.reshape(dims[j], -1).T @ held[j][1][i]  # ..., u_1..u_j
-            e[:, :, i] = s.reshape(count_f, dim, count).transpose(2, 0, 1)
+        for lo in range(0, len(keys), block):
+            s = held[0][1][lo:lo + block]  # keys, axes 2..m of x, fields, blades, u_1
+            for j in range(1, field.m):  # ..., u_1..u_j
+                s = s.reshape(len(s), dims[j], -1).swapaxes(1, 2) @ held[j][1][lo:lo + block]
+            e[:, :, lo:lo + block] = s.reshape(len(s), count_f, dim, count).transpose(3, 1, 0, 2)
         sums = e.view(float).reshape(count * count_f, -1)
         if count == freqs.node_count:
             np.matmul(sums, matrix, out=out.reshape(len(sums), cols))
@@ -1212,7 +1233,8 @@ def gft(
     validate: bool = True,
 ) -> Spectrum:
     """Discrete transform of a sampled field on a frequency grid."""
-    return Spectrum(spec.sig, freqs, _gft_many(spec, [field], freqs, validate=validate)[:, 0, 0])
+    values = _gft_many(spec, [field], freqs, validate=validate)[:, 0, 0]
+    return _adopt(Spectrum, sig=spec.sig, grid=freqs, values=values)
 
 
 def default_freqs(field: SampledField, scale: float = 1.0) -> FreqGrid:

@@ -97,6 +97,8 @@ def test_field_file_round_trip(tmp_path, binary):
     assert back.sig == field.sig and back.dims == field.dims
     assert back.origin == field.origin and back.spacing == field.spacing
     assert np.array_equal(back.values.view(np.uint64), field.values.view(np.uint64))
+    # the reader's own array, float and read-only as the constructor makes it
+    assert back.values.dtype == float and not back.values.flags.writeable
 
 
 @pytest.mark.parametrize("binary", [False, True])
@@ -110,6 +112,7 @@ def test_spectrum_file_round_trip(tmp_path, binary):
     assert isinstance(back, Spectrum)
     assert back.sig == spectrum.sig and back.grid == spectrum.grid
     assert np.array_equal(back.values, spectrum.values)
+    assert back.values.dtype == float and not back.values.flags.writeable
 
 
 def test_text_writer_bytes_match_per_value_repr(tmp_path):

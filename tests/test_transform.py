@@ -212,6 +212,26 @@ def test_spectrum_accessors():
         Spectrum(spec.sig, freqs, spectrum.values[:5])
 
 
+def test_gft_hands_its_array_over_and_spectrum_copies_callers(monkeypatch):
+    # `gft` keeps the array the engine has just allocated, read-only; a
+    # caller's array passed to `Spectrum` is copied and the copy read-only
+    spec = parse_preset("quaternionic")
+    field = SampledField.random(spec.sig, (4, 4), np.random.default_rng(3))
+    freqs = default_freqs(field)
+    made, run = [], transform._gft_many
+    monkeypatch.setattr(transform, "_gft_many",
+                        lambda *args, **kw: made.append(run(*args, **kw)) or made[-1])
+    spectrum = gft(spec, field, freqs)
+    assert np.shares_memory(spectrum.values, made[0])
+    assert not spectrum.values.flags.writeable
+    assert spectrum.values.shape == (freqs.node_count, spec.sig.dim)
+    mine = np.array(spectrum.values)
+    copied = Spectrum(spec.sig, freqs, mine)
+    assert not np.shares_memory(copied.values, mine) and not copied.values.flags.writeable
+    mine[0, 0] += 1.0
+    assert np.array_equal(copied.values, spectrum.values) and mine.flags.writeable
+
+
 def test_freq_grid_validation():
     with pytest.raises(ValueError):
         FreqGrid((4, 0), (0.0, 0.0), (1.0, 1.0))
@@ -917,7 +937,7 @@ def test_axes_engine_tiles(selector, tile, monkeypatch):
     # single frequencies, and uneven tiles split along the first axis,
     # later axes or both (the last tile on an axis is shorter); a spec of
     # its own, since a grid plan keeps the tile it was built with
-    monkeypatch.setattr(transform, "_axes_tile", lambda *args: tile)
+    monkeypatch.setattr(transform, "_axes_tile", lambda *args: (tile, args[2]))
     spec = _own_spec(selector)
     dims = AXES_PRESETS[selector]
     field = SampledField.random(spec.sig, dims, np.random.default_rng(24))
@@ -944,7 +964,7 @@ def test_axes_engine_tiles_match_one_tile(selector, monkeypatch):
     monkeypatch.setattr(transform, "_AXES_BLOCK", 0)
     # a spec of its own plans the grid pair again, under the small budget
     split = gft(_own_spec(selector), field, freqs).values
-    assert math.prod(tiles[-1]) < freqs.node_count // 2
+    assert math.prod(tiles[-1][0]) < freqs.node_count // 2
     err = np.linalg.norm(split - whole, axis=1)
     assert (err <= 1e-15 * np.maximum(1.0, np.linalg.norm(whole, axis=1))).all()
 
@@ -1155,9 +1175,11 @@ def test_axes_engine_peak_memory(selector, dims, fdims):
     assert (err <= 1e-12 * np.maximum(1.0, np.linalg.norm(ref, axis=1))).all()
 
 
-@pytest.mark.parametrize("selector", ["buelow:1", "clifford:3", "color_image"])
+@pytest.mark.parametrize("selector",
+                         ["buelow:1", "buelow:4", "clifford:3", "color_image", "spacetime"])
 def test_axes_tile_bounds_the_traced_working_set(selector, monkeypatch):
-    # `_axes_values` of the chosen tile covers what the engine allocates
+    # `_axes_values` of the chosen tile and key block covers what the
+    # engine allocates, for one field and for three side by side
     import tracemalloc
 
     spec = parse_preset(selector)
@@ -1170,24 +1192,92 @@ def test_axes_tile_bounds_the_traced_working_set(selector, monkeypatch):
         return tiles[-1][0]
 
     monkeypatch.setattr(transform, "_axes_tile", chosen)
-    hi = 200 if spec.m == 1 else 12
+    hi = {1: 200, 2: 12, 3: 12, 4: 6}[spec.m]
     for block in (1 << 10, 1 << 13, 1 << 16):
         monkeypatch.setattr(transform, "_AXES_BLOCK", block)
         for _ in range(3):
             dims = tuple(int(v) for v in rng.integers(1, hi, spec.m))
             fdims = tuple(int(v) for v in rng.integers(1, hi, spec.m))
-            field = SampledField.random(spec.sig, dims, rng)
+            fields = [SampledField.random(spec.sig, dims, rng) for _ in range(3)]
             freqs = FreqGrid(fdims, (-0.5,) * spec.m, (0.07,) * spec.m)
-            gft(spec, field, freqs)  # builds the bases outside the trace
-            tracemalloc.start()
-            try:
-                values = gft(spec, field, freqs).values
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            tile, (dims_, _, keys, cols, dim) = tiles[-1]
-            counted = 8 * transform._axes_values(tile, dims_, keys, cols, dim)
-            assert peak <= counted + 2 * values.nbytes + (1 << 16), (dims, fdims, tile)
+            for count in (1, 3):
+                # builds the bases outside the trace
+                transform._gft_many(spec, fields[:count], freqs)
+                tracemalloc.start()
+                try:
+                    values = transform._gft_many(spec, fields[:count], freqs)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                (tile, keys_block), (dims_, _, keys, cols, dim) = tiles[-1]
+                counted = 8 * transform._axes_values(tile, dims_, keys, cols, dim, keys_block)
+                assert peak <= counted + 2 * values.nbytes + (1 << 16), (
+                    dims, fdims, tile, keys_block, count)
+
+
+def test_axes_tile_shrinks_the_key_block_before_the_tile(monkeypatch):
+    # all keys whenever they fit the whole grid; otherwise the tile of
+    # one key and the most keys, halving, that fit the budget with it,
+    # or where one key does not (one frequency) at most double its count
+    assert transform._axes_tile((3,) * 6, (3,) * 6, 32, 64, 64) == ((1,) * 6, 8)
+    rng = np.random.default_rng(82)
+    for _ in range(600):
+        monkeypatch.setattr(transform, "_AXES_BLOCK", int(rng.choice([1 << 8, 1 << 12, 1 << 18])))
+        m = int(rng.integers(1, 5))
+        dims, fdims = (tuple(int(v) for v in rng.integers(1, 10, m)) for _ in range(2))
+        keys, dim = int(rng.choice([1, 2, 3, 8, 32])), int(rng.choice([2, 16, 64]))
+        tile, block = transform._axes_tile(dims, fdims, keys, dim, dim)
+
+        def count(size, tile=tile):
+            return transform._axes_values(tile, dims, keys, dim, dim, size)
+
+        budget = max(transform._AXES_BLOCK, (math.prod(dims) + math.prod(fdims)) * dim)
+        if count(keys, fdims) <= budget:
+            assert (tile, block) == (fdims, keys)
+        one = count(1)
+        assert one <= budget or tile == (1,) * m
+        limit = budget if one <= budget else 2 * one
+        sizes = [keys]
+        while sizes[-1] > 1:
+            sizes.append((sizes[-1] + 1) // 2)
+        assert count(block) <= limit or block == 1
+        assert block == keys or count(sizes[sizes.index(block) - 1]) > limit
+
+
+@pytest.mark.parametrize("selector", ["buelow:3", "buelow:4"])
+def test_key_blocks_match_one_block(selector, monkeypatch):
+    # budgets that shrink the key block below all D keys (4 and 8) but
+    # keep the whole tile: each key runs the same GEMMs in any block, so
+    # 1 and 3 fields and a flip set give the one-block spectra bit for
+    # bit, and agree with the direct engine
+    base = parse_preset(selector)
+    keys, dim = len(transform._spec_plan(base).axes.keys), base.sig.dim
+    rng = np.random.default_rng(81)
+    dims = (3,) * base.m
+    fields = [SampledField.random(base.sig, dims, rng) for _ in range(3)]
+    freqs = FreqGrid((4,) * base.m, (-0.61,) * base.m, (0.37,) * base.m)
+    flips = _sign_flips(base)[:3]
+    calls = [(1, ()), (3, ()), (1, flips)]
+    whole = [transform._gft_many(base, fields[:count], freqs, fl) for count, fl in calls]
+    chosen, choose = [], transform._axes_tile
+    monkeypatch.setattr(transform, "_axes_tile",
+                        lambda *args: chosen.append(choose(*args)) or chosen[-1])
+    block = keys // 2
+    while block:
+        for (count, fl), want in zip(calls, whole):
+            cols = count * max(1, len(fl)) * dim
+            monkeypatch.setattr(transform, "_AXES_BLOCK", transform._axes_values(
+                freqs.dims, dims, keys, cols, count * dim, block))
+            # a spec of its own plans the grid pair again, under this budget
+            got = transform._gft_many(_own_spec(selector), fields[:count], freqs, fl)
+            assert chosen[-1] == (freqs.dims, block), (count, len(fl))
+            assert np.array_equal(got, want), (block, count, len(fl))
+        block //= 2
+    some = rng.integers(freqs.node_count, size=6)
+    for (count, fl), want in zip(calls, whole):
+        for i, field in enumerate(fields[:count]):
+            for k, spec in enumerate([negate(base, j, kk) for j, kk in fl] or [base]):
+                _assert_agrees(want[some, i, k], gft_direct(spec, field, freqs.nodes()[some]))
 
 
 @st.composite
@@ -1577,7 +1667,7 @@ def test_phase_records_serve_every_tile(split_first, monkeypatch):
         monkeypatch.setattr(transform, "_AXES_BLOCK", block)
         got = transform._gft_many(spec, fields[:count], freqs)[:, :, 0]
         if count > 1:  # its own tile, for its fields' columns
-            tile, args = tiles[-1]
+            (tile, _), args = tiles[-1]
             assert args[4] == count * spec.sig.dim
         else:
             tile = transform._spec_plan(spec).kept[_pair_key(fields[0], freqs)][0].tile
@@ -1587,7 +1677,8 @@ def test_phase_records_serve_every_tile(split_first, monkeypatch):
     for block, spec in specs.items():
         assert _pair_keys(spec) == [_pair_key(fields[0], freqs)]
         (grid,) = _grid_plans(spec)
-        shapes = [(4, 4, 5), (4, 4, 5), (4, 4, 5)] if block else None
+        keys = len(transform._spec_plan(spec).axes.keys)
+        shapes = [(keys, 4, 5)] * 3 if block else None
         assert (grid.tables and [t.shape for t in grid.tables]) == shapes
 
 
@@ -1612,7 +1703,7 @@ def test_phase_records_are_bounded(monkeypatch):
     grid, size = transform._spec_plan(spec).kept[_pair_key(field, freqs)]
     kept = grid.tables
     keys = len(transform._spec_plan(spec).axes.keys)
-    assert [t.shape for t in kept] == [(12, keys, 7), (keys, 9, 10)]
+    assert [t.shape for t in kept] == [(keys, 12, 7), (keys, 9, 10)]
     assert size == sum(t.nbytes for t in kept) and traced <= size + 4096, (size, traced)
     # a later call reads the record: bit for bit the first call's spectrum
     assert np.array_equal(gft(spec, field, freqs).values, first)
