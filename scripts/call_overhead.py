@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Time one call per operation of the `spectra` or `cli_files` benchmark workload.
+"""Time one call per operation of the `spectra`, `nonseparable` or `cli_files` benchmark workload.
 
-For each `spectra` case it prints one JSON line: the best of N calls of
-`gft` on the same field and frequency grid objects (`gft_reused_us`),
-of the axes engine alone (`_gft_axes`) as that `gft` calls it, on the
-grid pair's kept plan and matrix (`axes_us`; null on another engine),
-of `gft` on a fresh `SampledField` and `FreqGrid` of the same geometry,
-built just before the timed call (`gft_fresh_us`), and of `plan` on
-the reused objects (`plan_us`).  The four are interleaved case by
+For each `spectra` or `nonseparable` case it prints one JSON line: the
+best of N calls of `gft` on the same field and frequency grid objects
+(`gft_reused_us`), of the axes engine alone (`_gft_axes`) as that `gft`
+calls it, on the grid pair's kept plan and matrix (`axes_us`; null on
+another engine), of `gft` on a fresh `SampledField` and `FreqGrid` of
+the same geometry, built just before the timed call (`gft_fresh_us`),
+of `gft` on a frequency grid whose origin moves on every call, so that
+no record of the grid pair is reused (`gft_new_pair_us`), and of `plan`
+on the reused objects (`plan_us`).  The five are interleaved case by
 case, so drift in the machine's speed reaches them alike.
 
 For each `cli_files` command (`cli.main` on the workload's files, in a
@@ -21,6 +23,7 @@ total; the rest of the total is argument parsing and command glue.
 BLAS runs one thread, as in the benchmark.
 
     PYTHONPATH=src python3 scripts/call_overhead.py --repeat 200
+    PYTHONPATH=src python3 scripts/call_overhead.py --workload nonseparable --repeat 200
     PYTHONPATH=src python3 scripts/call_overhead.py --workload cli_files --repeat 20
 """
 
@@ -44,7 +47,7 @@ from gafourier import FreqGrid, SampledField, cli, fileio, gft, parse_preset, pl
 from gafourier import transform  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import CliFiles, Spectra, dft_dual  # noqa: E402
+from workloads import CliFiles, NonSeparable, Spectra, dft_dual  # noqa: E402
 
 # (layer, module, name): each function whose calls a layer sums in one command
 _CLI_LAYERS = (
@@ -61,10 +64,10 @@ def _timed(call) -> float:
     return time.perf_counter() - start
 
 
-def _spectra(args) -> None:
+def _library(args) -> None:
     rng = np.random.default_rng(args.seed)
     cases = []
-    for sel, grid, freqs in Spectra.CASES:
+    for sel, grid, freqs in (Spectra if args.workload == "spectra" else NonSeparable).CASES:
         freqs = freqs or dft_dual(grid)
         spec = parse_preset(sel)
         values = rng.uniform(-1.0, 1.0, (grid.count, spec.sig.dim))
@@ -72,22 +75,27 @@ def _spectra(args) -> None:
                                                             freqs.spacing)
         field, fgrid = SampledField(spec.sig, *geometry[0], values), FreqGrid(*geometry[1])
         cases.append((sel, spec, field, fgrid, geometry, values, _axes_call(spec, field, fgrid)))
-    best = {sel: [float("inf")] * 4 for sel, *_ in cases}
-    for _ in range(args.repeat):
+    best = {sel: [float("inf")] * 5 for sel, *_ in cases}
+    for call in range(args.repeat):
         for sel, spec, field, fgrid, (fg, ug), values, axes in cases:
             fresh, again = SampledField(spec.sig, *fg, values), FreqGrid(*ug)
+            dims, origin, spacing = ug
+            moved = FreqGrid(dims, tuple(o + 1e-6 * (call + 1) * s
+                                         for o, s in zip(origin, spacing)), spacing)
             times = (_timed(lambda: gft(spec, field, fgrid)),
                      _timed(lambda: gft(spec, fresh, again)),
+                     _timed(lambda: gft(spec, field, moved)),
                      _timed(lambda: plan(spec, field, fgrid)),
                      _timed(axes) if axes else float("inf"))
             best[sel] = [min(a, b) for a, b in zip(best[sel], times)]
     for sel, spec, field, fgrid, *_, axes in cases:
-        reused, fresh, planned, engine = best[sel]
+        reused, fresh, new_pair, planned, engine = best[sel]
         print(json.dumps({"case": sel, "engine": plan(spec, field, fgrid).engine,
                           "pairs": field.node_count * fgrid.node_count,
                           "gft_reused_us": round(reused * 1e6, 1),
                           "axes_us": round(engine * 1e6, 1) if axes else None,
                           "gft_fresh_us": round(fresh * 1e6, 1),
+                          "gft_new_pair_us": round(new_pair * 1e6, 1),
                           "plan_us": round(planned * 1e6, 2)}))
 
 
@@ -96,10 +104,11 @@ def _axes_call(spec, field, fgrid):
     plan and matrix (built here by one `gft`), or None on another engine."""
     gft(spec, field, fgrid)
     rec = transform._spec_plan(spec)
-    grid, _ = rec.kept[("plan", field.dims, field.origin, field.spacing,
-                        fgrid.dims, fgrid.origin, fgrid.spacing)]
-    if grid.plan.engine != "axes":
+    hit = rec.kept.get(("plan", field.dims, field.origin, field.spacing,
+                        fgrid.dims, fgrid.origin, fgrid.spacing))
+    if hit is None or hit[0].plan.engine != "axes":
         return None
+    grid = hit[0]
     matrix, _ = rec.kept[("matrix", (0,))]
     values = field.values[:, None]
     return lambda: transform._gft_axes(rec, field, values, fgrid, matrix, grid)
@@ -150,7 +159,8 @@ def _cli_files(args) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=("spectra", "cli_files"), default="spectra",
+    parser.add_argument("--workload", choices=("spectra", "nonseparable", "cli_files"),
+                        default="spectra",
                         help="which benchmark workload's operations to time (default spectra)")
     parser.add_argument("--repeat", type=int, default=200,
                         help="calls per operation and measure (default 200)")
@@ -158,7 +168,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    (_spectra if args.workload == "spectra" else _cli_files)(args)
+    (_cli_files if args.workload == "cli_files" else _library)(args)
     return 0
 
 

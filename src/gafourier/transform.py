@@ -31,13 +31,13 @@ call by `plan`:
   weight times a constant map of B(x) (a dense product for a direction,
   a signed permutation for a blade).  A blade basis with r >= m is
   folded: s_i = x^T A_i u, so sum_i s_i e_i = sum_a x_a sum_i (A_i u)_a e_i
-  and it takes 1 + m weights, cos(rho) and x_a sin(rho)/rho, with
-  <f^2>_0 = u^T Q(x) u one GEMM of the monomials of u.  A weight is even
-  or odd in x, so weights are computed once per pair of nodes {x, -x},
-  against B(x) + B(-x) or B(x) - B(-x), and a flip negates the sine
-  weights of its kernels.  A chunk of frequencies is its weights, laid
-  out (slots, M, N) in buffers allocated once per call, and their GEMMs
-  against those sums; per block of chunks, the per-frequency
+  and it takes 2 weights, cos(rho) and sin(rho)/rho, whose GEMM runs
+  against sums scaled by x_a, with <f^2>_0 = u^T Q(x) u one GEMM of the
+  monomials of u.  A weight is even or odd in x, so weights are computed
+  once per pair of nodes {x, -x}, against B(x) + B(-x) or B(x) - B(-x).
+  A chunk of frequencies is its weights, (width, M, N), and their GEMMs
+  against those sums, whose outputs a flip negates where they take the
+  sine of a flipped kernel; per block of chunks, the per-frequency
   matrix (A_i u)_a of each folded basis maps its m sine outputs to its r
   blade terms (`_unfold`), one routine (`_compose`) takes each term
   through its composite map, and the block is summed over terms.
@@ -67,17 +67,21 @@ grid goes through the plan's one store (`_keep`), keyed by the grids'
 values (dims, origin, spacing), so fresh objects of one geometry share
 it: the expansion engine's record of a field grid (`_FieldGrid`), 8 (3 +
 m + sum_k w_k) bytes per kept node, w_k = m(m+1)/2 for a folded basis and
-r_k m otherwise; for a spec the axes engine may run, the plan of a (field
-grid, frequency grid) pair (`_GridPlan`): route, phase bound, one
-field's tile and, if that is the whole grid, every axis's e^{i theta}
-(`_phase_table`), 16 D sum_j d_j M_j bytes for D phase vectors; and the
-axes engine's matrix of each flip set (`_axes_matrix`).  The store
-freezes every array of a record it builds and keeps the record while
-the spec holds at most `_KEPT` records of at most `_KEPT_BYTES` bytes
-together; past either bound records are built for their call, by the
-same arithmetic, and dropped.  So a call on a kept grid pair checks its
-inputs, looks up its plan and runs its arithmetic, on one tile without
-reading `_axis_coords`; several fields or flips choose their own tile.
+r_k m otherwise, and its weights of a (field grid, frequency grid) pair,
+8 prod_k(width_k) M N bytes, width_k = 2 for a folded basis and 1 + r_k
+otherwise, kept only if every sample passes the check; for a spec the
+axes engine may run, the plan of a grid pair (`_GridPlan`): route, phase
+bound, one field's tile and, if that is the whole grid, every axis's
+e^{i theta} (`_phase_table`), 16 D sum_j d_j M_j bytes for D phase
+vectors; and the axes engine's matrix of each flip set (`_axes_matrix`).
+The store freezes every array of a record it builds and keeps the record
+while the spec holds at most `_KEPT` records of at most `_KEPT_BYTES`
+bytes together, weights at most `_KEPT_WEIGHTS`; past a bound records
+are built for their call, by the same arithmetic, and dropped, or
+weights streamed chunk by chunk.  So a call on a kept grid pair checks
+its inputs, looks up its records and runs the rest of its arithmetic
+(on the axes engine on one tile, without reading `_axis_coords`; several
+fields or flips choose their own tile).
 
 Threads may share a spec: two may build one record at once, and one
 copy is kept.  A record is stored only once built and frozen, so no
@@ -93,14 +97,15 @@ one not at all while its square comes from Q (`_Q_REACH`), whose bound
 keeps every |f|^2 finite; any other blade kernel
 per (node, frequency) with `not_imaginary`, exp_neg_many's test on s,
 once per pair of nodes, at the smaller index the direct engine names.
-A flip leaves every check as it is.
+A flip leaves every check as it is.  A call that reads a pair's kept
+weights checks nothing: they passed when built.
 
 Determinism: the direct engine sums each frequency's rows with one fixed
 numpy reduction over row-major node order, so identical inputs give
 bit-identical spectra.  The axes and expansion engines are bit-identical
 for the same inputs, numpy build and BLAS thread count (a call that
-builds a grid's or grid pair's record and one that reads it run the
-same arithmetic), and agree with the direct engine within
+builds a grid's or grid pair's record, one that reads it and one that
+streams run the same arithmetic), and agree with the direct engine within
 1e-12 * max(1, |F(u)|): they sum over node pairs or phase vectors and
 compose the kernels' maps.  On the axes
 engine a field transformed with others is bit-identical to its own
@@ -140,13 +145,14 @@ __all__ = [
     "row_magnitudes",
 ]
 
-# The expansion engine's weights for one frequency chunk, over all
-# kernels (`_Basis.slots`) and flips, hold at most this many values
-# (512 KiB), or one frequency's worth on larger grids.  A call allocates
-# its weight buffers once, for its largest chunk, and every chunk writes
-# into them: fresh arrays this size per chunk, above glibc's 128 KiB mmap
-# threshold, would fault in new zeroed pages every time.  At 2^17
-# cylindrical:3's working set leaves L2 and runs slower.
+# The expansion engine takes frequencies in chunks whose weights, with
+# the x_a of each folded basis in them (`_Basis.slots`), hold at most this
+# many values (512 KiB), or one frequency's worth on larger grids; the
+# weights a chunk keeps or streams (`_Basis.width`) are fewer.  A call
+# that streams writes every chunk into buffers allocated once: fresh
+# arrays this size per chunk, above glibc's 128 KiB mmap threshold, would
+# fault in new zeroed pages every time.  At 2^17 cylindrical:3's working
+# set leaves L2 and runs slower.
 _BLOCK = 1 << 16
 # The axes engine's working set for one tile of the frequency grid
 # (`_axes_values`), and the expansion engine's terms for a block of
@@ -158,6 +164,8 @@ _AXES_BLOCK = 1 << 18
 # (128 MiB) is built for each call.
 _KEPT = 64
 _KEPT_BYTES = 32 << 20
+# and its expansion weight records at most this many bytes together
+_KEPT_WEIGHTS = 2 << 20
 # A folded basis takes <f^2>_0 = u^T Q(x) u from Q while max|u|^2 times
 # the record's reach is at most this, and from s past it.  Q's rounding
 # is about eps max|u|^2 reach, absolute: where x is nearly parallel to u
@@ -440,8 +448,13 @@ class _Basis:
 
     @property
     def slots(self) -> int:
-        """Weights per node and frequency: 1 + m when folded, else terms."""
+        """GEMM outputs per frequency (`_unfold`): 1 + m when folded, else terms."""
         return 1 + self.forms.shape[1] if self.folded else self.terms
+
+    @property
+    def width(self) -> int:
+        """Weights per node and frequency: 2 when folded, else terms."""
+        return 2 if self.folded else self.terms
 
     def describe(self) -> str:
         check = "checked once" if self.imaginary else "per-sample check"
@@ -460,38 +473,42 @@ class _Basis:
         w: np.ndarray,
     ) -> np.ndarray | None:
         """Write the weights of e^{-f} at the frequencies u (M, m) and the
-        nodes `coords` (m, N) into w (slots, M, N): cos(rho) into w[0] and
-        the sine weights, x_a sin(rho)/rho when folded and s_i sin(rho)/rho
-        otherwise, into w[1:].  Return the (M, N) mask of invalid samples
-        when checked, else None.  `table` is the basis's entry of
-        `_FieldGrid.tables`, or None for a folded basis past `_Q_REACH` at
-        u: its square then comes from s."""
+        nodes `coords` (m, N) into w (width, M, N): cos(rho) into w[0] and
+        the sine weights, sin(rho)/rho when folded (its x_a weigh the sums
+        instead, `_gft_expansion`) and s_i sin(rho)/rho otherwise, into
+        w[1:].  Return the (M, N) mask of invalid samples when checked,
+        else None.  `table` is the basis's entry of `_FieldGrid.tables`, or
+        None for a folded basis past `_Q_REACH` at u: its square then comes
+        from s."""
         n, s = coords.shape[1], None
         if self.folded and table is not None:
-            square = u[:, self.upper].prod(axis=1) @ table  # u^T Q(x) u
+            # u^T Q(x) u, into w[0], which `cos_sinc` reads before it writes cos there
+            square = np.matmul(u[:, self.upper].prod(axis=1), table, out=w[0])
         else:
             # s_i = x^T A_i u = sum_a x_a (A_i u)_a
             s = self.maps(u) @ coords if self.folded else (u @ table).reshape(len(u), -1, n)
             square = self._square(s)
-        _, sinc = cos_sinc(square, cos=w[0])
-        np.multiply(coords[:, None] if self.folded else s.swapaxes(0, 1), sinc, out=w[1:])
-        if not validate:
+        _, sinc = cos_sinc(square, w[0], w[1] if self.folded else None)
+        if not self.folded:
+            np.multiply(s.swapaxes(0, 1), sinc, out=w[1:])
+        # f^2 = <f^2>_0 everywhere for an imaginary basis, and |f|^2 =
+        # -<f^2>_0 |j|^2: only a non-finite one can fail, none where Q's bound holds
+        if not validate or (self.imaginary and s is None):
             return None
-        if self.imaginary:
-            # f^2 = <f^2>_0 everywhere, and |f|^2 = -<f^2>_0 |j|^2: only a
-            # non-finite one can fail, and none can where Q's bound holds
-            return None if s is None else ~np.isfinite(square * self.norm2)
-        if s is None:
-            s = self.maps(u) @ coords
-            square = self._square(s)
-        a, b, q = self.pairs
-        residue = 0.0  # no commuting blade pair: f^2 is a scalar
-        if len(q):
-            cross = s[:, a]
-            cross *= s[:, b]
-            rest = np.tensordot(q, cross, axes=(1, 1))  # non-scalar part of f^2
-            residue = np.sqrt(np.einsum("t...,t...->...", rest, rest))
-        return not_imaginary(square, residue, np.einsum("min,min->mn", s, s))
+        with np.errstate(over="ignore", invalid="ignore"):  # as `_gft_many` validates
+            if self.imaginary:
+                return ~np.isfinite(square * self.norm2)
+            if s is None:
+                s = self.maps(u) @ coords
+                square = self._square(s)
+            a, b, q = self.pairs
+            residue = 0.0  # no commuting blade pair: f^2 is a scalar
+            if len(q):
+                cross = s[:, a]
+                cross *= s[:, b]
+                rest = np.tensordot(q, cross, axes=(1, 1))  # non-scalar part of f^2
+                residue = np.sqrt(np.einsum("t...,t...->...", rest, rest))
+            return not_imaginary(square, residue, np.einsum("min,min->mn", s, s))
 
     def _square(self, s: np.ndarray) -> np.ndarray:
         """<f^2>_0 = sum_i e_i^2 s_i^2 from s (M, r, N)."""
@@ -542,10 +559,11 @@ class _SpecPlan:
     order: tuple[_Basis, ...] = ()  # the kernel bases, in `_fold_order`
     refusal: str | None = None
     axes: _Axes | None = None
-    # the expansion engine's runs of consecutive weights (`_Basis.slots`,
-    # first kernel most significant) with the same count of sin factors
-    # mod 2: (count, parity)
-    runs: tuple[tuple[int, int], ...] = ()
+    # the expansion engine's GEMM of each product of the bases' weights
+    # (`_Basis.width`, first kernel most significant): its count of sin
+    # factors mod 2 and of folded ones, the bit mask (as a flip's) of the
+    # kernels whose sine it takes, and its outputs' index among the slots
+    gemms: tuple[tuple[int, int, int, tuple], ...] = ()
     # key -> (record, bytes of its arrays), filled by `_keep`
     kept: dict[tuple, tuple[object, int]] = dataclasses.field(default_factory=dict)
 
@@ -639,18 +657,26 @@ _Record = TypeVar("_Record")
 def _keep(rec: _SpecPlan, key: tuple, build: Callable[[], _Record]) -> _Record:
     """The record `key` of the spec's store, or the one `build` returns,
     with every array read-only.  A built record is kept while the store
-    stays within `_KEPT` records and `_KEPT_BYTES` bytes of arrays;
-    otherwise it serves its call and is dropped."""
+    stays within `_KEPT` records and `_KEPT_BYTES` bytes of arrays, its
+    weights within `_KEPT_WEIGHTS`; otherwise it serves its call and is
+    dropped."""
     hit = rec.kept.get(key)
     if hit is not None:
         return hit[0]
     value = build()
     size = _freeze(value)
     with _KEEPING:
-        if (len(rec.kept) < _KEPT
-                and size + sum(s for _, s in rec.kept.values()) <= _KEPT_BYTES):
+        if _admits(rec, key, size):
             return rec.kept.setdefault(key, (value, size))[0]
     return value
+
+
+def _admits(rec: _SpecPlan, key: tuple, size: int) -> bool:
+    """Whether the store, locked by the caller, has room for record `key`."""
+    kept = rec.kept.items()
+    return (len(kept) < _KEPT and size + sum(s for _, (_, s) in kept) <= _KEPT_BYTES and (
+        key[0] != "weights" or size + sum(s for k, (_, s) in kept if k[0] == "weights")
+        <= _KEPT_WEIGHTS))
 
 
 def _freeze(value: object) -> int:
@@ -682,18 +708,20 @@ def _build_spec_plan(spec: GftSpec) -> _SpecPlan:
             notes.append(b.describe())
     notes.append(f"{terms} term{'s' if terms > 1 else ''}")
     order, refusal, axes = tuple(_fold_order(bases)), None, None
-    # the sum each weight contracts against: its count of sin factors mod 2
-    odd = np.zeros(1, dtype=int)
-    for b in order:
-        odd = (odd[:, None] + (np.arange(b.slots) > 0)).ravel() % 2
-    runs = tuple((len(list(group)), p) for p, group in itertools.groupby(odd.tolist()))
+    gemms = []
+    for js in itertools.product(*(range(b.width) for b in order)):
+        sines = [j > 0 for j in js]
+        gemms.append((sum(sines) % 2, sum(b.folded for b, t in zip(order, sines) if t),
+                      sum(t << i for i, t in enumerate(reversed(sines))),
+                      tuple(slice(1, None) if b.folded and j else j for b, j in zip(order, js))))
     if bases and all(b.step is not None for b in bases):
         refusal = next((f"{b.label} form not diagonal" for b in bases
                         if np.count_nonzero(b.forms[0])
                         > np.count_nonzero(np.diagonal(b.forms[0]))), None)
         if refusal is None:
             axes = _axes_layout(order)
-    return _SpecPlan("; ".join(notes), order=order, refusal=refusal, axes=axes, runs=runs)
+    return _SpecPlan("; ".join(notes), order=order, refusal=refusal, axes=axes,
+                     gemms=tuple(gemms))
 
 
 def _basis(sig: Signature, f: Factors, side: str, label: str, index: int) -> _Basis:
@@ -837,7 +865,7 @@ def _compose(order: Sequence[_Basis], y: np.ndarray) -> np.ndarray:
 
 def _gft_expansion(
     rec: _SpecPlan, field: SampledField, values: np.ndarray, unodes: np.ndarray,
-    validate: bool, masks: Sequence[int],
+    validate: bool, masks: Sequence[int], pair: tuple | None,
 ) -> np.ndarray:
     """Expanded transform over the kernel bases of `rec` of the fields
     `values` (N, F, 2^n) on `field`'s grid, under each flip of `masks`
@@ -846,85 +874,112 @@ def _gft_expansion(
     The integrand expands into prod(1 + r_k) terms w(x, u) G_L B(x) G_R
     with constant G_L, G_R and weights cos(rho) and s_i sin(rho)/rho from
     `cos_sinc`, even or odd in x as the term's count of sin factors is.
-    A folded basis (`_Basis`) has 1 + m weights instead, cos(rho) and
-    x_a sin(rho)/rho, and rho^2 from its Q (`_FieldGrid`) in one GEMM.
-    The weights are computed at the nodes of the grid's record, one per
-    pair {x, -x}: even terms contract against B(x) + B(-x), odd ones
-    against B(x) - B(-x), a node without a mirror against B(x).  A chunk
-    of frequencies (`_BLOCK`) is its weights, checked, laid out (slots,
-    M x flips, N) so that each run of weights against the same sum is one
-    contiguous GEMM operand, and one GEMM per run, written into the
-    block's outputs (weights, frequencies x flips, fields x 2^n).  Every
-    array a chunk writes (each basis's weights, their products, the
-    flip-signed rows) is allocated once per call, for the largest chunk,
-    and each chunk writes into its leading values.  A block is the most
-    whole chunks whose terms fit `_AXES_BLOCK` values, or one chunk; once
-    per block `_unfold` takes each folded basis's m sine outputs to its r
-    blade terms, `_compose` maps each term through its G_t, and the terms
-    are summed.  Negating a kernel negates its s_i, so a flip negates the
-    weights of its sine terms.
+    A folded basis (`_Basis`) has 2 weights, cos(rho) and sin(rho)/rho,
+    rho^2 from its Q (`_FieldGrid`) in one GEMM, and its terms x_a
+    sin(rho)/rho scale the smaller GEMM operand by x_a.  The weights are
+    computed at the nodes of the grid's record, one per pair {x, -x}:
+    even terms contract against B(x) + B(-x), odd ones against B(x) -
+    B(-x), a node without a mirror against B(x).  A chunk of frequencies
+    (`_BLOCK`) is its weights, (width, M, N), and one GEMM per weight
+    into the first flip's rows of the block's outputs (slots, frequencies
+    x flips, fields x 2^n); those rows times each flip's sign (negating a
+    kernel negates its s_i) fill every flip's.  A
+    block is the most whole chunks whose terms fit `_AXES_BLOCK` values,
+    or one chunk; once per block `_unfold` takes each folded basis's m
+    sine outputs to its r blade terms, `_compose` maps each term through
+    its G_t, and the terms are summed.
+
+    The weights of a frequency grid `pair` are kept in the spec's store
+    if they fit `_KEPT_WEIGHTS`, decided before they are allocated, and
+    every sample passes the check, which the call that builds them runs
+    whatever `validate` says; a later call reads each chunk's rows from
+    them.  Otherwise each chunk is computed into buffers allocated once
+    per call.
     """
     key = ("grid", field.dims, field.origin, field.spacing)
     dim, order, grid = field.sig.dim, rec.order, _keep(rec, key, lambda: _field_grid(rec, field))
     cols, rows, n = values.shape[1] * dim, grid.rows, grid.coords.shape[1]
     if grid.twins is None:
-        stacks = (values,)
+        stacks = (values, values)
     else:
         own, twin = values.take(rows, axis=0), values.take(grid.twins, axis=0)
         twin[grid.lone] = 0.0
         stacks = (own + twin, own - twin)
     terms, slots = math.prod(b.terms for b in order), math.prod(b.slots for b in order)
-    runs = rec.runs if len(stacks) == 2 else ((slots, 0),)
-    # each weight's sign under each flip: -1 per flipped kernel whose sine it takes
-    signs = np.ones((1, len(masks)))  # (slots, flips)
-    for i, b in enumerate(order if masks != (0,) else ()):  # nothing to sign without flips
-        flipped = (np.array(masks) >> (len(order) - 1 - i)) & 1
-        sign = 1 - 2 * (flipped & (np.arange(b.slots) > 0)[:, None])
-        signs = (signs[:, None] * sign).reshape(-1, len(masks))
+    chunk, width = max(1, _BLOCK // (slots * n)), len(rec.gemms)
+    xs = [None, grid.coords]  # the (m^d, N) products x_a of d folded sines
+    for _ in range(2, max(g[1] for g in rec.gemms) + 1):
+        xs.append((grid.coords[:, None] * xs[-1]).reshape(-1, n))
+    # they scale the smaller operand of a GEMM that takes them: its sums,
+    # (m.., N, cols) once per call, or a chunk's weights, (m^d M, N)
+    on_sums = cols < min(chunk, len(unodes))
+    sums = {(p, d): np.einsum("an,nc->anc", xs[d], stacks[p].reshape(n, cols))
+            .reshape((field.m,) * d + (n, cols)) if on_sums and d else stacks[p].reshape(n, cols)
+            for p, d in {g[:2] for g in rec.gemms}}
+    # each GEMM's sign under each flip, (flips, 1): -1 per flipped kernel whose sine it takes
+    signs = [None if masks == (0,) else np.array(
+        [[1 - 2 * ((g[2] & f).bit_count() % 2)] for f in masks], dtype=float) for g in rec.gemms]
     # u^T Q u rounds by about eps max|u|^2 reach (`_Q_REACH`), and cannot
     # overflow within that bound; past it folded bases take it from s
     top = float(np.abs(unodes).max(initial=0.0))
     safe = top * top * grid.reach <= _Q_REACH
     tables = [None if b.folded and not safe else t for b, t in zip(order, grid.tables)]
-    chunk = max(1, _BLOCK // (slots * n * len(masks)))
     # whole chunks whose terms fit the budget, or one chunk
     block = chunk * max(1, _AXES_BLOCK // (terms * chunk * len(masks) * cols))
-    # each basis's weights, their products over the first 2, 3, ... bases
-    # and the flip-signed rows, for the largest chunk; a chunk of M
-    # frequencies writes the leading values, so its views are contiguous
-    size = min(chunk, len(unodes)) * n
-    bufs, products = [np.empty(b.slots * size) for b in order], [None]
-    for k in range(2, len(order) + 1):
-        products.append(np.empty(math.prod(b.slots for b in order[:k]) * size))
-    signed = None if masks == (0,) else np.empty(slots * len(masks) * size)
+    hit = rec.kept.get(pair) if pair else None
+    with _KEEPING:  # admitted before it is allocated
+        building = hit is None and pair is not None and _admits(
+            rec, pair, 8 * width * len(unodes) * n)
+    record = hit[0] if hit else np.empty((width, len(unodes), n)) if building else None
+    bufs: dict[int, np.ndarray] = {}
+
+    def buf(role: int, count: int, size: int) -> np.ndarray:  # (count, size, N), contiguous
+        if role not in bufs:  # once per call, for the largest chunk
+            bufs[role] = np.empty(count * min(chunk, len(unodes)) * n)
+        return bufs[role][:count * size * n].reshape(count, size, n)
+
     out = np.empty((len(unodes), len(masks) * values.shape[1], dim))
     for start in range(0, len(unodes), block):
         ub = unodes[start:start + block]
         y = np.empty((slots, len(ub) * len(masks), cols))
+        view = y.reshape(*(b.slots for b in order), len(ub), len(masks), cols)
         for lo in range(0, len(ub), chunk):
             u = ub[lo:lo + chunk]
-            # w (slots, M, N): the first kernel's weight is the most significant;
-            # with only zero kernels, one weight of 1
-            w, bad = None if order else np.ones((1, len(u), n)), []
-            for b, table, buf, held in zip(order, tables, bufs, products):
-                wb = buf[:b.slots * len(u) * n].reshape(b.slots, len(u), n)
-                bad.append(b.weights(u, table, grid.coords, validate, wb))
-                if held is not None:  # (weights so far, b.slots, M, N)
-                    both = held[:len(w) * wb.size].reshape((len(w),) + wb.shape)
-                    wb = np.multiply(w[:, None], wb, out=both).reshape(-1, len(u), n)
-                w = wb
-            _raise_first_violation(order, bad, rows)
-            if signed is not None:  # rows (frequency, flip)
-                both = signed[:w.size * len(masks)].reshape(slots, len(u), len(masks), n)
-                w = np.multiply(w[:, :, None], signs[:, None, :, None], out=both)
-                w = w.reshape(slots, -1, n)
-            t, at = 0, lo * len(masks)
-            for count, p in runs:
-                np.matmul(w[t:t + count], stacks[p].reshape(n, cols),
-                          out=y[t:t + count, at:at + w.shape[1]])
-                t += count
+            span = slice(start + lo, start + lo + len(u))
+            w = record[:, span] if record is not None else buf(0, width, len(u))
+            if hit is None:  # the chunk's weights: the first kernel's is the most significant
+                bad, held = [], None
+                if not order:  # only zero kernels: one weight of 1
+                    w[...] = 1.0
+                for k, (b, table) in enumerate(zip(order, tables)):
+                    last = k == len(order) - 1
+                    wb = w if last and not k else buf(2 * k + 1, b.width, len(u))
+                    bad.append(b.weights(u, table, grid.coords, validate or building, wb))
+                    if k:  # the product with the weights so far, (held, b.width, M, N)
+                        both = w if last else buf(2 * k + 2, len(held) * b.width, len(u))
+                        np.multiply(held[:, None], wb, out=both.reshape((len(held),) + wb.shape))
+                        wb = both
+                    held = wb
+                if validate:
+                    _raise_first_violation(order, bad, rows)
+                elif building and any(m is not None and m.any() for m in bad):
+                    record, building = None, False  # a failing pair keeps nothing
+            for (parity, depth, _, index), sign, wg in zip(rec.gemms, signs, w):
+                at = view[index + (slice(lo, lo + len(u)),)]  # (m.., M, flips, cols)
+                if depth and not on_sums:  # one GEMM of the (m^d M, N) scaled weights
+                    g = (xs[depth][:, None] * wg).reshape(-1, n)
+                    if len(masks) == 1 and at.flags.c_contiguous:  # the block is one chunk
+                        np.matmul(g, sums[parity, depth], out=at.reshape(-1, cols))
+                    else:
+                        at[..., 0, :] = (g @ sums[parity, depth]).reshape(at.shape[:-2] + (cols,))
+                else:
+                    np.matmul(wg, sums[parity, depth], out=at[..., 0, :])
+                if sign is not None:  # every flip's rows, from the first's
+                    np.multiply(at[..., :1, :], sign, out=at)
         y = _unfold(order, y, ub)
         out[start:start + block] = _compose(order, y.reshape(terms, len(ub), -1, dim)).sum(axis=0)
+    if building:
+        _keep(rec, pair, lambda: record)
     out *= field.cell_volume
     return out.reshape(len(unodes), len(masks), values.shape[1], dim).swapaxes(1, 2)
 
@@ -1110,7 +1165,7 @@ def _phase_table(x: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
     (D, d_j, R_j)."""
     theta = np.multiply.outer(x, np.multiply.outer(c, u)).transpose(1, 0, 2)
     table = np.empty(theta.shape, dtype=complex)
-    table.imag = cos_sin(theta, cos=table.real)
+    cos_sin(theta, table.real, out=table.imag)
     return table
 
 
@@ -1210,9 +1265,11 @@ def _gft_many(
         specs = [negate(spec, j, k) for j, k in flips] or [spec]
         out = [[_direct_sum(s, f, unodes, validate) for s in specs] for f in fields]
         return np.moveaxis(np.array(out), 2, 0)
+    pair = (("weights", field.dims, field.origin, field.spacing, freqs.dims, freqs.origin,
+             freqs.spacing) if isinstance(freqs, FreqGrid) else None)
     ignore = "ignore" if validate else None  # as in `_direct_sum`
     with np.errstate(over=ignore, invalid=ignore):
-        return _gft_expansion(rec, field, values, unodes, validate, masks)
+        return _gft_expansion(rec, field, values, unodes, validate, masks, pair)
 
 
 def gft_at(

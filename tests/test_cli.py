@@ -434,8 +434,9 @@ def _arrays(value):
 def test_shared_spec_plans_are_read_only():
     # every array the plan of a shared spec keeps, after each check ran:
     # its bases and axes layout, and every record of its store (the
-    # expansion engine's field grids, the axes engine's grid plans with
-    # their phase tables, and its flip-set matrices)
+    # expansion engine's field grids and grid pairs' weights, the axes
+    # engine's grid plans with their phase tables, and its flip-set
+    # matrices)
     kernels.parse_preset.cache_clear()
     for sel in kernels.VERIFY_PRESETS:
         args = argparse.Namespace(theorem="all", preset=sel, seed=3, size=8, tol=None)
@@ -448,7 +449,7 @@ def test_shared_spec_plans_are_read_only():
             assert kinds == {"matrix", "plan"}, sel
             arrays += [rec.axes.keys, rec.axes.which, rec.axes.conj]
         else:
-            assert kinds == {"grid"}, sel
+            assert kinds == {"grid", "weights"}, sel
         for record, size in rec.kept.values():
             kept = _arrays(record)
             assert kept and size == sum(v.nbytes for v in kept)
@@ -462,6 +463,8 @@ def test_shared_spec_plans_are_read_only():
             assert not v.flags.writeable, sel
         assert len(rec.kept) <= transform._KEPT
         assert sum(size for _, size in rec.kept.values()) <= transform._KEPT_BYTES
+        assert sum(size for key, (_, size) in rec.kept.items()
+                   if key[0] == "weights") <= transform._KEPT_WEIGHTS
 
 
 @pytest.mark.parametrize("selector, engine", [

@@ -76,6 +76,35 @@ def test_cos_sin_matches_numpy():
     assert np.isnan(sin[0]) and np.isnan(cos[0]) and np.isfinite(sin[1] + cos[1])
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_trig_into_caller_arrays_is_bit_identical():
+    # cos_sin's sin into `out` (a strided view here, as the axes engine's
+    # tables take it), and cos_sinc's cos and sin(r)/r into caller arrays:
+    # bit for bit the values of the calls that allocate their outputs
+    rng = np.random.default_rng(13)
+    for size in (4000, 62500):
+        theta = rng.uniform(-60.0, 60.0, size)
+        cos = np.empty(size)
+        sin = cos_sin(theta, cos)
+        table = np.empty(size, dtype=complex)
+        assert np.shares_memory(cos_sin(theta, table.real, out=table.imag), table)
+        assert np.array_equal(_bits(table.real), _bits(cos))
+        assert np.array_equal(_bits(table.imag), _bits(sin))
+        # squares of angles up to 60, a few tiny or nonnegative ones
+        square = -theta * theta
+        square[:7] = (0.0, -0.0, 1.0, -1e-300, -1e-28, -1e-12, 3.5)
+        want = cos_sinc(square)
+        w = np.empty((2, size))
+        got = cos_sinc(square, w[0], w[1])
+        assert np.shares_memory(got[0], w[0]) and np.shares_memory(got[1], w[1])
+        for a, b in zip(got, want):
+            assert np.array_equal(_bits(a), _bits(b))
+        assert np.array_equal(_bits(cos_sinc(square, w[0])[1]), _bits(want[1]))
+
+
 @pytest.mark.parametrize("shape", [(), (3,)])
 def test_cos_sinc_small_angle_rule_is_exact(shape):
     # a square at or above zero, or of a root below _SMALL_ANGLE, gives

@@ -591,10 +591,22 @@ def _folded_and_direction(swap=False):
     return GftSpec(cyl.sig, 3, cyl.left, (diag,))
 
 
+def _two_folded():
+    """Two folded bases (2 blades on m = 2 each) in Cl(0,4): 3 x 3 = 9
+    terms, whose GEMM of both sines takes the products x_a x_b."""
+    sig = Signature(0, 4)
+
+    def kern(a, b):
+        return KernelMatrix.sparse(sig, 2, [(0, 0, Multivector.blade(sig, a)),
+                                            (1, 1, Multivector.blade(sig, b))])
+    return GftSpec(sig, 2, (kern("e1", "e12"),), (kern("e3", "e34"),))
+
+
 MIRROR_SPECS = {
     "two-sided cylindrical:2": _two_sided_cylindrical,
     "folded and direction": _folded_and_direction,
     "direction and folded": lambda: _folded_and_direction(swap=True),
+    "two folded": _two_folded,
 }
 
 
@@ -652,10 +664,11 @@ def test_expansion_engine_over_mirrored_pairs_matches_direct(selector, grid, cou
                     for i, by_field in enumerate(refs[key]):
                         for values, ref in zip(got[:, :, i].swapaxes(0, 1), by_field):
                             _assert_agrees(values, ref)
-            # a chunk's weights fit _BLOCK, or are one frequency's; every
-            # block's terms, mapped by _compose, fit _AXES_BLOCK, or are one
-            # chunk's
-            chunk = max(1, transform._BLOCK // (slots * kept * len(specs)))
+            # a chunk's weights, with the x_a of folded bases, fit _BLOCK, or
+            # are one frequency's (flips sign GEMM outputs, not weights);
+            # every block's terms, mapped by _compose, fit _AXES_BLOCK, or
+            # are one chunk's
+            chunk = max(1, transform._BLOCK // (slots * kept))
             outputs = terms * chunk * len(specs) * count * spec.sig.dim
             assert max(sizes) <= max(transform._AXES_BLOCK, outputs)
             blocks = freqs.node_count + len(unodes) if small else 2
@@ -668,9 +681,11 @@ def test_expansion_engine_over_mirrored_pairs_matches_direct(selector, grid, cou
 @pytest.mark.parametrize("selector", ["cylindrical:3", "two-sided cylindrical:2"])
 def test_expansion_chunks_write_into_buffers_allocated_once_per_call(selector, count, flipped,
                                                                      monkeypatch):
-    # every chunk of one call writes each basis's weights, (slots, M, N)
-    # and contiguous, into one buffer of that basis: `count` fields under
-    # no flip or every flip, one folded basis or two bases
+    # with no weight record kept, every chunk of one call writes each
+    # basis's weights, (width, M, N) and contiguous, into one buffer of
+    # that basis: `count` fields under no flip or every flip (flips sign
+    # the GEMM outputs, not the weights), one folded basis or two bases
+    monkeypatch.setattr(transform, "_KEPT_WEIGHTS", 0)
     spec = MIRROR_SPECS[selector]() if selector in MIRROR_SPECS else parse_preset(selector)
     dims = (5, 3, 5)[:spec.m]
     rng = np.random.default_rng(68)
@@ -684,7 +699,7 @@ def test_expansion_chunks_write_into_buffers_allocated_once_per_call(selector, c
     slots = math.prod(b.slots for b in order)
     kept = len(transform._mirror_pairs(fields[0])[0])
     # two frequencies per chunk: 5 chunks on 3 x 3, 14 on 3 x 3 x 3
-    monkeypatch.setattr(transform, "_BLOCK", 2 * slots * kept * max(1, len(flips)))
+    monkeypatch.setattr(transform, "_BLOCK", 2 * slots * kept)
     writes = []
     weights = transform._Basis.weights
 
@@ -700,7 +715,7 @@ def test_expansion_chunks_write_into_buffers_allocated_once_per_call(selector, c
         ws = [(size, w) for index, size, w in writes if index == b.index]
         assert len(ws) == (freqs.node_count + 1) // 2 >= 3
         for size, w in ws:
-            assert w.shape == (b.slots, size, kept) and w.flags.c_contiguous
+            assert w.shape == (b.width, size, kept) and w.flags.c_contiguous
             assert np.shares_memory(w, ws[0][1])
         heads.append(ws[0][1])
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(heads, 2))
@@ -710,26 +725,159 @@ def test_expansion_chunks_write_into_buffers_allocated_once_per_call(selector, c
             _assert_agrees(got[:, f, i], gft_direct(negate(spec, j, k), field, unodes))
 
 
-def test_expansion_engine_peak_memory():
-    # nonseparable's cylindrical:3 call, once its records are built: the
-    # weight buffers of a 25-frequency chunk (508 KiB) and the chunk's
-    # temporaries
+def test_expansion_engine_peak_memory(monkeypatch):
+    # nonseparable's cylindrical:3 call, once its records are built: with
+    # the grid pair's weights kept, and with no room for them, where each
+    # call streams its chunks through the weight buffer of a 25-frequency
+    # chunk (254 KiB) and the chunk's temporaries
     import tracemalloc
 
-    spec = parse_preset("cylindrical:3")
-    values = np.random.default_rng(69).uniform(-1.0, 1.0, (1000, spec.sig.dim))
-    field = SampledField(spec.sig, (10,) * 3, (-2.5,) * 3, (0.5,) * 3, values)
+    values = np.random.default_rng(69).uniform(-1.0, 1.0, (1000, 8))
     freqs = FreqGrid((5,) * 3, (-0.613,) * 3, (0.197,) * 3)
-    assert plan(spec, field, freqs).engine == "expansion"
-    first = gft(spec, field, freqs).values
-    tracemalloc.start()
-    try:
-        again = gft(spec, field, freqs).values
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(again, first)
-    assert peak <= 4 * 8 * transform._BLOCK, peak
+    spectra = []
+    for cap in (transform._KEPT_WEIGHTS, 0):
+        monkeypatch.setattr(transform, "_KEPT_WEIGHTS", cap)
+        spec = kernels.preset("cylindrical", 3)  # parse_preset would share its store
+        field = SampledField(spec.sig, (10,) * 3, (-2.5,) * 3, (0.5,) * 3, values)
+        assert plan(spec, field, freqs).engine == "expansion"
+        first = gft(spec, field, freqs).values
+        assert (_weights_key(field, freqs) in transform._spec_plan(spec).kept) == bool(cap)
+        tracemalloc.start()
+        try:
+            again = gft(spec, field, freqs).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again, first)
+        assert peak <= 4 * 8 * transform._BLOCK, (cap, peak)
+        spectra.append(first)
+    assert np.array_equal(*spectra)
+
+
+def _fresh_spec(selector):
+    """A spec with a store of its own (parse_preset shares one)."""
+    if selector in MIRROR_SPECS:
+        return MIRROR_SPECS[selector]()
+    name, n = selector.split(":")
+    return kernels.preset(name, int(n))
+
+
+@pytest.mark.parametrize("count, dims", [(1, (6, 6)), (4, (2, 2))])
+def test_two_folded_bases_scale_either_gemm_operand(count, dims):
+    # the x_a x_b of both folded sines scale the sums (36 frequencies
+    # against 16 columns) or the chunk's weights (4 against 64), under
+    # every flip
+    spec, rng = _two_folded(), np.random.default_rng(78)
+    fields = [SampledField(spec.sig, (5, 7), (-2.0, -3.0), (1.0, 1.0),
+                           rng.uniform(-1.0, 1.0, (35, 16))) for _ in range(count)]
+    freqs = FreqGrid(dims, (-0.9, -0.7), (0.3, 0.25))
+    flips = _sign_flips(spec)
+    got = transform._gft_many(spec, fields, freqs, flips)
+    for i, (j, k) in enumerate(flips):
+        for f, field in enumerate(fields):
+            _assert_agrees(got[:, f, i], gft_direct(negate(spec, j, k), field, freqs.nodes()))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("selector", ["cylindrical:3", "two-sided cylindrical:2"])
+def test_kept_and_streamed_weights_give_one_spectrum(selector, count, monkeypatch):
+    # under no flip and every flip, validated or not: the call that builds
+    # a grid pair's weight record, a later call that reads it and a call
+    # that streams (no room for weights) give the same spectra bit for
+    # bit, in chunks of two frequencies, so the record serves several
+    rng = np.random.default_rng(76)
+    spec = _fresh_spec(selector)
+    dims = (5, 3, 5)[:spec.m]
+    fields = [SampledField(spec.sig, dims, tuple(-(d // 2) * 1.0 for d in dims), (1.0,) * spec.m,
+                           rng.uniform(-1.0, 1.0, (math.prod(dims), spec.sig.dim)))
+              for _ in range(count)]
+    freqs = FreqGrid((3,) * spec.m, tuple(rng.uniform(-1.3, -0.4, spec.m)),
+                     tuple(rng.uniform(0.3, 0.9, spec.m)))
+    order = transform._spec_plan(spec).order
+    kept = len(transform._mirror_pairs(fields[0])[0])
+    monkeypatch.setattr(transform, "_BLOCK", 2 * math.prod(b.slots for b in order) * kept)
+    key, unodes = _weights_key(fields[0], freqs), freqs.nodes()
+    for flips in ([], _sign_flips(spec)):
+        for validate in (True, False):
+            spec = _fresh_spec(selector)
+            built = transform._gft_many(spec, fields, freqs, flips, validate=validate)
+            store = transform._spec_plan(spec).kept
+            record, size = store[key]
+            width = math.prod(b.width for b in order)
+            assert record.shape == (width, freqs.node_count, kept) and size == record.nbytes
+            read = transform._gft_many(spec, fields, freqs, flips, validate=validate)
+            # an array of frequencies keeps no weights
+            transform._gft_many(spec, fields, unodes, flips, validate=validate)
+            assert [k[0] for k in store] == ["grid", "weights"]
+            with monkeypatch.context() as m:
+                m.setattr(transform, "_KEPT_WEIGHTS", 0)
+                other = _fresh_spec(selector)
+                streamed = transform._gft_many(other, fields, freqs, flips, validate=validate)
+                assert key not in transform._spec_plan(other).kept
+            assert np.array_equal(built, read) and np.array_equal(built, streamed)
+    for i, (j, k) in enumerate(flips):
+        for f, field in enumerate(fields):
+            _assert_agrees(built[:, f, i], gft_direct(negate(spec, j, k), field, unodes))
+
+
+def test_weight_records_stay_within_their_cap(monkeypatch):
+    # grid pairs of one spec in turn, with room for two pairs' weights:
+    # the first two keep them, and a later pair, refused before its
+    # record is allocated, streams chunks of 4 frequencies and gives the
+    # spectrum of a spec that keeps it
+    import tracemalloc
+
+    spec = kernels.preset("cylindrical", 3)
+    field = SampledField.random(spec.sig, (6, 6, 6), np.random.default_rng(77))
+    grids = [FreqGrid((4,) * 3, (-0.6 + 0.05 * i,) * 3, (0.3,) * 3) for i in range(4)]
+    n = len(transform._mirror_pairs(field)[0])
+    one = 8 * 2 * 64 * n  # cos and sin(rho)/rho of 64 frequencies
+    monkeypatch.setattr(transform, "_KEPT_WEIGHTS", 2 * one + one // 2)
+    monkeypatch.setattr(transform, "_BLOCK", 4 * 4 * n)
+    store = transform._spec_plan(spec).kept
+    for i, freqs in enumerate(grids):
+        tracemalloc.start()
+        try:
+            got = gft(spec, field, freqs).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        weights = [size for key, (_, size) in store.items() if key[0] == "weights"]
+        assert weights == [one] * min(i + 1, 2)
+        assert sum(weights) <= transform._KEPT_WEIGHTS
+        if i >= 2:  # no whole-pair record was allocated for it
+            assert peak < one, (peak, one)
+            whole = kernels.preset("cylindrical", 3)
+            assert np.array_equal(gft(whole, field, freqs).values, got)
+            assert _weights_key(field, freqs) in transform._spec_plan(whole).kept
+        _assert_agrees(got, gft_direct(spec, field, freqs.nodes()))
+
+
+def test_a_failing_pair_keeps_no_weights(monkeypatch):
+    # the call that would build a pair's weights checks every sample,
+    # whatever validate says; here one frequency of four offends, so
+    # nothing is kept: every validated call raises the direct engine's
+    # error, and every unvalidated call, including the first, whose record
+    # is dropped after the chunks before the offender, gives a streamed
+    # call's spectrum
+    sig, kern, field = _two_blade_spec()
+    freqs = FreqGrid((2, 2), (0.0, 0.0), (0.4, 0.7))  # (0.4, 0.7) offends at node 5
+    monkeypatch.setattr(transform, "_BLOCK", 0)  # one frequency per chunk
+    spec = GftSpec(sig, 2, (), (kern,))
+    msg = _not_imaginary_message(gft_direct, spec, field, freqs.nodes())
+    assert msg == "right kernel 1: sample 5 does not square to a negative real"
+    for validate in (False, True, False):
+        spec = GftSpec(sig, 2, (), (kern,))
+        for _ in range(2):
+            if validate:
+                assert _not_imaginary_message(gft, spec, field, freqs) == msg
+            else:
+                got = gft(spec, field, freqs, validate=False).values
+                with monkeypatch.context() as m:
+                    m.setattr(transform, "_KEPT_WEIGHTS", 0)
+                    other = GftSpec(sig, 2, (), (kern,))
+                    assert np.array_equal(gft(other, field, freqs, validate=False).values, got)
+            assert not any(key[0] == "weights" for key in transform._spec_plan(spec).kept)
 
 
 def test_first_offender_is_the_smaller_index_of_its_pair():
@@ -1458,11 +1606,18 @@ def test_fresh_fields_on_one_grid_share_one_record(monkeypatch):
     gft_at(spec, other, unodes)
     transform._gft_many(spec, [other, fresh], unodes, _sign_flips(spec))
     assert len(builds) == 1
-    assert list(transform._spec_plan(spec).kept) == [_grid_key(field)]
+    # the grid's record, and the grid pair's weights
+    assert list(transform._spec_plan(spec).kept) == [_grid_key(field),
+                                                     _weights_key(field, freqs)]
 
 
 def _grid_key(field):
     return ("grid", field.dims, field.origin, field.spacing)
+
+
+def _weights_key(field, freqs):
+    return ("weights", field.dims, field.origin, field.spacing,
+            freqs.dims, freqs.origin, freqs.spacing)
 
 
 def test_grids_past_the_bound_are_built_per_call(monkeypatch):
@@ -1470,6 +1625,7 @@ def test_grids_past_the_bound_are_built_per_call(monkeypatch):
     # built for each call and dropped, and gives the spectrum a kept record
     # gives
     monkeypatch.setattr(transform, "_KEPT", 2)
+    monkeypatch.setattr(transform, "_KEPT_WEIGHTS", 0)  # grid records alone
     builds = _counting_builds(monkeypatch)
     spec = kernels.preset("cylindrical", 3)
     field, freqs, _ = _record_case(spec)
@@ -1511,12 +1667,16 @@ def test_field_grid_records_are_bounded():
     finally:
         tracemalloc.stop()
     rec = transform._spec_plan(spec)
-    ((grid, size),) = rec.kept.values()
+    grid, size = rec.kept[_grid_key(field)]
     n = len(grid.rows)
     assert grid.twins is not None and n < field.node_count
     assert [t.shape for t in grid.tables] == [(6, n), (3, n)]
     assert size <= 8 * n * (3 + spec.m + sum(_record_widths(rec.order, spec.m)))
-    assert kept <= size + 4096, (kept, size)
+    # and the grid pair's weights, (2 x 2, M, N) for the folded basis's 2
+    # and the direction's 2
+    weights, wsize = rec.kept[_weights_key(field, freqs)]
+    assert weights.shape == (4, freqs.node_count, n) and len(rec.kept) == 2
+    assert kept <= size + wsize + 4096, (kept, size, wsize)
     # a later call reads the record: bit for bit the first call's spectrum
     assert np.array_equal(gft(spec, field, freqs).values, first)
 
@@ -1534,7 +1694,8 @@ def _counting_tables(monkeypatch):
     # the axes engine builds each phase table with one cos_sin call
     shapes, trig = [], transform.cos_sin
     monkeypatch.setattr(transform, "cos_sin",
-                        lambda theta, cos: shapes.append(theta.shape) or trig(theta, cos))
+                        lambda theta, cos, out=None: shapes.append(theta.shape)
+                        or trig(theta, cos, out))
     return shapes
 
 
@@ -1845,5 +2006,7 @@ def test_threads_share_one_fresh_spec(name, args):
             kept = transform._spec_plan(spec).kept
             assert len(kept) == records <= transform._KEPT
             assert sum(size for _, size in kept.values()) <= transform._KEPT_BYTES
+            assert sum(size for key, (_, size) in kept.items()
+                       if key[0] == "weights") <= transform._KEPT_WEIGHTS
     finally:
         sys.setswitchinterval(interval)
