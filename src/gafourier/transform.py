@@ -30,14 +30,14 @@ call by `plan`:
   two-sided product expands into prod(1 + r_k) terms, each a real
   weight times a constant map of B(x) (a dense product for a direction,
   a signed permutation for a blade).  A blade basis with r >= m is
-  folded: s_i = x^T A_i u, so sum_i s_i e_i = sum_a x_a sum_i (A_i u)_a e_i
-  and it takes 2 weights, cos(rho) and sin(rho)/rho, whose GEMM runs
-  against sums scaled by x_a, with <f^2>_0 = u^T Q(x) u one GEMM of the
-  monomials of u.  A weight is even or odd in x, so weights are computed
-  once per pair of nodes {x, -x}, against B(x) + B(-x) or B(x) - B(-x).
-  A chunk of frequencies is its weights, (width, M, N), and their GEMMs
-  against those sums, whose outputs a flip negates where they take the
-  sine of a flipped kernel; per block of chunks, the per-frequency
+  folded: s_i = x^T A_i u, so sum_i s_i e_i = sum_a x_a sum_i (A_i u)_a e_i,
+  its sine terms x_a sin(rho)/rho, x_a scaling the sums or the weights,
+  and <f^2>_0 = u^T Q(x) u one GEMM of the monomials of u.  A weight is
+  even or odd in x, so weights are computed once per pair of nodes
+  {x, -x}, against B(x) + B(-x) or B(x) - B(-x).  A chunk of frequencies
+  is its weights and their GEMMs against those sums, whose outputs a flip
+  negates where they take the sine of a flipped kernel; per block of
+  chunks, the per-frequency
   matrix (A_i u)_a of each folded basis maps its m sine outputs to its r
   blade terms (`_unfold`), one routine (`_compose`) takes each term
   through its composite map, and the block is summed over terms.
@@ -67,21 +67,21 @@ grid goes through the plan's one store (`_keep`), keyed by the grids'
 values (dims, origin, spacing), so fresh objects of one geometry share
 it: the expansion engine's record of a field grid (`_FieldGrid`), 8 (3 +
 m + sum_k w_k) bytes per kept node, w_k = m(m+1)/2 for a folded basis and
-r_k m otherwise, and its weights of a (field grid, frequency grid) pair,
-8 prod_k(width_k) M N bytes, width_k = 2 for a folded basis and 1 + r_k
-otherwise, kept only if every sample passes the check; for a spec the
-axes engine may run, the plan of a grid pair (`_GridPlan`): route, phase
-bound, one field's tile and, if that is the whole grid, every axis's
-e^{i theta} (`_phase_table`), 16 D sum_j d_j M_j bytes for D phase
-vectors; and the axes engine's matrix of each flip set (`_axes_matrix`).
-The store freezes every array of a record it builds and keeps the record
-while the spec holds at most `_KEPT` records of at most `_KEPT_BYTES`
-bytes together, weights at most `_KEPT_WEIGHTS`; past a bound records
-are built for their call, by the same arithmetic, and dropped, or
-weights streamed chunk by chunk.  So a call on a kept grid pair checks
-its inputs, looks up its records and runs the rest of its arithmetic
-(on the axes engine on one tile, without reading `_axis_coords`; several
-fields or flips choose their own tile).
+r_k m otherwise, and the weights of a (field grid, frequency grid) pair
+if every sample passes the check (else a mark of no bytes); for a spec
+the axes engine may run, the plan of a grid pair (`_GridPlan`): route,
+phase bound, one field's tile and, if that is the whole grid, every
+axis's e^{i theta} (`_phase_table`), 16 D sum_j d_j M_j bytes for D
+phase vectors; and the axes engine's matrix of each flip set
+(`_axes_matrix`).  The store freezes every array of a record it builds
+and keeps the record, first come first kept, while the spec holds at
+most `_KEPT` weight records of at most `_KEPT_WEIGHTS` bytes together
+and `_KEPT` others of at most `_KEPT_BYTES`; past a bound records are
+built for their call and dropped, or weights streamed chunk by chunk, by
+the same arithmetic.  So a call on a kept grid pair checks its inputs,
+looks up its records and runs the rest of its arithmetic (on the axes
+engine on one tile, without reading `_axis_coords`; several fields or
+flips choose their own tile).
 
 Threads may share a spec: two may build one record at once, and one
 copy is kept.  A record is stored only once built and frozen, so no
@@ -145,14 +145,13 @@ __all__ = [
     "row_magnitudes",
 ]
 
-# The expansion engine takes frequencies in chunks whose weights, with
-# the x_a of each folded basis in them (`_Basis.slots`), hold at most this
-# many values (512 KiB), or one frequency's worth on larger grids; the
-# weights a chunk keeps or streams (`_Basis.width`) are fewer.  A call
-# that streams writes every chunk into buffers allocated once: fresh
-# arrays this size per chunk, above glibc's 128 KiB mmap threshold, would
-# fault in new zeroed pages every time.  At 2^17 cylindrical:3's working
-# set leaves L2 and runs slower.
+# The expansion engine's weights for one frequency chunk, over all
+# kernels (`_Basis.slots`), hold at most this many values (512 KiB), or
+# one frequency's worth on larger grids.  A call that computes them
+# allocates its buffers once, for its largest chunk: fresh arrays this
+# size per chunk, above glibc's 128 KiB mmap threshold, would fault in
+# new zeroed pages every time.  At 2^17 cylindrical:3's working set
+# leaves L2 and runs slower.
 _BLOCK = 1 << 16
 # The axes engine's working set for one tile of the frequency grid
 # (`_axes_values`), and the expansion engine's terms for a block of
@@ -164,7 +163,8 @@ _AXES_BLOCK = 1 << 18
 # (128 MiB) is built for each call.
 _KEPT = 64
 _KEPT_BYTES = 32 << 20
-# and its expansion weight records at most this many bytes together
+# and apart from them as many expansion weight records, of at most this
+# many bytes together
 _KEPT_WEIGHTS = 2 << 20
 # A folded basis takes <f^2>_0 = u^T Q(x) u from Q while max|u|^2 times
 # the record's reach is at most this, and from s past it.  Q's rounding
@@ -453,7 +453,8 @@ class _Basis:
 
     @property
     def width(self) -> int:
-        """Weights per node and frequency: 2 when folded, else terms."""
+        """Weights per node and frequency while the x_a of a folded basis
+        scale the sums (`_gft_expansion`): 2 when folded, else terms."""
         return 2 if self.folded else self.terms
 
     def describe(self) -> str:
@@ -473,13 +474,13 @@ class _Basis:
         w: np.ndarray,
     ) -> np.ndarray | None:
         """Write the weights of e^{-f} at the frequencies u (M, m) and the
-        nodes `coords` (m, N) into w (width, M, N): cos(rho) into w[0] and
-        the sine weights, sin(rho)/rho when folded (its x_a weigh the sums
-        instead, `_gft_expansion`) and s_i sin(rho)/rho otherwise, into
-        w[1:].  Return the (M, N) mask of invalid samples when checked,
-        else None.  `table` is the basis's entry of `_FieldGrid.tables`, or
-        None for a folded basis past `_Q_REACH` at u: its square then comes
-        from s."""
+        nodes `coords` (m, N) into w (width or slots, M, N): cos(rho) into
+        w[0] and the sine weights into w[1:], s_i sin(rho)/rho, or when
+        folded x_a sin(rho)/rho, or sin(rho)/rho alone if w holds 2 weights
+        (its x_a then scale the sums, `_gft_expansion`).  Return the (M, N)
+        mask of invalid samples when checked, else None.  `table` is the
+        basis's entry of `_FieldGrid.tables`, or None for a folded basis
+        past `_Q_REACH` at u: its square then comes from s."""
         n, s = coords.shape[1], None
         if self.folded and table is not None:
             # u^T Q(x) u, into w[0], which `cos_sinc` reads before it writes cos there
@@ -488,9 +489,9 @@ class _Basis:
             # s_i = x^T A_i u = sum_a x_a (A_i u)_a
             s = self.maps(u) @ coords if self.folded else (u @ table).reshape(len(u), -1, n)
             square = self._square(s)
-        _, sinc = cos_sinc(square, w[0], w[1] if self.folded else None)
-        if not self.folded:
-            np.multiply(s.swapaxes(0, 1), sinc, out=w[1:])
+        _, sinc = cos_sinc(square, w[0], w[1])
+        if len(w) > 2 or not self.folded:
+            np.multiply(coords[:, None] if self.folded else s.swapaxes(0, 1), sinc, out=w[1:])
         # f^2 = <f^2>_0 everywhere for an imaginary basis, and |f|^2 =
         # -<f^2>_0 |j|^2: only a non-finite one can fail, none where Q's bound holds
         if not validate or (self.imaginary and s is None):
@@ -559,13 +560,20 @@ class _SpecPlan:
     order: tuple[_Basis, ...] = ()  # the kernel bases, in `_fold_order`
     refusal: str | None = None
     axes: _Axes | None = None
-    # the expansion engine's GEMM of each product of the bases' weights
-    # (`_Basis.width`, first kernel most significant): its count of sin
-    # factors mod 2 and of folded ones, the bit mask (as a flip's) of the
-    # kernels whose sine it takes, and its outputs' index among the slots
-    gemms: tuple[tuple[int, int, int, tuple], ...] = ()
-    # key -> (record, bytes of its arrays), filled by `_keep`
+    # the expansion engine's layout, first kernel most significant: per
+    # GEMM output (`_Basis.slots`) the bit mask, as a flip's, of the
+    # kernels whose sine it takes; the runs of consecutive outputs with the
+    # same count of sin factors mod 2, (count, parity); and per product
+    # of the bases' weights (`_Basis.width`) its parity, its count of
+    # folded sines and its outputs' index among the slots
+    sines: np.ndarray | None = None
+    runs: tuple[tuple[int, int], ...] = ()
+    products: tuple[tuple[int, int, tuple], ...] = ()
+    # key -> (record, bytes of its arrays), filled by `_keep`, and the
+    # (records, bytes) it holds of weights (True) and of the rest (False)
     kept: dict[tuple, tuple[object, int]] = dataclasses.field(default_factory=dict)
+    held: dict[bool, tuple[int, int]] = dataclasses.field(
+        default_factory=lambda: {False: (0, 0), True: (0, 0)})
 
 
 class _GridPlan(NamedTuple):
@@ -657,26 +665,28 @@ _Record = TypeVar("_Record")
 def _keep(rec: _SpecPlan, key: tuple, build: Callable[[], _Record]) -> _Record:
     """The record `key` of the spec's store, or the one `build` returns,
     with every array read-only.  A built record is kept while the store
-    stays within `_KEPT` records and `_KEPT_BYTES` bytes of arrays, its
-    weights within `_KEPT_WEIGHTS`; otherwise it serves its call and is
-    dropped."""
+    holds at most `_KEPT` weight records of at most `_KEPT_WEIGHTS` bytes
+    of arrays together and `_KEPT` other records of at most `_KEPT_BYTES`;
+    otherwise it serves its call and is dropped."""
     hit = rec.kept.get(key)
     if hit is not None:
         return hit[0]
     value = build()
     size = _freeze(value)
     with _KEEPING:
-        if _admits(rec, key, size):
-            return rec.kept.setdefault(key, (value, size))[0]
-    return value
+        if key not in rec.kept and _admits(rec, key, size):
+            count, total = rec.held[key[0] == "weights"]
+            rec.held[key[0] == "weights"] = count + 1, total + size
+            rec.kept[key] = value, size
+        return rec.kept.get(key, (value,))[0]
 
 
 def _admits(rec: _SpecPlan, key: tuple, size: int) -> bool:
-    """Whether the store, locked by the caller, has room for record `key`."""
-    kept = rec.kept.items()
-    return (len(kept) < _KEPT and size + sum(s for _, (_, s) in kept) <= _KEPT_BYTES and (
-        key[0] != "weights" or size + sum(s for k, (_, s) in kept if k[0] == "weights")
-        <= _KEPT_WEIGHTS))
+    """Whether the store, locked by the caller, has room for record `key`:
+    weight records and the others are bounded apart, so neither can crowd
+    out the other."""
+    count, total = rec.held[key[0] == "weights"]
+    return count < _KEPT and total + size <= (_KEPT_WEIGHTS if key[0] == "weights" else _KEPT_BYTES)
 
 
 def _freeze(value: object) -> int:
@@ -708,20 +718,23 @@ def _build_spec_plan(spec: GftSpec) -> _SpecPlan:
             notes.append(b.describe())
     notes.append(f"{terms} term{'s' if terms > 1 else ''}")
     order, refusal, axes = tuple(_fold_order(bases)), None, None
-    gemms = []
-    for js in itertools.product(*(range(b.width) for b in order)):
-        sines = [j > 0 for j in js]
-        gemms.append((sum(sines) % 2, sum(b.folded for b, t in zip(order, sines) if t),
-                      sum(t << i for i, t in enumerate(reversed(sines))),
-                      tuple(slice(1, None) if b.folded and j else j for b, j in zip(order, js))))
+    sines = np.zeros(1, dtype=np.int64)
+    for b in order:
+        sines = (2 * sines[:, None] + (np.arange(b.slots) > 0)).ravel()
+    runs = tuple((len(list(group)), p)
+                 for p, group in itertools.groupby((np.bitwise_count(sines) % 2).tolist()))
+    products = tuple((sum(j > 0 for j in js) % 2, sum(b.folded and j > 0 for b, j in zip(order, js)),
+                      tuple(slice(1, None) if b.folded and j else j for b, j in zip(order, js)))
+                     for js in itertools.product(*(range(b.width) for b in order)))
     if bases and all(b.step is not None for b in bases):
         refusal = next((f"{b.label} form not diagonal" for b in bases
                         if np.count_nonzero(b.forms[0])
                         > np.count_nonzero(np.diagonal(b.forms[0]))), None)
         if refusal is None:
             axes = _axes_layout(order)
+    _freeze(sines)
     return _SpecPlan("; ".join(notes), order=order, refusal=refusal, axes=axes,
-                     gemms=tuple(gemms))
+                     sines=sines, runs=runs, products=products)
 
 
 def _basis(sig: Signature, f: Factors, side: str, label: str, index: int) -> _Basis:
@@ -874,51 +887,55 @@ def _gft_expansion(
     The integrand expands into prod(1 + r_k) terms w(x, u) G_L B(x) G_R
     with constant G_L, G_R and weights cos(rho) and s_i sin(rho)/rho from
     `cos_sinc`, even or odd in x as the term's count of sin factors is.
-    A folded basis (`_Basis`) has 2 weights, cos(rho) and sin(rho)/rho,
-    rho^2 from its Q (`_FieldGrid`) in one GEMM, and its terms x_a
-    sin(rho)/rho scale the smaller GEMM operand by x_a.  The weights are
-    computed at the nodes of the grid's record, one per pair {x, -x}:
-    even terms contract against B(x) + B(-x), odd ones against B(x) -
-    B(-x), a node without a mirror against B(x).  A chunk of frequencies
-    (`_BLOCK`) is its weights, (width, M, N), and one GEMM per weight
-    into the first flip's rows of the block's outputs (slots, frequencies
-    x flips, fields x 2^n); those rows times each flip's sign (negating a
-    kernel negates its s_i) fill every flip's.  A
-    block is the most whole chunks whose terms fit `_AXES_BLOCK` values,
-    or one chunk; once per block `_unfold` takes each folded basis's m
-    sine outputs to its r blade terms, `_compose` maps each term through
-    its G_t, and the terms are summed.
+    A folded basis (`_Basis`) takes rho^2 from its Q (`_FieldGrid`) in
+    one GEMM, and the x_a of its sine terms x_a sin(rho)/rho scale the
+    sums, so its weights are cos(rho) and sin(rho)/rho (`_Basis.width`),
+    when a chunk has more frequencies than the sums columns, else its 1 +
+    m weights (`_Basis.slots`).  The weights are computed at the nodes of
+    the grid's record, one per pair {x, -x}: even terms contract against
+    B(x) + B(-x), odd ones against B(x) - B(-x), a node without a mirror
+    against B(x).  A chunk of frequencies (`_BLOCK`) is its weights and
+    their GEMMs into the first flip's rows of the block's outputs (slots,
+    frequencies x flips, fields x 2^n); those rows times each flip's sign
+    (negating a kernel negates its s_i) fill every flip's.  A block is the
+    most whole chunks whose terms fit `_AXES_BLOCK` values, or one chunk;
+    once per block `_unfold` takes each folded basis's m sine outputs to
+    its r blade terms, `_compose` maps each term through its G_t, and the
+    terms are summed.
 
-    The weights of a frequency grid `pair` are kept in the spec's store
-    if they fit `_KEPT_WEIGHTS`, decided before they are allocated, and
-    every sample passes the check, which the call that builds them runs
-    whatever `validate` says; a later call reads each chunk's rows from
-    them.  Otherwise each chunk is computed into buffers allocated once
-    per call.
+    The weights of a frequency grid `pair` are kept in the spec's store if
+    they fit (`_admits`, decided before they are allocated) and every
+    sample passes the check, which the call that builds them runs whatever
+    `validate` says; later calls read each chunk's rows from them.
+    Otherwise each chunk is computed into buffers allocated once per call.
     """
     key = ("grid", field.dims, field.origin, field.spacing)
     dim, order, grid = field.sig.dim, rec.order, _keep(rec, key, lambda: _field_grid(rec, field))
     cols, rows, n = values.shape[1] * dim, grid.rows, grid.coords.shape[1]
-    if grid.twins is None:
-        stacks = (values, values)
+    if grid.twins is None:  # every node kept: one sum for both parities
+        stacks = (values.reshape(n, cols),)
     else:
         own, twin = values.take(rows, axis=0), values.take(grid.twins, axis=0)
         twin[grid.lone] = 0.0
-        stacks = (own + twin, own - twin)
-    terms, slots = math.prod(b.terms for b in order), math.prod(b.slots for b in order)
-    chunk, width = max(1, _BLOCK // (slots * n)), len(rec.gemms)
-    xs = [None, grid.coords]  # the (m^d, N) products x_a of d folded sines
-    for _ in range(2, max(g[1] for g in rec.gemms) + 1):
-        xs.append((grid.coords[:, None] * xs[-1]).reshape(-1, n))
-    # they scale the smaller operand of a GEMM that takes them: its sums,
-    # (m.., N, cols) once per call, or a chunk's weights, (m^d M, N)
+        stacks = ((own + twin).reshape(n, cols), (own - twin).reshape(n, cols))
+    shape = tuple(b.slots for b in order)
+    terms, slots = math.prod(b.terms for b in order), math.prod(shape)
+    chunk = max(1, _BLOCK // (slots * n))
+    # a folded sine's x_a scale the sums, m^d N cols values once per call,
+    # or each chunk's weights, m^d M N over the call; the sums only while
+    # cols < chunk, which keeps them within `_BLOCK` values as the weights
+    # are (slots >= (1 + m)^d), where on large grids they would not be
     on_sums = cols < min(chunk, len(unodes))
-    sums = {(p, d): np.einsum("an,nc->anc", xs[d], stacks[p].reshape(n, cols))
-            .reshape((field.m,) * d + (n, cols)) if on_sums and d else stacks[p].reshape(n, cols)
-            for p, d in {g[:2] for g in rec.gemms}}
-    # each GEMM's sign under each flip, (flips, 1): -1 per flipped kernel whose sine it takes
-    signs = [None if masks == (0,) else np.array(
-        [[1 - 2 * ((g[2] & f).bit_count() % 2)] for f in masks], dtype=float) for g in rec.gemms]
+    xs = [1.0]  # the x_a of d folded sines, (m.., N, 1)
+    for d in range(max(d for _, d, _ in rec.products) if on_sums else 0):
+        xs.append(grid.coords.reshape((field.m,) + (1,) * d + (n, 1)) * xs[-1])
+    sums = {(p, d): xs[d] * stacks[p] if d else stacks[p]
+            for p, d in {(p % len(stacks), d) for p, d, _ in rec.products}} if on_sums else None
+    widths = [b.width if on_sums else b.slots for b in order]
+    width = math.prod(widths)
+    # each output's sign under each flip: -1 per flipped kernel whose sine it takes
+    signs = None if masks == (0,) else 1.0 - 2.0 * (
+        np.bitwise_count(rec.sines[:, None] & np.array(masks)) % 2)[:, None, :, None]
     # u^T Q u rounds by about eps max|u|^2 reach (`_Q_REACH`), and cannot
     # overflow within that bound; past it folded bases take it from s
     top = float(np.abs(unodes).max(initial=0.0))
@@ -926,11 +943,12 @@ def _gft_expansion(
     tables = [None if b.folded and not safe else t for b, t in zip(order, grid.tables)]
     # whole chunks whose terms fit the budget, or one chunk
     block = chunk * max(1, _AXES_BLOCK // (terms * chunk * len(masks) * cols))
-    hit = rec.kept.get(pair) if pair else None
+    hit = rec.kept.get(pair) if pair else None  # (weights, or None for a failing pair, bytes)
     with _KEEPING:  # admitted before it is allocated
         building = hit is None and pair is not None and _admits(
             rec, pair, 8 * width * len(unodes) * n)
-    record = hit[0] if hit else np.empty((width, len(unodes), n)) if building else None
+    kept = hit[0] if hit else None
+    record = np.empty((width, len(unodes), n)) if building else kept
     bufs: dict[int, np.ndarray] = {}
 
     def buf(role: int, count: int, size: int) -> np.ndarray:  # (count, size, N), contiguous
@@ -941,44 +959,46 @@ def _gft_expansion(
     out = np.empty((len(unodes), len(masks) * values.shape[1], dim))
     for start in range(0, len(unodes), block):
         ub = unodes[start:start + block]
-        y = np.empty((slots, len(ub) * len(masks), cols))
-        view = y.reshape(*(b.slots for b in order), len(ub), len(masks), cols)
+        y = np.empty((slots, len(ub), len(masks), cols))
         for lo in range(0, len(ub), chunk):
             u = ub[lo:lo + chunk]
-            span = slice(start + lo, start + lo + len(u))
+            at, span = slice(lo, lo + len(u)), slice(start + lo, start + lo + len(u))
             w = record[:, span] if record is not None else buf(0, width, len(u))
-            if hit is None:  # the chunk's weights: the first kernel's is the most significant
+            if kept is None:  # the chunk's weights: the first kernel's is the most significant
                 bad, held = [], None
                 if not order:  # only zero kernels: one weight of 1
                     w[...] = 1.0
-                for k, (b, table) in enumerate(zip(order, tables)):
+                for k, (b, table, size) in enumerate(zip(order, tables, widths)):
                     last = k == len(order) - 1
-                    wb = w if last and not k else buf(2 * k + 1, b.width, len(u))
+                    wb = w if last and not k else buf(2 * k + 1, size, len(u))
                     bad.append(b.weights(u, table, grid.coords, validate or building, wb))
-                    if k:  # the product with the weights so far, (held, b.width, M, N)
-                        both = w if last else buf(2 * k + 2, len(held) * b.width, len(u))
+                    if k:  # the product with the weights so far, (held, size, M, N)
+                        both = w if last else buf(2 * k + 2, len(held) * size, len(u))
                         np.multiply(held[:, None], wb, out=both.reshape((len(held),) + wb.shape))
                         wb = both
                     held = wb
                 if validate:
                     _raise_first_violation(order, bad, rows)
                 elif building and any(m is not None and m.any() for m in bad):
-                    record, building = None, False  # a failing pair keeps nothing
-            for (parity, depth, _, index), sign, wg in zip(rec.gemms, signs, w):
-                at = view[index + (slice(lo, lo + len(u)),)]  # (m.., M, flips, cols)
-                if depth and not on_sums:  # one GEMM of the (m^d M, N) scaled weights
-                    g = (xs[depth][:, None] * wg).reshape(-1, n)
-                    if len(masks) == 1 and at.flags.c_contiguous:  # the block is one chunk
-                        np.matmul(g, sums[parity, depth], out=at.reshape(-1, cols))
-                    else:
-                        at[..., 0, :] = (g @ sums[parity, depth]).reshape(at.shape[:-2] + (cols,))
-                else:
-                    np.matmul(wg, sums[parity, depth], out=at[..., 0, :])
-                if sign is not None:  # every flip's rows, from the first's
-                    np.multiply(at[..., :1, :], sign, out=at)
-        y = _unfold(order, y, ub)
+                    record = None  # a failing pair keeps nothing, and later calls stream
+            # the first flip's rows: one GEMM per product of weights against
+            # its sums, or per run of outputs with one parity, so that a
+            # run reads its sum once
+            if on_sums:
+                view = y.reshape(shape + y.shape[1:])
+                for (p, d, index), wp in zip(rec.products, w):
+                    np.matmul(wp, sums[p % len(stacks), d], out=view[index + (at, 0)])
+            else:
+                t = 0
+                for count, p in rec.runs if len(stacks) == 2 else ((slots, 0),):
+                    run = w[t:t + count].reshape(-1, n) @ stacks[p]
+                    y[t:t + count, at, 0] = run.reshape(count, len(u), cols)
+                    t += count
+            if signs is not None:  # every flip's rows, from the first's
+                np.multiply(y[:, at, :1], signs, out=y[:, at])
+        y = _unfold(order, y.reshape(slots, -1, cols), ub)
         out[start:start + block] = _compose(order, y.reshape(terms, len(ub), -1, dim)).sum(axis=0)
-    if building:
+    if building:  # the weights, or for a failing pair None, so that later calls stream
         _keep(rec, pair, lambda: record)
     out *= field.cell_volume
     return out.reshape(len(unodes), len(masks), values.shape[1], dim).swapaxes(1, 2)
@@ -1126,7 +1146,7 @@ def _axes_values(
     # complex intermediate after contracting x_1..x_j (j = 1..m), one key
     steps = [math.prod(tile[:j]) * math.prod(dims[j:]) * dim
              for j in range(1, len(dims) + 1)]
-    # per axis: phases, three temporaries of `cos_sin` and the complex table
+    # per axis: phases, the complex table and a margin of three values
     return (6 * keys * sum(d * r for d, r in zip(dims, tile))
             + 2 * keys * steps[0]  # first-axis sums of every key
             + 6 * block * max(steps)  # a later axis over the block: input and output

@@ -682,9 +682,11 @@ def test_expansion_engine_over_mirrored_pairs_matches_direct(selector, grid, cou
 def test_expansion_chunks_write_into_buffers_allocated_once_per_call(selector, count, flipped,
                                                                      monkeypatch):
     # with no weight record kept, every chunk of one call writes each
-    # basis's weights, (width, M, N) and contiguous, into one buffer of
+    # basis's weights, (slots, M, N) and contiguous, into one buffer of
     # that basis: `count` fields under no flip or every flip (flips sign
-    # the GEMM outputs, not the weights), one folded basis or two bases
+    # the GEMM outputs, not the weights), one folded basis or two bases;
+    # with more columns than the chunk's two frequencies, the x_a of a
+    # folded basis are in its weights
     monkeypatch.setattr(transform, "_KEPT_WEIGHTS", 0)
     spec = MIRROR_SPECS[selector]() if selector in MIRROR_SPECS else parse_preset(selector)
     dims = (5, 3, 5)[:spec.m]
@@ -715,7 +717,7 @@ def test_expansion_chunks_write_into_buffers_allocated_once_per_call(selector, c
         ws = [(size, w) for index, size, w in writes if index == b.index]
         assert len(ws) == (freqs.node_count + 1) // 2 >= 3
         for size, w in ws:
-            assert w.shape == (b.width, size, kept) and w.flags.c_contiguous
+            assert w.shape == (b.slots, size, kept) and w.flags.c_contiguous
             assert np.shares_memory(w, ws[0][1])
         heads.append(ws[0][1])
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(heads, 2))
@@ -778,32 +780,38 @@ def test_two_folded_bases_scale_either_gemm_operand(count, dims):
             _assert_agrees(got[:, f, i], gft_direct(negate(spec, j, k), field, freqs.nodes()))
 
 
+@pytest.mark.parametrize("per_chunk, extent", [(2, 3), (64, 9)])
 @pytest.mark.parametrize("count", [1, 3])
 @pytest.mark.parametrize("selector", ["cylindrical:3", "two-sided cylindrical:2"])
-def test_kept_and_streamed_weights_give_one_spectrum(selector, count, monkeypatch):
+def test_kept_and_streamed_weights_give_one_spectrum(selector, count, per_chunk, extent,
+                                                     monkeypatch):
     # under no flip and every flip, validated or not: the call that builds
     # a grid pair's weight record, a later call that reads it and a call
     # that streams (no room for weights) give the same spectra bit for
-    # bit, in chunks of two frequencies, so the record serves several
+    # bit, in chunks of `per_chunk` frequencies, so the record serves
+    # several; a folded basis's x_a scale the sums when there are fewer
+    # columns than a chunk's frequencies, else its weights
     rng = np.random.default_rng(76)
     spec = _fresh_spec(selector)
     dims = (5, 3, 5)[:spec.m]
     fields = [SampledField(spec.sig, dims, tuple(-(d // 2) * 1.0 for d in dims), (1.0,) * spec.m,
                            rng.uniform(-1.0, 1.0, (math.prod(dims), spec.sig.dim)))
               for _ in range(count)]
-    freqs = FreqGrid((3,) * spec.m, tuple(rng.uniform(-1.3, -0.4, spec.m)),
+    freqs = FreqGrid((extent,) * spec.m, tuple(rng.uniform(-1.3, -0.4, spec.m)),
                      tuple(rng.uniform(0.3, 0.9, spec.m)))
     order = transform._spec_plan(spec).order
     kept = len(transform._mirror_pairs(fields[0])[0])
-    monkeypatch.setattr(transform, "_BLOCK", 2 * math.prod(b.slots for b in order) * kept)
+    monkeypatch.setattr(transform, "_BLOCK", per_chunk * math.prod(b.slots for b in order) * kept)
     key, unodes = _weights_key(fields[0], freqs), freqs.nodes()
+    on_sums = count * spec.sig.dim < min(per_chunk, freqs.node_count)
+    assert on_sums == (per_chunk > 2)
     for flips in ([], _sign_flips(spec)):
         for validate in (True, False):
             spec = _fresh_spec(selector)
             built = transform._gft_many(spec, fields, freqs, flips, validate=validate)
             store = transform._spec_plan(spec).kept
             record, size = store[key]
-            width = math.prod(b.width for b in order)
+            width = math.prod(b.width if on_sums else b.slots for b in order)
             assert record.shape == (width, freqs.node_count, kept) and size == record.nbytes
             read = transform._gft_many(spec, fields, freqs, flips, validate=validate)
             # an array of frequencies keeps no weights
@@ -831,7 +839,7 @@ def test_weight_records_stay_within_their_cap(monkeypatch):
     field = SampledField.random(spec.sig, (6, 6, 6), np.random.default_rng(77))
     grids = [FreqGrid((4,) * 3, (-0.6 + 0.05 * i,) * 3, (0.3,) * 3) for i in range(4)]
     n = len(transform._mirror_pairs(field)[0])
-    one = 8 * 2 * 64 * n  # cos and sin(rho)/rho of 64 frequencies
+    one = 8 * 4 * 64 * n  # cos and x_a sin(rho)/rho of 64 frequencies (8 columns, chunks of 4)
     monkeypatch.setattr(transform, "_KEPT_WEIGHTS", 2 * one + one // 2)
     monkeypatch.setattr(transform, "_BLOCK", 4 * 4 * n)
     store = transform._spec_plan(spec).kept
@@ -855,29 +863,43 @@ def test_weight_records_stay_within_their_cap(monkeypatch):
 
 def test_a_failing_pair_keeps_no_weights(monkeypatch):
     # the call that would build a pair's weights checks every sample,
-    # whatever validate says; here one frequency of four offends, so
-    # nothing is kept: every validated call raises the direct engine's
-    # error, and every unvalidated call, including the first, whose record
-    # is dropped after the chunks before the offender, gives a streamed
-    # call's spectrum
+    # whatever validate says; here one frequency of four offends, so no
+    # weights are kept, only a mark of no bytes that the pair failed:
+    # every validated call raises the direct engine's error, and every
+    # unvalidated call, including the first, whose record is dropped after
+    # the chunks before the offender, gives a streamed call's spectrum
     sig, kern, field = _two_blade_spec()
     freqs = FreqGrid((2, 2), (0.0, 0.0), (0.4, 0.7))  # (0.4, 0.7) offends at node 5
     monkeypatch.setattr(transform, "_BLOCK", 0)  # one frequency per chunk
     spec = GftSpec(sig, 2, (), (kern,))
     msg = _not_imaginary_message(gft_direct, spec, field, freqs.nodes())
     assert msg == "right kernel 1: sample 5 does not square to a negative real"
+    checks, weights = [], transform._Basis.weights
+
+    def spy(self, u, table, coords, validate, w):
+        checks.append(validate)
+        return weights(self, u, table, coords, validate, w)
+
     for validate in (False, True, False):
         spec = GftSpec(sig, 2, (), (kern,))
-        for _ in range(2):
+        for call in range(2):
             if validate:
                 assert _not_imaginary_message(gft, spec, field, freqs) == msg
             else:
-                got = gft(spec, field, freqs, validate=False).values
+                with monkeypatch.context() as m:
+                    m.setattr(transform._Basis, "weights", spy)
+                    got = gft(spec, field, freqs, validate=False).values
+                # the first call checks every sample; the failed build is
+                # remembered, so a later unvalidated call checks none
+                assert set(checks) == {call == 0}
+                checks.clear()
                 with monkeypatch.context() as m:
                     m.setattr(transform, "_KEPT_WEIGHTS", 0)
                     other = GftSpec(sig, 2, (), (kern,))
                     assert np.array_equal(gft(other, field, freqs, validate=False).values, got)
-            assert not any(key[0] == "weights" for key in transform._spec_plan(spec).kept)
+            weights_kept = [v for k, v in transform._spec_plan(spec).kept.items()
+                            if k[0] == "weights"]
+            assert weights_kept == ([] if validate else [(None, 0)])
 
 
 def test_first_offender_is_the_smaller_index_of_its_pair():
@@ -1621,11 +1643,11 @@ def _weights_key(field, freqs):
 
 
 def test_grids_past_the_bound_are_built_per_call(monkeypatch):
-    # the store keeps _KEPT records, here the first 2 grids; a later one is
-    # built for each call and dropped, and gives the spectrum a kept record
-    # gives
+    # the store keeps _KEPT records of each kind, here the first 2 grids
+    # and the first 2 grid pairs' weights; a later grid is built for each
+    # call and dropped, its weights are streamed, and it gives the
+    # spectrum a kept record gives
     monkeypatch.setattr(transform, "_KEPT", 2)
-    monkeypatch.setattr(transform, "_KEPT_WEIGHTS", 0)  # grid records alone
     builds = _counting_builds(monkeypatch)
     spec = kernels.preset("cylindrical", 3)
     field, freqs, _ = _record_case(spec)
@@ -1633,14 +1655,37 @@ def test_grids_past_the_bound_are_built_per_call(monkeypatch):
                           field.spacing, field.values) for shift in (0.0, 0.5, 1.0)]
     spectra = [[gft(spec, f, freqs).values for _ in range(2)] for f in moved]
     assert builds == [f.origin for f in moved] + [moved[2].origin]
-    assert list(transform._spec_plan(spec).kept) == [_grid_key(f) for f in moved[:2]]
+    assert list(transform._spec_plan(spec).kept) == [
+        key for f in moved[:2] for key in (_grid_key(f), _weights_key(f, freqs))]
     for (once, again), f in zip(spectra, moved):
         assert np.array_equal(once, again)
         _assert_agrees(once, gft_direct(spec, f, freqs.nodes()))
     # the third grid kept by a spec of its own: the same arithmetic
     kept = kernels.preset("cylindrical", 3)
     assert np.array_equal(gft(kept, moved[2], freqs).values, spectra[2][0])
-    assert list(transform._spec_plan(kept).kept) == [_grid_key(moved[2])]
+    assert list(transform._spec_plan(kept).kept) == [_grid_key(moved[2]),
+                                                     _weights_key(moved[2], freqs)]
+
+
+def test_weight_records_leave_room_for_a_new_grid(monkeypatch):
+    # _KEPT grid pairs fill the weights' share of the store; a field grid
+    # first seen after them still keeps its record, built once, and the
+    # weights of its grid pair are streamed
+    builds = _counting_builds(monkeypatch)
+    spec = kernels.preset("cylindrical", 3)
+    field, _, _ = _record_case(spec, dims=(3, 2, 2))
+    for i in range(transform._KEPT + 1):
+        gft(spec, field, FreqGrid((2, 1, 1), (-0.6 + 0.01 * i, -0.3, 0.2), (0.3,) * 3))
+    store = transform._spec_plan(spec).kept
+    assert [key[0] for key in store] == ["grid"] + ["weights"] * transform._KEPT
+    moved = SampledField(spec.sig, field.dims, tuple(o + 0.25 for o in field.origin),
+                         field.spacing, field.values)
+    freqs = FreqGrid((2, 1, 1), (-0.6, -0.3, 0.2), (0.3,) * 3)
+    once, again = (gft(spec, moved, freqs).values for _ in range(2))
+    assert builds == [field.origin, moved.origin] and _grid_key(moved) in store
+    assert _weights_key(moved, freqs) not in store
+    assert np.array_equal(once, again)
+    _assert_agrees(once, gft_direct(spec, moved, freqs.nodes()))
 
 
 def _record_widths(order, m):
